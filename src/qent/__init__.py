@@ -2,7 +2,7 @@
 low-dimensional quantum states.
 
 Core objects live in :mod:`qent.linalg` (validated density matrices and a
-self-contained Hermitian eigensolver); positive-map machinery in
+residual-checked Hermitian eigensolver); positive-map machinery in
 :mod:`qent.spa`; detection criteria in :mod:`qent.detect`; measures in
 :mod:`qent.measures`; coherence-based separability bounds in
 :mod:`qent.coherence`; three-qubit classification in :mod:`qent.classify3`;
@@ -56,8 +56,10 @@ from .detect import (
 from .errors import (
     DensityMatrixError,
     DimensionError,
+    EigensolverError,
     HermiticityViolation,
     NegativityViolation,
+    NonFiniteEntry,
     NotAWitness,
     NotGHZClass,
     TraceViolation,

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, NotGHZClass
-from .linalg import DensityMatrix, expectation, herm_eigenvalues, tensor
+from .linalg import DensityMatrix, expectation, tensor
 from .spa import spa_pt_three_qubit
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -369,7 +369,7 @@ def slocc_classify(rho) -> SloccVerdict:
         v = v / np.linalg.norm(v)
         rho = DensityMatrix(mat=np.outer(v, v.conj()), dims=(2, 2, 2))
     lams = tuple(
-        float(herm_eigenvalues(spa_pt_three_qubit(rho, q).rho_tilde.mat).eigenvalues[0])
+        float(spa_pt_three_qubit(rho, q).rho_tilde.spectrum.eigenvalues[0])
         for q in ("A", "B", "C")
     )
     below = [lam < THRESHOLD - SLACK for lam in lams]

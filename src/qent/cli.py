@@ -124,6 +124,8 @@ def parse_state_file(path):
         )
     except (TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: field 'matrix' must hold [re, im] pairs ({exc})") from None
+    if not np.all(np.isfinite(mat)):
+        raise ParseError(f"{path}: field 'matrix' has NaN or infinite entries")
     label = doc.get("label", os.path.basename(path))
     return label, validate_density(mat, dims)
 
@@ -242,8 +244,7 @@ def _pure_vector(rho: DensityMatrix):
     """Amplitude vector if ``rho`` is (numerically) pure, else None."""
     if abs(float(np.trace(rho.mat @ rho.mat).real) - 1.0) > 1e-9:
         return None
-    spec = herm_eigenvalues(rho.mat)
-    return spec.vectors[:, -1]
+    return rho.spectrum.vectors[:, -1]
 
 
 def _default_measures(rho: DensityMatrix):
@@ -411,7 +412,7 @@ def _gen_2_3():
     for a, b, f in _T22_PARAMS:
         rho = x_state(a, b, f)
         spa = spa_pt_two_qubit(rho)
-        lam = float(herm_eigenvalues(spa.rho_tilde.mat).eigenvalues[0])
+        lam = float(spa.rho_tilde.spectrum.eigenvalues[0])
         v = _criterion2(rho, spa, x_state_concurrence(a, f))
         rows.append([a, b, f.real, f.imag, lam,
                      1.0 if v.outcome is Outcome.ConditionSatisfied else 0.0])

@@ -68,6 +68,15 @@ def _rho_tilde_mat(rho_tilde):
     return np.asarray(rho_tilde, dtype=complex)
 
 
+def _rho_tilde_spectrum(rho_tilde):
+    """Spectrum of the SPA-PT state, reusing a state's own when it has one."""
+    if isinstance(rho_tilde, SpaState):
+        return rho_tilde.rho_tilde.spectrum
+    if isinstance(rho_tilde, DensityMatrix):
+        return rho_tilde.spectrum
+    return herm_eigenvalues(_rho_tilde_mat(rho_tilde))
+
+
 def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
     """PPT (Peres) criterion: a negative partial-transpose eigenvalue proves
     entanglement.
@@ -178,9 +187,8 @@ def criterion2(rho: DensityMatrix, rho_tilde, c) -> Verdict:
     """
     if c < 0:
         raise DimensionError("concurrence estimate must be nonnegative")
-    rt = _rho_tilde_mat(rho_tilde)
-    lam = float(herm_eigenvalues(rt).eigenvalues[0])
-    margin = lam - (expectation(rt, rho) - c)
+    lam = float(_rho_tilde_spectrum(rho_tilde).eigenvalues[0])
+    margin = lam - (expectation(_rho_tilde_mat(rho_tilde), rho) - c)
     outcome = Outcome.ConditionSatisfied if margin >= -SLACK else Outcome.ConditionViolated
     return Verdict(outcome=outcome, evidence=float(margin), criterion="criterion2")
 

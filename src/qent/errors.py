@@ -33,6 +33,14 @@ class NegativityViolation(DensityMatrixError):
     """Matrix has an eigenvalue below the PSD floor."""
 
 
+class NonFiniteEntry(DensityMatrixError):
+    """Matrix has NaN or infinite entries; the magnitude is their count."""
+
+
+class EigensolverError(DensityMatrixError):
+    """Eigensolver residual exceeds tolerance; the magnitude is the residual."""
+
+
 class NotAWitness(ValueError):
     """Operator has no negative eigenvalue, so it cannot witness entanglement."""
 

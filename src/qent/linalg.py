@@ -5,29 +5,34 @@ list of subsystem dimensions.  Subsystem 0 is the *leftmost* tensor factor and
 the computational basis is big-endian (for three qubits, basis index 0 is
 |000> and index 7 is |111>).
 
-The eigensolver is a cyclic complex Jacobi iteration, which is robust and
-exact enough for the matrix sizes this package targets (side length <= 16).
+Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
+(``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
+the returned eigenpairs do not satisfy ``H v = lambda v`` to within
+``EIG_RESIDUAL_TOL`` relative to the spectral radius.  A validated
+:class:`DensityMatrix` keeps the spectrum its validation computed, so callers
+read ``rho.spectrum`` instead of solving the same matrix again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DimensionError,
+    EigensolverError,
     HermiticityViolation,
     NegativityViolation,
+    NonFiniteEntry,
     TraceViolation,
 )
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
-
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
+EIG_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,16 @@ class DensityMatrix:
     def dim(self):
         """Total Hilbert-space dimension (side length of ``mat``)."""
         return self.mat.shape[0]
+
+    @cached_property
+    def spectrum(self):
+        """:class:`Spectrum` of ``mat``, solved at most once per instance.
+
+        :func:`validate_density` fills it from its own solve; an instance
+        built directly solves on first access.  ``mat`` must not be changed
+        in place afterwards.
+        """
+        return herm_eigenvalues(self.mat)
 
     def __post_init__(self):
         object.__setattr__(self, "mat", np.asarray(self.mat, dtype=complex))
@@ -98,6 +113,9 @@ def _as_square(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    bad = int(np.count_nonzero(~np.isfinite(m)))
+    if bad:
+        raise NonFiniteEntry("matrix has NaN or infinite entries", bad)
     return m
 
 
@@ -228,54 +246,8 @@ def realign(rho, dims=None):
     return mat.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def _jacobi(h):
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix."""
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            row = np.abs(a[p, p + 1:])
-            if row.size:
-                off = max(off, row.max())
-        if off < _JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mod = abs(apq)
-                if mod < _JACOBI_OFF_TOL:
-                    continue
-                phase = apq / mod
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mod)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Rotation U: U[p,p]=c, U[p,q]=s*phase, U[q,p]=-s*conj(phase),
-                # U[q,q]=c; update A <- U^dagger A U and accumulate V <- V U.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-                v[:, q] = s * phase * vcol_p + c * vcol_q
-    return np.real(np.diag(a)), v
-
-
 def herm_eigenvalues(h):
-    """Real spectrum of a Hermitian matrix via cyclic complex Jacobi rotations.
+    """Real spectrum of a Hermitian matrix (LAPACK ``eigh``).
 
     Parameters
     ----------
@@ -291,16 +263,21 @@ def herm_eigenvalues(h):
     ------
     HermiticityViolation
         If the input is not Hermitian within tolerance.
+    EigensolverError
+        If the residual exceeds ``EIG_RESIDUAL_TOL * max(1, max |lambda|)``.
     """
     m = _as_square(h)
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("eigensolver input is not Hermitian", herm_dev)
-    lam, vec = _jacobi(m)
-    order = np.argsort(lam)
-    lam = lam[order]
-    vec = vec[:, order]
+    lam, vec = np.linalg.eigh(m)
     residual = float(np.max(np.abs(m @ vec - vec * lam[np.newaxis, :])))
+    # Written so that a NaN residual fails the check.
+    if not residual <= EIG_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(lam)))):
+        raise EigensolverError("eigensolver residual above tolerance", residual)
+    # Read-only, because DensityMatrix.spectrum hands one Spectrum to every caller.
+    lam.flags.writeable = False
+    vec.flags.writeable = False
     return Spectrum(eigenvalues=lam, residual=residual, vectors=vec)
 
 
@@ -308,8 +285,7 @@ def trace_norm(a):
     """Trace norm (sum of singular values) of a square matrix.
 
     For Hermitian input this is the sum of absolute eigenvalues; otherwise
-    the singular values are obtained as square roots of the spectrum of
-    ``A A^dagger``.
+    it is the sum of the singular values from LAPACK's SVD.
 
     Parameters
     ----------
@@ -323,8 +299,7 @@ def trace_norm(a):
     m = _as_square(a)
     if np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
         return float(np.sum(np.abs(herm_eigenvalues(m).eigenvalues)))
-    lam = herm_eigenvalues(m @ m.conj().T).eigenvalues
-    return float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def expectation(h, rho):
@@ -368,7 +343,7 @@ def validate_density(m, dims):
 
     Raises
     ------
-    HermiticityViolation, TraceViolation, NegativityViolation
+    NonFiniteEntry, HermiticityViolation, TraceViolation, NegativityViolation
         With the offending magnitude attached.
     """
     mat = _as_square(m)
@@ -381,7 +356,12 @@ def validate_density(m, dims):
     trace_dev = abs(complex(np.trace(mat)) - 1.0)
     if trace_dev > TRACE_TOL:
         raise TraceViolation("density matrix trace differs from 1", trace_dev)
-    lam_min = float(herm_eigenvalues(mat).eigenvalues[0])
+    spec = herm_eigenvalues(mat)
+    lam_min = float(spec.eigenvalues[0])
     if lam_min < PSD_FLOOR:
         raise NegativityViolation("density matrix has a negative eigenvalue", -lam_min)
-    return DensityMatrix(mat=mat, dims=tuple(dims))
+    rho = DensityMatrix(mat=mat, dims=tuple(dims))
+    # cached_property stores in the instance dict, which the frozen
+    # dataclass's __setattr__ guard does not cover.
+    object.__setattr__(rho, "spectrum", spec)
+    return rho

@@ -36,9 +36,11 @@ class MeasureValue:
     d: int
 
     def __post_init__(self):
-        if self.value < -1e-9:
-            raise DimensionError(f"{self.measure} produced a negative value {self.value}")
-        object.__setattr__(self, "value", max(0.0, float(self.value)))
+        value = float(self.value)
+        # Written so that NaN is refused too (max(0.0, nan) would be 0.0).
+        if not value >= -1e-9:
+            raise DimensionError(f"{self.measure} produced an invalid value {value}")
+        object.__setattr__(self, "value", max(0.0, value))
 
 
 def concurrence_2q(rho: DensityMatrix) -> MeasureValue:
@@ -53,7 +55,7 @@ def concurrence_2q(rho: DensityMatrix) -> MeasureValue:
     flipped = yy @ rho.mat.conj() @ yy
     # rho @ flipped is similar to the Hermitian PSD matrix
     # sqrt(rho) flipped sqrt(rho), so its spectrum can be taken Hermitianly.
-    spec = herm_eigenvalues(rho.mat)
+    spec = rho.spectrum
     root = spec.vectors @ np.diag(np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) \
         @ spec.vectors.conj().T
     lam = herm_eigenvalues(root @ flipped @ root).eigenvalues
@@ -106,7 +108,7 @@ def structured_negativity(rho: DensityMatrix, d=None) -> MeasureValue:
         d = rho.dims[0]
     d = int(d)
     spa = spa_pt_dd(rho, d)
-    lam = float(herm_eigenvalues(spa.rho_tilde.mat).eigenvalues[0])
+    lam = float(spa.rho_tilde.spectrum.eigenvalues[0])
     k = d * (d ** 3 + 1)
     return MeasureValue(value=k * max(spa.threshold - lam, 0.0),
                         measure="structured_negativity", d=d)
@@ -158,7 +160,10 @@ def three_pi(psi) -> MeasureValue:
     v = np.asarray(psi, dtype=complex)
     if v.shape != (8,):
         raise DimensionError("three_pi needs a three-qubit vector")
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise DimensionError("zero vector")
+    v = v / norm
     rho = validate_density(np.outer(v, v.conj()), [2, 2, 2])
 
     def pair_negativity(i, j):

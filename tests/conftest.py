@@ -1,8 +1,12 @@
-"""Shared helpers: seeded random states and index-loop oracles."""
+"""Shared helpers: seeded random states, index-loop oracles, and a solve
+counter."""
+
+import sys
 
 import numpy as np
 import pytest
 
+from qent import linalg
 from qent.linalg import DensityMatrix, validate_density
 
 
@@ -93,6 +97,81 @@ def oracle_partial_trace(mat, keep, dims):
     return out
 
 
+_JACOBI_OFF_TOL = 1e-12
+_JACOBI_MAX_SWEEPS = 100
+
+
+def oracle_jacobi(h):
+    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
+
+    Returns ``(eigenvalues, vectors)`` unsorted.  Independent of LAPACK and
+    accurate to high relative precision, so it cross-checks the production
+    solver.
+    """
+    a = np.array(h, dtype=complex)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        off = 0.0
+        for p in range(n - 1):
+            row = np.abs(a[p, p + 1:])
+            if row.size:
+                off = max(off, row.max())
+        if off < _JACOBI_OFF_TOL:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                mod = abs(apq)
+                if mod < _JACOBI_OFF_TOL:
+                    continue
+                phase = apq / mod
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * mod)
+                if tau >= 0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                # Rotation U: U[p,p]=c, U[p,q]=s*phase, U[q,p]=-s*conj(phase),
+                # U[q,q]=c; update A <- U^dagger A U and accumulate V <- V U.
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * np.conj(phase) * col_q
+                a[:, q] = s * phase * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * phase * row_q
+                a[q, :] = s * np.conj(phase) * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vcol_p = v[:, p].copy()
+                vcol_q = v[:, q].copy()
+                v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
+                v[:, q] = s * phase * vcol_p + c * vcol_q
+    return np.real(np.diag(a)), v
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """List that records the side of every ``herm_eigenvalues`` call.
+
+    The counter replaces the solver in every qent module that binds it, so
+    calls between modules and through ``DensityMatrix.spectrum`` are seen.
+    """
+    sizes = []
+    solve = linalg.herm_eigenvalues
+
+    def counting(h):
+        sizes.append(np.shape(h)[0])
+        return solve(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qent") and getattr(module, "herm_eigenvalues", None) is solve:
+            monkeypatch.setattr(module, "herm_eigenvalues", counting)
+    return sizes

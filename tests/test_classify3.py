@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import random_density
 from qent.classify3 import (
     CanonicalThreeQubit,
     THRESHOLD,
@@ -235,3 +236,10 @@ class TestMixtureAnalysis:
                 gaps.append(np.min(np.abs(lam - r.predicted)))
             assert min(gaps) <= 1e-9
             assert r.predicted >= min(r.lambdas) - 1e-9
+
+
+def test_slocc_classify_solves_three_times(rng, solve_sizes):
+    rho = random_density(rng, (2, 2, 2))
+    solve_sizes.clear()
+    slocc_classify(rho)
+    assert solve_sizes == [8, 8, 8]

@@ -13,6 +13,7 @@ from qent.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    ParseError,
     document_bytes,
     load_golden,
     main,
@@ -59,6 +60,17 @@ class TestStateFiles:
         missing = tmp_path / "missing.json"
         missing.write_text(json.dumps({"dims": [2, 2]}))
         assert main(["detect", str(missing)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_is_a_parse_error(self, tmp_path, bad):
+        doc = state_document(werner_state(0.5))
+        doc["matrix"][1][2] = [bad, 0.0]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            parse_state_file(str(path))
+        assert main(["detect", str(path)]) == EXIT_PARSE
+        assert main(["measure", str(path)]) == EXIT_PARSE
 
     def test_validation_error_exit_code(self, tmp_path):
         doc = state_document(werner_state(0.5))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    oracle_jacobi,
     oracle_partial_trace,
     oracle_partial_transpose,
     oracle_tensor,
@@ -14,12 +15,16 @@ from conftest import (
     random_pure,
 )
 from qent.errors import (
+    DensityMatrixError,
     DimensionError,
+    EigensolverError,
     HermiticityViolation,
     NegativityViolation,
+    NonFiniteEntry,
     TraceViolation,
 )
 from qent.linalg import (
+    EIG_RESIDUAL_TOL,
     DensityMatrix,
     herm_eigenvalues,
     partial_trace,
@@ -32,7 +37,48 @@ from qent.linalg import (
 )
 
 
+def _oracle_inputs(rng, n):
+    """Side-n inputs for the Jacobi cross-check: a random Hermitian matrix
+    and degenerate spectra (maximally mixed, a product state and, for square
+    n, the partial transpose of an isotropic state)."""
+    cases = {"random": random_hermitian(rng, n), "maximally-mixed": np.eye(n) / n}
+    dims = next(((p, n // p) for p in range(2, n) if n % p == 0), (n,))
+    v = np.ones(1, dtype=complex)
+    for d in dims:
+        v = np.kron(v, random_pure(rng, d))
+    cases["product"] = np.outer(v, v.conj())
+    d = int(round(np.sqrt(n)))
+    if d * d == n:
+        phi = np.eye(d).reshape(-1) / np.sqrt(d)
+        iso = 0.6 * np.outer(phi, phi) + 0.4 * np.eye(n) / n
+        cases["isotropic-pt"] = partial_transpose(iso, 1, dims=[d, d])
+    return cases
+
+
 class TestEigensolver:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 16])
+    def test_matches_jacobi_oracle(self, rng, n):
+        for name, h in _oracle_inputs(rng, n).items():
+            spec = herm_eigenvalues(h)
+            ref = np.sort(oracle_jacobi(h)[0])
+            assert np.max(np.abs(spec.eigenvalues - ref)) <= 1e-10, name
+            bound = EIG_RESIDUAL_TOL * max(1.0, np.max(np.abs(spec.eigenvalues)))
+            assert spec.residual <= bound, name
+
+    @pytest.mark.parametrize("shift", [1e-6, np.nan])
+    def test_bad_eigenpair_raises(self, rng, monkeypatch, shift):
+        eigh = np.linalg.eigh
+
+        def perturbed(m):
+            lam, vec = eigh(m)
+            lam = lam.copy()
+            lam[0] += shift
+            return lam, vec
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(EigensolverError):
+            herm_eigenvalues(random_hermitian(rng, 4))
+
     def test_matches_2x2_closed_form(self, rng):
         for _ in range(50):
             h = random_hermitian(rng, 2)
@@ -153,3 +199,30 @@ class TestValidation:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionError):
             validate_density(np.eye(4) / 4.0, [2, 3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[1, 1] = bad
+        with pytest.raises(NonFiniteEntry):
+            validate_density(m, [2, 2])
+        with pytest.raises(DensityMatrixError):
+            herm_eigenvalues(m)
+
+
+class TestSpectrumReuse:
+    def test_validation_seeds_spectrum(self, rng, solve_sizes):
+        mat = random_density(rng, (2, 3)).mat
+        solve_sizes.clear()
+        rho = validate_density(mat, [2, 3])
+        assert solve_sizes == [6]
+        spec = rho.spectrum
+        assert solve_sizes == [6]
+        assert abs(spec.eigenvalues[0] - np.linalg.eigvalsh(rho.mat)[0]) <= 1e-12
+
+    def test_direct_instance_solves_once(self, solve_sizes):
+        rho = DensityMatrix(mat=np.eye(4) / 4.0, dims=(2, 2))
+        assert solve_sizes == []
+        assert np.max(np.abs(rho.spectrum.eigenvalues - 0.25)) <= 1e-15
+        assert rho.spectrum is rho.spectrum
+        assert solve_sizes == [4]

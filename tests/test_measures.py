@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_product_density, random_unitary
+from qent.errors import DimensionError
 from qent.linalg import tensor, validate_density
 from qent.measures import (
+    MeasureValue,
     concurrence_2q,
     concurrence_lb_chen,
     concurrence_pure,
@@ -151,3 +153,25 @@ class TestCoherence:
         assert abs(l1_coherence(w).value - 2.0) <= 1e-12
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert abs(l1_coherence(ghz_w_mixture(q)).value - (2.0 - q)) <= 1e-12
+
+
+class TestNaNAndSolveCounts:
+    def test_measure_value_refuses_nan(self):
+        with pytest.raises(DimensionError):
+            MeasureValue(value=float("nan"), measure="negativity", d=2)
+
+    def test_three_pi_zero_vector(self):
+        with pytest.raises(DimensionError):
+            three_pi(np.zeros(8))
+
+    def test_structured_negativity_solves_once(self, rng, solve_sizes):
+        rho = random_density(rng, (3, 3))
+        solve_sizes.clear()
+        structured_negativity(rho)
+        assert solve_sizes == [9]
+
+    def test_concurrence_solves_once(self, rng, solve_sizes):
+        rho = random_density(rng, (2, 2))
+        solve_sizes.clear()
+        concurrence_2q(rho)
+        assert solve_sizes == [4]
