@@ -21,15 +21,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, NotGHZClass
-from .linalg import DensityMatrix, expectation, tensor
+from .errors import DimensionError, HermiticityViolation, NotGHZClass
+from .linalg import DensityMatrix, tensor
 from .spa import spa_pt_three_qubit
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
-_PAULI = {"x": _SX, "y": _SY, "z": _SZ}
+_PAULI_STACK = np.stack([_SX, _SY, _SZ])
 
 SLACK = 1e-9
 THRESHOLD = 0.1
@@ -102,16 +102,14 @@ def correlation_tensors(rho: DensityMatrix) -> CorrelationTensor:
     """Correlation tensors of a three-qubit state."""
     if list(rho.dims) != [2, 2, 2]:
         raise DimensionError("correlation tensors need dims [2, 2, 2]")
-    axes = ("x", "y", "z")
-    out = {}
-    for w in axes:
-        t = np.zeros((3, 3))
-        for r, pr in enumerate(axes):
-            for c, pc in enumerate(axes):
-                op = tensor(tensor(_PAULI[w], _PAULI[pc]), _PAULI[pr])
-                t[r, c] = expectation(op, rho)
-        out[w] = t
-    return CorrelationTensor(Tx=out["x"], Ty=out["y"], Tz=out["z"])
+    # Tr(rho P_w (x) P_c (x) P_r) with rho indexed [a b c, a' b' c'].
+    t = np.einsum("abcxyz,wxa,kyb,rzc->wrk", rho.mat.reshape((2,) * 6),
+                  _PAULI_STACK, _PAULI_STACK, _PAULI_STACK)
+    imag = float(np.max(np.abs(t.imag)))
+    if imag > 1e-8:
+        raise HermiticityViolation("expectation value has an imaginary part", imag)
+    tx, ty, tz = t.real
+    return CorrelationTensor(Tx=tx, Ty=ty, Tz=tz)
 
 
 @dataclass(frozen=True)

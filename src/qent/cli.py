@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -52,8 +53,6 @@ from .errors import DensityMatrixError, DimensionError, NotAWitness, NotGHZClass
 from .linalg import (
     DensityMatrix,
     expectation,
-    herm_eigenvalues,
-    partial_transpose,
     validate_density,
 )
 from .measures import (
@@ -143,7 +142,8 @@ def state_document(rho: DensityMatrix, label=None):
 
 def document_bytes(doc):
     """Canonical byte serialization of a report or state document."""
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 def write_state_file(path, rho: DensityMatrix, label=None):
@@ -184,7 +184,7 @@ def _npt_spa_witness(rho: DensityMatrix):
 
     Returns None when the state is PPT (no witness of this form exists).
     """
-    spec = herm_eigenvalues(partial_transpose(rho, 1))
+    spec = rho.pt_spectrum
     if spec.eigenvalues[0] >= -1e-9:
         return None
     psi = spec.vectors[:, 0]
@@ -467,7 +467,7 @@ def _gen_fig2_1():
     return {"columns": ["alpha", "concurrence_lower", "concurrence_upper"], "rows": rows}
 
 
-def _curve_2x2(rho):
+def _curve(rho):
     return [negativity(rho).value, structured_negativity(rho).value,
             concurrence_lb_chen(rho).value]
 
@@ -476,7 +476,7 @@ def _gen_fig6_1():
     rows = []
     for i in range(14):
         f = 0.35 + 0.05 * i
-        rows.append([f] + _curve_2x2(werner_state(f)))
+        rows.append([f] + _curve(werner_state(f)))
     return {"columns": ["F", "negativity", "structured_negativity",
                         "concurrence_lb"], "rows": rows}
 
@@ -485,7 +485,7 @@ def _gen_fig6_2():
     rows = []
     for i in range(11):
         c = 2.0 / 3.0 + (1.0 / 3.0) * i / 10.0
-        rows.append([c] + _curve_2x2(mems_state(c)))
+        rows.append([c] + _curve(mems_state(c)))
     return {"columns": ["C", "negativity", "structured_negativity",
                         "concurrence_lb"], "rows": rows}
 
@@ -494,14 +494,9 @@ def _gen_fig6_3():
     rows = []
     for i in range(11):
         c = (2.0 / 3.0) * i / 10.0
-        rows.append([c] + _curve_2x2(mems_state(c)))
+        rows.append([c] + _curve(mems_state(c)))
     return {"columns": ["C", "negativity", "structured_negativity",
                         "concurrence_lb"], "rows": rows}
-
-
-def _curve_3x3(rho):
-    return [negativity(rho).value, structured_negativity(rho).value,
-            concurrence_lb_chen(rho).value]
 
 
 def _gen_fig6_4():
@@ -509,7 +504,7 @@ def _gen_fig6_4():
     rows = []
     for i in range(11):
         a = lo + (1.0 - lo) * i / 10.0
-        rows.append([a] + _curve_3x3(two_qutrit_a_state(a)))
+        rows.append([a] + _curve(two_qutrit_a_state(a)))
     return {"columns": ["a", "negativity", "structured_negativity",
                         "concurrence_lb"], "rows": rows}
 
@@ -518,7 +513,7 @@ def _gen_fig6_5():
     rows = []
     for i in range(11):
         alpha = 4.0 + i / 10.0
-        rows.append([alpha] + _curve_3x3(two_qutrit_alpha_state(alpha)))
+        rows.append([alpha] + _curve(two_qutrit_alpha_state(alpha)))
     return {"columns": ["alpha", "negativity", "structured_negativity",
                         "concurrence_lb"], "rows": rows}
 
@@ -575,7 +570,8 @@ def reproduce(table_id, tol=None):
             for j, (g, v) in enumerate(zip(grow, row)):
                 d = abs(float(g) - float(v))
                 max_diff = max(max_diff, d)
-                if d > tol:
+                # Written so that a NaN cell counts as a mismatch.
+                if not d <= tol:
                     diffs.append(f"row {i} col {data['columns'][j]}: "
                                  f"got {v!r}, golden {g!r}")
     report = {
@@ -610,6 +606,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def tolerance(text):
+    """argparse type for ``--tol``: a finite, nonnegative float."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="qent",
                      description="Entanglement detection, measurement, and "
@@ -627,7 +631,7 @@ def build_parser():
                    help="SPA eigenvalue-floor check (two-qubit)")
     p.add_argument("--criterion3", action="store_true",
                    help="SPA tightened upper-bound criterion (two-qubit)")
-    p.add_argument("--tol", type=float, default=1e-9, help="decision slack")
+    p.add_argument("--tol", type=tolerance, default=1e-9, help="decision slack")
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_detect)
 
@@ -636,7 +640,7 @@ def build_parser():
     p.add_argument("measures", nargs="*",
                    help=f"measures to evaluate (default: all applicable); "
                         f"choices: {', '.join(_MEASURES)}")
-    p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
+    p.add_argument("--tol", type=tolerance, default=1e-9, help="numerical tolerance")
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_measure)
 
@@ -650,7 +654,7 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="regenerate a reference table or curve")
     p.add_argument("table_id", help="one of: " + ", ".join(sorted(_GENERATORS)))
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=tolerance, default=None,
                    help="per-cell tolerance (default 1e-3 tables, 1e-9 curves)")
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_reproduce)

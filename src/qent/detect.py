@@ -24,9 +24,7 @@ from .linalg import (
     herm_eigenvalues,
     partial_transpose,
     partial_trace,
-    realign,
     tensor,
-    trace_norm,
 )
 from .spa import SpaState, SpaWitness
 
@@ -82,11 +80,13 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
     entanglement.
 
     Necessary and sufficient for 2x2 and 2x3; only necessary above.
-    Evidence is ``lambda_min(rho^{T_sys})``.
+    Evidence is ``lambda_min(rho^{T_sys})``; for ``sys=1`` it is read from
+    ``rho.pt_spectrum``.
     """
     if len(rho.dims) != 2:
         raise DimensionError("ppt_check needs a bipartite state")
-    lam = float(herm_eigenvalues(partial_transpose(rho, sys)).eigenvalues[0])
+    spec = rho.pt_spectrum if sys == 1 else herm_eigenvalues(partial_transpose(rho, sys))
+    lam = float(spec.eigenvalues[0])
     outcome = Outcome.Entangled if lam < -SLACK else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="ppt")
 
@@ -94,7 +94,7 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
 def realignment_check(rho: DensityMatrix) -> Verdict:
     """Realignment (CCNR) criterion: trace norm of the realigned matrix
     above 1 proves entanglement (catches some PPT-entangled states)."""
-    lam = trace_norm(realign(rho))
+    lam = rho.realign_norm
     outcome = Outcome.Entangled if lam > 1.0 + SLACK else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="realignment")
 

@@ -8,9 +8,20 @@ the computational basis is big-endian (for three qubits, basis index 0 is
 Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
 (``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
 the returned eigenpairs do not satisfy ``H v = lambda v`` to within
-``EIG_RESIDUAL_TOL`` relative to the spectral radius.  A validated
-:class:`DensityMatrix` keeps the spectrum its validation computed, so callers
-read ``rho.spectrum`` instead of solving the same matrix again.
+``EIG_RESIDUAL_TOL`` relative to the spectral radius.  Each distinct matrix
+of a state is solved at most once: a :class:`DensityMatrix` caches
+
+* ``rho.spectrum``, the spectrum of the state (seeded by its validation);
+* ``rho.pt_spectrum``, the spectrum of the partial transpose over the second
+  factor, which the PPT check, negativity, the Chen bound, the NPT witness and
+  the SPA-PT maps all read;
+* ``rho.realign_norm``, the trace norm of the realigned matrix, which the
+  realignment check and the Chen bound both read.
+
+An SPA-PT output ``shift*I + scale*rho^{T_B}`` is validated against the
+eigenpairs of ``rho.pt_spectrum`` mapped affinely: the same Hermiticity,
+trace, residual and PSD checks as :func:`validate_density`, without a second
+solve.
 """
 
 from __future__ import annotations
@@ -67,6 +78,18 @@ class DensityMatrix:
         in place afterwards.
         """
         return herm_eigenvalues(self.mat)
+
+    @cached_property
+    def pt_spectrum(self):
+        """:class:`Spectrum` of the partial transpose over the second factor
+        of a bipartite state, solved at most once per instance."""
+        return herm_eigenvalues(partial_transpose(self, 1))
+
+    @cached_property
+    def realign_norm(self):
+        """Trace norm of the realigned matrix of a ``[d, d]`` state, computed
+        at most once per instance."""
+        return trace_norm(realign(self))
 
     def __post_init__(self):
         object.__setattr__(self, "mat", np.asarray(self.mat, dtype=complex))
@@ -271,6 +294,12 @@ def herm_eigenvalues(h):
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("eigensolver input is not Hermitian", herm_dev)
     lam, vec = np.linalg.eigh(m)
+    return _checked_spectrum(m, lam, vec)
+
+
+def _checked_spectrum(m, lam, vec):
+    """Wrap eigenpairs of ``m`` as a :class:`Spectrum` once ``m v = lambda v``
+    holds to ``EIG_RESIDUAL_TOL * max(1, max |lambda|)``."""
     residual = float(np.max(np.abs(m @ vec - vec * lam[np.newaxis, :])))
     # Written so that a NaN residual fails the check.
     if not residual <= EIG_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(lam)))):
@@ -346,6 +375,25 @@ def validate_density(m, dims):
     NonFiniteEntry, HermiticityViolation, TraceViolation, NegativityViolation
         With the offending magnitude attached.
     """
+    return _validated(m, dims, herm_eigenvalues)
+
+
+def _affine_density(mat, dims, shift, scale, x_spec):
+    """Validate ``mat = shift*I + scale*X`` (``scale > 0``) given ``X``'s spectrum.
+
+    The eigenpairs of ``mat`` are ``(shift + scale*lambda, v)`` for the pairs
+    of ``x_spec``, so no second solve is needed.  Every check of
+    :func:`validate_density` still runs, and the residual is measured against
+    ``mat`` itself, so a ``mat`` that is not this affine image of ``X`` raises
+    :class:`~qent.errors.EigensolverError`.
+    """
+    def solve(m):
+        return _checked_spectrum(m, shift + scale * x_spec.eigenvalues, x_spec.vectors)
+
+    return _validated(mat, dims, solve)
+
+
+def _validated(m, dims, solve):
     mat = _as_square(m)
     dims = [int(d) for d in dims]
     if int(np.prod(dims)) != mat.shape[0]:
@@ -356,7 +404,7 @@ def validate_density(m, dims):
     trace_dev = abs(complex(np.trace(mat)) - 1.0)
     if trace_dev > TRACE_TOL:
         raise TraceViolation("density matrix trace differs from 1", trace_dev)
-    spec = herm_eigenvalues(mat)
+    spec = solve(mat)
     lam_min = float(spec.eigenvalues[0])
     if lam_min < PSD_FLOOR:
         raise NegativityViolation("density matrix has a negative eigenvalue", -lam_min)

@@ -18,7 +18,6 @@ from .linalg import (
     herm_eigenvalues,
     partial_trace,
     partial_transpose,
-    realign,
     trace_norm,
     validate_density,
 )
@@ -81,6 +80,11 @@ def concurrence_pure(psi, d1, d2) -> MeasureValue:
                         measure="concurrence_pure", d=min(d1, d2))
 
 
+def _pt_trace_norm(rho):
+    """``|rho^{T_B}|_1`` from the state's cached partial-transpose spectrum."""
+    return float(np.sum(np.abs(rho.pt_spectrum.eigenvalues)))
+
+
 def negativity(rho: DensityMatrix, d=None) -> MeasureValue:
     """Negativity ``(|rho^{T_B}|_1 - 1)/(d - 1)``.
 
@@ -91,7 +95,7 @@ def negativity(rho: DensityMatrix, d=None) -> MeasureValue:
         raise DimensionError("negativity needs a bipartite state")
     if d is None:
         d = min(rho.dims)
-    val = (trace_norm(partial_transpose(rho, 1)) - 1.0) / (d - 1.0)
+    val = (_pt_trace_norm(rho) - 1.0) / (d - 1.0)
     return MeasureValue(value=val, measure="negativity", d=int(d))
 
 
@@ -124,7 +128,7 @@ def concurrence_lb_chen(rho: DensityMatrix, d=None) -> MeasureValue:
     if d is None:
         d = rho.dims[0]
     d = int(d)
-    best = max(trace_norm(partial_transpose(rho, 1)), trace_norm(realign(rho)))
+    best = max(_pt_trace_norm(rho), rho.realign_norm)
     val = np.sqrt(2.0 / (d * (d - 1.0))) * (best - 1.0)
     return MeasureValue(value=max(0.0, float(val)), measure="concurrence_lb", d=d)
 
@@ -166,21 +170,20 @@ def three_pi(psi) -> MeasureValue:
     v = v / norm
     rho = validate_density(np.outer(v, v.conj()), [2, 2, 2])
 
-    def pair_negativity(i, j):
-        marg = partial_trace(rho, [i, j])
-        return (trace_norm(partial_transpose(marg, 0)) - 1.0) / 2.0
-
     def one_vs_rest(i):
         marg = partial_trace(rho, [i]).mat
         det = float(np.linalg.det(marg).real)
         return 2.0 * np.sqrt(max(0.0, det))
 
+    n_pair = {}
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        marg = partial_trace(rho, pair)
+        n_pair[pair] = (trace_norm(partial_transpose(marg, 0)) - 1.0) / 2.0
+
     pis = []
     for i in range(3):
-        others = [j for j in range(3) if j != i]
-        n_big = one_vs_rest(i)
-        n_pair = [pair_negativity(i, j) for j in others]
-        pis.append(n_big ** 2 - n_pair[0] ** 2 - n_pair[1] ** 2)
+        n_ij, n_ik = (n_pair[min(i, o), max(i, o)] for o in range(3) if o != i)
+        pis.append(one_vs_rest(i) ** 2 - n_ij ** 2 - n_ik ** 2)
     return MeasureValue(value=sum(pis) / 3.0, measure="three_pi", d=2)
 
 

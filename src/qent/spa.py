@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionError, NotAWitness
 from .linalg import (
     DensityMatrix,
+    _affine_density,
     herm_eigenvalues,
     partial_transpose,
     partial_transpose_qubit,
@@ -71,7 +72,8 @@ def spa_pt_dd(rho: DensityMatrix, d) -> SpaState:
     """SPA-PT for a ``d (x) d`` state.
 
     ``rho_tilde = (d/(d^3+1)) I + (1/(d^3+1)) rho^{T_B}``; separable states
-    satisfy ``lambda_min(rho_tilde) >= d/(d^3+1)``.
+    satisfy ``lambda_min(rho_tilde) >= d/(d^3+1)``.  The output's spectrum is
+    the affine image of ``rho.pt_spectrum``.
     """
     d = int(d)
     if list(rho.dims) != [d, d]:
@@ -79,7 +81,7 @@ def spa_pt_dd(rho: DensityMatrix, d) -> SpaState:
     pt = partial_transpose(rho, 1)
     k = float(d ** 3 + 1)
     mat = (d / k) * np.eye(d * d) + pt / k
-    out = validate_density(mat, [d, d])
+    out = _affine_density(mat, [d, d], d / k, 1.0 / k, rho.pt_spectrum)
     return SpaState(rho_tilde=out, mixing=d ** 3 / k, threshold=d / k)
 
 
@@ -93,6 +95,7 @@ def spa_pt_d1d2(rho: DensityMatrix, d1, d2) -> SpaState:
     The reported threshold is ``lambda d1 d2 / (1 + lambda d1^3 d2)`` exactly
     as published; note it exceeds the maximally mixed state's eigenvalue for
     unequal dimensions (see package notes), so it is exposed, not enforced.
+    The output's spectrum is the affine image of ``rho.pt_spectrum``.
     """
     d1, d2 = int(d1), int(d2)
     if list(rho.dims) != [d1, d2]:
@@ -103,7 +106,7 @@ def spa_pt_d1d2(rho: DensityMatrix, d1, d2) -> SpaState:
     p = lam * m ** 3 * big / denom
     pt = partial_transpose(rho, 1)
     mat = (1.0 - p) * pt + (p / (d1 * d2)) * np.eye(d1 * d2)
-    out = validate_density(mat, [d1, d2])
+    out = _affine_density(mat, [d1, d2], p / (d1 * d2), 1.0 - p, rho.pt_spectrum)
     return SpaState(rho_tilde=out, mixing=p, threshold=lam * m * big / denom)
 
 
@@ -112,7 +115,9 @@ def spa_pt_two_qubit(rho: DensityMatrix) -> SpaState:
 
     Equivalent to ``spa_pt_dd(rho, 2)``: diagonal ``(2 + e_ii)/9`` and
     off-diagonals ``e_12*/9, e_13/9, e_23/9, e_14/9, e_24/9, e_34*/9`` at the
-    partially transposed positions.
+    partially transposed positions.  The output is validated against the
+    eigenpairs of ``(2/9) I + (1/9) rho^{T_B}`` from ``rho.pt_spectrum``, so a
+    map that disagrees with the partial transpose fails the residual check.
     """
     if list(rho.dims) != [2, 2]:
         raise DimensionError(f"expected dims [2, 2], got {list(rho.dims)}")
@@ -129,7 +134,7 @@ def spa_pt_two_qubit(rho: DensityMatrix) -> SpaState:
     for i in range(4):
         for j in range(i + 1, 4):
             t[j, i] = np.conj(t[i, j])
-    out = validate_density(t, [2, 2])
+    out = _affine_density(t, [2, 2], 2.0 / 9.0, 1.0 / 9.0, rho.pt_spectrum)
     return SpaState(rho_tilde=out, mixing=8.0 / 9.0, threshold=2.0 / 9.0)
 
 
@@ -264,6 +269,8 @@ def spa_witness(w, d1, d2, p=None) -> SpaWitness:
     if not (0.0 <= p <= 1.0):
         raise DimensionError(f"mixing p must lie in [0, 1], got {p}")
     w_tilde = p * w + ((1.0 - p) / dim) * np.eye(dim)
-    if float(herm_eigenvalues(w_tilde).eigenvalues[0]) < -1e-9:
+    # W_tilde is an affine image of W with p >= 0, so its smallest eigenvalue
+    # follows from W's.
+    if p * lam_min + (1.0 - p) / dim < -1e-9:
         raise NotAWitness("chosen p leaves the approximated witness non-positive")
     return SpaWitness(w_tilde=w_tilde, p=float(p), r_bound=(1.0 - p) / dim)

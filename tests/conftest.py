@@ -97,6 +97,24 @@ def oracle_partial_trace(mat, keep, dims):
     return out
 
 
+_PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),
+           np.array([[0, -1j], [1j, 0]]),
+           np.diag([1.0, -1.0]).astype(complex))
+
+
+def oracle_correlation_tensors(mat):
+    """``T[w][r, c] = Tr(rho sigma_w (x) sigma_c (x) sigma_r)`` by 27 Kronecker
+    products, returned as a ``(3, 3, 3)`` array indexed ``[w, r, c]``."""
+    out = np.zeros((3, 3, 3))
+    for w, pw in enumerate(_PAULIS):
+        for r, pr in enumerate(_PAULIS):
+            for c, pc in enumerate(_PAULIS):
+                val = complex(np.trace(np.kron(np.kron(pw, pc), pr) @ mat))
+                assert abs(val.imag) <= 1e-8
+                out[w, r, c] = val.real
+    return out
+
+
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 

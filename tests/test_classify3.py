@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import oracle_correlation_tensors, random_density
 from qent.classify3 import (
     CanonicalThreeQubit,
     THRESHOLD,
@@ -23,8 +23,8 @@ from qent.classify3 import (
     slocc_classify,
     subclass_fidelities,
 )
-from qent.errors import DimensionError, NotGHZClass
-from qent.linalg import expectation, herm_eigenvalues, partial_trace
+from qent.errors import DimensionError, HermiticityViolation, NotGHZClass
+from qent.linalg import DensityMatrix, expectation, herm_eigenvalues, partial_trace
 from qent.measures import concurrence_2q, tangle_pure
 from qent.spa import spa_pt_three_qubit
 from qent.states import (
@@ -69,6 +69,19 @@ class TestCanonicalForm:
             ref = np.trace(rho.mat @ np.kron(np.kron(w, c), r)).real
             got = (t.Tx, t.Ty, t.Tz)[wi][ri, ci]
             assert abs(got - ref) <= 1e-12
+
+    def test_correlation_tensors_vs_loop_oracle_on_mixed_states(self, rng):
+        for _ in range(10):
+            rho = random_density(rng, (2, 2, 2))
+            t = correlation_tensors(rho)
+            ref = oracle_correlation_tensors(rho.mat)
+            assert np.max(np.abs(np.stack([t.Tx, t.Ty, t.Tz]) - ref)) <= 1e-12
+
+    def test_correlation_tensors_reject_imaginary_expectation(self):
+        mat = np.eye(8, dtype=complex) / 8.0
+        mat[0, 0] += 1e-3j  # <zzz> picks up an imaginary part
+        with pytest.raises(HermiticityViolation):
+            correlation_tensors(DensityMatrix(mat=mat, dims=(2, 2, 2)))
 
     def test_ghz_correlation_signature(self):
         v = ghz_state()

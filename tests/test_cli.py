@@ -167,6 +167,38 @@ class TestReproduce:
         assert not mismatched
 
 
+    @pytest.fixture
+    def tampered_golden(self, tmp_path, monkeypatch):
+        golden = load_golden("2.1")
+        golden["rows"][0][-1] += 5.0
+        (tmp_path / "2.1.json").write_text(json.dumps(golden))
+        monkeypatch.setenv("QENT_GOLDEN_DIR", str(tmp_path))
+        return golden
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1e-9", "-0.5"])
+    def test_non_finite_or_negative_tol_is_usage_error(self, capsys, tampered_golden,
+                                                       werner_file, bad):
+        # "--tol=X" so that argparse cannot mistake a negative value for a flag.
+        assert main(["reproduce", "2.1", f"--tol={bad}"]) == EXIT_USAGE
+        assert main(["detect", werner_file, f"--tol={bad}"]) == EXIT_USAGE
+        assert main(["measure", werner_file, f"--tol={bad}"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert main(["reproduce", "2.1", "--tol", "0.01"]) == EXIT_VALIDATION
+
+    def test_nan_golden_cell_is_a_mismatch(self, tmp_path, monkeypatch):
+        golden = load_golden("2.1")
+        golden["rows"][0][-1] = float("nan")
+        (tmp_path / "2.1.json").write_text(json.dumps(golden))
+        monkeypatch.setenv("QENT_GOLDEN_DIR", str(tmp_path))
+        report, mismatched = reproduce("2.1")
+        assert mismatched
+        assert report["status"] == "mismatch"
+
+    def test_reports_refuse_nan(self):
+        with pytest.raises(ValueError):
+            document_bytes({"x": float("nan")})
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, werner_file):
         proc = subprocess.run(

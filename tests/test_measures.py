@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_product_density, random_unitary
+from conftest import random_density, random_product_density, random_pure, random_unitary
+from qent.detect import ppt_check, realignment_check, reduction_check
 from qent.errors import DimensionError
 from qent.linalg import tensor, validate_density
 from qent.measures import (
@@ -175,3 +176,27 @@ class TestNaNAndSolveCounts:
         solve_sizes.clear()
         concurrence_2q(rho)
         assert solve_sizes == [4]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bipartite_battery_solves_each_matrix_once(self, rng, solve_sizes, d):
+        # rho_A, rho^{T_B} and rho_A (x) I - rho; the state itself was solved
+        # by its validation and the realigned matrix goes through an SVD.
+        rho = random_density(rng, (d, d))
+        solve_sizes.clear()
+        for check in (ppt_check, realignment_check, reduction_check,
+                      negativity, structured_negativity, concurrence_lb_chen):
+            check(rho)
+        assert sorted(solve_sizes) == [d, d * d, d * d]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pt_measures_share_one_solve(self, rng, solve_sizes, d):
+        rho = random_density(rng, (d, d))
+        solve_sizes.clear()
+        negativity(rho)
+        structured_negativity(rho)
+        concurrence_lb_chen(rho)
+        assert solve_sizes == [d * d]
+
+    def test_three_pi_solves_ten_times(self, rng, solve_sizes):
+        three_pi(random_pure(rng, 8))
+        assert sorted(solve_sizes) == [2] * 3 + [4] * 6 + [8]

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density
-from qent.errors import NotAWitness
-from qent.linalg import herm_eigenvalues, partial_transpose, validate_density
+from qent.errors import EigensolverError, NotAWitness
+from qent.linalg import (
+    PSD_FLOOR,
+    Spectrum,
+    herm_eigenvalues,
+    partial_transpose,
+    validate_density,
+)
+from qent.measures import structured_negativity
 from qent.spa import (
     spa_pt_d1d2,
     spa_pt_dd,
@@ -57,6 +66,70 @@ class TestBipartiteMaps:
             pt = full.transpose(perm).reshape(8, 8)
             expected = 0.1 + 0.2 * herm_eigenvalues(pt).eigenvalues
             assert np.max(np.abs(np.sort(lam) - np.sort(expected))) <= 1e-10
+
+
+def _spa_map(dims):
+    d1, d2 = dims
+    if d1 != d2:
+        return lambda rho: spa_pt_d1d2(rho, d1, d2)
+    return lambda rho: spa_pt_dd(rho, d1)
+
+
+class TestDerivedSpectrum:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
+    def test_matches_direct_solve(self, rng, dims):
+        for _ in range(5):
+            out = _spa_map(dims)(random_density(rng, dims)).rho_tilde
+            direct = herm_eigenvalues(out.mat).eigenvalues
+            assert np.max(np.abs(out.spectrum.eigenvalues - direct)) <= 1e-12
+
+    def test_two_qubit_closed_form_matches_direct_solve(self, rng):
+        out = spa_pt_two_qubit(random_density(rng, (2, 2))).rho_tilde
+        direct = herm_eigenvalues(out.mat).eigenvalues
+        assert np.max(np.abs(out.spectrum.eigenvalues - direct)) <= 1e-12
+
+    def test_spa_outputs_reuse_the_pt_solve(self, rng, solve_sizes):
+        rho = random_density(rng, (2, 2))
+        solve_sizes.clear()
+        spa_pt_dd(rho, 2)
+        spa_pt_two_qubit(rho)
+        spa_pt_d1d2(rho, 2, 2)
+        assert solve_sizes == [4]
+
+    @pytest.mark.parametrize("make", [
+        lambda rho: spa_pt_dd(rho, 3),
+        lambda rho: spa_pt_d1d2(rho, 3, 3),
+    ])
+    def test_corrupted_pt_spectrum_raises(self, rng, make):
+        rho = random_density(rng, (3, 3))
+        spec = rho.pt_spectrum
+        lam = spec.eigenvalues.copy()
+        lam[0] += 1e-6
+        # cached_property reads the instance dict first.
+        rho.__dict__["pt_spectrum"] = Spectrum(lam, spec.residual, spec.vectors)
+        with pytest.raises(EigensolverError):
+            make(rho)
+
+    def test_two_qubit_map_is_checked_against_the_pt(self, rng):
+        rho = random_density(rng, (2, 2))
+        rho.__dict__["pt_spectrum"] = random_density(rng, (2, 2)).pt_spectrum
+        with pytest.raises(EigensolverError):
+            spa_pt_two_qubit(rho)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from([2, 3, 4]), st.integers(min_value=1, max_value=16))
+    def test_output_is_a_valid_state(self, seed, d, rank):
+        # Low ranks put the input on the boundary of the state space.
+        rng = np.random.default_rng(seed)
+        n = d * d
+        a = rng.normal(size=(n, min(rank, n))) + 1j * rng.normal(size=(n, min(rank, n)))
+        rho = validate_density(a @ a.conj().T / np.linalg.norm(a) ** 2, [d, d])
+        out = spa_pt_dd(rho, d).rho_tilde
+        again = validate_density(out.mat, [d, d])
+        assert again.spectrum.eigenvalues[0] >= PSD_FLOOR
+        assert np.max(np.abs(again.spectrum.eigenvalues - out.spectrum.eigenvalues)) <= 1e-12
+        assert structured_negativity(rho).value >= 0.0
 
 
 class TestQutritQubitMap:
@@ -115,6 +188,19 @@ class TestWitnessSmoothing:
         assert abs(sw.p - 0.25) <= 1e-15
         lam = herm_eigenvalues(sw.w_tilde).eigenvalues
         assert lam[0] >= -1e-12
+
+
+    def test_rejects_mixing_that_leaves_witness_negative(self):
+        psi = np.array([1.0, 0, 0, 1.0], dtype=complex) / np.sqrt(2.0)
+        w = partial_transpose(np.outer(psi, psi.conj()), 1, dims=[2, 2])
+        with pytest.raises(NotAWitness):
+            spa_witness(w, 2, 2, p=0.9)
+
+    def test_solves_once(self, solve_sizes):
+        psi = np.array([1.0, 0, 0, 1.0], dtype=complex) / np.sqrt(2.0)
+        w = partial_transpose(np.outer(psi, psi.conj()), 1, dims=[2, 2])
+        spa_witness(w, 2, 2)
+        assert solve_sizes == [4]
 
 
 class TestLinearity:
