@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, HermiticityViolation, NotGHZClass
-from .linalg import DensityMatrix, tensor
+from .linalg import SLACK, DensityMatrix, tensor
 from .spa import spa_pt_three_qubit
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -31,7 +31,6 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 _PAULI_STACK = np.stack([_SX, _SY, _SZ])
 
-SLACK = 1e-9
 THRESHOLD = 0.1
 
 # Tangle boundary of the GHZ/W/W~ mixture regimes (quoted value).

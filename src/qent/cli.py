@@ -51,6 +51,7 @@ from .detect import (
 )
 from .errors import DensityMatrixError, DimensionError, NotAWitness, NotGHZClass
 from .linalg import (
+    SLACK,
     DensityMatrix,
     expectation,
     validate_density,
@@ -185,7 +186,7 @@ def _npt_spa_witness(rho: DensityMatrix):
     Returns None when the state is PPT (no witness of this form exists).
     """
     spec = rho.pt_spectrum
-    if spec.eigenvalues[0] >= -1e-9:
+    if spec.eigenvalues[0] >= -SLACK:
         return None
     psi = spec.vectors[:, 0]
     w = witness_from_pure(psi, 1, list(rho.dims))
@@ -226,7 +227,7 @@ def cmd_detect(args):
         "command": "detect",
         "input": label,
         "results": results,
-        "tolerances": {"slack": 1e-9, "tol": args.tol},
+        "tolerances": {"slack": SLACK},
         "version": __version__,
     }, args.out)
     return EXIT_OK
@@ -295,7 +296,6 @@ def cmd_measure(args):
         "command": "measure",
         "input": label,
         "results": results,
-        "tolerances": {"tol": args.tol},
         "version": __version__,
     }, args.out)
     return EXIT_OK
@@ -346,7 +346,7 @@ def cmd_classify3(args):
         "command": "classify3",
         "input": label,
         "results": results,
-        "tolerances": {"slack": 1e-9},
+        "tolerances": {"slack": SLACK},
         "version": __version__,
     }, args.out)
     return EXIT_OK
@@ -562,18 +562,22 @@ def reproduce(table_id, tol=None):
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"golden data for {table_id}: {exc}") from None
     diffs = []
-    max_diff = 0.0
+    cell_diffs = []
     if len(golden["rows"]) != len(data["rows"]):
         diffs.append("row count differs")
     else:
         for i, (grow, row) in enumerate(zip(golden["rows"], data["rows"])):
+            if len(grow) != len(row):
+                diffs.append(f"row {i}: {len(row)} cells, golden {len(grow)}")
             for j, (g, v) in enumerate(zip(grow, row)):
                 d = abs(float(g) - float(v))
-                max_diff = max(max_diff, d)
+                cell_diffs.append(d)
                 # Written so that a NaN cell counts as a mismatch.
                 if not d <= tol:
                     diffs.append(f"row {i} col {data['columns'][j]}: "
                                  f"got {v!r}, golden {g!r}")
+    # max() would skip a NaN difference, and JSON has no NaN: report null.
+    max_diff = max(cell_diffs, default=0.0) if all(map(math.isfinite, cell_diffs)) else None
     report = {
         "command": "reproduce",
         "id": table_id,
@@ -631,7 +635,6 @@ def build_parser():
                    help="SPA eigenvalue-floor check (two-qubit)")
     p.add_argument("--criterion3", action="store_true",
                    help="SPA tightened upper-bound criterion (two-qubit)")
-    p.add_argument("--tol", type=tolerance, default=1e-9, help="decision slack")
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_detect)
 
@@ -640,7 +643,6 @@ def build_parser():
     p.add_argument("measures", nargs="*",
                    help=f"measures to evaluate (default: all applicable); "
                         f"choices: {', '.join(_MEASURES)}")
-    p.add_argument("--tol", type=tolerance, default=1e-9, help="numerical tolerance")
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_measure)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import (
+    SLACK,
     DensityMatrix,
     expectation,
     herm_eigenvalues,
@@ -27,8 +28,6 @@ from .linalg import (
     tensor,
 )
 from .spa import SpaState, SpaWitness
-
-SLACK = 1e-9
 
 
 class Outcome(Enum):
@@ -80,13 +79,14 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
     entanglement.
 
     Necessary and sufficient for 2x2 and 2x3; only necessary above.
-    Evidence is ``lambda_min(rho^{T_sys})``; for ``sys=1`` it is read from
-    ``rho.pt_spectrum``.
+    Evidence is ``lambda_min(rho^{T_sys})`` from ``rho.pt_spectrum`` for either
+    ``sys``, since ``rho^{T_A} = (rho^{T_B})^T`` has the same spectrum.
     """
     if len(rho.dims) != 2:
         raise DimensionError("ppt_check needs a bipartite state")
-    spec = rho.pt_spectrum if sys == 1 else herm_eigenvalues(partial_transpose(rho, sys))
-    lam = float(spec.eigenvalues[0])
+    if sys not in (0, 1):
+        raise DimensionError(f"sys must be 0 or 1, got {sys}")
+    lam = float(rho.pt_spectrum.eigenvalues[0])
     outcome = Outcome.Entangled if lam < -SLACK else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="ppt")
 

@@ -3,7 +3,8 @@
 Everything here operates on plain ``numpy`` arrays of ``complex128`` plus a
 list of subsystem dimensions.  Subsystem 0 is the *leftmost* tensor factor and
 the computational basis is big-endian (for three qubits, basis index 0 is
-|000> and index 7 is |111>).
+|000> and index 7 is |111>).  One kernel, :func:`partial_transpose`, serves
+every cut of every state.
 
 Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
 (``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
@@ -44,6 +45,7 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9
 EIG_RESIDUAL_TOL = 1e-9
+SLACK = 1e-9  # decision slack: margin by which a criterion must pass its threshold
 
 
 @dataclass(frozen=True)
@@ -148,38 +150,44 @@ def _mat_dims(rho, dims=None):
         return rho.mat, list(rho.dims)
     if dims is None:
         raise DimensionError("subsystem dimensions required for a bare matrix")
-    return _as_square(rho), [int(d) for d in dims]
+    mat, dims = _as_square(rho), [int(d) for d in dims]
+    if int(np.prod(dims)) != mat.shape[0]:
+        raise DimensionError(f"dims {dims} do not multiply to side length {mat.shape[0]}")
+    return mat, dims
 
 
 def partial_transpose(rho, sys, dims=None):
-    """Partial transpose over one factor of a bipartite matrix.
+    """Partial transpose over one party of a matrix of any number of parties.
 
     Parameters
     ----------
     rho : DensityMatrix or array_like
-        Bipartite state (pass ``dims`` for a bare matrix).
+        State of ``n`` parties (pass ``dims`` for a bare matrix).
     sys : int
-        Which subsystem to transpose, 0 or 1.
+        Which party to transpose, ``0 <= sys < n``.
     dims : list of int, optional
         Subsystem dimensions when ``rho`` is a bare matrix.
 
     Returns
     -------
     numpy.ndarray
-        The matrix with the chosen subsystem's indices transposed.
+        The matrix with the chosen party's indices transposed.
     """
     mat, d = _mat_dims(rho, dims)
-    if len(d) != 2:
-        raise DimensionError(f"partial transpose needs 2 subsystems, got {len(d)}")
-    if sys not in (0, 1):
-        raise DimensionError(f"sys must be 0 or 1, got {sys}")
-    d0, d1 = d
-    t = mat.reshape(d0, d1, d0, d1)
-    if sys == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(d0 * d1, d0 * d1)
+    n = len(d)
+    if sys not in range(n):
+        raise DimensionError(f"sys must lie in [0, {n - 1}], got {sys}")
+    axes = list(range(2 * n))
+    axes[sys], axes[sys + n] = axes[sys + n], axes[sys]
+    return mat.reshape(d + d).transpose(axes).reshape(mat.shape)
+
+
+def _qubit_party(qubit):
+    """Party index of a named qubit of a three-qubit state (A is leftmost)."""
+    try:
+        return ("A", "B", "C").index(qubit)
+    except ValueError:
+        raise DimensionError(f"qubit must be 'A', 'B' or 'C', got {qubit!r}") from None
 
 
 def partial_transpose_qubit(rho, qubit):
@@ -199,14 +207,7 @@ def partial_transpose_qubit(rho, qubit):
     mat, d = _mat_dims(rho, [2, 2, 2] if not isinstance(rho, DensityMatrix) else None)
     if d != [2, 2, 2] or mat.shape != (8, 8):
         raise DimensionError("partial_transpose_qubit needs an 8x8 state with dims [2,2,2]")
-    try:
-        k = {"A": 0, "B": 1, "C": 2}[qubit]
-    except KeyError:
-        raise DimensionError(f"qubit must be 'A', 'B' or 'C', got {qubit!r}") from None
-    t = mat.reshape(2, 2, 2, 2, 2, 2)
-    axes = list(range(6))
-    axes[k], axes[k + 3] = axes[k + 3], axes[k]
-    return t.transpose(axes).reshape(8, 8)
+    return partial_transpose(mat, _qubit_party(qubit), d)
 
 
 def partial_trace(rho, keep, dims=None):

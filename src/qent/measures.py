@@ -17,8 +17,6 @@ from .linalg import (
     DensityMatrix,
     herm_eigenvalues,
     partial_trace,
-    partial_transpose,
-    trace_norm,
     validate_density,
 )
 from .spa import spa_pt_dd
@@ -81,7 +79,7 @@ def concurrence_pure(psi, d1, d2) -> MeasureValue:
 
 
 def _pt_trace_norm(rho):
-    """``|rho^{T_B}|_1`` from the state's cached partial-transpose spectrum."""
+    """``|rho^{T_B}|_1 = |rho^{T_A}|_1`` from the cached partial-transpose spectrum."""
     return float(np.sum(np.abs(rho.pt_spectrum.eigenvalues)))
 
 
@@ -178,7 +176,7 @@ def three_pi(psi) -> MeasureValue:
     n_pair = {}
     for pair in ((0, 1), (0, 2), (1, 2)):
         marg = partial_trace(rho, pair)
-        n_pair[pair] = (trace_norm(partial_transpose(marg, 0)) - 1.0) / 2.0
+        n_pair[pair] = (_pt_trace_norm(marg) - 1.0) / 2.0
 
     pis = []
     for i in range(3):

@@ -7,8 +7,9 @@ density matrix whose minimum eigenvalue carries the entanglement information
 of the original partial transpose.
 
 This module provides the generic ``d (x) d`` and ``d1 (x) d2`` maps, the
-closed-form two-qubit and qutrit-qubit element maps, the per-qubit map for
-three qubits, and the SPA of witness operators.
+two-qubit map (``d = 2``; its closed-form element map is a test oracle) and
+the per-qubit map for three qubits, all built by one constructor, plus the
+closed-form qutrit-qubit element map and the SPA of witness operators.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .errors import DimensionError, NotAWitness
 from .linalg import (
     DensityMatrix,
     _affine_density,
+    _qubit_party,
     herm_eigenvalues,
     partial_transpose,
-    partial_transpose_qubit,
     validate_density,
 )
 
@@ -68,6 +69,17 @@ class SpaWitness:
     r_bound: float
 
 
+def _spa_pt(rho: DensityMatrix, sys, shift, scale) -> DensityMatrix:
+    """``shift*I + scale*rho^{T_sys}`` (``scale > 0``), checked like
+    :func:`~qent.linalg.validate_density`.  A bipartite cut over the second
+    factor maps ``rho.pt_spectrum`` affinely; any other cut solves the output.
+    """
+    mat = shift * np.eye(rho.dim) + scale * partial_transpose(rho, sys)
+    if len(rho.dims) == 2 and sys == 1:
+        return _affine_density(mat, rho.dims, shift, scale, rho.pt_spectrum)
+    return validate_density(mat, rho.dims)
+
+
 def spa_pt_dd(rho: DensityMatrix, d) -> SpaState:
     """SPA-PT for a ``d (x) d`` state.
 
@@ -78,10 +90,8 @@ def spa_pt_dd(rho: DensityMatrix, d) -> SpaState:
     d = int(d)
     if list(rho.dims) != [d, d]:
         raise DimensionError(f"expected dims [{d}, {d}], got {list(rho.dims)}")
-    pt = partial_transpose(rho, 1)
     k = float(d ** 3 + 1)
-    mat = (d / k) * np.eye(d * d) + pt / k
-    out = _affine_density(mat, [d, d], d / k, 1.0 / k, rho.pt_spectrum)
+    out = _spa_pt(rho, 1, d / k, 1.0 / k)
     return SpaState(rho_tilde=out, mixing=d ** 3 / k, threshold=d / k)
 
 
@@ -104,38 +114,16 @@ def spa_pt_d1d2(rho: DensityMatrix, d1, d2) -> SpaState:
     lam = 1.0 / m
     denom = 1.0 + lam * m ** 3 * big
     p = lam * m ** 3 * big / denom
-    pt = partial_transpose(rho, 1)
-    mat = (1.0 - p) * pt + (p / (d1 * d2)) * np.eye(d1 * d2)
-    out = _affine_density(mat, [d1, d2], p / (d1 * d2), 1.0 - p, rho.pt_spectrum)
+    out = _spa_pt(rho, 1, p / (d1 * d2), 1.0 - p)
     return SpaState(rho_tilde=out, mixing=p, threshold=lam * m * big / denom)
 
 
 def spa_pt_two_qubit(rho: DensityMatrix) -> SpaState:
-    """Closed-form two-qubit SPA-PT element map.
+    """Two-qubit SPA-PT ``(2/9) I + (1/9) rho^{T_B}``, i.e. ``spa_pt_dd(rho, 2)``.
 
-    Equivalent to ``spa_pt_dd(rho, 2)``: diagonal ``(2 + e_ii)/9`` and
-    off-diagonals ``e_12*/9, e_13/9, e_23/9, e_14/9, e_24/9, e_34*/9`` at the
-    partially transposed positions.  The output is validated against the
-    eigenpairs of ``(2/9) I + (1/9) rho^{T_B}`` from ``rho.pt_spectrum``, so a
-    map that disagrees with the partial transpose fails the residual check.
+    The published closed-form element map is kept in the tests as an oracle.
     """
-    if list(rho.dims) != [2, 2]:
-        raise DimensionError(f"expected dims [2, 2], got {list(rho.dims)}")
-    e = rho.mat
-    t = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        t[i, i] = (2.0 + e[i, i]) / 9.0
-    t[0, 1] = np.conj(e[0, 1]) / 9.0
-    t[0, 2] = e[0, 2] / 9.0
-    t[0, 3] = e[1, 2] / 9.0
-    t[1, 2] = e[0, 3] / 9.0
-    t[1, 3] = e[1, 3] / 9.0
-    t[2, 3] = np.conj(e[2, 3]) / 9.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            t[j, i] = np.conj(t[i, j])
-    out = _affine_density(t, [2, 2], 2.0 / 9.0, 1.0 / 9.0, rho.pt_spectrum)
-    return SpaState(rho_tilde=out, mixing=8.0 / 9.0, threshold=2.0 / 9.0)
+    return spa_pt_dd(rho, 2)
 
 
 def spa_pt_qutrit_qubit(rho: DensityMatrix) -> SpaState:
@@ -220,9 +208,7 @@ def spa_pt_three_qubit(rho: DensityMatrix, qubit) -> SpaState:
     """
     if list(rho.dims) != [2, 2, 2]:
         raise DimensionError(f"expected dims [2, 2, 2], got {list(rho.dims)}")
-    pt = partial_transpose_qubit(rho, qubit)
-    mat = 0.1 * np.eye(8) + 0.2 * pt
-    out = validate_density(mat, [2, 2, 2])
+    out = _spa_pt(rho, _qubit_party(qubit), 0.1, 0.2)
     return SpaState(rho_tilde=out, mixing=0.8, threshold=0.1)
 
 

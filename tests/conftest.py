@@ -75,6 +75,29 @@ def oracle_partial_transpose(mat, sys, dims):
     return out
 
 
+def oracle_spa_pt_two_qubit(mat):
+    """Published closed-form two-qubit SPA-PT element map.
+
+    Diagonal ``(2 + e_ii)/9`` and off-diagonals ``e_12*/9, e_13/9, e_23/9,
+    e_14/9, e_24/9, e_34*/9`` (1-indexed) at the partially transposed
+    positions; the lower triangle is the conjugate of the upper.
+    """
+    e = mat
+    t = np.zeros((4, 4), dtype=complex)
+    for i in range(4):
+        t[i, i] = (2.0 + e[i, i]) / 9.0
+    t[0, 1] = np.conj(e[0, 1]) / 9.0
+    t[0, 2] = e[0, 2] / 9.0
+    t[0, 3] = e[1, 2] / 9.0
+    t[1, 2] = e[0, 3] / 9.0
+    t[1, 3] = e[1, 3] / 9.0
+    t[2, 3] = np.conj(e[2, 3]) / 9.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            t[j, i] = np.conj(t[i, j])
+    return t
+
+
 def oracle_partial_trace(mat, keep, dims):
     dims = list(dims)
     n_parties = len(dims)

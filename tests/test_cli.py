@@ -110,6 +110,17 @@ class TestCommands:
         assert code == EXIT_OK
         assert abs(rep["results"][0]["value"] - 0.25) <= 1e-9
 
+    def test_report_tolerances(self, capsys, werner_file):
+        _, rep = self._run(capsys, ["detect", werner_file])
+        assert rep["tolerances"] == {"slack": 1e-9}
+        _, rep = self._run(capsys, ["measure", werner_file])
+        assert "tolerances" not in rep
+
+    def test_detect_and_measure_have_no_tol(self, capsys, werner_file):
+        assert main(["detect", werner_file, "--tol=0.5"]) == EXIT_USAGE
+        assert main(["measure", werner_file, "--tol=0.5"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_measure_unknown_name_is_usage_error(self, capsys, werner_file):
         assert main(["measure", werner_file, "nope"]) == EXIT_USAGE
 
@@ -193,6 +204,25 @@ class TestReproduce:
         report, mismatched = reproduce("2.1")
         assert mismatched
         assert report["status"] == "mismatch"
+
+    def test_nan_golden_cell_reports_null_max_diff(self, capsys, tmp_path, monkeypatch):
+        golden = load_golden("2.1")
+        golden["rows"][0][-1] = float("nan")
+        (tmp_path / "2.1.json").write_text(json.dumps(golden))
+        monkeypatch.setenv("QENT_GOLDEN_DIR", str(tmp_path))
+        assert main(["reproduce", "2.1"]) == EXIT_VALIDATION
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["status"] == "mismatch"
+        assert rep["max_abs_diff"] is None
+
+    def test_short_golden_row_is_a_mismatch(self, capsys, tmp_path, monkeypatch):
+        golden = load_golden("2.1")
+        golden["rows"][0] = golden["rows"][0][:2]
+        (tmp_path / "2.1.json").write_text(json.dumps(golden))
+        monkeypatch.setenv("QENT_GOLDEN_DIR", str(tmp_path))
+        assert main(["reproduce", "2.1"]) == EXIT_VALIDATION
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["mismatches"] == ["row 0: 5 cells, golden 2"]
 
     def test_reports_refuse_nan(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_product_density
+from conftest import random_density, random_product_density
+from qent.errors import DimensionError
 from qent.detect import (
     Outcome,
     bounds_LU,
@@ -16,7 +17,7 @@ from qent.detect import (
     reduction_check,
     witness_from_pure,
 )
-from qent.linalg import herm_eigenvalues
+from qent.linalg import herm_eigenvalues, partial_transpose
 from qent.measures import concurrence_2q
 from qent.spa import spa_pt_two_qubit, spa_witness
 from qent.states import (
@@ -40,6 +41,21 @@ class TestStandardCriteria:
         assert v.outcome is Outcome.Entangled
         assert abs(v.evidence + 0.125) <= 1e-12
         assert ppt_check(werner_state(0.3)).outcome is Outcome.Inconclusive
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_ppt_over_either_factor_shares_one_solve(self, rng, solve_sizes, dims):
+        rho = random_density(rng, dims)
+        direct = herm_eigenvalues(partial_transpose(rho, 0)).eigenvalues[0]
+        solve_sizes.clear()
+        v0, v1 = ppt_check(rho, 0), ppt_check(rho, 1)
+        assert solve_sizes == [rho.dim]
+        assert v0 == v1
+        assert abs(v0.evidence - direct) <= 1e-12
+
+    @pytest.mark.parametrize("sys", [-1, 2])
+    def test_ppt_rejects_other_sys(self, sys):
+        with pytest.raises(DimensionError):
+            ppt_check(werner_state(0.5), sys)
 
     def test_product_states_all_inconclusive(self, rng):
         for _ in range(5):

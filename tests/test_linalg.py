@@ -154,6 +154,25 @@ class TestTensorOps:
         ref = oracle_partial_trace(rho.mat, keep, dims)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_partial_transpose_rejects_out_of_range_sys(self, rng, dims):
+        rho = random_density(rng, dims)
+        for sys in (-1, len(dims)):
+            with pytest.raises(DimensionError):
+                partial_transpose(rho, sys)
+
+    def test_bare_matrix_dims_must_match(self):
+        for op in (lambda: partial_transpose(np.eye(4) / 4.0, 0, dims=[2, 3]),
+                   lambda: partial_trace(np.eye(4) / 4.0, [0], dims=[2, 3]),
+                   lambda: realign(np.eye(6) / 6.0, dims=[3, 3])):
+            with pytest.raises(DimensionError):
+                op()
+
+    @pytest.mark.parametrize("qubit", ["D", "AB", 0, None])
+    def test_partial_transpose_qubit_rejects_bad_name(self, rng, qubit):
+        with pytest.raises(DimensionError):
+            partial_transpose_qubit(random_density(rng, (2, 2, 2)), qubit)
+
     def test_partial_trace_of_product(self, rng):
         a = random_density(rng, (2,)).mat
         b = random_density(rng, (3,)).mat
@@ -174,6 +193,36 @@ class TestTensorOps:
         for _ in range(10):
             m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
             assert abs(trace_norm(m) - np.sum(np.linalg.svd(m, compute_uv=False))) <= 1e-9
+
+
+def _random_matrix(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+_SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+class TestPartialTransposeProperties:
+    @pytest.mark.parametrize("dims,sys", [
+        (dims, sys) for dims in [(2, 2), (2, 3), (3, 2), (2, 2, 2)]
+        for sys in range(len(dims))])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_SEEDS)
+    def test_involution_preserving_the_trace(self, dims, sys, seed):
+        m = _random_matrix(seed, int(np.prod(dims)))
+        pt = partial_transpose(m, sys, dims=list(dims))
+        assert np.array_equal(partial_transpose(pt, sys, dims=list(dims)), m)
+        assert abs(np.trace(pt) - np.trace(m)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_SEEDS)
+    def test_first_factor_is_transpose_of_second(self, dims, seed):
+        m = _random_matrix(seed, int(np.prod(dims)))
+        t0 = partial_transpose(m, 0, dims=list(dims))
+        t1 = partial_transpose(m, 1, dims=list(dims))
+        assert np.array_equal(t0, t1.T)
 
 
 class TestValidation:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density
+import qent
+from conftest import oracle_spa_pt_two_qubit, random_density
+from qent import linalg, spa
 from qent.errors import EigensolverError, NotAWitness
 from qent.linalg import (
     PSD_FLOOR,
@@ -75,6 +77,20 @@ def _spa_map(dims):
     return lambda rho: spa_pt_dd(rho, d1)
 
 
+class TestTwoQubitOracle:
+    def test_closed_form_oracle_equals_generic(self, rng):
+        for _ in range(50):
+            rho = random_density(rng, (2, 2))
+            got = spa_pt_dd(rho, 2).rho_tilde.mat
+            assert np.max(np.abs(oracle_spa_pt_two_qubit(rho.mat) - got)) <= 1e-12
+
+    def test_traced_names_stay_importable(self):
+        # bench/tracer.py wraps these by name.
+        for module, name in ((linalg, "partial_transpose_qubit"),
+                             (spa, "spa_pt_two_qubit"), (spa, "spa_pt_three_qubit")):
+            assert getattr(module, name) is getattr(qent, name), name
+
+
 class TestDerivedSpectrum:
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)])
     def test_matches_direct_solve(self, rng, dims):
@@ -86,6 +102,15 @@ class TestDerivedSpectrum:
     def test_two_qubit_closed_form_matches_direct_solve(self, rng):
         out = spa_pt_two_qubit(random_density(rng, (2, 2))).rho_tilde
         direct = herm_eigenvalues(out.mat).eigenvalues
+        assert np.max(np.abs(out.spectrum.eigenvalues - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("qubit", "ABC")
+    def test_three_qubit_cut_solves_once(self, rng, solve_sizes, qubit):
+        rho = random_density(rng, (2, 2, 2))
+        solve_sizes.clear()
+        out = spa_pt_three_qubit(rho, qubit).rho_tilde
+        assert solve_sizes == [8]
+        direct = np.linalg.eigvalsh(out.mat)
         assert np.max(np.abs(out.spectrum.eigenvalues - direct)) <= 1e-12
 
     def test_spa_outputs_reuse_the_pt_solve(self, rng, solve_sizes):
