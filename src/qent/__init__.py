@@ -6,8 +6,9 @@ residual-checked Hermitian eigensolver); positive-map machinery in
 :mod:`qent.spa`; detection criteria in :mod:`qent.detect`; measures in
 :mod:`qent.measures`; coherence-based separability bounds in
 :mod:`qent.coherence`; three-qubit classification in :mod:`qent.classify3`;
-named state families in :mod:`qent.states`.  The ``qent`` console script
-exposes the main workflows.
+named state families in :mod:`qent.states`; the paper's reference tables
+and curves, as data, in :mod:`qent.reproduce`.  The ``qent`` console script
+(:mod:`qent.cli`) exposes the main workflows.
 """
 
 from .classify3 import (

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .detect import Outcome, Verdict
 from .errors import DimensionError
 from .linalg import SLACK, DensityMatrix

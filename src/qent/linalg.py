@@ -27,6 +27,7 @@ solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -144,16 +145,25 @@ def _as_square(m):
     return m
 
 
+def _checked_dims(dims, side):
+    """``dims`` as a list of ints, once each is at least 1 and their exact
+    product is ``side``."""
+    dims = [int(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise DimensionError(f"dims {dims} must all be at least 1")
+    if math.prod(dims) != side:
+        raise DimensionError(f"dims {dims} do not multiply to side length {side}")
+    return dims
+
+
 def _mat_dims(rho, dims=None):
     """Accept a DensityMatrix or a (matrix, dims) pair."""
     if isinstance(rho, DensityMatrix):
         return rho.mat, list(rho.dims)
     if dims is None:
         raise DimensionError("subsystem dimensions required for a bare matrix")
-    mat, dims = _as_square(rho), [int(d) for d in dims]
-    if int(np.prod(dims)) != mat.shape[0]:
-        raise DimensionError(f"dims {dims} do not multiply to side length {mat.shape[0]}")
-    return mat, dims
+    mat = _as_square(rho)
+    return mat, _checked_dims(dims, mat.shape[0])
 
 
 def partial_transpose(rho, sys, dims=None):
@@ -365,7 +375,8 @@ def validate_density(m, dims):
     m : array_like
         Candidate square matrix.
     dims : list of int
-        Subsystem dimensions; product must equal the side length.
+        Subsystem dimensions, each at least 1; product must equal the side
+        length.
 
     Returns
     -------
@@ -373,6 +384,8 @@ def validate_density(m, dims):
 
     Raises
     ------
+    DimensionError
+        If ``dims`` has an entry below 1 or does not multiply to the side.
     NonFiniteEntry, HermiticityViolation, TraceViolation, NegativityViolation
         With the offending magnitude attached.
     """
@@ -396,9 +409,7 @@ def _affine_density(mat, dims, shift, scale, x_spec):
 
 def _validated(m, dims, solve):
     mat = _as_square(m)
-    dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != mat.shape[0]:
-        raise DimensionError(f"dims {dims} do not multiply to side length {mat.shape[0]}")
+    dims = _checked_dims(dims, mat.shape[0])
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("density matrix is not Hermitian", herm_dev)

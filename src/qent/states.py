@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DensityMatrix, tensor, validate_density
+from .linalg import tensor, validate_density
 
 
 def ket(amplitudes, dims):

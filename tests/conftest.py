@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qent import linalg
-from qent.linalg import DensityMatrix, validate_density
+from qent.linalg import validate_density
 
 
 def random_hermitian(rng, n):

@@ -53,10 +53,8 @@ from qent.states import (
     ghz_w_mixture,
     ghz_werner_state,
     kay_state,
-    projector,
     qutrit_qubit_alpha_state,
     three_qutrit_bisep,
-    two_slice_superposition,
     x_state,
 )
 

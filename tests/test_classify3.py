@@ -8,7 +8,6 @@ import pytest
 from conftest import oracle_correlation_tensors, random_density
 from qent.classify3 import (
     CanonicalThreeQubit,
-    THRESHOLD,
     SloccOutcome,
     canonical_projector,
     canonical_state,
@@ -18,7 +17,6 @@ from qent.classify3 import (
     ghz_witness_operator,
     ghz_witness_value,
     lu_invariants,
-    observable,
     parametric_subclass,
     slocc_classify,
     subclass_fidelities,

@@ -1,13 +1,17 @@
 """Command-line interface: file format, reports, exit codes, reproduction."""
 
+import contextlib
+import io
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qent import cli
 from qent.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -22,8 +26,17 @@ from qent.cli import (
     state_document,
     write_state_file,
 )
+from qent.errors import DensityMatrixError, DimensionError
 from qent.linalg import validate_density
-from qent.states import ghz_state, projector, werner_state
+from qent.reproduce import TABLES
+from qent.states import (
+    ghz_state,
+    ghz_w_mixture,
+    projector,
+    qutrit_qubit_alpha_state,
+    two_qutrit_alpha_state,
+    werner_state,
+)
 
 
 @pytest.fixture
@@ -237,3 +250,303 @@ class TestConsoleScript:
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["command"] == "detect"
+
+
+def _swap_parties(rho):
+    """The same state with its two parties in the other order."""
+    d0, d1 = rho.dims
+    mat = rho.mat.reshape(d0, d1, d0, d1).transpose(1, 0, 3, 2).reshape(rho.mat.shape)
+    return validate_density(mat, [d1, d0])
+
+
+@pytest.fixture(params=[[3, 2], [2, 3]], ids=["3x2", "2x3"])
+def nonsquare_file(tmp_path, request):
+    rho = qutrit_qubit_alpha_state(0.5)
+    if request.param == [2, 3]:
+        rho = _swap_parties(rho)
+    path = tmp_path / "nonsquare.json"
+    write_state_file(path, rho, label="qutrit-qubit-0.5")
+    return str(path)
+
+
+def _refuse(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the usage error")
+    return fail
+
+
+class TestNonSquareStates:
+    def _run(self, capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        return code, (json.loads(out) if out else None)
+
+    def test_detect_default_runs_ppt_and_reduction(self, capsys, nonsquare_file):
+        code, rep = self._run(capsys, ["detect", nonsquare_file])
+        assert code == EXIT_OK
+        assert [e["name"] for e in rep["results"]] == ["ppt", "reduction"]
+        assert rep["results"][0]["verdict"] == "Entangled"
+
+    def test_measure_default(self, capsys, nonsquare_file):
+        code, rep = self._run(capsys, ["measure", nonsquare_file])
+        assert code == EXIT_OK
+        assert [e["name"] for e in rep["results"]] == ["negativity", "coherence"]
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--realign"],
+        ["detect", "--ppt", "--realign"],
+        ["detect", "--criterion2"],
+        ["measure", "structured-negativity"],
+        ["measure", "negativity", "concurrence-lb"],
+        ["measure", "negativity", "concurrence"],
+        ["measure", "coherence", "tangle"],
+    ])
+    def test_criterion_that_does_not_fit_is_usage_error_before_compute(
+            self, capsys, monkeypatch, nonsquare_file, argv):
+        for name in ("ppt_check", "negativity", "l1_coherence"):
+            monkeypatch.setattr(cli, name, _refuse(name))
+        code = main(argv[:1] + [nonsquare_file] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "needs" in captured.err
+
+    @pytest.mark.parametrize("dims", [[1, 1], [1, 4], [4, 1]])
+    def test_party_of_dimension_one(self, capsys, tmp_path, dims):
+        path = tmp_path / "trivial.json"
+        write_state_file(path, validate_density(np.eye(dims[0] * dims[1]) / (dims[0] * dims[1]),
+                                                dims))
+        assert main(["measure", str(path)]) == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+        assert [e["name"] for e in rep["results"]] == ["coherence"]
+        for name in ("negativity", "structured-negativity", "concurrence-lb"):
+            assert main(["measure", str(path), name]) == EXIT_USAGE
+        assert main(["detect", str(path), "--ppt", "--reduce"]) == EXIT_OK
+
+    def test_dims_that_do_not_multiply_keep_exit_3(self, tmp_path):
+        doc = state_document(qutrit_qubit_alpha_state(0.5))
+        doc["dims"] = [2, 2]
+        path = tmp_path / "mismatch.json"
+        path.write_bytes(document_bytes(doc))
+        assert main(["detect", str(path)]) == EXIT_VALIDATION
+        assert main(["measure", str(path)]) == EXIT_VALIDATION
+
+
+class TestDefaultSets:
+    @pytest.mark.parametrize("rho, names", [
+        (werner_state(0.5), ["negativity", "structured-negativity", "concurrence",
+                             "concurrence-lb", "coherence"]),
+        (two_qutrit_alpha_state(4.5), ["negativity", "structured-negativity",
+                                       "concurrence-lb", "coherence"]),
+        (ghz_w_mixture(0.5), ["coherence"]),
+        (projector(ghz_state(), [2, 2, 2]), ["coherence", "tangle", "three-pi"]),
+        (validate_density(np.eye(4) / 4.0, [4]), ["coherence"]),
+    ], ids=["2x2", "3x3", "2x2x2-mixed", "2x2x2-pure", "single-party"])
+    def test_measure_defaults(self, capsys, tmp_path, rho, names):
+        path = tmp_path / "state.json"
+        write_state_file(path, rho)
+        assert main(["measure", str(path)]) == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+        assert [e["name"] for e in rep["results"]] == names
+
+    @pytest.mark.parametrize("rho", [werner_state(0.5), two_qutrit_alpha_state(4.5)],
+                             ids=["2x2", "3x3"])
+    def test_detect_defaults_on_square_states(self, capsys, tmp_path, rho):
+        path = tmp_path / "state.json"
+        write_state_file(path, rho)
+        assert main(["detect", str(path)]) == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+        assert [e["name"] for e in rep["results"]] == ["ppt", "realignment", "reduction"]
+
+    def test_detect_needs_a_bipartite_state(self, capsys, tmp_path):
+        path = tmp_path / "ghz.json"
+        write_state_file(path, projector(ghz_state(), [2, 2, 2]))
+        assert main(["detect", str(path)]) == EXIT_USAGE
+        assert main(["detect", str(path), "--ppt"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+
+class TestStateFileDims:
+    @pytest.mark.parametrize("side, dims", [
+        (4, [-2, -2]), (1, [-1, -1]), (1, []), (4, [2.5, 2]), (4, [2, 2.5]),
+        (4, ["2", "2"]), (4, "22"), (4, 4), (4, None), (4, [True, 4]), (4, [2, None]),
+        (4, [float("inf"), 2]), (4, {"a": 2}),
+    ])
+    def test_bad_dims_are_parse_errors(self, capsys, tmp_path, side, dims):
+        doc = {"dims": dims, "matrix": [[[1.0 / side if i == j else 0.0, 0.0]
+                                         for j in range(side)] for i in range(side)]}
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="dims"):
+            parse_state_file(str(path))
+        assert main(["detect", str(path)]) == EXIT_PARSE
+        assert main(["measure", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+    def test_integral_float_dims_are_accepted(self, capsys, tmp_path, werner_file):
+        with open(werner_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["dims"] = [2.0, 2.0]
+        path = tmp_path / "float-dims.json"
+        path.write_text(json.dumps(doc))
+        _, rho = parse_state_file(str(path))
+        assert rho.dims == (2, 2)
+        for argv in (["detect"], ["measure"]):
+            assert main(argv + [werner_file]) == EXIT_OK
+            first = capsys.readouterr().out
+            assert main(argv + [str(path)]) == EXIT_OK
+            assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("field, value", [
+        ("cell", {"0": 0.25, "1": 0.0}), ("cell", [10 ** 400, 0.0]), ("cell", [0.25]),
+        ("label", float("nan")), ("label", ["x", float("inf")]),
+    ])
+    def test_malformed_cell_or_label_is_a_parse_error(self, tmp_path, field, value):
+        doc = state_document(werner_state(0.5))
+        if field == "cell":
+            doc["matrix"][1][2] = value
+        else:
+            doc["label"] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=field.replace("cell", "matrix")):
+            parse_state_file(str(path))
+        assert main(["measure", str(path)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("payload", [b"\xff\xfe{", b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_documents_are_parse_errors(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_bytes(payload)
+        with pytest.raises(ParseError):
+            parse_state_file(str(path))
+        assert main(["detect", str(path)]) == EXIT_PARSE
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+_CELL = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2) | _JSON
+_MATRIX = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_CELL, min_size=n, max_size=n), min_size=n, max_size=n))
+# Maximally mixed states of side n: valid matrices, so the dims decide.
+_MIXED = st.integers(1, 6).map(lambda n: [[[1.0 / n if i == j else 0.0, 0.0]
+                                           for j in range(n)] for i in range(n)])
+_DIMS = st.lists(st.integers(-4, 6) | st.floats(-4.0, 6.0), max_size=3) | _JSON
+_DOCUMENTS = (st.fixed_dictionaries({"dims": _DIMS, "matrix": _MATRIX | _MIXED | _JSON},
+                                    optional={"label": _JSON})
+              | _JSON)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "state.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_fuzzed_state_files_fail_only_with_documented_errors(fuzz_path, doc):
+    fuzz_path.write_text(json.dumps(doc))
+    try:
+        parse_state_file(str(fuzz_path))
+    except (ParseError, DimensionError, DensityMatrixError):
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["measure", str(fuzz_path)]) in (EXIT_OK, EXIT_USAGE)
+        assert main(["detect", str(fuzz_path)]) in (EXIT_OK, EXIT_USAGE)
+
+
+class TestReproduceTables:
+    def test_grid_column_is_bit_identical_to_golden(self):
+        for table_id in TABLES:
+            report, _ = reproduce(table_id)
+            golden = load_golden(table_id)
+            assert [r[0] for r in report["rows"]] == [r[0] for r in golden["rows"]], table_id
+
+    def test_missing_golden_row_reports_null_max_diff(self, capsys, tmp_path, monkeypatch):
+        golden = load_golden("2.1")
+        del golden["rows"][-1]
+        (tmp_path / "2.1.json").write_text(json.dumps(golden))
+        monkeypatch.setenv("QENT_GOLDEN_DIR", str(tmp_path))
+        assert main(["reproduce", "2.1"]) == EXIT_VALIDATION
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["status"] == "mismatch"
+        assert rep["mismatches"] == ["row count differs"]
+        assert rep["max_abs_diff"] is None
+
+
+class TestCachedParser:
+    @pytest.fixture
+    def build_count(self, monkeypatch):
+        """Empty the parser cache and count calls to cli.build_parser."""
+        calls = []
+        build = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        return calls
+
+    @pytest.fixture
+    def files(self, tmp_path, werner_file):
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        doc = state_document(werner_state(0.5))
+        doc["matrix"][0][0] = [0.9, 0.0]
+        bad_trace = tmp_path / "trace.json"
+        bad_trace.write_bytes(document_bytes(doc))
+        ghz = tmp_path / "ghz.json"
+        write_state_file(ghz, projector(ghz_state(), [2, 2, 2]), label="ghz")
+        return werner_file, str(bad_json), str(bad_trace), str(ghz)
+
+    def test_many_calls_build_one_parser(self, capsys, build_count, werner_file):
+        for _ in range(5):
+            assert main(["measure", werner_file]) == EXIT_OK
+            assert main(["--version"]) == EXIT_OK
+            assert main(["detect", werner_file, "--nope"]) == EXIT_USAGE
+        assert len(build_count) == 1
+
+    def test_interleaved_calls_repeat_their_first_output(self, capsys, build_count, files):
+        werner, bad_json, bad_trace, ghz = files
+        argvs = [
+            [],
+            ["detect", werner, "--nope"],
+            ["measure", werner, "nope"],
+            ["--version"],
+            ["detect", bad_json],
+            ["detect", bad_trace],
+            ["detect", werner],
+            ["detect", werner, "--ppt", "--criterion1", "--criterion2", "--criterion3"],
+            ["measure", werner],
+            ["measure", werner, "coherence"],
+            ["measure", ghz],
+            ["classify3", ghz],
+            ["classify3", "--canonical", "0.35", "0", "0.3", "0.864581", "0.2"],
+            ["reproduce", "5.2"],
+            ["reproduce", "2.1", "--tol", "0.5"],
+        ]
+        first = {}
+        for argv in argvs + argvs[::-1] + argvs[1::2] + argvs[::2]:
+            code = main(argv)
+            captured = capsys.readouterr()
+            got = (code, captured.out, captured.err)
+            assert first.setdefault(tuple(argv), got) == got, argv
+        assert [first[tuple(a)][0] for a in argvs] == [
+            EXIT_USAGE, EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
+            EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert len(build_count) == 1
+
+    def test_measure_names_do_not_leak_between_calls(self, capsys, build_count, werner_file):
+        assert main(["measure", werner_file]) == EXIT_OK
+        defaults = capsys.readouterr().out
+        assert main(["measure", werner_file, "negativity"]) == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+        assert [e["name"] for e in rep["results"]] == ["negativity"]
+        assert main(["measure", werner_file]) == EXIT_OK
+        assert capsys.readouterr().out == defaults

@@ -249,6 +249,17 @@ class TestValidation:
         with pytest.raises(DimensionError):
             validate_density(np.eye(4) / 4.0, [2, 3])
 
+    @pytest.mark.parametrize("side, dims", [(4, [-2, -2]), (1, [-1, -1]), (4, [-4, -1]),
+                                            (4, [4, 1, 0]), (4, [2 ** 62 + 1, 4])])
+    def test_rejects_dims_below_one_or_not_multiplying(self, side, dims):
+        # The last case multiplies to 4 only in wrapped 64-bit arithmetic.
+        m = np.eye(side) / side
+        for op in (lambda: validate_density(m, dims),
+                   lambda: partial_transpose(m, 0, dims=dims),
+                   lambda: partial_trace(m, [0], dims=dims)):
+            with pytest.raises(DimensionError):
+                op()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite(self, bad):
         m = np.eye(4, dtype=complex) / 4.0

@@ -25,7 +25,7 @@ from qent.spa import (
     spa_pt_two_qubit,
     spa_witness,
 )
-from qent.states import qutrit_qubit_alpha_state, x_state
+from qent.states import qutrit_qubit_alpha_state
 
 
 class TestBipartiteMaps:
