@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DimensionError, HermiticityViolation, NotGHZClass
 from .linalg import SLACK, DensityMatrix, tensor
 from .spa import spa_pt_three_qubit
+from .states import ghz_w_mixture, ghz_w_wtilde_mixture, ket
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -69,11 +70,7 @@ def canonical_state(params: CanonicalThreeQubit):
     """Amplitude vector of the canonical state (basis |000>..|111>)."""
     l0, l1, l2, l3, l4 = params.lambdas
     v = np.zeros(8, dtype=complex)
-    v[0] = l0
-    v[4] = l1 * np.exp(1j * params.theta)
-    v[5] = l2
-    v[6] = l3
-    v[7] = l4
+    v[[0, 4, 5, 6, 7]] = l0, l1 * np.exp(1j * params.theta), l2, l3, l4
     return v / np.linalg.norm(v)
 
 
@@ -360,10 +357,7 @@ def slocc_classify(rho) -> SloccVerdict:
     three at or above the floor gives FullySeparableConsistent.
     """
     if not isinstance(rho, DensityMatrix):
-        v = np.asarray(rho, dtype=complex).reshape(-1)
-        if v.size != 8:
-            raise DimensionError("slocc_classify needs a three-qubit state")
-        v = v / np.linalg.norm(v)
+        v = ket(np.ravel(rho), [2, 2, 2])
         rho = DensityMatrix(mat=np.outer(v, v.conj()), dims=(2, 2, 2))
     lams = tuple(
         float(spa_pt_three_qubit(rho, q).rho_tilde.spectrum.eigenvalues[0])
@@ -374,12 +368,8 @@ def slocc_classify(rho) -> SloccVerdict:
         return SloccVerdict(outcome=SloccOutcome.Genuine, lambdas=lams)
     if not any(below):
         return SloccVerdict(outcome=SloccOutcome.FullySeparableConsistent, lambdas=lams)
-    cut = ("A", "B", "C")[below.index(False)]
-    outcome = {
-        "A": SloccOutcome.BiseparableA_BC,
-        "B": SloccOutcome.BiseparableB_AC,
-        "C": SloccOutcome.BiseparableC_AB,
-    }[cut]
+    outcome = (SloccOutcome.BiseparableA_BC, SloccOutcome.BiseparableB_AC,
+               SloccOutcome.BiseparableC_AB)[below.index(False)]
     return SloccVerdict(outcome=outcome, lambdas=lams)
 
 
@@ -421,8 +411,6 @@ class MixtureReport:
 def ghz_w_mixture_analysis(q1, q2=None) -> MixtureReport:
     """Analyze ``q1 GHZ + q2 W + (1-q1-q2) W~`` (or the two-term GHZ/W
     mixture when ``q2`` is omitted) under the SPA-PT classifier."""
-    from .states import ghz_w_mixture, ghz_w_wtilde_mixture
-
     two_term = q2 is None
     if two_term:
         q2 = 1.0 - q1

@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from importlib import resources
 from typing import Callable, NamedTuple
@@ -95,6 +96,14 @@ def _positive_int(d):
     return (type(d) is int or type(d) is float and d.is_integer()) and d >= 1
 
 
+def _cell(cell):
+    """A matrix cell: a list of exactly two JSON numbers (``true`` is not one)."""
+    if (type(cell) is not list or len(cell) != 2
+            or type(cell[0]) not in (int, float) or type(cell[1]) not in (int, float)):
+        raise ValueError(f"cell {cell!r} is not an [re, im] pair of numbers")
+    return complex(cell[0], cell[1])
+
+
 def parse_state_file(path):
     """Parse a state file into ``(label, DensityMatrix)``.
 
@@ -121,7 +130,7 @@ def parse_state_file(path):
                          f"integers, got {dims!r}")
     try:
         mat = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in doc["matrix"]],
+            [[_cell(cell) for cell in row] for row in doc["matrix"]],
             dtype=complex,
         )
     except (TypeError, ValueError, LookupError, OverflowError) as exc:
@@ -370,6 +379,18 @@ def load_golden(table_id):
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+def _golden_rows(golden, table_id):
+    """The golden ``rows`` as lists of floats, once they are lists of JSON numbers."""
+    rows = golden.get("rows") if isinstance(golden, dict) else None
+    if isinstance(rows, list) and all(isinstance(row, list) for row in rows) and all(
+            type(g) in (int, float) for row in rows for g in row):
+        try:
+            return [[float(g) for g in row] for row in rows]
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ParseError(f"golden data for {table_id}: 'rows' must be a list of rows of numbers")
+
+
 def reproduce(table_id, tol=None):
     """Regenerate a reference table/curve and diff it against golden data.
 
@@ -383,20 +404,21 @@ def reproduce(table_id, tol=None):
     if tol is None:
         tol = TABLE_TOL if table.kind == "table" else CURVE_TOL
     try:
-        golden = load_golden(table_id)
-    except (OSError, json.JSONDecodeError) as exc:
+        golden = _golden_rows(load_golden(table_id), table_id)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers invalid JSON and text that is not UTF-8.
         raise ParseError(f"golden data for {table_id}: {exc}") from None
     diffs = []
     cell_diffs = []
-    rows_match = len(golden["rows"]) == len(data["rows"])
+    rows_match = len(golden) == len(data["rows"])
     if not rows_match:
         diffs.append("row count differs")
     else:
-        for i, (grow, row) in enumerate(zip(golden["rows"], data["rows"])):
+        for i, (grow, row) in enumerate(zip(golden, data["rows"])):
             if len(grow) != len(row):
                 diffs.append(f"row {i}: {len(row)} cells, golden {len(grow)}")
             for j, (g, v) in enumerate(zip(grow, row)):
-                d = abs(float(g) - float(v))
+                d = abs(g - float(v))
                 cell_diffs.append(d)
                 # Written so that a NaN cell counts as a mismatch.
                 if not d <= tol:
@@ -432,6 +454,12 @@ def cmd_reproduce(args):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "--tol -1e-9" (and -inf, -nan) as a value for the range check,
+        # not as an unknown option; argparse's own pattern misses exponents.
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")

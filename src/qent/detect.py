@@ -28,6 +28,7 @@ from .linalg import (
     tensor,
 )
 from .spa import SpaState, SpaWitness
+from .states import ket
 
 
 class Outcome(Enum):
@@ -57,21 +58,14 @@ class Verdict:
     criterion: str
 
 
-def _rho_tilde_mat(rho_tilde):
+def _spa_state(rho_tilde):
+    """The state whose ``.mat`` and ``.spectrum`` the criteria read (a bare
+    matrix's spectrum is solved on first use)."""
     if isinstance(rho_tilde, SpaState):
-        return rho_tilde.rho_tilde.mat
+        return rho_tilde.rho_tilde
     if isinstance(rho_tilde, DensityMatrix):
-        return rho_tilde.mat
-    return np.asarray(rho_tilde, dtype=complex)
-
-
-def _rho_tilde_spectrum(rho_tilde):
-    """Spectrum of the SPA-PT state, reusing a state's own when it has one."""
-    if isinstance(rho_tilde, SpaState):
-        return rho_tilde.rho_tilde.spectrum
-    if isinstance(rho_tilde, DensityMatrix):
-        return rho_tilde.spectrum
-    return herm_eigenvalues(_rho_tilde_mat(rho_tilde))
+        return rho_tilde
+    return DensityMatrix(mat=rho_tilde, dims=np.shape(rho_tilde)[:1])
 
 
 def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
@@ -101,13 +95,21 @@ def realignment_check(rho: DensityMatrix) -> Verdict:
 
 def reduction_check(rho: DensityMatrix) -> Verdict:
     """Reduction criterion: a negative eigenvalue of ``rho_A (x) I - rho``
-    proves entanglement."""
+    proves entanglement.
+
+    ``R(X) = X_A (x) I - X`` is linear with ``R(I) = (d_B - 1) I``.  When
+    validation let ``lambda_min(rho) = -eps`` through, a separable
+    ``(rho + eps I)/(1 + n eps)`` allows ``lambda_min(R(rho))`` down to
+    ``-(d_B - 1) eps``, so only a value below that and the slack is
+    ``Entangled``.  The evidence is ``lambda_min(R(rho))``.
+    """
     if len(rho.dims) != 2:
         raise DimensionError("reduction_check needs a bipartite state")
     d0, d1 = rho.dims
     rho_a = partial_trace(rho, [0]).mat
     lam = float(herm_eigenvalues(tensor(rho_a, np.eye(d1)) - rho.mat).eigenvalues[0])
-    outcome = Outcome.Entangled if lam < -SLACK else Outcome.Inconclusive
+    eps = max(0.0, -float(rho.spectrum.eigenvalues[0]))
+    outcome = Outcome.Entangled if lam < -SLACK - (d1 - 1) * eps else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="reduction")
 
 
@@ -130,11 +132,7 @@ def witness_from_pure(psi, sys, dims):
     -------
     numpy.ndarray
     """
-    v = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise DimensionError("zero vector cannot define a witness")
-    v = v / norm
+    v = ket(psi, dims)
     return partial_transpose(np.outer(v, v.conj()), sys, dims=dims)
 
 
@@ -153,8 +151,8 @@ def bounds_LU(rho: DensityMatrix, rho_tilde, w):
     ``U = 1/2 + L``; the minimum eigenvalue of ``rho_tilde`` satisfies
     ``max(L, 0) <= lambda_min <= U`` when ``W`` detects ``rho``.
     """
-    rt = _rho_tilde_mat(rho_tilde)
-    val = expectation(rt, rho) + expectation(np.asarray(w, dtype=complex), rho)
+    val = (expectation(_spa_state(rho_tilde).mat, rho)
+           + expectation(np.asarray(w, dtype=complex), rho))
     return float(val), float(0.5 + val)
 
 
@@ -176,7 +174,7 @@ def concurrence_bounds(rho: DensityMatrix, w_tilde: SpaWitness, rho_tilde) -> Co
         raise DimensionError("witness mixing p must be nonzero")
     dim = rho.dim
     lower = (1.0 - w_tilde.p) / (w_tilde.p * dim) - expectation(w_tilde.w_tilde, rho) / w_tilde.p
-    upper = expectation(_rho_tilde_mat(rho_tilde), rho)
+    upper = expectation(_spa_state(rho_tilde).mat, rho)
     return ConcurrenceBounds(lower=float(lower), upper=float(upper))
 
 
@@ -187,8 +185,9 @@ def criterion2(rho: DensityMatrix, rho_tilde, c) -> Verdict:
     """
     if c < 0:
         raise DimensionError("concurrence estimate must be nonnegative")
-    lam = float(_rho_tilde_spectrum(rho_tilde).eigenvalues[0])
-    margin = lam - (expectation(_rho_tilde_mat(rho_tilde), rho) - c)
+    rt = _spa_state(rho_tilde)
+    lam = float(rt.spectrum.eigenvalues[0])
+    margin = lam - (expectation(rt.mat, rho) - c)
     outcome = Outcome.ConditionSatisfied if margin >= -SLACK else Outcome.ConditionViolated
     return Verdict(outcome=outcome, evidence=float(margin), criterion="criterion2")
 
@@ -198,7 +197,6 @@ def criterion3(rho: DensityMatrix, rho_tilde, c) -> Verdict:
     ``U_ent = 1/2 + Tr(rho_tilde rho) - C < 1/2`` detects entanglement."""
     if c < 0:
         raise DimensionError("concurrence estimate must be nonnegative")
-    rt = _rho_tilde_mat(rho_tilde)
-    u_ent = 0.5 + expectation(rt, rho) - c
+    u_ent = 0.5 + expectation(_spa_state(rho_tilde).mat, rho) - c
     outcome = Outcome.Entangled if u_ent < 0.5 - SLACK else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=float(u_ent), criterion="criterion3")

@@ -19,10 +19,11 @@ of a state is solved at most once: a :class:`DensityMatrix` caches
 * ``rho.realign_norm``, the trace norm of the realigned matrix, which the
   realignment check and the Chen bound both read.
 
-An SPA-PT output ``shift*I + scale*rho^{T_B}`` is validated against the
-eigenpairs of ``rho.pt_spectrum`` mapped affinely: the same Hermiticity,
-trace, residual and PSD checks as :func:`validate_density`, without a second
-solve.
+A matrix from a caller is checked once, by :func:`validate_density`.  The
+partial trace of a :class:`DensityMatrix` and the SPA-PT outputs
+``shift*I + scale*rho^{T_k}`` are completely positive, trace preserving
+images of a validated state, so they are wrapped unchecked; every solve
+still checks its residual.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ SLACK = 1e-9  # decision slack: margin by which a criterion must pass its thresh
 class DensityMatrix:
     """A validated density matrix with its subsystem dimension list.
 
-    Instances should be created through :func:`validate_density`, which
-    enforces hermiticity, unit trace, and positive semidefiniteness.
+    A caller's matrix becomes one through :func:`validate_density`, which
+    enforces hermiticity, unit trace, and positive semidefiniteness; the
+    maps of this package wrap their outputs unchecked (see the module notes).
 
     Attributes
     ----------
@@ -76,8 +78,8 @@ class DensityMatrix:
     def spectrum(self):
         """:class:`Spectrum` of ``mat``, solved at most once per instance.
 
-        :func:`validate_density` fills it from its own solve; an instance
-        built directly solves on first access.  ``mat`` must not be changed
+        :func:`validate_density` and the SPA-PT maps fill it from the solve
+        they already made; any other instance solves on first access.  ``mat`` must not be changed
         in place afterwards.
         """
         return herm_eigenvalues(self.mat)
@@ -235,7 +237,9 @@ def partial_trace(rho, keep, dims=None):
     Returns
     -------
     DensityMatrix
-        Valid reduced state over the kept subsystems.
+        Reduced state over the kept subsystems: unchecked for a
+        :class:`DensityMatrix` (a state by construction), validated for a
+        bare matrix.
     """
     mat, d = _mat_dims(rho, dims)
     keep = sorted(set(int(k) for k in keep))
@@ -251,9 +255,11 @@ def partial_trace(rho, keep, dims=None):
     for k in reversed(traced):
         t = np.trace(t, axis1=k, axis2=k + nleft)
         nleft -= 1
-    side = int(np.prod([d[k] for k in keep]))
-    out = t.reshape(side, side)
-    return validate_density(out, [d[k] for k in keep])
+    kept = [d[k] for k in keep]
+    out = t.reshape(math.prod(kept), math.prod(kept))
+    if isinstance(rho, DensityMatrix):
+        return _derived(out, kept)
+    return validate_density(out, kept)
 
 
 def realign(rho, dims=None):
@@ -389,25 +395,6 @@ def validate_density(m, dims):
     NonFiniteEntry, HermiticityViolation, TraceViolation, NegativityViolation
         With the offending magnitude attached.
     """
-    return _validated(m, dims, herm_eigenvalues)
-
-
-def _affine_density(mat, dims, shift, scale, x_spec):
-    """Validate ``mat = shift*I + scale*X`` (``scale > 0``) given ``X``'s spectrum.
-
-    The eigenpairs of ``mat`` are ``(shift + scale*lambda, v)`` for the pairs
-    of ``x_spec``, so no second solve is needed.  Every check of
-    :func:`validate_density` still runs, and the residual is measured against
-    ``mat`` itself, so a ``mat`` that is not this affine image of ``X`` raises
-    :class:`~qent.errors.EigensolverError`.
-    """
-    def solve(m):
-        return _checked_spectrum(m, shift + scale * x_spec.eigenvalues, x_spec.vectors)
-
-    return _validated(mat, dims, solve)
-
-
-def _validated(m, dims, solve):
     mat = _as_square(m)
     dims = _checked_dims(dims, mat.shape[0])
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
@@ -416,12 +403,20 @@ def _validated(m, dims, solve):
     trace_dev = abs(complex(np.trace(mat)) - 1.0)
     if trace_dev > TRACE_TOL:
         raise TraceViolation("density matrix trace differs from 1", trace_dev)
-    spec = solve(mat)
+    spec = herm_eigenvalues(mat)
     lam_min = float(spec.eigenvalues[0])
     if lam_min < PSD_FLOOR:
         raise NegativityViolation("density matrix has a negative eigenvalue", -lam_min)
+    return _derived(mat, dims, spec)
+
+
+def _derived(mat, dims, spectrum=None):
+    """Wrap ``mat`` unchecked, seeding its spectrum when it is known: for a
+    matrix just validated, or one that a completely positive, trace
+    preserving map built from a validated state."""
     rho = DensityMatrix(mat=mat, dims=tuple(dims))
-    # cached_property stores in the instance dict, which the frozen
-    # dataclass's __setattr__ guard does not cover.
-    object.__setattr__(rho, "spectrum", spec)
+    if spectrum is not None:
+        # cached_property stores in the instance dict, which the frozen
+        # dataclass's __setattr__ guard does not cover.
+        object.__setattr__(rho, "spectrum", spectrum)
     return rho

@@ -15,11 +15,12 @@ import numpy as np
 from .errors import DimensionError
 from .linalg import (
     DensityMatrix,
+    _as_square,
     herm_eigenvalues,
     partial_trace,
-    validate_density,
 )
 from .spa import spa_pt_dd
+from .states import ket, projector
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -67,11 +68,7 @@ def concurrence_pure(psi, d1, d2) -> MeasureValue:
     ``sqrt(2 (1 - Tr(rho_A^2)))`` (unit prefactors), which reduces to the
     two-qubit concurrence on qubit pairs.
     """
-    v = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise DimensionError("zero vector")
-    v = v / norm
+    v = ket(psi, [d1, d2])
     rho_a = v.reshape(d1, d2) @ v.reshape(d1, d2).conj().T
     purity = float(np.trace(rho_a @ rho_a).real)
     return MeasureValue(value=float(np.sqrt(max(0.0, 2.0 * (1.0 - purity)))),
@@ -83,7 +80,15 @@ def _pt_trace_norm(rho):
     return float(np.sum(np.abs(rho.pt_spectrum.eigenvalues)))
 
 
-def negativity(rho: DensityMatrix, d=None) -> MeasureValue:
+def _party_dim(rho, d, name):
+    """``d`` once it is at least 2; negativity and the Chen bound divide by ``d - 1``."""
+    if d < 2:
+        raise DimensionError(f"{name} needs parties of dimension at least 2, "
+                             f"got dims {list(rho.dims)}")
+    return d
+
+
+def negativity(rho: DensityMatrix) -> MeasureValue:
     """Negativity ``(|rho^{T_B}|_1 - 1)/(d - 1)``.
 
     Equals ``2/(d-1)`` times the absolute sum of negative partial-transpose
@@ -91,13 +96,12 @@ def negativity(rho: DensityMatrix, d=None) -> MeasureValue:
     """
     if len(rho.dims) != 2:
         raise DimensionError("negativity needs a bipartite state")
-    if d is None:
-        d = min(rho.dims)
+    d = _party_dim(rho, min(rho.dims), "negativity")
     val = (_pt_trace_norm(rho) - 1.0) / (d - 1.0)
-    return MeasureValue(value=val, measure="negativity", d=int(d))
+    return MeasureValue(value=val, measure="negativity", d=d)
 
 
-def structured_negativity(rho: DensityMatrix, d=None) -> MeasureValue:
+def structured_negativity(rho: DensityMatrix) -> MeasureValue:
     """Structured negativity ``K max(d/(d^3+1) - lambda_min(rho_tilde), 0)``.
 
     ``K = d (d^3 + 1)`` and ``rho_tilde`` is the SPA-PT of the state — an
@@ -106,9 +110,7 @@ def structured_negativity(rho: DensityMatrix, d=None) -> MeasureValue:
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DimensionError("structured negativity needs dims [d, d]")
-    if d is None:
-        d = rho.dims[0]
-    d = int(d)
+    d = _party_dim(rho, rho.dims[0], "structured negativity")
     spa = spa_pt_dd(rho, d)
     lam = float(spa.rho_tilde.spectrum.eigenvalues[0])
     k = d * (d ** 3 + 1)
@@ -116,16 +118,14 @@ def structured_negativity(rho: DensityMatrix, d=None) -> MeasureValue:
                         measure="structured_negativity", d=d)
 
 
-def concurrence_lb_chen(rho: DensityMatrix, d=None) -> MeasureValue:
+def concurrence_lb_chen(rho: DensityMatrix) -> MeasureValue:
     """Lower bound on the concurrence from PT and realignment trace norms.
 
     ``sqrt(2/(d(d-1))) (max(|rho^{T_B}|_1, |R(rho)|_1) - 1)``, clamped at 0.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DimensionError("concurrence bound needs dims [d, d]")
-    if d is None:
-        d = rho.dims[0]
-    d = int(d)
+    d = _party_dim(rho, rho.dims[0], "concurrence bound")
     best = max(_pt_trace_norm(rho), rho.realign_norm)
     val = np.sqrt(2.0 / (d * (d - 1.0))) * (best - 1.0)
     return MeasureValue(value=max(0.0, float(val)), measure="concurrence_lb", d=d)
@@ -137,13 +137,7 @@ def tangle_pure(psi) -> MeasureValue:
     Amplitudes ``a..h`` correspond to |000>..|111>; the ``d_i`` are the
     standard hyperdeterminant quartics.  Zero on W-class, 1 on standard GHZ.
     """
-    v = np.asarray(psi, dtype=complex)
-    if v.shape != (8,):
-        raise DimensionError("tangle needs 8 amplitudes")
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise DimensionError("zero vector")
-    a, b, c, d, e, f, g, h = v / norm
+    a, b, c, d, e, f, g, h = ket(psi, [2, 2, 2])
     d1 = a * a * h * h + b * b * g * g + c * c * f * f + d * d * e * e
     d2 = (a * h * d * e + a * h * f * c + a * h * g * b
           + d * e * f * c + d * e * g * b + f * c * g * b)
@@ -159,14 +153,7 @@ def three_pi(psi) -> MeasureValue:
     ``pi_a = N_{A(BC)}^2 - N_{AB}^2 - N_{AC}^2``, where the pairwise
     negativities use two-qubit marginals and ``N_{A(BC)} = 2 sqrt(det rho_A)``.
     """
-    v = np.asarray(psi, dtype=complex)
-    if v.shape != (8,):
-        raise DimensionError("three_pi needs a three-qubit vector")
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise DimensionError("zero vector")
-    v = v / norm
-    rho = validate_density(np.outer(v, v.conj()), [2, 2, 2])
+    rho = projector(psi, [2, 2, 2])
 
     def one_vs_rest(i):
         marg = partial_trace(rho, [i]).mat
@@ -188,8 +175,6 @@ def three_pi(psi) -> MeasureValue:
 def l1_coherence(rho) -> MeasureValue:
     """l1-norm of coherence: sum of moduli of off-diagonal entries in the
     computational basis."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError("l1 coherence needs a square matrix")
+    mat = rho.mat if isinstance(rho, DensityMatrix) else _as_square(rho)
     val = float(np.sum(np.abs(mat)) - np.sum(np.abs(np.diag(mat))))
     return MeasureValue(value=val, measure="l1_coherence", d=mat.shape[0])

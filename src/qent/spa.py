@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DimensionError, NotAWitness
 from .linalg import (
     DensityMatrix,
-    _affine_density,
+    _checked_spectrum,
+    _derived,
     _qubit_party,
     herm_eigenvalues,
     partial_transpose,
@@ -70,14 +71,18 @@ class SpaWitness:
 
 
 def _spa_pt(rho: DensityMatrix, sys, shift, scale) -> DensityMatrix:
-    """``shift*I + scale*rho^{T_sys}`` (``scale > 0``), checked like
-    :func:`~qent.linalg.validate_density`.  A bipartite cut over the second
-    factor maps ``rho.pt_spectrum`` affinely; any other cut solves the output.
+    """``shift*I + scale*rho^{T_sys}`` (``scale > 0``), unchecked: the SPA
+    mixing makes it a completely positive, trace preserving map.  A bipartite
+    cut over the second factor maps ``rho.pt_spectrum`` affinely, with the
+    residual measured against the output; any other cut solves the output.
     """
     mat = shift * np.eye(rho.dim) + scale * partial_transpose(rho, sys)
     if len(rho.dims) == 2 and sys == 1:
-        return _affine_density(mat, rho.dims, shift, scale, rho.pt_spectrum)
-    return validate_density(mat, rho.dims)
+        pt = rho.pt_spectrum
+        spec = _checked_spectrum(mat, shift + scale * pt.eigenvalues, pt.vectors)
+    else:
+        spec = herm_eigenvalues(mat)
+    return _derived(mat, rho.dims, spec)
 
 
 def spa_pt_dd(rho: DensityMatrix, d) -> SpaState:

@@ -550,3 +550,46 @@ class TestCachedParser:
         assert [e["name"] for e in rep["results"]] == ["negativity"]
         assert main(["measure", werner_file]) == EXIT_OK
         assert capsys.readouterr().out == defaults
+
+
+class TestMalformedInputsFailCleanly:
+    @pytest.mark.parametrize("doc", [
+        {"columns": []}, [], {"rows": 3}, {"rows": [3]},
+        {"rows": [["x", 1, 1, 1, 1]]}, {"rows": [[None, 1, 1, 1, 1]]},
+        {"rows": [[True, 1, 1, 1, 1]]}, {"rows": [[10 ** 400, 1, 1, 1, 1]]},
+    ])
+    def test_malformed_golden_file_is_a_parse_error(self, capsys, tmp_path, monkeypatch, doc):
+        (tmp_path / "2.1.json").write_text(json.dumps(doc))
+        monkeypatch.setenv("QENT_GOLDEN_DIR", str(tmp_path))
+        with pytest.raises(ParseError, match="golden data for 2.1"):
+            reproduce("2.1")
+        assert main(["reproduce", "2.1"]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+    def test_golden_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, monkeypatch):
+        (tmp_path / "2.1.json").write_bytes(b"\xff\xfe{")
+        monkeypatch.setenv("QENT_GOLDEN_DIR", str(tmp_path))
+        assert main(["reproduce", "2.1"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("doc", [
+        {"dims": [1], "matrix": [[[True, False]]]},
+        {"dims": [1], "matrix": [[[1.0, False]]]},
+        {"dims": [1], "matrix": [[[1.0, 0.0, 7.0]]]},
+    ])
+    def test_cell_must_be_a_pair_of_numbers(self, capsys, tmp_path, doc):
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="matrix"):
+            parse_state_file(str(path))
+        assert main(["measure", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", ["-1e-9", "-1E-9", "-0.5", "-.5", "-5", "-inf", "-nan"])
+    def test_negative_tol_after_a_space_gets_the_range_message(self, capsys, bad):
+        assert main(["reproduce", "2.1", f"--tol={bad}"]) == EXIT_USAGE
+        joined = capsys.readouterr()
+        assert main(["reproduce", "2.1", "--tol", bad]) == EXIT_USAGE
+        spaced = capsys.readouterr()
+        assert spaced.out == joined.out == ""
+        assert spaced.err == joined.err
+        assert "must be finite and nonnegative" in spaced.err

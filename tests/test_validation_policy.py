@@ -1,0 +1,95 @@
+"""One validation policy: a caller's matrix is checked once, by
+``validate_density``; what a completely positive, trace preserving map builds
+from a validated state is trusted.  These tests hold the checks that no
+longer run on the library's outputs."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qent.detect import Outcome, reduction_check
+from qent.errors import DimensionError
+from qent.linalg import PSD_FLOOR, partial_trace, validate_density
+from qent.measures import concurrence_lb_chen, negativity, structured_negativity
+from qent.spa import spa_pt_d1d2, spa_pt_dd, spa_pt_three_qubit, spa_pt_two_qubit
+
+DELTA = 0.9e-9
+
+
+def _edge_product_state(delta=DELTA):
+    """``(1+3 delta)/3 |1><1| (x) I_3 - delta |0><0| (x) I_3`` on ``[2, 3]``.
+
+    A product state up to an eigenvalue of ``-delta``, which validation
+    allows; its marginal on the first party has ``-3 delta``, below
+    ``PSD_FLOOR``.
+    """
+    return validate_density(np.kron(np.diag([-delta, (1 + 3 * delta) / 3]), np.eye(3)),
+                            [2, 3])
+
+
+class TestMarginalOfAValidState:
+    def test_partial_trace_returns_the_marginal(self):
+        rho = _edge_product_state()
+        marg = partial_trace(rho, [0])
+        assert marg.dims == (2,)
+        assert np.max(np.abs(marg.mat - np.diag([-3 * DELTA, 1 + 3 * DELTA]))) <= 1e-15
+        assert marg.spectrum.eigenvalues[0] < PSD_FLOOR
+
+    def test_reduction_check_is_inconclusive(self):
+        verdict = reduction_check(_edge_product_state())
+        assert verdict.outcome is Outcome.Inconclusive
+        # The evidence is lambda_min(rho_A (x) I - rho) itself: -2 delta.
+        assert abs(verdict.evidence + 2 * DELTA) <= 1e-15
+
+
+def _random_state(seed, dims, rank):
+    rng = np.random.default_rng(seed)
+    n = math.prod(dims)
+    a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    return validate_density(a @ a.conj().T / np.linalg.norm(a) ** 2, list(dims))
+
+
+def _derived_outputs(rho):
+    """Every partial trace and every SPA-PT output of ``rho`` except the
+    qutrit-qubit closed form, which ``validate_density`` still checks."""
+    n = len(rho.dims)
+    outs = [partial_trace(rho, keep)
+            for r in range(1, n + 1) for keep in itertools.combinations(range(n), r)]
+    if n == 3:
+        return outs + [spa_pt_three_qubit(rho, q).rho_tilde for q in "ABC"]
+    d1, d2 = rho.dims
+    outs.append(spa_pt_d1d2(rho, d1, d2).rho_tilde)
+    if d1 == d2:
+        outs.append(spa_pt_dd(rho, d1).rho_tilde)
+    if d1 == d2 == 2:
+        outs.append(spa_pt_two_qubit(rho).rho_tilde)
+    return outs
+
+
+class TestDerivedOutputsAreStates:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2)])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           rank=st.integers(min_value=1, max_value=9))
+    def test_outputs_revalidate_with_the_same_spectrum(self, dims, seed, rank):
+        # Ranks from 1 to full: low ranks put the input on the boundary.
+        rho = _random_state(seed, dims, min(rank, math.prod(dims)))
+        for out in _derived_outputs(rho):
+            again = validate_density(out.mat, list(out.dims))
+            assert np.max(np.abs(out.spectrum.eigenvalues
+                                 - again.spectrum.eigenvalues)) <= 1e-12
+
+
+class TestPartiesOfDimensionOne:
+    def test_negativity(self):
+        with pytest.raises(DimensionError):
+            negativity(validate_density(np.eye(4) / 4, [1, 4]))
+
+    @pytest.mark.parametrize("measure", [structured_negativity, concurrence_lb_chen])
+    def test_square_measures(self, measure):
+        with pytest.raises(DimensionError):
+            measure(validate_density(np.eye(1), [1, 1]))
