@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityViolation, NotGHZClass
-from .linalg import SLACK, DensityMatrix, tensor
+from .errors import DimensionError, NotGHZClass
+from .linalg import PARAM_NORM_TOL, SLACK, ZERO_TOL, DensityMatrix, _checked_real, tensor
 from .spa import spa_pt_three_qubit
 from .states import ghz_w_mixture, ghz_w_wtilde_mixture, ket
 
@@ -60,7 +60,7 @@ class CanonicalThreeQubit:
 
     def __post_init__(self):
         s = sum(l * l for l in self.lambdas)
-        if abs(s - 1.0) > 1e-6:
+        if abs(s - 1.0) > PARAM_NORM_TOL:
             raise DimensionError(f"canonical lambdas have squared norm {s}, expected 1")
         if not (0.0 <= self.theta <= np.pi):
             raise DimensionError("theta must lie in [0, pi]")
@@ -101,10 +101,7 @@ def correlation_tensors(rho: DensityMatrix) -> CorrelationTensor:
     # Tr(rho P_w (x) P_c (x) P_r) with rho indexed [a b c, a' b' c'].
     t = np.einsum("abcxyz,wxa,kyb,rzc->wrk", rho.mat.reshape((2,) * 6),
                   _PAULI_STACK, _PAULI_STACK, _PAULI_STACK)
-    imag = float(np.max(np.abs(t.imag)))
-    if imag > 1e-8:
-        raise HermiticityViolation("expectation value has an imaginary part", imag)
-    tx, ty, tz = t.real
+    tx, ty, tz = _checked_real(t)
     return CorrelationTensor(Tx=tx, Ty=ty, Tz=tz)
 
 
@@ -168,7 +165,7 @@ def observable(which):
 
 
 def _require_theta_zero(params):
-    if abs(params.theta) > 1e-12:
+    if abs(params.theta) > ZERO_TOL:
         raise DimensionError("subclass witnesses are defined for theta = 0 only")
 
 
@@ -245,7 +242,7 @@ _WITNESS_NAMES = tuple(f"H{k}" for k in range(1, 9))
 
 def parametric_subclass(params: CanonicalThreeQubit):
     """Structural subclass S1..S4 from the zero pattern of lambda1..lambda3."""
-    extras = sum(1 for l in params.lambdas[1:4] if l > 1e-12)
+    extras = sum(1 for l in params.lambdas[1:4] if l > ZERO_TOL)
     return f"S{extras + 1}"
 
 
@@ -259,7 +256,7 @@ class SubclassReport:
         Expectation value of each witness H1..H8 plus the maximal-slice
         witness ``W_MS = O1 - I``.
     negative : tuple of str
-        Witnesses with value below -1e-9.
+        Witnesses with value below ``-SLACK``.
     implications : dict
         What a negative value of each listed witness indicates.
     subclass : str
@@ -276,7 +273,7 @@ def classify_ghz_subclass(params: CanonicalThreeQubit) -> SubclassReport:
     """Evaluate all subclass witnesses and report the sign pattern."""
     _require_theta_zero(params)
     l0, l4 = params.lambda0, params.lambda4
-    if 4.0 * l0 ** 2 * l4 ** 2 < 1e-24:
+    if 4.0 * l0 ** 2 * l4 ** 2 < ZERO_TOL ** 2:
         raise NotGHZClass("tangle is zero; subclass witnesses need lambda0, lambda4 > 0")
     values = {w: ghz_witness_value(params, w) for w in _WITNESS_NAMES}
     values["W_MS"] = 4.0 * l0 * l4 - 1.0
@@ -300,7 +297,7 @@ def subclass_fidelities(params: CanonicalThreeQubit, subclass):
     need_zero = {"S1": (l1, l2, l3), "S2": (l2, l3), "S3": (l3,), "S4": ()}
     if subclass not in need_zero:
         raise DimensionError(f"unknown subclass {subclass!r}")
-    if any(abs(l) > 1e-12 for l in need_zero[subclass]):
+    if any(abs(l) > ZERO_TOL for l in need_zero[subclass]):
         raise DimensionError(f"parameters do not match the {subclass} zero pattern")
     base = 2.0 * (1.0 + l0 * l4) / 3.0
     if subclass == "S1":
@@ -351,7 +348,7 @@ def slocc_classify(rho) -> SloccVerdict:
 
     Accepts a :class:`DensityMatrix` or a pure-state amplitude vector.
 
-    Decision order against the 1/10 floor (1e-9 slack): all three below
+    Decision order against the 1/10 floor (``SLACK`` slack): all three below
     gives Genuine; otherwise the first qubit (A, B, C order) at or above
     the floor names the biseparable cut when another qubit is below; all
     three at or above the floor gives FullySeparableConsistent.

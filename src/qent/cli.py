@@ -57,7 +57,7 @@ from .detect import (
     witness_from_pure,
 )
 from .errors import DensityMatrixError, DimensionError, NotAWitness, NotGHZClass
-from .linalg import SLACK, DensityMatrix, validate_density
+from .linalg import CURVE_TOL, SLACK, TABLE_TOL, DensityMatrix, validate_density
 from .measures import (
     concurrence_2q,
     concurrence_lb_chen,
@@ -74,9 +74,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-
-TABLE_TOL = 1e-3
-CURVE_TOL = 1e-9
 
 
 class UsageError(Exception):
@@ -197,7 +194,7 @@ def _verdict_entry(v):
 
 def _pure_vector(rho: DensityMatrix):
     """Amplitude vector if ``rho`` is (numerically) pure, else None."""
-    if abs(float(np.trace(rho.mat @ rho.mat).real) - 1.0) > 1e-9:
+    if abs(float(np.trace(rho.mat @ rho.mat).real) - 1.0) > SLACK:
         return None
     return rho.spectrum.vectors[:, -1]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .detect import Outcome, Verdict
 from .errors import DimensionError
-from .linalg import SLACK, DensityMatrix
+from .linalg import SLACK, TRACE_TOL, DensityMatrix
 from .measures import l1_coherence
 
 _CUTS = ("A-BC", "B-AC", "C-AB")
@@ -30,7 +30,7 @@ class Ensemble:
     Attributes
     ----------
     weights : tuple of float
-        Probabilities, summing to 1 within 1e-10.
+        Probabilities, summing to 1 within ``TRACE_TOL``.
     parts : tuple of tuple of DensityMatrix
         For each weight, the factor states of that term (e.g. a single-party
         state and the state of the complementary pair).
@@ -45,7 +45,7 @@ class Ensemble:
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
-        if abs(sum(w) - 1.0) > 1e-10:
+        if abs(sum(w) - 1.0) > TRACE_TOL:
             raise DimensionError(f"ensemble weights sum to {sum(w)}, expected 1")
         if not (len(w) == len(self.parts) == len(self.labels)):
             raise DimensionError("weights, parts, and labels must align")

@@ -19,11 +19,12 @@ of a state is solved at most once: a :class:`DensityMatrix` caches
 * ``rho.realign_norm``, the trace norm of the realigned matrix, which the
   realignment check and the Chen bound both read.
 
-A matrix from a caller is checked once, by :func:`validate_density`.  The
-partial trace of a :class:`DensityMatrix` and the SPA-PT outputs
-``shift*I + scale*rho^{T_k}`` are completely positive, trace preserving
-images of a validated state, so they are wrapped unchecked; every solve
-still checks its residual.
+A matrix from a caller is checked once, by :func:`validate_density`, which
+keeps its Hermitian part ``(M + M^H)/2``.  The partial trace of a
+:class:`DensityMatrix` and the SPA-PT outputs ``shift*I + scale*rho^{T_k}``
+are completely positive, trace preserving images of a validated state, and
+exactly Hermitian, so they are wrapped unchecked; every solve still checks
+its residual.
 """
 
 from __future__ import annotations
@@ -43,11 +44,17 @@ from .errors import (
     TraceViolation,
 )
 
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_FLOOR = -1e-9
-EIG_RESIDUAL_TOL = 1e-9
+# The numerical policy of the package; no other module writes a tolerance.
+HERM_TOL = 1e-10  # largest |M - M^H| entry of a matrix taken as Hermitian
+TRACE_TOL = 1e-10  # largest |sum - 1| of a trace or of probabilities
+PSD_FLOOR = -1e-9  # smallest eigenvalue (or value) taken as nonnegative
+EIG_RESIDUAL_TOL = 1e-9  # largest |H v - lambda v|, relative to the spectral radius
 SLACK = 1e-9  # decision slack: margin by which a criterion must pass its threshold
+ZERO_TOL = 1e-12  # a scalar parameter within this of zero is zero
+IMAG_TOL = 1e-8  # largest imaginary part of an expectation value
+PARAM_NORM_TOL = 1e-6  # largest |sum lambda_i^2 - 1| of typed canonical parameters
+TABLE_TOL = 1e-3  # per-cell tolerance of a reproduced golden table
+CURVE_TOL = 1e-9  # per-cell tolerance of a reproduced golden curve
 
 
 @dataclass(frozen=True)
@@ -141,10 +148,29 @@ def _as_square(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    bad = int(np.count_nonzero(~np.isfinite(m)))
+    return _finite(m, "matrix")
+
+
+def _finite(a, what):
+    """``a`` once every entry is finite."""
+    bad = int(np.count_nonzero(~np.isfinite(a)))
     if bad:
-        raise NonFiniteEntry("matrix has NaN or infinite entries", bad)
-    return m
+        raise NonFiniteEntry(f"{what} has NaN or infinite entries", bad)
+    return a
+
+
+def _herm_dev(m):
+    """Largest entry of ``|m - m^H|``."""
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+def _checked_real(val):
+    """Real part of a complex scalar or array of expectation values, once
+    every imaginary part is within ``IMAG_TOL`` (a NaN one is not)."""
+    imag = float(np.max(np.abs(np.imag(val))))
+    if not imag <= IMAG_TOL:
+        raise HermiticityViolation("expectation value has an imaginary part", imag)
+    return np.real(val)
 
 
 def _checked_dims(dims, side):
@@ -292,7 +318,7 @@ def herm_eigenvalues(h):
     Parameters
     ----------
     h : array_like
-        Hermitian matrix (checked to 1e-10).
+        Hermitian matrix (checked to ``HERM_TOL``).
 
     Returns
     -------
@@ -307,7 +333,7 @@ def herm_eigenvalues(h):
         If the residual exceeds ``EIG_RESIDUAL_TOL * max(1, max |lambda|)``.
     """
     m = _as_square(h)
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    herm_dev = _herm_dev(m)
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("eigensolver input is not Hermitian", herm_dev)
     lam, vec = np.linalg.eigh(m)
@@ -343,7 +369,7 @@ def trace_norm(a):
     float
     """
     m = _as_square(a)
-    if np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
+    if _herm_dev(m) <= HERM_TOL:
         return float(np.sum(np.abs(herm_eigenvalues(m).eigenvalues)))
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
@@ -364,13 +390,10 @@ def expectation(h, rho):
         The (real) trace value.
     """
     hm = _as_square(h)
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    mat = rho.mat if isinstance(rho, DensityMatrix) else _as_square(rho)
     if hm.shape != mat.shape:
         raise DimensionError(f"operator shape {hm.shape} != state shape {mat.shape}")
-    val = complex(np.trace(hm @ mat))
-    if abs(val.imag) > 1e-8:
-        raise HermiticityViolation("expectation value has an imaginary part", abs(val.imag))
-    return float(val.real)
+    return float(_checked_real(complex(np.trace(hm @ mat))))
 
 
 def validate_density(m, dims):
@@ -387,6 +410,7 @@ def validate_density(m, dims):
     Returns
     -------
     DensityMatrix
+        Wrapping ``m`` when it is exactly Hermitian, else ``(m + m^H)/2``.
 
     Raises
     ------
@@ -397,12 +421,15 @@ def validate_density(m, dims):
     """
     mat = _as_square(m)
     dims = _checked_dims(dims, mat.shape[0])
-    herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+    herm_dev = _herm_dev(mat)
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("density matrix is not Hermitian", herm_dev)
     trace_dev = abs(complex(np.trace(mat)) - 1.0)
     if trace_dev > TRACE_TOL:
         raise TraceViolation("density matrix trace differs from 1", trace_dev)
+    if herm_dev:
+        # Exactly Hermitian from here on, so every map of it is too.
+        mat = (mat + mat.conj().T) / 2
     spec = herm_eigenvalues(mat)
     lam_min = float(spec.eigenvalues[0])
     if lam_min < PSD_FLOOR:

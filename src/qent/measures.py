@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import (
+    PSD_FLOOR,
     DensityMatrix,
     _as_square,
     herm_eigenvalues,
@@ -36,7 +37,7 @@ class MeasureValue:
     def __post_init__(self):
         value = float(self.value)
         # Written so that NaN is refused too (max(0.0, nan) would be 0.0).
-        if not value >= -1e-9:
+        if not value >= PSD_FLOOR:
             raise DimensionError(f"{self.measure} produced an invalid value {value}")
         object.__setattr__(self, "value", max(0.0, value))
 

@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import DimensionError, NotAWitness
 from .linalg import (
+    PSD_FLOOR,
+    TRACE_TOL,
+    ZERO_TOL,
     DensityMatrix,
     _checked_spectrum,
     _derived,
@@ -247,12 +250,12 @@ def spa_witness(w, d1, d2, p=None) -> SpaWitness:
     if w.shape != (dim, dim):
         raise DimensionError(f"witness shape {w.shape} does not match {d1}x{d2}")
     tr = complex(np.trace(w))
-    if abs(tr - 1.0) > 1e-10:
-        if abs(tr) < 1e-12:
+    if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr) < ZERO_TOL:
             raise NotAWitness("witness has zero trace and cannot be normalized")
         w = w / tr
     lam_min = float(herm_eigenvalues(w).eigenvalues[0])
-    if lam_min >= -1e-12:
+    if lam_min >= -ZERO_TOL:
         raise NotAWitness("operator is positive semidefinite, not a witness")
     if p is None:
         inv = 1.0 / dim
@@ -262,6 +265,6 @@ def spa_witness(w, d1, d2, p=None) -> SpaWitness:
     w_tilde = p * w + ((1.0 - p) / dim) * np.eye(dim)
     # W_tilde is an affine image of W with p >= 0, so its smallest eigenvalue
     # follows from W's.
-    if p * lam_min + (1.0 - p) / dim < -1e-9:
+    if p * lam_min + (1.0 - p) / dim < PSD_FLOOR:
         raise NotAWitness("chosen p leaves the approximated witness non-positive")
     return SpaWitness(w_tilde=w_tilde, p=float(p), r_bound=(1.0 - p) / dim)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import tensor, validate_density
+from .linalg import ZERO_TOL, _checked_dims, _finite, tensor, validate_density
 
 
 def ket(amplitudes, dims):
@@ -20,17 +20,20 @@ def ket(amplitudes, dims):
     Parameters
     ----------
     amplitudes : array_like
-        Complex amplitudes in the computational basis.
+        Finite complex amplitudes in the computational basis.
     dims : list of int
-        Subsystem dimensions (checked against the vector length).
+        Subsystem dimensions, each at least 1; their product must equal the
+        vector length.
 
     Returns
     -------
     numpy.ndarray
     """
     v = np.asarray(amplitudes, dtype=complex)
-    if v.ndim != 1 or v.size != int(np.prod(dims)):
-        raise DimensionError(f"vector length {v.size} does not match dims {dims}")
+    if v.ndim != 1:
+        raise DimensionError(f"expected a vector of amplitudes, got shape {v.shape}")
+    _checked_dims(dims, v.size)
+    _finite(v, "amplitude vector")
     norm = np.linalg.norm(v)
     if norm == 0:
         raise DimensionError("zero vector")
@@ -80,7 +83,7 @@ def x_state(a, b, f):
     Requires ``a + b = 1/2``; positive semidefinite iff ``|f| <= b`` and
     entangled iff ``a < |f| <= b`` with concurrence ``|f| - a``.
     """
-    if abs((a + b) - 0.5) > 1e-12:
+    if abs((a + b) - 0.5) > ZERO_TOL:
         raise DimensionError("x_state needs a + b = 1/2")
     mat = np.diag([a, b, b, a]).astype(complex)
     mat[1, 2] = f
@@ -316,7 +319,7 @@ def ghz_w_mixture(q):
 
 def ghz_w_wtilde_mixture(q1, q2):
     """Three-term mixture ``q1 GHZ + q2 W + (1-q1-q2) W~``."""
-    if q1 < -1e-12 or q2 < -1e-12 or q1 + q2 > 1 + 1e-12:
+    if q1 < -ZERO_TOL or q2 < -ZERO_TOL or q1 + q2 > 1 + ZERO_TOL:
         raise DimensionError("need q1, q2 >= 0 and q1 + q2 <= 1")
     g = ghz_state()
     w = w_state()
@@ -361,7 +364,7 @@ def embed_pair_product(single, single_pos, pair, n=3):
     single : numpy.ndarray
         2x2 density matrix.
     single_pos : int
-        Register position of the single qubit.
+        Register position of the single qubit, ``0 <= single_pos < n``.
     pair : numpy.ndarray
         4x4 density matrix on the remaining qubits in ascending position order.
     n : int
@@ -375,6 +378,8 @@ def embed_pair_product(single, single_pos, pair, n=3):
     rest = int(2 ** (n - 1))
     if pair.shape != (rest, rest):
         raise DimensionError("pair factor has the wrong size for this register")
+    if single_pos not in range(n):
+        raise DimensionError(f"single_pos must lie in [0, {n - 1}], got {single_pos}")
     full = tensor(single, pair).reshape([2] * (2 * n))
     order = list(range(1, n))
     order.insert(single_pos, 0)

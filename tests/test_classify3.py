@@ -75,6 +75,11 @@ class TestCanonicalForm:
             ref = oracle_correlation_tensors(rho.mat)
             assert np.max(np.abs(np.stack([t.Tx, t.Ty, t.Tz]) - ref)) <= 1e-12
 
+    def test_correlation_tensors_reject_a_nan_imaginary_part(self):
+        rho = DensityMatrix(mat=np.full((8, 8), np.nan), dims=(2, 2, 2))
+        with pytest.raises(HermiticityViolation):
+            correlation_tensors(rho)
+
     def test_correlation_tensors_reject_imaginary_expectation(self):
         mat = np.eye(8, dtype=complex) / 8.0
         mat[0, 0] += 1e-3j  # <zzz> picks up an imaginary part

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_product_density
-from qent.errors import DimensionError
+from qent.errors import DimensionError, NonFiniteEntry
 from qent.detect import (
     Outcome,
     bounds_LU,
@@ -94,6 +94,12 @@ class TestSpaCriteria:
         assert v.outcome is Outcome.Entangled
         assert abs(v.evidence - favg) <= 1e-3
         assert abs(v.evidence - (2 * a + b - abs(f)) / 3.0) <= 1e-12
+
+    def test_criterion1_refuses_a_non_finite_bare_state(self):
+        # A NaN state must not become an Inconclusive verdict with NaN evidence.
+        sw = spa_witness(_x_witness(0.25 + 0.25j), 2, 2)
+        with pytest.raises(NonFiniteEntry):
+            criterion1(np.full((4, 4), np.nan), sw)
 
     def test_bounds_lu_sandwich(self):
         rho = x_state(0.1, 0.4, 0.25 + 0.25j)

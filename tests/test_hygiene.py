@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no module
+but ``linalg`` writes a tolerance as a bare literal."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "qent").glob("*.py") if p.name != "__init__.py")
 SOURCES += sorted((ROOT / "tests").glob("*.py"))
+POLICY_SOURCES = sorted(p for p in (ROOT / "src" / "qent").glob("*.py") if p.name != "linalg.py")
 
 
 def unused_imports(source):
@@ -35,3 +37,23 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def tolerance_literals(source):
+    """(line, value) of every float or complex literal in ``source`` with
+    ``0 < |value| < 1e-5``: the size of a tolerance, not of a quantity."""
+    tree = ast.parse(source)
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+                  and 0 < abs(node.value) < 1e-5)
+
+
+def test_scan_finds_a_tolerance_literal():
+    assert tolerance_literals("x = 1e-9\ny = -1e-12 < 2e-3j\nz = 0.5\n") == [(1, 1e-9), (2, 1e-12)]
+    assert tolerance_literals("w = 3e-6j\n") == [(1, 3e-6j)]
+    assert tolerance_literals('"""1e-9"""\nv = 1e-5 + 0.0 + 0 + 2\n') == []
+
+
+@pytest.mark.parametrize("path", POLICY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_tolerances_are_named_in_linalg(path):
+    assert tolerance_literals(path.read_text(encoding="utf-8")) == []

@@ -26,6 +26,7 @@ from qent.errors import (
 from qent.linalg import (
     EIG_RESIDUAL_TOL,
     DensityMatrix,
+    expectation,
     herm_eigenvalues,
     partial_trace,
     partial_transpose,
@@ -268,6 +269,17 @@ class TestValidation:
             validate_density(m, [2, 2])
         with pytest.raises(DensityMatrixError):
             herm_eigenvalues(m)
+
+
+class TestExpectation:
+    def test_rejects_a_non_finite_bare_state(self):
+        with pytest.raises(NonFiniteEntry):
+            expectation(np.eye(4), np.full((4, 4), np.nan))
+
+    def test_rejects_an_imaginary_part(self):
+        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        with pytest.raises(HermiticityViolation):
+            expectation(sy, np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
 class TestSpectrumReuse:

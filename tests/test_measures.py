@@ -179,7 +179,7 @@ class TestNaNAndSolveCounts:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_bipartite_battery_solves_each_matrix_once(self, rng, solve_sizes, d):
-        # rho_A, rho^{T_B} and rho_A (x) I - rho; the state itself was solved
+        # rho^{T_B} and rho_A (x) I - rho; the state itself was solved
         # by its validation and the realigned matrix goes through an SVD.
         rho = random_density(rng, (d, d))
         solve_sizes.clear()
@@ -197,6 +197,6 @@ class TestNaNAndSolveCounts:
         concurrence_lb_chen(rho)
         assert solve_sizes == [d * d]
 
-    def test_three_pi_solves_ten_times(self, rng, solve_sizes):
+    def test_three_pi_solves_four_times(self, rng, solve_sizes):
         three_pi(random_pure(rng, 8))
         assert sorted(solve_sizes) == [4, 4, 4, 8]

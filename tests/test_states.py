@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from qent.detect import Outcome, ppt_check
-from qent.errors import DimensionError
+from qent.errors import DimensionError, NonFiniteEntry
 from qent.linalg import herm_eigenvalues, partial_trace, validate_density
+from qent.measures import concurrence_pure
 from qent.states import (
     bell_phi_plus,
+    embed_pair_product,
     ghz_state,
     ghz_w_wtilde_mixture,
     kay_state,
@@ -29,6 +31,19 @@ class TestVectors:
             ket([1, 0, 0], [2, 2])
         with pytest.raises(DimensionError):
             ket([0, 0, 0, 0], [2, 2])
+
+    @pytest.mark.parametrize("dims", [[2 ** 62 + 1, 4], [-2, -2]])
+    def test_ket_checks_dims_exactly(self, dims):
+        # [2**62 + 1, 4] multiplies to 4 only in wrapped 64-bit arithmetic.
+        with pytest.raises(DimensionError):
+            ket([0.5] * 4, dims)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ket_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(NonFiniteEntry):
+            ket([bad, 1, 0, 0], [2, 2])
+        with pytest.raises(NonFiniteEntry):
+            concurrence_pure([bad, 1, 0, 0], 2, 2)
 
     def test_projector_is_rank_one(self):
         rho = projector(bell_phi_plus(), [2, 2])
@@ -63,6 +78,11 @@ class TestFamilies:
             mat_a = rho.mat.reshape(2, 4, 2, 4)
             cut = validate_density(mat_a.reshape(8, 8), [2, 4])
             assert ppt_check(cut).outcome is Outcome.Inconclusive
+
+    @pytest.mark.parametrize("pos", [-1, 3, 5])
+    def test_embed_pair_product_rejects_a_position_outside_the_register(self, pos):
+        with pytest.raises(DimensionError):
+            embed_pair_product(np.eye(2) / 2, pos, np.eye(4) / 4, n=3)
 
     def test_three_term_mixture_weights(self):
         with pytest.raises(DimensionError):

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qent.cli import EXIT_OK, main, write_state_file
 from qent.detect import Outcome, reduction_check
 from qent.errors import DimensionError
-from qent.linalg import PSD_FLOOR, partial_trace, validate_density
+from qent.linalg import HERM_TOL, PSD_FLOOR, DensityMatrix, partial_trace, validate_density
 from qent.measures import concurrence_lb_chen, negativity, structured_negativity
 from qent.spa import spa_pt_d1d2, spa_pt_dd, spa_pt_three_qubit, spa_pt_two_qubit
 
@@ -44,6 +45,39 @@ class TestMarginalOfAValidState:
         assert verdict.outcome is Outcome.Inconclusive
         # The evidence is lambda_min(rho_A (x) I - rho) itself: -2 delta.
         assert abs(verdict.evidence + 2 * DELTA) <= 1e-15
+
+
+def _near_hermitian_matrix():
+    """``I/8 + (i 4.5e-11 sigma_x) (x) I_4`` on ``[2, 4]``.
+
+    Its Hermiticity deviation, 9e-11, is within ``HERM_TOL``; a partial
+    trace over the second party adds four such entries.
+    """
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return np.eye(8) / 8 + np.kron(1j * 4.5e-11 * sx, np.eye(4))
+
+
+class TestValidatedStatesAreExactlyHermitian:
+    def test_validation_keeps_the_hermitian_part(self):
+        m = _near_hermitian_matrix()
+        assert 0 < np.max(np.abs(m - m.conj().T)) <= HERM_TOL
+        rho = validate_density(m, [2, 4])
+        assert np.array_equal(rho.mat, np.eye(8) / 8)
+
+    def test_marginal_and_reduction_check(self):
+        rho = validate_density(_near_hermitian_matrix(), [2, 4])
+        assert np.array_equal(partial_trace(rho, [0]).spectrum.eigenvalues, [0.5, 0.5])
+        assert reduction_check(rho).outcome is Outcome.Inconclusive
+
+    def test_detect_exits_zero(self, tmp_path):
+        path = tmp_path / "near-hermitian.json"
+        write_state_file(path, DensityMatrix(mat=_near_hermitian_matrix(), dims=(2, 4)))
+        assert main(["detect", str(path)]) == EXIT_OK
+
+    def test_exactly_hermitian_input_keeps_its_bits(self):
+        mat = np.diag([0.1, 0.4, 0.4, 0.1]).astype(complex)
+        mat[1, 2], mat[2, 1] = 0.1 + 0.3j, 0.1 - 0.3j
+        assert validate_density(mat, [2, 2]).mat.tobytes() == mat.tobytes()
 
 
 def _random_state(seed, dims, rank):
@@ -82,6 +116,14 @@ class TestDerivedOutputsAreStates:
             again = validate_density(out.mat, list(out.dims))
             assert np.max(np.abs(out.spectrum.eigenvalues
                                  - again.spectrum.eigenvalues)) <= 1e-12
+
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_outputs_are_exactly_hermitian(self, dims, seed):
+        for out in _derived_outputs(_random_state(seed, dims, math.prod(dims))):
+            assert np.array_equal(out.mat, out.mat.conj().T)
 
 
 class TestPartiesOfDimensionOne:
