@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DimensionError, NotGHZClass
 from .linalg import PARAM_NORM_TOL, SLACK, ZERO_TOL, DensityMatrix, _checked_real, tensor
 from .spa import spa_pt_three_qubit
-from .states import ghz_w_mixture, ghz_w_wtilde_mixture, ket
+from .states import ghz_w_mixture, ghz_w_wtilde_mixture, ket, projector
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -71,13 +71,12 @@ def canonical_state(params: CanonicalThreeQubit):
     l0, l1, l2, l3, l4 = params.lambdas
     v = np.zeros(8, dtype=complex)
     v[[0, 4, 5, 6, 7]] = l0, l1 * np.exp(1j * params.theta), l2, l3, l4
-    return v / np.linalg.norm(v)
+    return ket(v, [2, 2, 2])
 
 
 def canonical_projector(params: CanonicalThreeQubit) -> DensityMatrix:
     """Density matrix of the canonical state."""
-    v = canonical_state(params)
-    return DensityMatrix(mat=np.outer(v, v.conj()), dims=(2, 2, 2))
+    return projector(canonical_state(params), [2, 2, 2])
 
 
 @dataclass(frozen=True)
@@ -354,8 +353,7 @@ def slocc_classify(rho) -> SloccVerdict:
     three at or above the floor gives FullySeparableConsistent.
     """
     if not isinstance(rho, DensityMatrix):
-        v = ket(np.ravel(rho), [2, 2, 2])
-        rho = DensityMatrix(mat=np.outer(v, v.conj()), dims=(2, 2, 2))
+        rho = projector(np.ravel(rho), [2, 2, 2])
     lams = tuple(
         float(spa_pt_three_qubit(rho, q).rho_tilde.spectrum.eigenvalues[0])
         for q in ("A", "B", "C")

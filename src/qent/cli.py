@@ -504,7 +504,8 @@ def build_parser():
     p = sub.add_parser("reproduce", help="regenerate a reference table or curve")
     p.add_argument("table_id", help="one of: " + ", ".join(sorted(TABLES)))
     p.add_argument("--tol", type=tolerance, default=None,
-                   help="per-cell tolerance (default 1e-3 tables, 1e-9 curves)")
+                   help=f"per-cell tolerance (default {TABLE_TOL:g} tables, "
+                        f"{CURVE_TOL:g} curves)")
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_reproduce)
     return parser

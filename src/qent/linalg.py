@@ -19,12 +19,13 @@ of a state is solved at most once: a :class:`DensityMatrix` caches
 * ``rho.realign_norm``, the trace norm of the realigned matrix, which the
   realignment check and the Chen bound both read.
 
-A matrix from a caller is checked once, by :func:`validate_density`, which
-keeps its Hermitian part ``(M + M^H)/2``.  The partial trace of a
+Only :func:`_derived` builds a :class:`DensityMatrix`, unchecked.  A
+caller's matrix reaches it through :func:`validate_density`, which checks it
+once and keeps its Hermitian part ``(M + M^H)/2``.  The partial trace of a
 :class:`DensityMatrix` and the SPA-PT outputs ``shift*I + scale*rho^{T_k}``
-are completely positive, trace preserving images of a validated state, and
-exactly Hermitian, so they are wrapped unchecked; every solve still checks
-its residual.
+(completely positive, trace preserving images of a validated state) and the
+:func:`qent.states.projector` of a checked ket reach it directly; all are
+exactly Hermitian.  Every solve still checks its residual.
 """
 
 from __future__ import annotations
@@ -438,9 +439,9 @@ def validate_density(m, dims):
 
 
 def _derived(mat, dims, spectrum=None):
-    """Wrap ``mat`` unchecked, seeding its spectrum when it is known: for a
-    matrix just validated, or one that a completely positive, trace
-    preserving map built from a validated state."""
+    """Wrap ``mat`` unchecked, seeding its spectrum when it is known: a
+    matrix just validated, a completely positive, trace preserving image of
+    a validated state, or the projector of a checked ket."""
     rho = DensityMatrix(mat=mat, dims=tuple(dims))
     if spectrum is not None:
         # cached_property stores in the instance dict, which the frozen

@@ -24,6 +24,7 @@ from .spa import spa_pt_dd
 from .states import ket, projector
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,7 @@ def concurrence_2q(rho: DensityMatrix) -> MeasureValue:
     """
     if list(rho.dims) != [2, 2]:
         raise DimensionError(f"concurrence_2q needs dims [2, 2], got {list(rho.dims)}")
-    yy = np.kron(_SIGMA_Y, _SIGMA_Y)
-    flipped = yy @ rho.mat.conj() @ yy
+    flipped = _SIGMA_YY @ rho.mat.conj() @ _SIGMA_YY
     # rho @ flipped is similar to the Hermitian PSD matrix
     # sqrt(rho) flipped sqrt(rho), so its spectrum can be taken Hermitianly.
     spec = rho.spectrum

@@ -1,8 +1,9 @@
 """Named state families used across the detection, measure, and
 classification examples.
 
-All constructors return validated :class:`~qent.linalg.DensityMatrix`
-instances (or plain state vectors where noted).  Basis ordering is big-endian
+Mixed families return validated :class:`~qent.linalg.DensityMatrix`
+instances; pure families return vectors from :func:`ket`, which only
+:func:`projector` turns into states.  Basis ordering is big-endian
 computational, subsystem 0 leftmost.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import ZERO_TOL, _checked_dims, _finite, tensor, validate_density
+from .linalg import ZERO_TOL, _checked_dims, _derived, _finite, tensor, validate_density
 
 
 def ket(amplitudes, dims):
@@ -34,16 +35,24 @@ def ket(amplitudes, dims):
         raise DimensionError(f"expected a vector of amplitudes, got shape {v.shape}")
     _checked_dims(dims, v.size)
     _finite(v, "amplitude vector")
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise DimensionError("zero vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        # The squares overflowed or underflowed; an ordinary ket skips this.
+        big = max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))
+        if big == 0:
+            raise DimensionError("zero vector")
+        return ket(v / big, dims)
     return v / norm
 
 
 def projector(psi, dims):
-    """Density matrix |psi><psi| of a (normalized) state vector."""
+    """``|psi><psi|`` of the normalized :func:`ket` of ``psi``, the one way a
+    ket becomes a state: ``(M + M^H)/2`` of the outer product is exactly
+    Hermitian, so it is wrapped unchecked and solved on first use."""
     v = ket(psi, dims)
-    return validate_density(np.outer(v, v.conj()), dims)
+    m = np.outer(v, v.conj())
+    return _derived((m + m.conj().T) / 2, dims)
 
 
 def basis_ket(index, dim):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -27,7 +28,7 @@ from qent.cli import (
     write_state_file,
 )
 from qent.errors import DensityMatrixError, DimensionError
-from qent.linalg import validate_density
+from qent.linalg import CURVE_TOL, TABLE_TOL, validate_density
 from qent.reproduce import TABLES
 from qent.states import (
     ghz_state,
@@ -190,6 +191,11 @@ class TestReproduce:
         report, mismatched = reproduce("2.1", tol=1e-2)
         assert not mismatched
 
+    def test_tol_help_gives_the_default_tolerances(self, capsys):
+        assert main(["reproduce", "--help"]) == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        table, curve = re.search(r"default (\S+) tables, (\S+) curves", help_text).groups()
+        assert (float(table), float(curve)) == (TABLE_TOL, CURVE_TOL)
 
     @pytest.fixture
     def tampered_golden(self, tmp_path, monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, random_product_density
 from qent.errors import DimensionError, NonFiniteEntry
@@ -23,6 +25,7 @@ from qent.spa import spa_pt_two_qubit, spa_witness
 from qent.states import (
     bell_phi_plus,
     horodecki_bound_entangled,
+    isotropic_two_qutrit,
     pptes_two_qutrit,
     werner_state,
     x_state,
@@ -63,6 +66,21 @@ class TestStandardCriteria:
             assert ppt_check(rho).outcome is Outcome.Inconclusive
             assert realignment_check(rho).outcome is Outcome.Inconclusive
             assert reduction_check(rho).outcome is Outcome.Inconclusive
+
+    # PPT is entangled exactly above F = 1/3 on the Werner line and above
+    # alpha = 1/4 on the isotropic two-qutrit line.
+    @pytest.mark.parametrize("family,edge", [(werner_state, 1 / 3),
+                                             (isotropic_two_qutrit, 1 / 4)],
+                             ids=["werner", "isotropic"])
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.floats(min_value=0.0, max_value=1.0),
+           b=st.floats(min_value=0.0, max_value=1.0))
+    def test_ppt_verdict_is_monotone_along_the_line(self, family, edge, a, b):
+        lo, hi = sorted((a, b))
+        if ppt_check(family(lo)).outcome is Outcome.Entangled:
+            assert ppt_check(family(hi)).outcome is Outcome.Entangled
+        assert ppt_check(family(edge - 1e-6)).outcome is Outcome.Inconclusive
+        assert ppt_check(family(edge + 1e-6)).outcome is Outcome.Entangled
 
     def test_realignment_catches_ppt_entangled(self):
         rho = pptes_two_qutrit()

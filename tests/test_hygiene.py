@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never uses, and no module
-but ``linalg`` writes a tolerance as a bare literal."""
+but ``linalg`` writes a tolerance as a bare literal or builds a
+``DensityMatrix`` itself."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,22 @@ def test_scan_finds_a_tolerance_literal():
 @pytest.mark.parametrize("path", POLICY_SOURCES, ids=lambda p: f"src/{p.name}")
 def test_tolerances_are_named_in_linalg(path):
     assert tolerance_literals(path.read_text(encoding="utf-8")) == []
+
+
+def density_matrix_calls(source):
+    """Lines of ``source`` that call ``DensityMatrix`` (by name or attribute)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DensityMatrix")
+
+
+def test_scan_finds_a_density_matrix_call():
+    assert density_matrix_calls("a = DensityMatrix(m, d)\nb = linalg.DensityMatrix(m, d)\n") == [1, 2]
+    assert density_matrix_calls("isinstance(r, DensityMatrix)\nx: DensityMatrix = f()\n") == []
+
+
+@pytest.mark.parametrize("path", POLICY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_states_are_built_in_linalg(path):
+    # A caller's matrix goes through validate_density and a matrix the
+    # library built through linalg._derived; no module wraps one itself.
+    assert density_matrix_calls(path.read_text(encoding="utf-8")) == []

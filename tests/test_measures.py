@@ -107,13 +107,19 @@ class TestStructuredNegativityProperties:
                 assert structured_negativity(rho).value <= 1e-9
 
     def test_p2_local_unitary_invariance(self, rng):
+        # Structured negativity, negativity and the realignment trace norm
+        # are all invariant under local unitaries U (x) V.
         for dims in ((2, 2), (3, 3)):
             rho = random_density(rng, dims)
             base = structured_negativity(rho).value
+            base_neg = negativity(rho).value
+            base_realign = rho.realign_norm
             for _ in range(3):
                 u = tensor(random_unitary(rng, dims[0]), random_unitary(rng, dims[1]))
                 rot = validate_density(u @ rho.mat @ u.conj().T, list(dims))
                 assert abs(structured_negativity(rot).value - base) <= 1e-9
+                assert abs(negativity(rot).value - base_neg) <= 1e-9
+                assert abs(rot.realign_norm - base_realign) <= 1e-9
 
     def test_p3_convexity(self, rng):
         for dims in ((2, 2), (3, 3)):
@@ -197,6 +203,6 @@ class TestNaNAndSolveCounts:
         concurrence_lb_chen(rho)
         assert solve_sizes == [d * d]
 
-    def test_three_pi_solves_four_times(self, rng, solve_sizes):
+    def test_three_pi_solves_three_times(self, rng, solve_sizes):
         three_pi(random_pure(rng, 8))
-        assert sorted(solve_sizes) == [4, 4, 4, 8]
+        assert sorted(solve_sizes) == [4, 4, 4]

@@ -1,5 +1,7 @@
 """Sanity checks for the bundled state constructors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,31 @@ class TestVectors:
             ket([bad, 1, 0, 0], [2, 2])
         with pytest.raises(NonFiniteEntry):
             concurrence_pure([bad, 1, 0, 0], 2, 2)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_ket_of_huge_or_tiny_amplitudes(self, scale):
+        # Their squares overflow to inf or underflow to 0 inside the norm.
+        amps = [scale, scale, 0, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = ket(amps, [2, 2])
+            rho = projector(amps, [2, 2])
+            again = validate_density(rho.mat, [2, 2])
+        assert np.array_equal(v, np.array([1, 1, 0, 0]) / np.sqrt(2))
+        assert np.max(np.abs(rho.spectrum.eigenvalues - again.spectrum.eigenvalues)) <= 1e-15
+
+    def test_concurrence_of_an_overflowing_product_state(self):
+        # |0> (x) |+>: unscaled, the overflowed norm gives the zero vector
+        # and a concurrence of sqrt(2).  The square root of a
+        # rounded 1 - purity leaves 3e-8 on this product state at any scale.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = concurrence_pure([1e200, 1e200, 0, 0], 2, 2).value
+        assert value == concurrence_pure([1, 1, 0, 0], 2, 2).value <= 1e-7
+
+    def test_ordinary_ket_keeps_its_bits(self):
+        amps = np.array([0.3 + 0.1j, -0.2, 0.5j, 0.7])
+        assert ket(amps, [2, 2]).tobytes() == (amps / np.linalg.norm(amps)).tobytes()
 
     def test_projector_is_rank_one(self):
         rho = projector(bell_phi_plus(), [2, 2])

@@ -1,7 +1,7 @@
 """One validation policy: a caller's matrix is checked once, by
 ``validate_density``; what a completely positive, trace preserving map builds
-from a validated state is trusted.  These tests hold the checks that no
-longer run on the library's outputs."""
+from a validated state, and the projector of a checked ket, are trusted.
+These tests hold the checks that no longer run on the library's outputs."""
 
 import itertools
 import math
@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qent.classify3 import CanonicalThreeQubit, canonical_projector
 from qent.cli import EXIT_OK, main, write_state_file
 from qent.detect import Outcome, reduction_check
 from qent.errors import DimensionError
 from qent.linalg import HERM_TOL, PSD_FLOOR, DensityMatrix, partial_trace, validate_density
 from qent.measures import concurrence_lb_chen, negativity, structured_negativity
 from qent.spa import spa_pt_d1d2, spa_pt_dd, spa_pt_three_qubit, spa_pt_two_qubit
+from qent.states import projector
 
 DELTA = 0.9e-9
 
@@ -104,15 +106,35 @@ def _derived_outputs(rho):
     return outs
 
 
+def _pure_outputs(seed, dims, exponent):
+    """The projector of random amplitudes of size ``10**exponent`` and, on
+    three qubits, a canonical projector whose smaller lambdas have that size
+    when it is below 1."""
+    rng = np.random.default_rng(seed)
+    n = math.prod(dims)
+    amps = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** exponent
+    outs = [projector(amps, list(dims))]
+    if dims == (2, 2, 2):
+        lam = rng.uniform(size=5)
+        lam[1:3] *= 10.0 ** min(exponent, 0)
+        lam /= np.linalg.norm(lam)
+        outs.append(canonical_projector(CanonicalThreeQubit(*lam, rng.uniform(0, np.pi))))
+    return outs
+
+
+# Amplitudes whose squares overflow or underflow as well as ordinary ones.
+EXPONENTS = st.sampled_from([0, 170, -170])
+
+
 class TestDerivedOutputsAreStates:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2)])
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-           rank=st.integers(min_value=1, max_value=9))
-    def test_outputs_revalidate_with_the_same_spectrum(self, dims, seed, rank):
+           rank=st.integers(min_value=1, max_value=9), exponent=EXPONENTS)
+    def test_outputs_revalidate_with_the_same_spectrum(self, dims, seed, rank, exponent):
         # Ranks from 1 to full: low ranks put the input on the boundary.
         rho = _random_state(seed, dims, min(rank, math.prod(dims)))
-        for out in _derived_outputs(rho):
+        for out in _derived_outputs(rho) + _pure_outputs(seed, dims, exponent):
             again = validate_density(out.mat, list(out.dims))
             assert np.max(np.abs(out.spectrum.eigenvalues
                                  - again.spectrum.eigenvalues)) <= 1e-12
@@ -120,9 +142,10 @@ class TestDerivedOutputsAreStates:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_outputs_are_exactly_hermitian(self, dims, seed):
-        for out in _derived_outputs(_random_state(seed, dims, math.prod(dims))):
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), exponent=EXPONENTS)
+    def test_outputs_are_exactly_hermitian(self, dims, seed, exponent):
+        outs = _derived_outputs(_random_state(seed, dims, math.prod(dims)))
+        for out in outs + _pure_outputs(seed, dims, exponent):
             assert np.array_equal(out.mat, out.mat.conj().T)
 
 
