@@ -96,6 +96,7 @@ from .spa import (
     spa_pt_dd,
     spa_pt_qutrit_qubit,
     spa_pt_three_qubit,
+    spa_pt_three_qubit_cuts,
     spa_pt_two_qubit,
     spa_witness,
 )

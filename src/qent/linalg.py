@@ -9,8 +9,12 @@ every cut of every state.
 Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
 (``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
 the returned eigenpairs do not satisfy ``H v = lambda v`` to within
-``EIG_RESIDUAL_TOL`` relative to the spectral radius.  Each distinct matrix
-of a state is solved at most once: a :class:`DensityMatrix` caches
+``EIG_RESIDUAL_TOL`` relative to the spectral radius.  It takes one matrix
+or a stack ``(k, n, n)``: a stack is checked once for finite entries and
+Hermiticity, solved by one LAPACK call, and each of its matrices is held to
+the residual bound of its own spectral radius; a single matrix is the
+one-element case.  Each distinct matrix of a state is solved at most once:
+a :class:`DensityMatrix` caches
 
 * ``rho.spectrum``, the spectrum of the state (seeded by its validation);
 * ``rho.pt_spectrum``, the spectrum of the partial transpose over the second
@@ -145,24 +149,26 @@ def tensor(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _as_square(m):
+def _as_square(m, ndims=(2,)):
+    """``m`` as a complex array once it is a nonempty square matrix (or, with
+    ``ndims=(2, 3)``, a stack of them) with finite entries."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ndims or m.shape[-1] != m.shape[-2] or not m.size:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return _finite(m, "matrix")
 
 
 def _finite(a, what):
     """``a`` once every entry is finite."""
-    bad = int(np.count_nonzero(~np.isfinite(a)))
-    if bad:
-        raise NonFiniteEntry(f"{what} has NaN or infinite entries", bad)
+    if not np.isfinite(a).all():
+        raise NonFiniteEntry(f"{what} has NaN or infinite entries",
+                             int(np.count_nonzero(~np.isfinite(a))))
     return a
 
 
 def _herm_dev(m):
-    """Largest entry of ``|m - m^H|``."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Largest entry of ``|m - m^H|`` over a matrix or a stack of them."""
+    return float(abs(m - m.swapaxes(-1, -2).conj()).max())
 
 
 def _checked_real(val):
@@ -314,26 +320,31 @@ def realign(rho, dims=None):
 
 
 def herm_eigenvalues(h):
-    """Real spectrum of a Hermitian matrix (LAPACK ``eigh``).
+    """Real spectrum of a Hermitian matrix, or of each of a stack of them
+    (one LAPACK ``eigh`` call either way).
 
     Parameters
     ----------
     h : array_like
-        Hermitian matrix (checked to ``HERM_TOL``).
+        Hermitian matrix ``(n, n)`` or stack ``(k, n, n)`` (checked to
+        ``HERM_TOL``).
 
     Returns
     -------
-    Spectrum
-        Ascending eigenvalues, eigenvectors, and the achieved residual.
+    Spectrum or tuple of Spectrum
+        Ascending eigenvalues, eigenvectors, and the achieved residual: one
+        :class:`Spectrum` for a matrix, one per matrix for a stack.
 
     Raises
     ------
-    HermiticityViolation
-        If the input is not Hermitian within tolerance.
+    NonFiniteEntry, HermiticityViolation
+        If any matrix has a NaN or infinite entry or is not Hermitian within
+        tolerance.
     EigensolverError
-        If the residual exceeds ``EIG_RESIDUAL_TOL * max(1, max |lambda|)``.
+        If the residual of any matrix exceeds ``EIG_RESIDUAL_TOL * max(1,
+        max |lambda|)``, taken over that matrix's own eigenvalues.
     """
-    m = _as_square(h)
+    m = _as_square(h, (2, 3))
     herm_dev = _herm_dev(m)
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("eigensolver input is not Hermitian", herm_dev)
@@ -342,16 +353,23 @@ def herm_eigenvalues(h):
 
 
 def _checked_spectrum(m, lam, vec):
-    """Wrap eigenpairs of ``m`` as a :class:`Spectrum` once ``m v = lambda v``
-    holds to ``EIG_RESIDUAL_TOL * max(1, max |lambda|)``."""
-    residual = float(np.max(np.abs(m @ vec - vec * lam[np.newaxis, :])))
+    """Wrap eigenpairs of ``m`` (a matrix, or a stack of them with stacked
+    ``lam`` and ``vec``) as :class:`Spectrum` objects once ``m v = lambda v``
+    holds for each matrix to ``EIG_RESIDUAL_TOL * max(1, max |lambda|)`` of
+    its own eigenvalues."""
+    residual = abs(m @ vec - vec * lam[..., np.newaxis, :]).max(axis=(-2, -1))
+    bound = EIG_RESIDUAL_TOL * abs(lam).max(axis=-1, initial=1.0)
     # Written so that a NaN residual fails the check.
-    if not residual <= EIG_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(lam)))):
-        raise EigensolverError("eigensolver residual above tolerance", residual)
+    if not (residual <= bound).all():
+        worst = np.where(residual <= bound, 0.0, residual).max()
+        raise EigensolverError("eigensolver residual above tolerance", float(worst))
     # Read-only, because DensityMatrix.spectrum hands one Spectrum to every caller.
     lam.flags.writeable = False
     vec.flags.writeable = False
-    return Spectrum(eigenvalues=lam, residual=residual, vectors=vec)
+    if m.ndim == 2:
+        return Spectrum(eigenvalues=lam, residual=float(residual), vectors=vec)
+    return tuple(Spectrum(eigenvalues=l, residual=r, vectors=v)
+                 for l, r, v in zip(lam, residual.tolist(), vec))
 
 
 def trace_norm(a):

@@ -19,6 +19,7 @@ from .linalg import (
     _as_square,
     herm_eigenvalues,
     partial_trace,
+    partial_transpose,
 )
 from .spa import spa_pt_dd
 from .states import ket, projector
@@ -67,12 +68,15 @@ def concurrence_pure(psi, d1, d2) -> MeasureValue:
     """Generalized concurrence of a bipartite pure state.
 
     ``sqrt(2 (1 - Tr(rho_A^2)))`` (unit prefactors), which reduces to the
-    two-qubit concurrence on qubit pairs.
+    two-qubit concurrence on qubit pairs.  ``2 (1 - Tr(rho_A^2))`` is
+    computed as ``4 sum_{i<j} s_i^2 s_j^2`` over the Schmidt coefficients
+    ``s_i``, so a product state gives 0 to rounding instead of the square
+    root of a rounding error.
     """
     v = ket(psi, [d1, d2])
-    rho_a = v.reshape(d1, d2) @ v.reshape(d1, d2).conj().T
-    purity = float(np.trace(rho_a @ rho_a).real)
-    return MeasureValue(value=float(np.sqrt(max(0.0, 2.0 * (1.0 - purity)))),
+    p = np.linalg.svd(v.reshape(d1, d2), compute_uv=False) ** 2
+    cross = float(np.triu(np.outer(p, p), 1).sum())
+    return MeasureValue(value=float(np.sqrt(4.0 * cross)),
                         measure="concurrence_pure", d=min(d1, d2))
 
 
@@ -161,10 +165,12 @@ def three_pi(psi) -> MeasureValue:
         det = float(np.linalg.det(marg).real)
         return 2.0 * np.sqrt(max(0.0, det))
 
-    n_pair = {}
-    for pair in ((0, 1), (0, 2), (1, 2)):
-        marg = partial_trace(rho, pair)
-        n_pair[pair] = (_pt_trace_norm(marg) - 1.0) / 2.0
+    pairs = ((0, 1), (0, 2), (1, 2))
+    # One stacked solve of the three pair marginals' partial transposes.
+    pt_spectra = herm_eigenvalues(np.stack(
+        [partial_transpose(partial_trace(rho, pair), 1) for pair in pairs]))
+    n_pair = {pair: (float(np.sum(np.abs(spec.eigenvalues))) - 1.0) / 2.0
+              for pair, spec in zip(pairs, pt_spectra)}
 
     pis = []
     for i in range(3):

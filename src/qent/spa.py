@@ -73,19 +73,21 @@ class SpaWitness:
     r_bound: float
 
 
-def _spa_pt(rho: DensityMatrix, sys, shift, scale) -> DensityMatrix:
-    """``shift*I + scale*rho^{T_sys}`` (``scale > 0``), unchecked: the SPA
-    mixing makes it a completely positive, trace preserving map.  A bipartite
-    cut over the second factor maps ``rho.pt_spectrum`` affinely, with the
-    residual measured against the output; any other cut solves the output.
+def _spa_pt(rho: DensityMatrix, parties, shift, scale):
+    """``shift*I + scale*rho^{T_k}`` (``scale > 0``) for each party ``k`` in
+    ``parties``, unchecked: the SPA mixing makes it a completely positive,
+    trace preserving map.  A bipartite cut over the second factor maps
+    ``rho.pt_spectrum`` affinely, with the residual measured against the
+    output; any other cuts are solved together, as one stack.
     """
-    mat = shift * np.eye(rho.dim) + scale * partial_transpose(rho, sys)
-    if len(rho.dims) == 2 and sys == 1:
+    eye = shift * np.eye(rho.dim)
+    mats = [eye + scale * partial_transpose(rho, k) for k in parties]
+    if len(rho.dims) == 2 and parties == [1]:
         pt = rho.pt_spectrum
-        spec = _checked_spectrum(mat, shift + scale * pt.eigenvalues, pt.vectors)
+        specs = [_checked_spectrum(mats[0], shift + scale * pt.eigenvalues, pt.vectors)]
     else:
-        spec = herm_eigenvalues(mat)
-    return _derived(mat, rho.dims, spec)
+        specs = herm_eigenvalues(np.stack(mats))
+    return [_derived(mat, rho.dims, spec) for mat, spec in zip(mats, specs)]
 
 
 def spa_pt_dd(rho: DensityMatrix, d) -> SpaState:
@@ -99,7 +101,7 @@ def spa_pt_dd(rho: DensityMatrix, d) -> SpaState:
     if list(rho.dims) != [d, d]:
         raise DimensionError(f"expected dims [{d}, {d}], got {list(rho.dims)}")
     k = float(d ** 3 + 1)
-    out = _spa_pt(rho, 1, d / k, 1.0 / k)
+    (out,) = _spa_pt(rho, [1], d / k, 1.0 / k)
     return SpaState(rho_tilde=out, mixing=d ** 3 / k, threshold=d / k)
 
 
@@ -122,7 +124,7 @@ def spa_pt_d1d2(rho: DensityMatrix, d1, d2) -> SpaState:
     lam = 1.0 / m
     denom = 1.0 + lam * m ** 3 * big
     p = lam * m ** 3 * big / denom
-    out = _spa_pt(rho, 1, p / (d1 * d2), 1.0 - p)
+    (out,) = _spa_pt(rho, [1], p / (d1 * d2), 1.0 - p)
     return SpaState(rho_tilde=out, mixing=p, threshold=lam * m * big / denom)
 
 
@@ -207,17 +209,29 @@ def spa_pt_qutrit_qubit(rho: DensityMatrix) -> SpaState:
     return SpaState(rho_tilde=dm, mixing=0.75, threshold=3.0 / 13.0)
 
 
+def _spa_pt_three_qubit(rho: DensityMatrix, parties):
+    """``(1/10) I_8 + (1/5) rho^{T_k}`` for each party ``k`` of a three-qubit
+    state (mixing p = 4/5 is hard-coded: it is the minimal completely
+    positive value and the 1/10 classification threshold assumes it)."""
+    if list(rho.dims) != [2, 2, 2]:
+        raise DimensionError(f"expected dims [2, 2, 2], got {list(rho.dims)}")
+    return tuple(SpaState(rho_tilde=out, mixing=0.8, threshold=0.1)
+                 for out in _spa_pt(rho, parties, 0.1, 0.2))
+
+
 def spa_pt_three_qubit(rho: DensityMatrix, qubit) -> SpaState:
     """SPA of single-qubit partial transposition for a three-qubit state.
 
-    ``rho_tilde = (1/10) I_8 + (1/5) rho^{T_qubit}`` (mixing p = 4/5 is
-    hard-coded: it is the minimal completely positive value and the 1/10
-    classification threshold assumes it).
+    ``rho_tilde = (1/10) I_8 + (1/5) rho^{T_qubit}``; separable cuts satisfy
+    ``lambda_min(rho_tilde) >= 1/10``.
     """
-    if list(rho.dims) != [2, 2, 2]:
-        raise DimensionError(f"expected dims [2, 2, 2], got {list(rho.dims)}")
-    out = _spa_pt(rho, _qubit_party(qubit), 0.1, 0.2)
-    return SpaState(rho_tilde=out, mixing=0.8, threshold=0.1)
+    return _spa_pt_three_qubit(rho, [_qubit_party(qubit)])[0]
+
+
+def spa_pt_three_qubit_cuts(rho: DensityMatrix):
+    """The SPA-PT of a three-qubit state over qubits A, B and C, in that
+    order, from one stacked solve of the three outputs."""
+    return _spa_pt_three_qubit(rho, [0, 1, 2])
 
 
 def spa_witness(w, d1, d2, p=None) -> SpaWitness:

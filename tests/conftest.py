@@ -98,6 +98,18 @@ def oracle_spa_pt_two_qubit(mat):
     return t
 
 
+def oracle_realign(mat, d):
+    """Realignment of a ``[d, d]`` matrix: entry ``((i, j), (k, l))`` of the
+    matrix moves to ``((i, k), (j, l))``."""
+    out = np.zeros_like(mat)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    out[i * d + k, j * d + l] = mat[i * d + j, k * d + l]
+    return out
+
+
 def oracle_partial_trace(mat, keep, dims):
     dims = list(dims)
     n_parties = len(dims)
@@ -199,8 +211,24 @@ def rng():
 
 
 @pytest.fixture
+def eigh_shapes(monkeypatch):
+    """List that records the input shape of every ``np.linalg.eigh`` call,
+    so a stacked solve shows as one call."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(m):
+        shapes.append(np.shape(m))
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return shapes
+
+
+@pytest.fixture
 def solve_sizes(monkeypatch):
-    """List that records the side of every ``herm_eigenvalues`` call.
+    """List that records the side of every matrix ``herm_eigenvalues``
+    solves: one entry for a matrix, and one per matrix of a stacked call.
 
     The counter replaces the solver in every qent module that binds it, so
     calls between modules and through ``DensityMatrix.spectrum`` are seen.
@@ -209,7 +237,8 @@ def solve_sizes(monkeypatch):
     solve = linalg.herm_eigenvalues
 
     def counting(h):
-        sizes.append(np.shape(h)[0])
+        shape = np.shape(h)
+        sizes.extend([shape[-1]] * (shape[0] if len(shape) == 3 else 1))
         return solve(h)
 
     for name, module in list(sys.modules.items()):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import oracle_correlation_tensors, random_density
+from conftest import oracle_correlation_tensors, random_density, random_pure
 from qent.classify3 import (
     CanonicalThreeQubit,
     SloccOutcome,
@@ -22,7 +22,7 @@ from qent.classify3 import (
     subclass_fidelities,
 )
 from qent.errors import DimensionError, HermiticityViolation, NotGHZClass
-from qent.linalg import DensityMatrix, expectation, herm_eigenvalues, partial_trace
+from qent.linalg import SLACK, DensityMatrix, expectation, herm_eigenvalues, partial_trace
 from qent.measures import concurrence_2q, tangle_pure
 from qent.spa import spa_pt_three_qubit
 from qent.states import (
@@ -53,6 +53,15 @@ class TestCanonicalForm:
             CanonicalThreeQubit(1.0, 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(DimensionError):
             CanonicalThreeQubit(0.6, 0.0, 0.0, 0.0, 0.8, theta=4.0)
+
+    @pytest.mark.parametrize("pos", range(6))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_parameters(self, pos, bad):
+        # A NaN lambda once gave subclass S4 with every witness value NaN.
+        args = [0.5, 0.5, 0.5, 0.5, 0.0, 0.0]
+        args[pos] = bad
+        with pytest.raises(DimensionError):
+            CanonicalThreeQubit(*args)
 
     def test_correlation_tensors_vs_kron_oracle(self, rng):
         p = _random_params(rng)
@@ -240,6 +249,18 @@ class TestMixtureAnalysis:
         assert ghz_w_mixture_analysis(0.4).regime == "W-class"
         assert ghz_w_mixture_analysis(0.8).regime == "GHZ-class"
 
+    def test_three_term_branch_bounds_the_minimum_on_the_simplex(self):
+        # Every point of the (q1, q2) grid of step 1/40; the branch equals
+        # the minimum at 352 of the 861 points (see MixtureReport.predicted).
+        reports = [ghz_w_mixture_analysis(i / 40, j / 40)
+                   for i in range(41) for j in range(41 - i)]
+        assert len(reports) == 861
+        assert all(r.predicted >= min(r.lambdas) - SLACK for r in reports)
+        agree = [abs(r.predicted - min(r.lambdas)) <= 1e-9 for r in reports]
+        assert sum(agree) == 352
+        # Another branch dips below only at GHZ weights up to 0.45.
+        assert all(r.q1 <= 0.45 for r, a in zip(reports, agree) if not a)
+
     def test_three_term_branch_is_in_the_spectrum(self):
         from qent.states import ghz_w_wtilde_mixture
         for q1, q2 in ((0.1, 0.1), (0.3, 0.2), (0.5, 0.3), (0.7, 0.1)):
@@ -259,3 +280,11 @@ def test_slocc_classify_solves_three_times(rng, solve_sizes):
     solve_sizes.clear()
     slocc_classify(rho)
     assert solve_sizes == [8, 8, 8]
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_slocc_classify_makes_one_lapack_call(rng, eigh_shapes, pure):
+    rho = random_pure(rng, 8) if pure else random_density(rng, (2, 2, 2))
+    eigh_shapes.clear()
+    slocc_classify(rho)
+    assert eigh_shapes == [(3, 8, 8)]

@@ -154,6 +154,9 @@ class TestCommands:
         assert by_name["subclass"]["verdict"] == "S3"
         assert by_name["witness:H4"]["verdict"] == "negative"
 
+    def test_classify3_non_finite_canonical_is_usage_error(self, capsys):
+        assert main(["classify3", "--canonical", "nan", "0.5", "0.5", "0.5", "0.5"]) == EXIT_USAGE
+
     def test_classify3_needs_exactly_one_input(self, capsys, werner_file):
         assert main(["classify3"]) == EXIT_USAGE
         assert main(["classify3", werner_file, "--canonical",

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, and no module
-but ``linalg`` writes a tolerance as a bare literal or builds a
-``DensityMatrix`` itself."""
+but ``linalg`` writes a tolerance as a bare literal, builds a
+``DensityMatrix`` itself or calls a LAPACK eigensolver."""
 
 import ast
 from pathlib import Path
@@ -77,3 +77,32 @@ def test_states_are_built_in_linalg(path):
     # A caller's matrix goes through validate_density and a matrix the
     # library built through linalg._derived; no module wraps one itself.
     assert density_matrix_calls(path.read_text(encoding="utf-8")) == []
+
+
+EIGENSOLVERS = ("eigh", "eigvalsh", "eig")
+
+
+def eigensolver_calls(source):
+    """(line, name) of every call of ``eigh``, ``eigvalsh`` or ``eig`` in
+    ``source``, by name or attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in EIGENSOLVERS:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_scan_finds_an_eigensolver_call():
+    source = "a = np.linalg.eigh(m)\nb = eigvalsh(m)\nc = numpy.linalg.eig(m)\n"
+    assert eigensolver_calls(source) == [(1, "eigh"), (2, "eigvalsh"), (3, "eig")]
+    assert eigensolver_calls("d = np.linalg.eigvals(m)\ne = herm_eigenvalues(m)\n"
+                             "f = np.linalg.eigh\n") == []
+
+
+@pytest.mark.parametrize("path", POLICY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_eigensolves_go_through_linalg(path):
+    # herm_eigenvalues checks the residual of every matrix it solves, a
+    # stack too; a call of LAPACK elsewhere would go unchecked.
+    assert eigensolver_calls(path.read_text(encoding="utf-8")) == []

@@ -9,6 +9,7 @@ from conftest import (
     oracle_jacobi,
     oracle_partial_trace,
     oracle_partial_transpose,
+    oracle_realign,
     oracle_tensor,
     random_density,
     random_hermitian,
@@ -26,6 +27,7 @@ from qent.errors import (
 from qent.linalg import (
     EIG_RESIDUAL_TOL,
     DensityMatrix,
+    Spectrum,
     expectation,
     herm_eigenvalues,
     partial_trace,
@@ -119,6 +121,78 @@ class TestEigensolver:
         u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
         lam = herm_eigenvalues(u @ np.diag(d) @ u.conj().T).eigenvalues
         assert np.max(np.abs(lam - d)) <= 1e-10
+
+
+def _perturb_eigh(monkeypatch, which, shift):
+    """Make ``np.linalg.eigh`` return, for matrix ``which`` of a stack, its
+    lowest eigenvalue moved by ``shift`` (a residual of about ``shift``)."""
+    eigh = np.linalg.eigh
+
+    def perturbed(m):
+        lam, vec = eigh(m)
+        lam = lam.copy()
+        lam[which, 0] += shift
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 16])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stack_equals_a_loop_of_single_solves(self, rng, n, k):
+        stack = np.stack([random_hermitian(rng, n) for _ in range(k)])
+        spectra = herm_eigenvalues(stack)
+        assert isinstance(spectra, tuple) and len(spectra) == k
+        for h, spec in zip(stack, spectra):
+            one = herm_eigenvalues(h)
+            assert np.array_equal(spec.eigenvalues, one.eigenvalues)
+            assert np.array_equal(spec.vectors, one.vectors)
+            assert spec.residual == one.residual
+            assert not spec.eigenvalues.flags.writeable
+            assert not spec.vectors.flags.writeable
+
+    def test_a_matrix_is_the_one_element_stack(self, rng):
+        h = random_hermitian(rng, 4)
+        one = herm_eigenvalues(h)
+        assert isinstance(one, Spectrum)
+        (first,) = herm_eigenvalues(h[np.newaxis])
+        assert np.array_equal(first.eigenvalues, one.eigenvalues)
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    @pytest.mark.parametrize("bad,error", [
+        (np.nan, NonFiniteEntry), (np.inf, NonFiniteEntry),
+        ("non-hermitian", HermiticityViolation)])
+    def test_a_bad_matrix_anywhere_in_the_stack_raises(self, rng, pos, bad, error):
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(3)])
+        if bad == "non-hermitian":
+            stack[pos, 0, 1] += 1e-6
+        else:
+            stack[pos, 2, 2] = bad
+        with pytest.raises(error):
+            herm_eigenvalues(stack)
+
+    # Matrix 0 has spectral radius 1e6, so its residual bound is 1e-3;
+    # matrix 1's is EIG_RESIDUAL_TOL, from its own spectrum.  Diagonal
+    # matrices make a moved eigenvalue a residual of exactly the shift.
+    _RADII = np.stack([np.diag([1e6, 1.0, 2.0, 3.0]), np.diag([0.1, 0.2, 0.3, 0.4])])
+
+    def test_a_large_matrix_does_not_loosen_the_others_bound(self, monkeypatch):
+        _perturb_eigh(monkeypatch, 1, 1e-6)
+        with pytest.raises(EigensolverError) as err:
+            herm_eigenvalues(self._RADII)
+        assert err.value.magnitude == pytest.approx(1e-6)
+
+    def test_a_large_matrix_keeps_its_own_bound(self, monkeypatch):
+        _perturb_eigh(monkeypatch, 0, 1e-6)
+        big, small = herm_eigenvalues(self._RADII)
+        assert big.residual == pytest.approx(1e-6)
+        assert small.residual <= EIG_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 2, 2), (0, 4, 4), (4,)])
+    def test_rejects_what_is_not_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(DimensionError):
+            herm_eigenvalues(np.zeros(shape))
 
 
 class TestTensorOps:
@@ -224,6 +298,17 @@ class TestPartialTransposeProperties:
         t0 = partial_transpose(m, 0, dims=list(dims))
         t1 = partial_transpose(m, 1, dims=list(dims))
         assert np.array_equal(t0, t1.T)
+
+
+class TestRealignProperties:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=_SEEDS)
+    def test_matches_the_index_loop_oracle(self, d, seed):
+        m = _random_matrix(seed, d * d)
+        assert np.array_equal(realign(m, dims=[d, d]), oracle_realign(m, d))
+        rho = random_density(np.random.default_rng(seed), (d, d))
+        assert np.array_equal(realign(rho), oracle_realign(rho.mat, d))
 
 
 class TestValidation:

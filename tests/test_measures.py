@@ -59,6 +59,23 @@ class TestConcurrence:
         rho = validate_density(np.outer(v, v.conj()), [2, 2])
         assert abs(concurrence_pure(v, 2, 2).value - concurrence_2q(rho).value) <= 1e-7
 
+    @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 3), (4, 2)])
+    def test_pure_product_states_are_zero(self, rng, d1, d2):
+        # 1 - Tr(rho_A^2) once left 2.98e-8 on |0> (x) |+>.
+        plus = np.ones(d2) / np.sqrt(d2)
+        assert concurrence_pure(np.kron(np.eye(d1)[0], plus), d1, d2).value <= 1e-15
+        for _ in range(20):
+            v = np.kron(random_pure(rng, d1), random_pure(rng, d2))
+            assert concurrence_pure(v, d1, d2).value <= 1e-15
+
+    @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 3), (4, 2)])
+    def test_pure_matches_the_purity_formula(self, rng, d1, d2):
+        for _ in range(20):
+            v = random_pure(rng, d1 * d2).reshape(d1, d2)
+            rho_a = v @ v.conj().T
+            ref = np.sqrt(2.0 * (1.0 - np.trace(rho_a @ rho_a).real))
+            assert abs(concurrence_pure(v.reshape(-1), d1, d2).value - ref) <= 1e-12
+
 
 class TestNegativities:
     def test_werner_closed_form(self):
@@ -206,3 +223,7 @@ class TestNaNAndSolveCounts:
     def test_three_pi_solves_three_times(self, rng, solve_sizes):
         three_pi(random_pure(rng, 8))
         assert sorted(solve_sizes) == [4, 4, 4]
+
+    def test_three_pi_makes_one_lapack_call(self, rng, eigh_shapes):
+        three_pi(random_pure(rng, 8))
+        assert eigh_shapes == [(3, 4, 4)]

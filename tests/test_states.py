@@ -61,8 +61,7 @@ class TestVectors:
 
     def test_concurrence_of_an_overflowing_product_state(self):
         # |0> (x) |+>: unscaled, the overflowed norm gives the zero vector
-        # and a concurrence of sqrt(2).  The square root of a
-        # rounded 1 - purity leaves 3e-8 on this product state at any scale.
+        # and a concurrence of sqrt(2).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = concurrence_pure([1e200, 1e200, 0, 0], 2, 2).value
