@@ -23,8 +23,13 @@ import numpy as np
 
 from .errors import DimensionError, NotGHZClass
 from .linalg import PARAM_NORM_TOL, SLACK, ZERO_TOL, DensityMatrix, _checked_real, tensor
-from .spa import spa_pt_three_qubit_cuts
-from .states import ghz_w_mixture, ghz_w_wtilde_mixture, ket, projector
+from .spa import (
+    THREE_QUBIT_SCALE,
+    THREE_QUBIT_SHIFT,
+    THREE_QUBIT_THRESHOLD,
+    spa_pt_three_qubit_cuts,
+)
+from .states import _cut_schmidt_products, ghz_w_mixture, ghz_w_wtilde_mixture, ket, projector
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -61,21 +66,28 @@ class CanonicalThreeQubit:
         # Written so that a NaN lambda fails the check.
         if not abs(s - 1.0) <= PARAM_NORM_TOL:
             raise DimensionError(f"canonical lambdas have squared norm {s}, expected 1")
+        if min(self.lambdas) < 0.0:
+            raise DimensionError(f"canonical lambdas must be nonnegative, got {self.lambdas}")
         if not (0.0 <= self.theta <= np.pi):
             raise DimensionError("theta must lie in [0, pi]")
 
 
-def canonical_state(params: CanonicalThreeQubit):
-    """Amplitude vector of the canonical state (basis |000>..|111>)."""
+def _canonical_amplitudes(params):
+    """Raw amplitudes of the canonical state (basis |000>..|111>)."""
     l0, l1, l2, l3, l4 = params.lambdas
     v = np.zeros(8, dtype=complex)
     v[[0, 4, 5, 6, 7]] = l0, l1 * np.exp(1j * params.theta), l2, l3, l4
-    return ket(v, [2, 2, 2])
+    return v
+
+
+def canonical_state(params: CanonicalThreeQubit):
+    """Amplitude vector of the canonical state (basis |000>..|111>)."""
+    return ket(_canonical_amplitudes(params), [2, 2, 2])
 
 
 def canonical_projector(params: CanonicalThreeQubit) -> DensityMatrix:
-    """Density matrix of the canonical state."""
-    return projector(canonical_state(params), [2, 2, 2])
+    """Density matrix of the canonical state, carrying its ket."""
+    return projector(_canonical_amplitudes(params), [2, 2, 2])
 
 
 @dataclass(frozen=True)
@@ -350,12 +362,32 @@ def slocc_classify(rho) -> SloccVerdict:
     gives Genuine; otherwise the first qubit (A, B, C order) at or above
     the floor names the biseparable cut when another qubit is below; all
     three at or above the floor gives FullySeparableConsistent.
+
+    A mixed state is decided from one stacked solve of its three SPA-PT
+    outputs ``(1/10) I_8 + (1/5) rho^{T_k}``.  A pure state (an amplitude
+    vector, or a projector carrying ``rho.ket``) needs no solve.  Cut
+    ``k | rest`` of a ket has Schmidt coefficients ``s0, s1``, so
+    ``|psi> = s0|a0>|b0> + s1|a1>|b1>`` and ``(|psi><psi|)^{T_k}`` acts as
+    ``s0^2`` and ``s1^2`` on ``|a0*>|b0>`` and ``|a1*>|b1>``, as ``+-s0 s1``
+    on ``|a0*>|b1> +- |a1*>|b0>`` and as 0 on the four remaining
+    dimensions.  Its smallest eigenvalue is ``-s0 s1``, so
+    ``lambda_min = 1/10 - (1/5) s0 s1``, with ``s0 s1 = sqrt(det rho_k)``
+    taken as the norm of the 2x2 minors of the cut's ``2 x 4`` coefficient
+    matrix (Cauchy-Binet), which has no cancellation: a product cut stays
+    at 1/10 to rounding and is never claimed.  The stacked solve is the
+    test oracle of this closed form.
     """
     if not isinstance(rho, DensityMatrix):
         rho = projector(np.ravel(rho), [2, 2, 2])
-    cuts = spa_pt_three_qubit_cuts(rho)
-    lams = tuple(float(cut.rho_tilde.spectrum.eigenvalues[0]) for cut in cuts)
-    below = [lam < cut.threshold - SLACK for lam, cut in zip(lams, cuts)]
+    if rho.ket is None:
+        cuts = spa_pt_three_qubit_cuts(rho)
+        lams = tuple(float(cut.rho_tilde.spectrum.eigenvalues[0]) for cut in cuts)
+    else:
+        if list(rho.dims) != [2, 2, 2]:
+            raise DimensionError(f"expected dims [2, 2, 2], got {list(rho.dims)}")
+        lams = tuple((THREE_QUBIT_SHIFT
+                      - THREE_QUBIT_SCALE * _cut_schmidt_products(rho.ket)).tolist())
+    below = [lam < THREE_QUBIT_THRESHOLD - SLACK for lam in lams]
     if all(below):
         return SloccVerdict(outcome=SloccOutcome.Genuine, lambdas=lams)
     if not any(below):

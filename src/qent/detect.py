@@ -76,9 +76,21 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
 
 def realignment_check(rho: DensityMatrix) -> Verdict:
     """Realignment (CCNR) criterion: trace norm of the realigned matrix
-    above 1 proves entanglement (catches some PPT-entangled states)."""
+    above 1 proves entanglement (catches some PPT-entangled states).
+
+    Realignment ``R`` is linear and ``R(I) = vec(I) vec(I)^T`` has trace
+    norm ``d``.  When validation let ``lambda_min(rho) = -eps`` through,
+    the nearest state is ``rho' = (rho + eps I)/(1 + n eps)`` with
+    ``n = d^2``, and ``R(rho) = (1 + n eps) R(rho') - eps R(I)``.  A
+    separable ``rho'`` has ``|R(rho')|_1 <= 1``, so it allows
+    ``|R(rho)|_1`` up to ``1 + (d^2 + d) eps``; only a norm above that and
+    the slack is ``Entangled``.  The evidence is ``|R(rho)|_1``.
+    """
     lam = rho.realign_norm
-    outcome = Outcome.Entangled if lam > 1.0 + SLACK else Outcome.Inconclusive
+    d = rho.dims[0]
+    eps = max(0.0, -float(rho.spectrum.eigenvalues[0]))
+    entangled = lam > 1.0 + SLACK + (d * d + d) * eps
+    outcome = Outcome.Entangled if entangled else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="realignment")
 
 

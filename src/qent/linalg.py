@@ -25,11 +25,22 @@ a :class:`DensityMatrix` caches
 
 Only :func:`_derived` builds a :class:`DensityMatrix`, unchecked.  A
 caller's matrix reaches it through :func:`validate_density`, which checks it
-once and keeps its Hermitian part ``(M + M^H)/2``.  The partial trace of a
-:class:`DensityMatrix` and the SPA-PT outputs ``shift*I + scale*rho^{T_k}``
-(completely positive, trace preserving images of a validated state) and the
-:func:`qent.states.projector` of a checked ket reach it directly; all are
-exactly Hermitian.  Every solve still checks its residual.
+once and keeps its Hermitian part ``(M + M^H)/2``.  What the library builds
+from checked input reaches it directly, because it is a state by
+construction and exactly Hermitian:
+
+* the partial trace of a :class:`DensityMatrix`;
+* the SPA-PT outputs ``shift*I + scale*rho^{T_k}``, completely positive,
+  trace preserving images of a validated state (the qutrit-qubit element
+  map keeps its trace check, which rejects states outside its family);
+* the :func:`qent.states.projector` of a checked ket;
+* the GHZ/W(/flipped-W) mixtures of :mod:`qent.states`, convex combinations
+  of checked kets with checked weights.
+
+Every solve still checks its residual.  A projector also keeps its
+normalized ket as ``rho.ket`` (``None`` on every other state), so a pure
+three-qubit state is decided from its amplitudes without an eigensolve;
+only :func:`qent.states.projector` sets it.
 """
 
 from __future__ import annotations
@@ -76,10 +87,15 @@ class DensityMatrix:
         Square complex matrix.
     dims : tuple of int
         Subsystem dimensions; their product equals the side length.
+    ket : numpy.ndarray or None
+        The normalized amplitude vector of a pure state built by
+        :func:`qent.states.projector` (``mat`` is its projector); ``None``
+        otherwise.  Private by convention: only :func:`_derived` sets it.
     """
 
     mat: np.ndarray
     dims: tuple
+    ket: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -443,9 +459,7 @@ def validate_density(m, dims):
     herm_dev = _herm_dev(mat)
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("density matrix is not Hermitian", herm_dev)
-    trace_dev = abs(complex(np.trace(mat)) - 1.0)
-    if trace_dev > TRACE_TOL:
-        raise TraceViolation("density matrix trace differs from 1", trace_dev)
+    _unit_trace(mat, "density matrix")
     if herm_dev:
         # Exactly Hermitian from here on, so every map of it is too.
         mat = (mat + mat.conj().T) / 2
@@ -456,11 +470,20 @@ def validate_density(m, dims):
     return _derived(mat, dims, spec)
 
 
-def _derived(mat, dims, spectrum=None):
-    """Wrap ``mat`` unchecked, seeding its spectrum when it is known: a
-    matrix just validated, a completely positive, trace preserving image of
-    a validated state, or the projector of a checked ket."""
-    rho = DensityMatrix(mat=mat, dims=tuple(dims))
+def _unit_trace(mat, what):
+    """``mat`` once its trace is within ``TRACE_TOL`` of 1."""
+    trace_dev = abs(complex(np.trace(mat)) - 1.0)
+    # Written so that a NaN trace fails the check.
+    if not trace_dev <= TRACE_TOL:
+        raise TraceViolation(f"{what} trace differs from 1", trace_dev)
+    return mat
+
+
+def _derived(mat, dims, spectrum=None, ket=None):
+    """Wrap ``mat`` unchecked, seeding its spectrum when it is known and
+    keeping the normalized ``ket`` of a projector: a state by construction
+    (see the module notes)."""
+    rho = DensityMatrix(mat=mat, dims=tuple(dims), ket=ket)
     if spectrum is not None:
         # cached_property stores in the instance dict, which the frozen
         # dataclass's __setattr__ guard does not cover.

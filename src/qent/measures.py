@@ -13,16 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import (
-    PSD_FLOOR,
-    DensityMatrix,
-    _as_square,
-    herm_eigenvalues,
-    partial_trace,
-    partial_transpose,
-)
+from .linalg import PSD_FLOOR, DensityMatrix, _as_square, herm_eigenvalues
 from .spa import spa_pt_dd
-from .states import ket, projector
+from .states import _cut_schmidt_products, ket
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -155,27 +148,28 @@ def three_pi(psi) -> MeasureValue:
     """Three-pi measure of a pure three-qubit state.
 
     ``(pi_a + pi_b + pi_c)/3`` with
-    ``pi_a = N_{A(BC)}^2 - N_{AB}^2 - N_{AC}^2``, where the pairwise
-    negativities use two-qubit marginals and ``N_{A(BC)} = 2 sqrt(det rho_A)``.
+    ``pi_a = N_{A(BC)}^2 - N_{AB}^2 - N_{AC}^2``.  The one-versus-rest
+    negativity is ``N_{A(BC)} = 2 s0 s1`` in the Schmidt coefficients of the
+    cut, taken from the 2x2 minors of its coefficient matrix (see
+    :func:`qent.classify3.slocc_classify`).  The pairwise terms
+    ``N_{AB} = (|rho_AB^{T_B}|_1 - 1)/2`` come from the partial transposes
+    of the three pair marginals, built straight from the ket tensor and
+    solved together as one stack.
     """
-    rho = projector(psi, [2, 2, 2])
-
-    def one_vs_rest(i):
-        marg = partial_trace(rho, [i]).mat
-        det = float(np.linalg.det(marg).real)
-        return 2.0 * np.sqrt(max(0.0, det))
-
-    pairs = ((0, 1), (0, 2), (1, 2))
-    # One stacked solve of the three pair marginals' partial transposes.
-    pt_spectra = herm_eigenvalues(np.stack(
-        [partial_transpose(partial_trace(rho, pair), 1) for pair in pairs]))
-    n_pair = {pair: (float(np.sum(np.abs(spec.eigenvalues))) - 1.0) / 2.0
-              for pair, spec in zip(pairs, pt_spectra)}
-
-    pis = []
-    for i in range(3):
-        n_ij, n_ik = (n_pair[min(i, o), max(i, o)] for o in range(3) if o != i)
-        pis.append(one_vs_rest(i) ** 2 - n_ij ** 2 - n_ik ** 2)
+    t = ket(psi, [2, 2, 2]).reshape(2, 2, 2)
+    # Pairs AB, AC and BC, each with the traced qubit last; entry
+    # [a, b, x, y] of a partial transpose over the second qubit of the pair
+    # is rho_pair[a y, x b] = sum_c t[a, y, c] t*[x, b, c].
+    pair_tensors = np.stack([t, t.transpose(0, 2, 1), t.transpose(1, 2, 0)])
+    pts = np.einsum("payc,pxbc->pabxy", pair_tensors, pair_tensors.conj())
+    pt_spectra = herm_eigenvalues(pts.reshape(3, 4, 4))
+    n_ab, n_ac, n_bc = ((float(np.sum(np.abs(spec.eigenvalues))) - 1.0) / 2.0
+                        for spec in pt_spectra)
+    # N_{k(rest)}^2 = 4 (s0 s1)^2 for k = A, B, C.
+    sq_a, sq_b, sq_c = (4.0 * _cut_schmidt_products(t.ravel()) ** 2).tolist()
+    pis = (sq_a - n_ab ** 2 - n_ac ** 2,
+           sq_b - n_ab ** 2 - n_bc ** 2,
+           sq_c - n_ac ** 2 - n_bc ** 2)
     return MeasureValue(value=sum(pis) / 3.0, measure="three_pi", d=2)
 
 

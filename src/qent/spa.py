@@ -27,9 +27,9 @@ from .linalg import (
     _checked_spectrum,
     _derived,
     _qubit_party,
+    _unit_trace,
     herm_eigenvalues,
     partial_transpose,
-    validate_density,
 )
 
 
@@ -144,7 +144,12 @@ def spa_pt_qutrit_qubit(rho: DensityMatrix) -> SpaState:
     whose off-diagonal blocks satisfy the symmetry of the published family;
     outside that family the element equations do not preserve the trace
     (the excess is ``(3/16) Re[(t13+t24) - (t15+t26) + (t35+t46)]`` in
-    1-indexed entries), and validation will reject the output.
+    1-indexed entries), and the trace check rejects the output with
+    :class:`~qent.errors.TraceViolation`.  That check is the only one the
+    output needs: read with the constant 1 as ``Tr rho``, the map's linear
+    part has a positive semidefinite Choi matrix, and the output is
+    Hermitian by construction, so a unit-trace output is a state.  It is
+    wrapped unchecked and solved on first use.
     """
     if list(rho.dims) != [3, 2]:
         raise DimensionError(f"expected dims [3, 2], got {list(rho.dims)}")
@@ -204,19 +209,26 @@ def spa_pt_qutrit_qubit(rho: DensityMatrix) -> SpaState:
     for i in range(6):
         for j in range(i + 1, 6):
             out[j, i] = np.conj(out[i, j])
-    dm = validate_density(out, [3, 2])
+    dm = _derived(_unit_trace(out, "qutrit-qubit SPA-PT output"), [3, 2])
     # Published 2x3 floor; exposed for reference (see spa_pt_d1d2 notes).
     return SpaState(rho_tilde=dm, mixing=0.75, threshold=3.0 / 13.0)
 
 
+# The three-qubit SPA-PT (1/10) I_8 + (1/5) rho^{T_k}: mixing p = 4/5 is
+# hard-coded, because it is the minimal completely positive value and the
+# 1/10 classification threshold assumes it.
+THREE_QUBIT_SHIFT = 0.1
+THREE_QUBIT_SCALE = 0.2
+THREE_QUBIT_THRESHOLD = 0.1
+
+
 def _spa_pt_three_qubit(rho: DensityMatrix, parties):
     """``(1/10) I_8 + (1/5) rho^{T_k}`` for each party ``k`` of a three-qubit
-    state (mixing p = 4/5 is hard-coded: it is the minimal completely
-    positive value and the 1/10 classification threshold assumes it)."""
+    state."""
     if list(rho.dims) != [2, 2, 2]:
         raise DimensionError(f"expected dims [2, 2, 2], got {list(rho.dims)}")
-    return tuple(SpaState(rho_tilde=out, mixing=0.8, threshold=0.1)
-                 for out in _spa_pt(rho, parties, 0.1, 0.2))
+    return tuple(SpaState(rho_tilde=out, mixing=0.8, threshold=THREE_QUBIT_THRESHOLD)
+                 for out in _spa_pt(rho, parties, THREE_QUBIT_SHIFT, THREE_QUBIT_SCALE))
 
 
 def spa_pt_three_qubit(rho: DensityMatrix, qubit) -> SpaState:

@@ -2,9 +2,11 @@
 classification examples.
 
 Mixed families return validated :class:`~qent.linalg.DensityMatrix`
-instances; pure families return vectors from :func:`ket`, which only
-:func:`projector` turns into states.  Basis ordering is big-endian
-computational, subsystem 0 leftmost.
+instances (the GHZ/W mixtures, convex combinations of checked kets with
+checked weights, are states by construction and are wrapped unchecked);
+pure families return vectors from :func:`ket`, which only :func:`projector`
+turns into states.  Basis ordering is big-endian computational, subsystem 0
+leftmost.
 """
 
 from __future__ import annotations
@@ -49,10 +51,35 @@ def ket(amplitudes, dims):
 def projector(psi, dims):
     """``|psi><psi|`` of the normalized :func:`ket` of ``psi``, the one way a
     ket becomes a state: ``(M + M^H)/2`` of the outer product is exactly
-    Hermitian, so it is wrapped unchecked and solved on first use."""
+    Hermitian, so it is wrapped unchecked, keeps the ket as ``rho.ket`` and
+    is solved on first use."""
     v = ket(psi, dims)
     m = np.outer(v, v.conj())
-    return _derived((m + m.conj().T) / 2, dims)
+    return _derived((m + m.conj().T) / 2, dims, ket=v)
+
+
+# Index pairs (i < j) of the 2x2 minors of a 2x4 matrix.
+_MINOR_COLUMNS = np.triu_indices(4, 1)
+
+
+def _cut_schmidt_products(v):
+    """``s0 s1 = sqrt(det rho_k)`` for the cuts A|BC, B|AC and C|AB of a
+    normalized three-qubit ket ``v``, as an array of three.
+
+    ``s0, s1`` are the Schmidt coefficients of the cut, the singular values
+    of the ``2 x 4`` coefficient matrix ``M`` of qubit ``k`` against the
+    rest, so ``rho_k = M M^H``.  By Cauchy-Binet ``det(M M^H)`` is the sum
+    of ``|M_0i M_1j - M_0j M_1i|^2`` over the column pairs ``i < j``: a sum
+    of squares, with no cancellation, so a product cut gives 0 to rounding
+    (``rho_00 rho_11 - |rho_01|^2`` leaves ~1e-16 there, ~1e-8 after the
+    square root).
+    """
+    t = v.reshape(2, 2, 2)
+    m = np.stack([t.reshape(2, 4), t.transpose(1, 0, 2).reshape(2, 4),
+                  t.transpose(2, 0, 1).reshape(2, 4)])
+    i, j = _MINOR_COLUMNS
+    minors = m[:, 0, i] * m[:, 1, j] - m[:, 0, j] * m[:, 1, i]
+    return np.linalg.norm(minors, axis=1)
 
 
 def basis_ket(index, dim):
@@ -319,23 +346,32 @@ def ghz_corner_mixture(q):
 
 
 def ghz_w_mixture(q):
-    """Two-term mixture ``q GHZ + (1-q) W`` of the standard GHZ and W states."""
+    """Two-term mixture ``q GHZ + (1-q) W`` of the standard GHZ and W states.
+
+    A convex combination of checked kets is a state by construction, so once
+    ``0 <= q <= 1`` it is wrapped unchecked and solved on first use.
+    """
+    # Written so that a NaN weight fails the check.
+    if not -ZERO_TOL <= q <= 1 + ZERO_TOL:
+        raise DimensionError(f"need 0 <= q <= 1, got {q}")
     g = ghz_state()
     w = w_state()
     mat = q * np.outer(g, g.conj()) + (1.0 - q) * np.outer(w, w.conj())
-    return validate_density(mat, [2, 2, 2])
+    return _derived(mat, [2, 2, 2])
 
 
 def ghz_w_wtilde_mixture(q1, q2):
-    """Three-term mixture ``q1 GHZ + q2 W + (1-q1-q2) W~``."""
-    if q1 < -ZERO_TOL or q2 < -ZERO_TOL or q1 + q2 > 1 + ZERO_TOL:
+    """Three-term mixture ``q1 GHZ + q2 W + (1-q1-q2) W~``, wrapped unchecked
+    like :func:`ghz_w_mixture` once the weights are a probability vector."""
+    # Written so that a NaN weight fails the check.
+    if not (q1 >= -ZERO_TOL and q2 >= -ZERO_TOL and q1 + q2 <= 1 + ZERO_TOL):
         raise DimensionError("need q1, q2 >= 0 and q1 + q2 <= 1")
     g = ghz_state()
     w = w_state()
     wt = w_tilde_state()
     mat = q1 * np.outer(g, g.conj()) + q2 * np.outer(w, w.conj()) \
         + (1.0 - q1 - q2) * np.outer(wt, wt.conj())
-    return validate_density(mat, [2, 2, 2])
+    return _derived(mat, [2, 2, 2])
 
 
 def maximal_slice_state(c, d):

@@ -5,7 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import oracle_correlation_tensors, random_density, random_pure
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import oracle_correlation_tensors, random_density, random_pure, random_unitary
 from qent.classify3 import (
     CanonicalThreeQubit,
     SloccOutcome,
@@ -22,7 +25,14 @@ from qent.classify3 import (
     subclass_fidelities,
 )
 from qent.errors import DimensionError, HermiticityViolation, NotGHZClass
-from qent.linalg import SLACK, DensityMatrix, expectation, herm_eigenvalues, partial_trace
+from qent.linalg import (
+    SLACK,
+    DensityMatrix,
+    expectation,
+    herm_eigenvalues,
+    partial_trace,
+    validate_density,
+)
 from qent.measures import concurrence_2q, tangle_pure
 from qent.spa import spa_pt_three_qubit
 from qent.states import (
@@ -30,8 +40,11 @@ from qent.states import (
     g2_state,
     ghz_corner_mixture,
     ghz_state,
+    ghz_w_mixture,
+    ghz_w_wtilde_mixture,
     ghz_werner_state,
     kay_state,
+    projector,
     two_term_product_mixture,
 )
 
@@ -53,6 +66,15 @@ class TestCanonicalForm:
             CanonicalThreeQubit(1.0, 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(DimensionError):
             CanonicalThreeQubit(0.6, 0.0, 0.0, 0.0, 0.8, theta=4.0)
+
+    @pytest.mark.parametrize("pos", range(5))
+    def test_rejects_a_negative_lambda(self, pos):
+        # (-0.6, 0, 0, 0, 0.8) once gave all eight witnesses negative.
+        args = [0.6, 0.0, 0.0, 0.0, 0.0]
+        args[pos or 4] = 0.8
+        args[pos] = -args[pos]
+        with pytest.raises(DimensionError):
+            CanonicalThreeQubit(*args)
 
     @pytest.mark.parametrize("pos", range(6))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -287,4 +309,72 @@ def test_slocc_classify_makes_one_lapack_call(rng, eigh_shapes, pure):
     rho = random_pure(rng, 8) if pure else random_density(rng, (2, 2, 2))
     eigh_shapes.clear()
     slocc_classify(rho)
-    assert eigh_shapes == [(3, 8, 8)]
+    # A ket is decided from its Schmidt coefficients, with no solve.
+    assert eigh_shapes == ([] if pure else [(3, 8, 8)])
+
+
+def test_canonical_projector_is_classified_without_a_solve(rng, solve_sizes):
+    rho = canonical_projector(_random_params(rng))
+    slocc_classify(rho)
+    assert solve_sizes == []
+
+
+@pytest.mark.parametrize("build", [lambda: ghz_w_mixture(0.4),
+                                   lambda: ghz_w_wtilde_mixture(0.3, 0.2)],
+                         ids=["two-term", "three-term"])
+def test_ghz_w_mixtures_are_solved_only_by_the_classifier(solve_sizes, build):
+    rho = build()
+    assert solve_sizes == []
+    slocc_classify(rho)
+    assert solve_sizes == [8, 8, 8]
+
+
+def _local_unitary(rng):
+    u = [random_unitary(rng, 2) for _ in range(3)]
+    return np.kron(np.kron(u[0], u[1]), u[2])
+
+
+def _product_across(rng, cut):
+    """Random ket that is a product of qubit ``cut`` and the other two,
+    under random local unitaries."""
+    t = np.multiply.outer(random_pure(rng, 2), random_pure(rng, 4).reshape(2, 2))
+    order = [1, 2]
+    order.insert(cut, 0)
+    return _local_unitary(rng) @ t.transpose(order).ravel()
+
+
+def _pure_case(rng, kind):
+    """(ket or projector carrying one, the same state without its ket)."""
+    if kind == "canonical":
+        lam = rng.uniform(0.0, 1.0, size=5)
+        lam[[0, 4]] += 0.2
+        rho = canonical_projector(CanonicalThreeQubit(*(lam / np.linalg.norm(lam)),
+                                                      rng.uniform(0.0, np.pi)))
+        return rho, rho.ket
+    v = random_pure(rng, 8) if kind == "random" else _product_across(rng, kind)
+    return v, v / np.linalg.norm(v)
+
+
+class TestPureStateClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           kind=st.sampled_from(["random", "canonical", 0, 1, 2]))
+    def test_equals_the_stacked_spa_pt_path(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        pure, v = _pure_case(rng, kind)
+        got = slocc_classify(pure)
+        want = slocc_classify(validate_density(np.outer(v, v.conj()), [2, 2, 2]))
+        assert max(abs(a - b) for a, b in zip(got.lambdas, want.lambdas)) <= 1e-12
+        assert got.outcome is want.outcome
+        if kind in (0, 1, 2):
+            # A product cut is never claimed.
+            assert got.lambdas[kind] >= 0.1 - SLACK
+            assert got.outcome is not SloccOutcome.Genuine
+
+    def test_vector_and_projector_agree(self, rng):
+        v = random_pure(rng, 8)
+        assert slocc_classify(v) == slocc_classify(projector(v, [2, 2, 2]))
+
+    def test_projector_of_another_shape_is_refused(self, rng):
+        with pytest.raises(DimensionError):
+            slocc_classify(projector(random_pure(rng, 8), [2, 4]))

@@ -157,6 +157,10 @@ class TestCommands:
     def test_classify3_non_finite_canonical_is_usage_error(self, capsys):
         assert main(["classify3", "--canonical", "nan", "0.5", "0.5", "0.5", "0.5"]) == EXIT_USAGE
 
+    def test_classify3_negative_canonical_is_usage_error(self, capsys):
+        # Exited 0 with every witness negative before.
+        assert main(["classify3", "--canonical", "-0.6", "0", "0", "0", "0.8"]) == EXIT_USAGE
+
     def test_classify3_needs_exactly_one_input(self, capsys, werner_file):
         assert main(["classify3"]) == EXIT_USAGE
         assert main(["classify3", werner_file, "--canonical",

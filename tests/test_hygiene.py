@@ -1,6 +1,7 @@
-"""Source hygiene: no module imports a name it never uses, and no module
+"""Source hygiene: no module imports a name it never uses; no module
 but ``linalg`` writes a tolerance as a bare literal, builds a
-``DensityMatrix`` itself or calls a LAPACK eigensolver."""
+``DensityMatrix`` itself or calls a LAPACK eigensolver; and only
+``states.projector`` hands a ket to ``linalg._derived``."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,45 @@ def test_eigensolves_go_through_linalg(path):
     # herm_eigenvalues checks the residual of every matrix it solves, a
     # stack too; a call of LAPACK elsewhere would go unchecked.
     assert eigensolver_calls(path.read_text(encoding="utf-8")) == []
+
+
+def ket_passing_calls(source):
+    """(enclosing function, line) of every ``_derived`` call in ``source``
+    that passes a ket or may pass one: by keyword, as a fourth positional
+    argument, or through ``*args`` or ``**kwargs``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == "_derived"
+                    and (len(child.args) > 3
+                         or any(isinstance(a, ast.Starred) for a in child.args)
+                         or any(k.arg in ("ket", None) for k in child.keywords))):
+                found.append((func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_scan_finds_a_ket_passed_to_derived():
+    source = ("def projector(v):\n    return _derived(m, d, ket=v)\n"
+              "def other(v):\n    return linalg._derived(m, d, None, v)\n"
+              "def fine(v):\n    return _derived(m, d, spec), _derived(m, d, spectrum=s)\n"
+              "def packed(a, kw):\n    return _derived(*a), _derived(m, d, **kw)\n")
+    assert ket_passing_calls(source) == [("other", 4), ("packed", 8), ("packed", 8),
+                                         ("projector", 2)]
+    assert ket_passing_calls("x = _derived(m, d, ket=v)\n") == [(None, 1)]
+
+
+def test_only_the_projector_passes_a_ket():
+    # The pure-state closed forms trust rho.ket to be the normalized ket of
+    # rho.mat; states.projector builds both from one checked ket.
+    found = {(path.name, func)
+             for path in sorted((ROOT / "src" / "qent").glob("*.py"))
+             for func, _ in ket_passing_calls(path.read_text(encoding="utf-8"))}
+    assert found == {("states.py", "projector")}

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_density, random_product_density, random_pure, random_unitary
 from qent.detect import ppt_check, realignment_check, reduction_check
 from qent.errors import DimensionError
-from qent.linalg import tensor, validate_density
+from qent.linalg import partial_trace, tensor, validate_density
 from qent.measures import (
     MeasureValue,
     concurrence_2q,
@@ -158,6 +158,29 @@ class TestThreeQubitMeasures:
     def test_three_pi_values(self):
         assert abs(three_pi(ghz_state()).value - 1.0) <= 1e-9
         assert three_pi(w_state()).value > 0.0
+
+    def test_three_pi_equals_negativities_of_validated_cuts(self, rng):
+        # N_{A(BC)} = |rho^{T_A}|_1 - 1, the negativity of the [2, 4] state;
+        # three_pi takes N_{AB} = (|rho_AB^{T_B}|_1 - 1)/2, half the negativity
+        # of the marginal.
+        for _ in range(50):
+            v = random_pure(rng, 8)
+            t = v.reshape(2, 2, 2)
+            n = {}
+            for order in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+                w = t.transpose(order).ravel()
+                n[order[0]] = negativity(validate_density(np.outer(w, w.conj()), [2, 4])).value
+            for pair in ((0, 1), (0, 2), (1, 2)):
+                marg = partial_trace(np.outer(v, v.conj()), pair, [2, 2, 2])
+                n[pair] = n[pair[::-1]] = negativity(marg).value / 2.0
+            pis = [n[0] ** 2 - n[0, 1] ** 2 - n[0, 2] ** 2,
+                   n[1] ** 2 - n[1, 0] ** 2 - n[1, 2] ** 2,
+                   n[2] ** 2 - n[2, 0] ** 2 - n[2, 1] ** 2]
+            assert abs(three_pi(v).value - sum(pis) / 3.0) <= 1e-12
+
+    def test_three_pi_of_a_product_state_is_zero(self, rng):
+        v = np.kron(np.kron(random_pure(rng, 2), random_pure(rng, 2)), random_pure(rng, 2))
+        assert three_pi(v).value <= 1e-15
 
     def test_tangle_of_tilted_ghz(self):
         for a in (0.3, 0.5, 1 / np.sqrt(2)):

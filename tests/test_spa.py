@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qent
 from conftest import oracle_spa_pt_two_qubit, random_density
 from qent import linalg, spa
-from qent.errors import EigensolverError, NotAWitness
+from qent.errors import EigensolverError, NotAWitness, TraceViolation
 from qent.linalg import (
     PSD_FLOOR,
     Spectrum,
@@ -200,6 +200,20 @@ class TestQutritQubitMap:
         s = spa_pt_qutrit_qubit(qutrit_qubit_alpha_state(0.3))
         lam = herm_eigenvalues(s.rho_tilde.mat).eigenvalues
         assert lam[0] >= -1e-12
+
+    @pytest.mark.parametrize("alpha", [i / 20 for i in range(21)])
+    def test_family_outputs_revalidate_with_the_same_spectrum(self, solve_sizes, alpha):
+        rho = qutrit_qubit_alpha_state(alpha)
+        solve_sizes.clear()
+        out = spa_pt_qutrit_qubit(rho).rho_tilde
+        # Wrapped unchecked: solved on first use, not by the map.
+        assert solve_sizes == []
+        again = validate_density(out.mat, [3, 2])
+        assert np.max(np.abs(out.spectrum.eigenvalues - again.spectrum.eigenvalues)) <= 1e-12
+
+    def test_state_outside_the_family_is_refused(self, rng):
+        with pytest.raises(TraceViolation):
+            spa_pt_qutrit_qubit(random_density(rng, (3, 2)))
 
 
 class TestWitnessSmoothing:

@@ -4,6 +4,7 @@ from a validated state, and the projector of a checked ket, are trusted.
 These tests hold the checks that no longer run on the library's outputs."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -13,12 +14,19 @@ from hypothesis import strategies as st
 
 from qent.classify3 import CanonicalThreeQubit, canonical_projector
 from qent.cli import EXIT_OK, main, write_state_file
-from qent.detect import Outcome, reduction_check
+from qent.detect import Outcome, realignment_check, reduction_check
 from qent.errors import DimensionError
-from qent.linalg import HERM_TOL, PSD_FLOOR, DensityMatrix, partial_trace, validate_density
+from qent.linalg import (
+    HERM_TOL,
+    PSD_FLOOR,
+    SLACK,
+    DensityMatrix,
+    partial_trace,
+    validate_density,
+)
 from qent.measures import concurrence_lb_chen, negativity, structured_negativity
 from qent.spa import spa_pt_d1d2, spa_pt_dd, spa_pt_three_qubit, spa_pt_two_qubit
-from qent.states import projector
+from qent.states import ghz_w_mixture, ghz_w_wtilde_mixture, horodecki_bound_entangled, projector
 
 DELTA = 0.9e-9
 
@@ -47,6 +55,37 @@ class TestMarginalOfAValidState:
         assert verdict.outcome is Outcome.Inconclusive
         # The evidence is lambda_min(rho_A (x) I - rho) itself: -2 delta.
         assert abs(verdict.evidence + 2 * DELTA) <= 1e-15
+
+
+def _floor_product_state(d, eps=0.99e-9):
+    """``(1 + n eps)|00><00| - eps I`` on ``[d, d]``: validation lets its
+    eigenvalue ``-eps`` through, and its nearest state is ``|00><00|``."""
+    n = d * d
+    mat = -eps * np.eye(n, dtype=complex)
+    mat[0, 0] += 1.0 + n * eps
+    return validate_density(mat, [d, d])
+
+
+class TestRealignmentAtTheValidationFloor:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_product_state_is_inconclusive(self, d):
+        # Was Entangled, with evidence 1 + 3.96e-9, 1 + 9.9e-9 and 1 + 1.78e-8.
+        verdict = realignment_check(_floor_product_state(d))
+        assert verdict.evidence > 1.0 + SLACK
+        assert verdict.evidence <= 1.0 + SLACK + (d * d + d) * 0.99e-9
+        assert verdict.outcome is Outcome.Inconclusive
+
+    def test_detect_reports_no_entanglement(self, tmp_path, capsys):
+        path = tmp_path / "floor.json"
+        write_state_file(path, _floor_product_state(2))
+        capsys.readouterr()
+        assert main(["detect", str(path)]) == EXIT_OK
+        outcomes = {r["name"]: r["verdict"] for r in json.loads(capsys.readouterr().out)["results"]}
+        assert "Entangled" not in outcomes.values()
+
+    def test_entangled_states_are_still_detected(self):
+        rho = horodecki_bound_entangled(0.3)
+        assert realignment_check(rho).outcome is Outcome.Entangled
 
 
 def _near_hermitian_matrix():
@@ -91,7 +130,8 @@ def _random_state(seed, dims, rank):
 
 def _derived_outputs(rho):
     """Every partial trace and every SPA-PT output of ``rho`` except the
-    qutrit-qubit closed form, which ``validate_density`` still checks."""
+    qutrit-qubit closed form, which holds for its published family only
+    (tested in ``test_spa.py``)."""
     n = len(rho.dims)
     outs = [partial_trace(rho, keep)
             for r in range(1, n + 1) for keep in itertools.combinations(range(n), r)]
@@ -147,6 +187,41 @@ class TestDerivedOutputsAreStates:
         outs = _derived_outputs(_random_state(seed, dims, math.prod(dims)))
         for out in outs + _pure_outputs(seed, dims, exponent):
             assert np.array_equal(out.mat, out.mat.conj().T)
+
+    def test_ghz_w_mixtures_revalidate_with_the_same_spectrum(self):
+        outs = [ghz_w_mixture(q) for q in np.linspace(0.0, 1.0, 11)]
+        outs += [ghz_w_wtilde_mixture(i / 10, j / 10) for i in range(11) for j in range(11 - i)]
+        for out in outs:
+            again = validate_density(out.mat, list(out.dims))
+            assert np.array_equal(out.mat, out.mat.conj().T)
+            assert np.max(np.abs(out.spectrum.eigenvalues
+                                 - again.spectrum.eigenvalues)) <= 1e-12
+
+    @pytest.mark.parametrize("weights", [(-0.1,), (1.1,), (np.nan,), (0.7, 0.5),
+                                         (-0.1, 0.5), (np.nan, 0.5), (0.5, np.nan)])
+    def test_ghz_w_mixtures_check_their_weights(self, weights):
+        # ghz_w_mixture raised NegativityViolation from validation before.
+        build = ghz_w_mixture if len(weights) == 1 else ghz_w_wtilde_mixture
+        with pytest.raises(DimensionError):
+            build(*weights)
+
+
+class TestProjectorKeepsItsKet:
+    def test_ket_is_the_normalized_amplitudes(self):
+        amps = np.array([3.0, 0, 0, 0, 0, 0, 0, 4.0j])
+        rho = projector(amps, [2, 2, 2])
+        assert np.array_equal(rho.ket, amps / 5.0)
+        assert np.allclose(np.outer(rho.ket, rho.ket.conj()), rho.mat, rtol=0.0, atol=1e-16)
+
+    def test_other_states_carry_none(self):
+        rho = validate_density(np.eye(4) / 4, [2, 2])
+        assert rho.ket is None
+        assert partial_trace(projector(np.ones(8), [2, 2, 2]), [0, 1]).ket is None
+
+    def test_ket_is_left_out_of_repr_and_equality(self):
+        rho = projector(np.ones(4), [2, 2])
+        assert "ket" not in repr(rho)
+        assert rho.__dataclass_fields__["ket"].compare is False
 
 
 class TestPartiesOfDimensionOne:
