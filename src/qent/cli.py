@@ -28,6 +28,7 @@ error (density-matrix invariant violation or golden-data mismatch).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -93,12 +94,18 @@ def _positive_int(d):
     return (type(d) is int or type(d) is float and d.is_integer()) and d >= 1
 
 
-def _cell(cell):
-    """A matrix cell: a list of exactly two JSON numbers (``true`` is not one)."""
-    if (type(cell) is not list or len(cell) != 2
-            or type(cell[0]) not in (int, float) or type(cell[1]) not in (int, float)):
-        raise ValueError(f"cell {cell!r} is not an [re, im] pair of numbers")
-    return complex(cell[0], cell[1])
+def _matrix(rows):
+    """The complex matrix of a ``matrix`` field: rows of ``[re, im]`` pairs of
+    JSON numbers (``true`` is not one).  A field with no cells at all, such as
+    ``[]`` or ``[[]]``, gives an empty array, which validation refuses."""
+    cells = np.array(rows, dtype=object)
+    if not cells.size and cells.ndim < 3:
+        return np.zeros(cells.shape, dtype=complex)
+    if (cells.ndim != 3 or cells.shape[-1] != 2
+            or not set(map(type, cells.flat)) <= {int, float}):
+        raise ValueError("not a matrix of [re, im] pairs of numbers")
+    # An [re, im] pair of float64 is laid out as one complex128.
+    return cells.astype(float).view(complex)[..., 0]
 
 
 def parse_state_file(path):
@@ -126,11 +133,8 @@ def parse_state_file(path):
         raise ParseError(f"{path}: field 'dims' must be a nonempty list of positive "
                          f"integers, got {dims!r}")
     try:
-        mat = np.array(
-            [[_cell(cell) for cell in row] for row in doc["matrix"]],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, LookupError, OverflowError) as exc:
+        mat = _matrix(doc["matrix"])
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: field 'matrix' must hold [re, im] pairs ({exc})") from None
     if not np.all(np.isfinite(mat)):
         raise ParseError(f"{path}: field 'matrix' has NaN or infinite entries")
@@ -251,8 +255,16 @@ def _criterion1_entry(rho: DensityMatrix):
     return _verdict_entry(_criterion1(rho, spa_witness(w, rho.dims[0], rho.dims[1])))
 
 
+@functools.lru_cache(maxsize=1)
+def _two_qubit_spa(rho):
+    """The SPA-PT state and the concurrence of a two-qubit state, shared by
+    criteria 2 and 3.  A :class:`DensityMatrix` hashes by identity, and the
+    one entry holds the state it was made from."""
+    return spa_pt_two_qubit(rho), concurrence_2q(rho).value
+
+
 def _two_qubit_spa_entry(criterion, rho):
-    return _verdict_entry(criterion(rho, spa_pt_two_qubit(rho), concurrence_2q(rho).value))
+    return _verdict_entry(criterion(rho, *_two_qubit_spa(rho)))
 
 
 _CRITERIA = {

@@ -24,7 +24,6 @@ from .linalg import (
     expectation,
     herm_eigenvalues,
     partial_transpose,
-    partial_trace,
 )
 from .spa import SpaState, SpaWitness
 from .states import projector
@@ -106,9 +105,10 @@ def reduction_check(rho: DensityMatrix) -> Verdict:
     """
     if len(rho.dims) != 2:
         raise DimensionError("reduction_check needs a bipartite state")
-    d1 = rho.dims[1]
+    d0, d1 = rho.dims
+    rho_a = np.trace(rho.mat.reshape(d0, d1, d0, d1), axis1=1, axis2=3)
     # rho_A (x) I by broadcasting: np.kron's bits at a quarter of its cost.
-    rho_a_i = partial_trace(rho, [0]).mat[:, None, :, None] * np.eye(d1)[None, :, None, :]
+    rho_a_i = rho_a[:, None, :, None] * np.eye(d1)[None, :, None, :]
     lam = float(herm_eigenvalues(rho_a_i.reshape(rho.mat.shape) - rho.mat).eigenvalues[0])
     eps = max(0.0, -float(rho.spectrum.eigenvalues[0]))
     outcome = Outcome.Entangled if lam < -SLACK - (d1 - 1) * eps else Outcome.Inconclusive

@@ -10,16 +10,20 @@ Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
 (``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
 the returned eigenpairs do not satisfy ``H v = lambda v`` to within
 ``EIG_RESIDUAL_TOL`` relative to the spectral radius.  It takes one matrix
-or a stack ``(k, n, n)``: a stack is checked once for finite entries and
-Hermiticity, solved by one LAPACK call, and each of its matrices is held to
-the residual bound of its own spectral radius; a single matrix is the
+or a stack ``(k, n, n)``: a stack is checked for finite entries and
+Hermiticity in one pass (a NaN or infinite entry makes the Hermiticity
+deviation NaN or infinite, so only a failing deviation is scanned for
+them), solved by one LAPACK call, and each of its matrices is held to the
+residual bound of its own spectral radius; a single matrix is the
 one-element case.  Each distinct matrix of a state is solved at most once:
 a :class:`DensityMatrix` caches
 
 * ``rho.spectrum``, the spectrum of the state (seeded by its validation);
 * ``rho.pt_spectrum``, the spectrum of the partial transpose over the second
-  factor, which the PPT check, negativity, the Chen bound, the NPT witness and
-  the SPA-PT maps all read;
+  factor, which the PPT check, negativity, structured negativity, the Chen
+  bound, the NPT witness and the SPA-PT maps all read (structured
+  negativity maps its smallest eigenvalue affinely, without building the
+  SPA-PT output);
 * ``rho.realign_norm``, the trace norm of the realigned matrix, which the
   realignment check and the Chen bound both read.
 
@@ -73,13 +77,15 @@ TABLE_TOL = 1e-3  # per-cell tolerance of a reproduced golden table
 CURVE_TOL = 1e-9  # per-cell tolerance of a reproduced golden curve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix with its subsystem dimension list.
 
     A caller's matrix becomes one through :func:`validate_density`, which
     enforces hermiticity, unit trace, and positive semidefiniteness; the
     maps of this package wrap their outputs unchecked (see the module notes).
+    Instances compare and hash by identity (``==`` of two arrays is not a
+    truth value), so a state can key a cache.
 
     Attributes
     ----------
@@ -165,13 +171,19 @@ def tensor(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _as_square(m, ndims=(2,)):
+def _square(m, ndims=(2,)):
     """``m`` as a complex array once it is a nonempty square matrix (or, with
-    ``ndims=(2, 3)``, a stack of them) with finite entries."""
+    ``ndims=(2, 3)``, a stack of them)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim not in ndims or m.shape[-1] != m.shape[-2] or not m.size:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return _finite(m, "matrix")
+    return m
+
+
+def _as_square(m, ndims=(2,)):
+    """``m`` as a complex array once it is a nonempty square matrix (or, with
+    ``ndims=(2, 3)``, a stack of them) with finite entries."""
+    return _finite(_square(m, ndims), "matrix")
 
 
 def _finite(a, what):
@@ -187,13 +199,27 @@ def _herm_dev(m):
     return float(abs(m - m.swapaxes(-1, -2).conj()).max())
 
 
+def _finite_herm_dev(m):
+    """``_herm_dev(m)``, once every entry of ``m`` is finite.
+
+    A NaN or infinite entry makes its entry of ``m - m^H`` NaN or infinite,
+    and so the deviation; only a deviation that is not within ``HERM_TOL``
+    needs the scan for them, which then wins over the Hermiticity error.
+    """
+    herm_dev = _herm_dev(m)
+    if not herm_dev <= HERM_TOL:
+        _finite(m, "matrix")
+    return herm_dev
+
+
 def _checked_real(val):
     """Real part of a complex scalar or array of expectation values, once
-    every imaginary part is within ``IMAG_TOL`` (a NaN one is not)."""
-    imag = float(np.max(np.abs(np.imag(val))))
+    every imaginary part is within ``IMAG_TOL`` (a NaN one is not).  A
+    Python ``complex`` is checked without a numpy round trip."""
+    imag = abs(val.imag) if isinstance(val, complex) else float(np.abs(val.imag).max())
     if not imag <= IMAG_TOL:
         raise HermiticityViolation("expectation value has an imaginary part", imag)
-    return np.real(val)
+    return val.real
 
 
 def _checked_dims(dims, side):
@@ -360,8 +386,8 @@ def herm_eigenvalues(h):
         If the residual of any matrix exceeds ``EIG_RESIDUAL_TOL * max(1,
         max |lambda|)``, taken over that matrix's own eigenvalues.
     """
-    m = _as_square(h, (2, 3))
-    herm_dev = _herm_dev(m)
+    m = _square(h, (2, 3))
+    herm_dev = _finite_herm_dev(m)
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("eigensolver input is not Hermitian", herm_dev)
     lam, vec = np.linalg.eigh(m)
@@ -403,8 +429,8 @@ def trace_norm(a):
     -------
     float
     """
-    m = _as_square(a)
-    if _herm_dev(m) <= HERM_TOL:
+    m = _square(a)
+    if _finite_herm_dev(m) <= HERM_TOL:
         return float(np.sum(np.abs(herm_eigenvalues(m).eigenvalues)))
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
@@ -428,7 +454,7 @@ def expectation(h, rho):
     mat = rho.mat if isinstance(rho, DensityMatrix) else _as_square(rho)
     if hm.shape != mat.shape:
         raise DimensionError(f"operator shape {hm.shape} != state shape {mat.shape}")
-    return float(_checked_real(complex(np.trace(hm @ mat))))
+    return _checked_real(complex(np.trace(hm @ mat)))
 
 
 def validate_density(m, dims):
@@ -454,9 +480,9 @@ def validate_density(m, dims):
     NonFiniteEntry, HermiticityViolation, TraceViolation, NegativityViolation
         With the offending magnitude attached.
     """
-    mat = _as_square(m)
+    mat = _square(m)
+    herm_dev = _finite_herm_dev(mat)
     dims = _checked_dims(dims, mat.shape[0])
-    herm_dev = _herm_dev(mat)
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("density matrix is not Hermitian", herm_dev)
     _unit_trace(mat, "density matrix")

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .linalg import PSD_FLOOR, DensityMatrix, _as_square, herm_eigenvalues
-from .spa import spa_pt_dd
+from .errors import DimensionError, EigensolverError
+from .linalg import EIG_RESIDUAL_TOL, PSD_FLOOR, DensityMatrix, _as_square, herm_eigenvalues
+from .spa import _dd_coefficients
 from .states import _cut_schmidt_products, ket
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -102,17 +102,32 @@ def negativity(rho: DensityMatrix) -> MeasureValue:
 def structured_negativity(rho: DensityMatrix) -> MeasureValue:
     """Structured negativity ``K max(d/(d^3+1) - lambda_min(rho_tilde), 0)``.
 
-    ``K = d (d^3 + 1)`` and ``rho_tilde`` is the SPA-PT of the state — an
-    experimentally accessible analogue of negativity (they coincide for two
-    qubits).
+    ``K = d (d^3 + 1)`` and ``rho_tilde = shift I + scale rho^{T_B}`` is the
+    SPA-PT of the state (:func:`qent.spa.spa_pt_dd`) — an experimentally
+    accessible analogue of negativity (they coincide for two qubits).  With
+    ``scale > 0``, ``lambda_min(rho_tilde) = shift + scale lambda_min`` of
+    ``rho.pt_spectrum``, so ``rho_tilde`` is not built.
+
+    The eigenpairs of ``rho^{T_B}`` are eigenpairs of ``rho_tilde``:
+    ``rho_tilde v - (shift + scale lambda) v = scale (rho^{T_B} v - lambda
+    v)``, so their residual against ``rho_tilde`` is ``scale`` times the
+    checked ``rho.pt_spectrum.residual``.  That product is held to the bound
+    :func:`qent.linalg.herm_eigenvalues` puts on a solve of ``rho_tilde``,
+    ``EIG_RESIDUAL_TOL max(1, max |lambda_tilde|)``.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DimensionError("structured negativity needs dims [d, d]")
     d = _party_dim(rho, rho.dims[0], "structured negativity")
-    spa = spa_pt_dd(rho, d)
-    lam = float(spa.rho_tilde.spectrum.eigenvalues[0])
+    shift, scale, threshold, _ = _dd_coefficients(d)
+    pt = rho.pt_spectrum
+    lam = shift + scale * float(pt.eigenvalues[0])
+    lam_max = shift + scale * float(pt.eigenvalues[-1])
+    residual = scale * pt.residual
+    # Written so that a NaN residual fails the check.
+    if not residual <= EIG_RESIDUAL_TOL * max(1.0, abs(lam), abs(lam_max)):
+        raise EigensolverError("eigensolver residual above tolerance", residual)
     k = d * (d ** 3 + 1)
-    return MeasureValue(value=k * max(spa.threshold - lam, 0.0),
+    return MeasureValue(value=k * max(threshold - lam, 0.0),
                         measure="structured_negativity", d=d)
 
 

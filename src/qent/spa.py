@@ -90,19 +90,31 @@ def _spa_pt(rho: DensityMatrix, parties, shift, scale):
     return [_derived(mat, rho.dims, spec) for mat, spec in zip(mats, specs)]
 
 
+def _dd_coefficients(d):
+    """``(shift, scale, threshold, mixing)`` of the ``d (x) d`` SPA-PT
+    ``rho_tilde = shift I + scale rho^{T_B}``: ``shift = d/(d^3+1)``,
+    ``scale = 1/(d^3+1)``, the separability threshold ``d/(d^3+1)`` (a
+    separable ``rho`` has ``rho^{T_B} >= 0``) and the mixing
+    ``d^3/(d^3+1)``."""
+    k = float(d ** 3 + 1)
+    return d / k, 1.0 / k, d / k, d ** 3 / k
+
+
 def spa_pt_dd(rho: DensityMatrix, d) -> SpaState:
     """SPA-PT for a ``d (x) d`` state.
 
     ``rho_tilde = (d/(d^3+1)) I + (1/(d^3+1)) rho^{T_B}``; separable states
     satisfy ``lambda_min(rho_tilde) >= d/(d^3+1)``.  The output's spectrum is
-    the affine image of ``rho.pt_spectrum``.
+    the affine image of ``rho.pt_spectrum``, its residual measured against
+    the output.  :func:`qent.measures.structured_negativity` maps only the
+    smallest eigenvalue, with the same coefficients, and builds no output.
     """
     d = int(d)
     if list(rho.dims) != [d, d]:
         raise DimensionError(f"expected dims [{d}, {d}], got {list(rho.dims)}")
-    k = float(d ** 3 + 1)
-    (out,) = _spa_pt(rho, [1], d / k, 1.0 / k)
-    return SpaState(rho_tilde=out, mixing=d ** 3 / k, threshold=d / k)
+    shift, scale, threshold, mixing = _dd_coefficients(d)
+    (out,) = _spa_pt(rho, [1], shift, scale)
+    return SpaState(rho_tilde=out, mixing=mixing, threshold=threshold)
 
 
 def spa_pt_d1d2(rho: DensityMatrix, d1, d2) -> SpaState:

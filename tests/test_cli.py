@@ -86,6 +86,51 @@ class TestStateFiles:
         assert main(["detect", str(path)]) == EXIT_PARSE
         assert main(["measure", str(path)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("matrix, code", [
+        ([], EXIT_VALIDATION),
+        ([[]], EXIT_VALIDATION),
+        ([[], []], EXIT_VALIDATION),
+        ([[[1, 0], [0, 0]]], EXIT_VALIDATION),
+        ([[[]]], EXIT_PARSE),
+        ([[[1, 0]], []], EXIT_PARSE),
+        ([[[1, 0], [1]]], EXIT_PARSE),
+        ([[[[1], [0]]]], EXIT_PARSE),
+        ([[{"re": 1}]], EXIT_PARSE),
+        ([1, 0], EXIT_PARSE),
+        (True, EXIT_PARSE),
+        ("1", EXIT_PARSE),
+        ([[[1, 0, 0]]], EXIT_PARSE),
+        ([[[1, None]]], EXIT_PARSE),
+        ([[["1", 0]]], EXIT_PARSE),
+        (float("inf"), EXIT_PARSE),
+        ([[[float("inf"), 0]]], EXIT_PARSE),
+        (float("nan"), EXIT_PARSE),
+        ([[[float("nan"), 0]]], EXIT_PARSE),
+        ([[[1, 0]]], EXIT_OK),
+        ([[[1.0, -0.0]]], EXIT_OK),
+    ])
+    def test_matrix_shapes_and_cells_exit_codes(self, capsys, tmp_path, matrix, code):
+        path = tmp_path / "shape.json"
+        # json.dumps writes inf as Infinity, which json.load reads back as 1e400 does.
+        path.write_text(json.dumps({"dims": [1], "matrix": matrix}))
+        assert main(["measure", str(path)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out == "") == (code != EXIT_OK)
+
+    def test_integer_and_float_cells_parse_alike(self, tmp_path, werner_file):
+        with open(werner_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["matrix"] = [[[int(x) if x.is_integer() else x for x in cell] for cell in row]
+                         for row in doc["matrix"]]
+        doc["matrix"][0][1] = [0, -0.0]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        _, rho = parse_state_file(str(path))
+        _, want = parse_state_file(werner_file)
+        assert np.signbit(rho.mat[0, 1].imag)
+        rho.mat[0, 1] = want.mat[0, 1]
+        assert rho.mat.tobytes() == want.mat.tobytes()
+
     def test_validation_error_exit_code(self, tmp_path):
         doc = state_document(werner_state(0.5))
         doc["matrix"][0][0] = [0.9, 0.0]  # breaks unit trace
@@ -108,6 +153,22 @@ class TestCommands:
         assert abs(by_name["ppt"]["value"] + 0.125) <= 1e-12
         assert set(by_name) == {"ppt", "realignment", "reduction"} \
             or len(by_name) == 3
+
+    @pytest.mark.parametrize("flags, solves", [
+        # validation, rho^{T_B} and the spin-flip matrix
+        (["--criterion2", "--criterion3"], 3),
+        # ... and the realigned matrix, rho_A (x) I - rho and the witness
+        (["--ppt", "--realign", "--reduce", "--criterion1", "--criterion2", "--criterion3"], 6),
+    ])
+    def test_spa_criteria_share_one_spa_state_and_concurrence(
+            self, capsys, solve_sizes, werner_file, flags, solves):
+        solve_sizes.clear()
+        assert main(["detect", werner_file] + flags) == EXIT_OK
+        assert solve_sizes == [4] * solves
+        both = json.loads(capsys.readouterr().out)["results"]
+        alone = [self._run(capsys, ["detect", werner_file, flag])[1]["results"][0]
+                 for flag in flags]
+        assert both == alone
 
     def test_detect_report_is_byte_stable(self, capsys, werner_file):
         main(["detect", werner_file])

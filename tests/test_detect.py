@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_product_density
+from qent import detect
 from qent.errors import DimensionError, NonFiniteEntry
 from qent.detect import (
     Outcome,
@@ -19,7 +20,7 @@ from qent.detect import (
     reduction_check,
     witness_from_pure,
 )
-from qent.linalg import herm_eigenvalues, partial_transpose
+from qent.linalg import herm_eigenvalues, partial_trace, partial_transpose
 from qent.measures import concurrence_2q
 from qent.spa import spa_pt_two_qubit, spa_witness
 from qent.states import (
@@ -36,6 +37,21 @@ def _x_witness(f):
     k = -f / abs(f)
     psi = np.array([k, 0, 0, 1.0], dtype=complex) / np.sqrt(2.0)
     return witness_from_pure(psi, 1, [2, 2])
+
+
+def test_reduction_uses_the_partial_trace_bits(rng, monkeypatch):
+    # rho_A (x) I - rho, built from partial_trace, is the matrix solved.
+    seen = []
+    monkeypatch.setattr(detect, "herm_eigenvalues",
+                        lambda h: seen.append(h) or herm_eigenvalues(h))
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4)):
+        rho = random_density(rng, dims)
+        rho_a = partial_trace(rho, [0]).mat
+        want = np.kron(rho_a, np.eye(dims[1])) - rho.mat
+        seen.clear()
+        reduction_check(rho)
+        (got,) = seen
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStandardCriteria:

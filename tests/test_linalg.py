@@ -356,6 +356,52 @@ class TestValidation:
             herm_eigenvalues(m)
 
 
+# An infinite entry may make numpy warn of an invalid subtraction while the
+# Hermiticity deviation is formed, before the finiteness scan raises.
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteBeforeHermiticity:
+    _BAD = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, np.inf)]
+
+    @staticmethod
+    def _spoil(m, bad, where):
+        m = m.copy()
+        i, j = where
+        m[..., i, j] = bad
+        if where == (0, 2):
+            m[..., j, i] = np.conj(bad)  # the Hermitian partner is spoiled too
+        return m
+
+    @pytest.mark.parametrize("where", [(1, 1), (0, 3), (0, 2)])
+    @pytest.mark.parametrize("bad", _BAD)
+    def test_single_and_stacked_inputs(self, rng, bad, where):
+        h = random_hermitian(rng, 4)
+        with pytest.raises(NonFiniteEntry):
+            herm_eigenvalues(self._spoil(h, bad, where))
+        stack = np.stack([h, h, h])
+        stack[1] = self._spoil(h, bad, where)
+        with pytest.raises(NonFiniteEntry):
+            herm_eigenvalues(stack)
+        with pytest.raises(NonFiniteEntry):
+            trace_norm(self._spoil(h, bad, where))
+
+    @pytest.mark.parametrize("where", [(1, 1), (0, 3), (0, 2)])
+    @pytest.mark.parametrize("bad", _BAD)
+    def test_validation_raises_it_before_dims_and_hermiticity(self, bad, where):
+        m = self._spoil(np.eye(4, dtype=complex) / 4.0, bad, where)
+        m[1, 2] += 1e-3  # not Hermitian either
+        for dims in ([2, 2], [2, 3]):
+            with pytest.raises(NonFiniteEntry):
+                validate_density(m, dims)
+
+    def test_finite_input_keeps_the_order_dims_then_hermiticity(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[1, 2] += 1e-3
+        with pytest.raises(DimensionError):
+            validate_density(m, [2, 3])
+        with pytest.raises(HermiticityViolation):
+            validate_density(m, [2, 2])
+
+
 class TestExpectation:
     def test_rejects_a_non_finite_bare_state(self):
         with pytest.raises(NonFiniteEntry):
@@ -365,6 +411,15 @@ class TestExpectation:
         sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
         with pytest.raises(HermiticityViolation):
             expectation(sy, np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+
+class TestIdentity:
+    def test_states_compare_and_hash_by_identity(self):
+        a = validate_density(np.eye(4) / 4, [2, 2])
+        b = validate_density(np.eye(4) / 4, [2, 2])
+        assert a != b
+        assert a == a
+        assert len({a, b, a}) == 2
 
 
 class TestSpectrumReuse:

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_density, random_product_density, random_pure, random_unitary
 from qent.detect import ppt_check, realignment_check, reduction_check
-from qent.errors import DimensionError
-from qent.linalg import partial_trace, tensor, validate_density
+from qent.errors import DimensionError, EigensolverError
+from qent.linalg import EIG_RESIDUAL_TOL, Spectrum, partial_trace, tensor, validate_density
 from qent.measures import (
     MeasureValue,
     concurrence_2q,
@@ -18,6 +18,7 @@ from qent.measures import (
     tangle_pure,
     three_pi,
 )
+from qent.spa import spa_pt_dd
 from qent.states import (
     bell_phi_plus,
     ghz_state,
@@ -148,6 +149,48 @@ class TestStructuredNegativityProperties:
                 rhs = (p * structured_negativity(r1).value
                        + (1 - p) * structured_negativity(r2).value)
                 assert lhs <= rhs + 1e-9
+
+
+class TestStructuredNegativityFromThePtSpectrum:
+    @staticmethod
+    def _states(rng, d):
+        return ([random_density(rng, (d, d)) for _ in range(4)]
+                + [random_product_density(rng, (d, d)) for _ in range(4)])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equals_the_spa_pt_output_bit_for_bit(self, rng, d):
+        for rho in self._states(rng, d):
+            spa = spa_pt_dd(rho, d)
+            lam = float(spa.rho_tilde.spectrum.eigenvalues[0])
+            want = d * (d ** 3 + 1) * max(spa.threshold - lam, 0.0)
+            assert structured_negativity(rho).value.hex() == want.hex()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_cached_pt_spectrum_needs_no_lapack_call(self, rng, eigh_shapes, d):
+        rho = random_density(rng, (d, d))
+        rho.pt_spectrum
+        eigh_shapes.clear()
+        structured_negativity(rho)
+        assert eigh_shapes == []
+
+    @pytest.mark.parametrize("factor, raises", [(1.0 - 1e-9, False), (1.0 + 1e-6, True),
+                                                 (float("nan"), True)])
+    def test_the_pt_residual_is_held_to_the_spa_pt_bound(self, rng, factor, raises):
+        # scale * residual against EIG_RESIDUAL_TOL * max(1, max |lambda_tilde|).
+        d = 3
+        rho = random_density(rng, (d, d))
+        spec = rho.pt_spectrum
+        scale = 1.0 / (d ** 3 + 1)
+        lam_tilde = d * scale + scale * spec.eigenvalues
+        bound = EIG_RESIDUAL_TOL * max(1.0, float(np.abs(lam_tilde).max()))
+        # cached_property reads the instance dict first.
+        rho.__dict__["pt_spectrum"] = Spectrum(spec.eigenvalues, factor * bound / scale,
+                                               spec.vectors)
+        if raises:
+            with pytest.raises(EigensolverError):
+                structured_negativity(rho)
+        else:
+            structured_negativity(rho)
 
 
 class TestThreeQubitMeasures:
