@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionError, NotGHZClass
 from .linalg import PARAM_NORM_TOL, SLACK, ZERO_TOL, DensityMatrix, _checked_real, tensor
 from .spa import (
@@ -106,8 +107,7 @@ class CorrelationTensor:
 
 def correlation_tensors(rho: DensityMatrix) -> CorrelationTensor:
     """Correlation tensors of a three-qubit state."""
-    if list(rho.dims) != [2, 2, 2]:
-        raise DimensionError("correlation tensors need dims [2, 2, 2]")
+    linalg.THREE_QUBIT.require(rho.dims, "correlation_tensors")
     # Tr(rho P_w (x) P_c (x) P_r) with rho indexed [a b c, a' b' c'].
     t = np.einsum("abcxyz,wxa,kyb,rzc->wrk", rho.mat.reshape((2,) * 6),
                   _PAULI_STACK, _PAULI_STACK, _PAULI_STACK)
@@ -377,16 +377,16 @@ def slocc_classify(rho) -> SloccVerdict:
     at 1/10 to rounding and is never claimed.  The stacked solve is the
     test oracle of this closed form.
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = projector(np.ravel(rho), [2, 2, 2])
-    if rho.ket is None:
+    if isinstance(rho, DensityMatrix):
+        linalg.THREE_QUBIT.require(rho.dims, "slocc_classify")
+        v = rho.ket
+    else:
+        v = ket(np.ravel(rho), [2, 2, 2])
+    if v is None:
         cuts = spa_pt_three_qubit_cuts(rho)
         lams = tuple(float(cut.rho_tilde.spectrum.eigenvalues[0]) for cut in cuts)
     else:
-        if list(rho.dims) != [2, 2, 2]:
-            raise DimensionError(f"expected dims [2, 2, 2], got {list(rho.dims)}")
-        lams = tuple((THREE_QUBIT_SHIFT
-                      - THREE_QUBIT_SCALE * _cut_schmidt_products(rho.ket)).tolist())
+        lams = tuple((THREE_QUBIT_SHIFT - THREE_QUBIT_SCALE * _cut_schmidt_products(v)).tolist())
     below = [lam < THREE_QUBIT_THRESHOLD - SLACK for lam in lams]
     if all(below):
         return SloccVerdict(outcome=SloccOutcome.Genuine, lambdas=lams)

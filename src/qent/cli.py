@@ -15,11 +15,12 @@ entries are ``[re, im]`` pairs), plus an optional ``label``.  Reports are
 printed as deterministic JSON (sorted keys, native float repr) so identical
 inputs produce byte-identical output.
 
-The criteria of ``detect`` and the measures of ``measure`` are tables that
-name, for each entry, the states it accepts.  With no names given, a command
-runs every default entry that accepts the state; a name given for a state it
-does not accept is a usage error, raised before anything is computed.
-:func:`main` builds the argument parser on its first call and reuses it.
+The criteria of ``detect`` and the measures of ``measure`` are tables whose
+entries name the :class:`~qent.linalg.Shape` their library function requires
+(``tangle`` and ``three-pi`` also need a pure state).  With no names given, a
+command runs every default entry that fits the state; a name that does not
+fit is a usage error, raised before anything is computed.  :func:`main`
+builds the argument parser on its first call and reuses it.
 
 Exit codes: 0 success, 1 usage error, 2 file parse error, 3 validation
 error (density-matrix invariant violation or golden-data mismatch).
@@ -39,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .classify3 import (
     CanonicalThreeQubit,
     canonical_projector,
@@ -203,45 +204,39 @@ def _pure_vector(rho: DensityMatrix):
     return rho.spectrum.vectors[:, -1]
 
 
-class _Dims(NamedTuple):
-    """The states a criterion or measure accepts."""
-
-    phrase: str      # completes "<name> needs ..." in the usage error
-    fits: Callable   # state -> bool
-
-
-_ANY = _Dims("a state", lambda rho: True)
-_BIPARTITE = _Dims("a bipartite state", lambda rho: len(rho.dims) == 2)
-_SQUARE = _Dims("dims [d, d]", lambda rho: len(rho.dims) == 2 and rho.dims[0] == rho.dims[1])
-_TWO_QUBIT = _Dims("a two-qubit state", lambda rho: rho.dims == (2, 2))
-# The measures normalize by d - 1, so a party of dimension 1 does not fit them.
-_PROPER_BIPARTITE = _Dims("two parties of dimension at least 2",
-                          lambda rho: len(rho.dims) == 2 and min(rho.dims) >= 2)
-_PROPER_SQUARE = _Dims("dims [d, d] with d >= 2",
-                       lambda rho: len(rho.dims) == 2 and rho.dims[0] == rho.dims[1] >= 2)
-_PURE_THREE_QUBIT = _Dims("a pure three-qubit state",
-                          lambda rho: rho.dims == (2, 2, 2) and _pure_vector(rho) is not None)
+def _require(shape: linalg.Shape, rho, name):
+    """A usage error unless ``rho`` has the dims that ``name`` needs."""
+    try:
+        shape.require(rho.dims, name)
+    except DimensionError as exc:
+        raise UsageError(str(exc)) from None
 
 
 class _Entry(NamedTuple):
-    """One criterion or measure.  ``run`` calls through this module's globals,
-    so a wrapper bound to one of those names (``bench/tracer.py`` binds them)
-    sees the call."""
+    """One criterion or measure, with the :class:`~qent.linalg.Shape` its
+    library function requires; ``pure`` entries take a pure state only.
+    ``run`` calls through this module's globals, so a wrapper bound to one
+    of those names (``bench/tracer.py`` binds them) sees the call."""
 
     run: Callable
-    dims: _Dims
+    shape: linalg.Shape
     default: bool = True
     help: str = ""
+    pure: bool = False
+
+    def fits(self, rho):
+        return self.shape.fits(rho.dims) and (not self.pure or _pure_vector(rho) is not None)
 
 
 def _select(table, names, rho):
     """The entries of ``table`` to run on ``rho``: ``names`` if given, else
     every default entry that fits ``rho``, in table order."""
     if not names:
-        return [name for name, e in table.items() if e.default and e.dims.fits(rho)]
+        return [name for name, e in table.items() if e.default and e.fits(rho)]
     for name in names:
-        if not table[name].dims.fits(rho):
-            raise UsageError(f"{name} needs {table[name].dims.phrase}")
+        _require(table[name].shape, rho, name)
+        if not table[name].fits(rho):
+            raise UsageError(f"{name} needs a pure state")
     return names
 
 
@@ -268,34 +263,33 @@ def _two_qubit_spa_entry(criterion, rho):
 
 
 _CRITERIA = {
-    "ppt": _Entry(lambda rho: _verdict_entry(ppt_check(rho)), _BIPARTITE,
+    "ppt": _Entry(lambda rho: _verdict_entry(ppt_check(rho)), linalg.BIPARTITE,
                   help="partial-transpose criterion"),
-    "realign": _Entry(lambda rho: _verdict_entry(realignment_check(rho)), _SQUARE,
+    "realign": _Entry(lambda rho: _verdict_entry(realignment_check(rho)), linalg.SQUARE,
                       help="realignment criterion"),
-    "reduce": _Entry(lambda rho: _verdict_entry(reduction_check(rho)), _BIPARTITE,
+    "reduce": _Entry(lambda rho: _verdict_entry(reduction_check(rho)), linalg.BIPARTITE,
                      help="reduction criterion"),
-    "criterion1": _Entry(_criterion1_entry, _BIPARTITE, False, "SPA witness criterion"),
-    "criterion2": _Entry(lambda rho: _two_qubit_spa_entry(_criterion2, rho), _TWO_QUBIT,
+    "criterion1": _Entry(_criterion1_entry, linalg.BIPARTITE, False, "SPA witness criterion"),
+    "criterion2": _Entry(lambda rho: _two_qubit_spa_entry(_criterion2, rho), linalg.TWO_QUBIT,
                          False, "SPA eigenvalue-floor check (two-qubit)"),
-    "criterion3": _Entry(lambda rho: _two_qubit_spa_entry(_criterion3, rho), _TWO_QUBIT,
+    "criterion3": _Entry(lambda rho: _two_qubit_spa_entry(_criterion3, rho), linalg.TWO_QUBIT,
                          False, "SPA tightened upper-bound criterion (two-qubit)"),
 }
 
 _MEASURES = {
-    "negativity": _Entry(lambda rho: negativity(rho), _PROPER_BIPARTITE),
-    "structured-negativity": _Entry(lambda rho: structured_negativity(rho), _PROPER_SQUARE),
-    "concurrence": _Entry(lambda rho: concurrence_2q(rho), _TWO_QUBIT),
-    "concurrence-lb": _Entry(lambda rho: concurrence_lb_chen(rho), _PROPER_SQUARE),
-    "coherence": _Entry(lambda rho: l1_coherence(rho), _ANY),
-    "tangle": _Entry(lambda rho: tangle_pure(_pure_vector(rho)), _PURE_THREE_QUBIT),
-    "three-pi": _Entry(lambda rho: three_pi(_pure_vector(rho)), _PURE_THREE_QUBIT),
+    "negativity": _Entry(lambda rho: negativity(rho), linalg.PROPER_BIPARTITE),
+    "structured-negativity": _Entry(lambda rho: structured_negativity(rho), linalg.PROPER_SQUARE),
+    "concurrence": _Entry(lambda rho: concurrence_2q(rho), linalg.TWO_QUBIT),
+    "concurrence-lb": _Entry(lambda rho: concurrence_lb_chen(rho), linalg.PROPER_SQUARE),
+    "coherence": _Entry(lambda rho: l1_coherence(rho), linalg.ANY),
+    "tangle": _Entry(lambda rho: tangle_pure(_pure_vector(rho)), linalg.THREE_QUBIT, pure=True),
+    "three-pi": _Entry(lambda rho: three_pi(_pure_vector(rho)), linalg.THREE_QUBIT, pure=True),
 }
 
 
 def cmd_detect(args):
     label, rho = parse_state_file(args.state)
-    if len(rho.dims) != 2:
-        raise UsageError("detect needs a bipartite state file")
+    _require(linalg.BIPARTITE, rho, "detect")
     names = _select(_CRITERIA, [name for name in _CRITERIA if getattr(args, name)], rho)
     _emit({
         "command": "detect",
@@ -357,8 +351,7 @@ def cmd_classify3(args):
             results.append(_entry("subclass", None, "NotGHZClass"))
     else:
         label, rho = parse_state_file(args.state)
-        if list(rho.dims) != [2, 2, 2]:
-            raise UsageError("classify3 needs a three-qubit state")
+        _require(linalg.THREE_QUBIT, rho, "classify3")
         verdict = slocc_classify(rho)
     for qubit, lam in zip("ABC", verdict.lambdas):
         results.append(_entry(f"lambda_min:{qubit}", float(lam)))

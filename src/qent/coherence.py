@@ -30,7 +30,7 @@ class Ensemble:
     Attributes
     ----------
     weights : tuple of float
-        Probabilities, summing to 1 within ``TRACE_TOL``.
+        Probabilities: nonnegative, summing to 1 within ``TRACE_TOL``.
     parts : tuple of tuple of DensityMatrix
         For each weight, the factor states of that term (e.g. a single-party
         state and the state of the complementary pair).
@@ -45,8 +45,9 @@ class Ensemble:
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
-        if abs(sum(w) - 1.0) > TRACE_TOL:
-            raise DimensionError(f"ensemble weights sum to {sum(w)}, expected 1")
+        # Written so that a NaN weight fails the check.
+        if not (all(x >= 0.0 for x in w) and abs(sum(w) - 1.0) <= TRACE_TOL):
+            raise DimensionError(f"ensemble weights must be nonnegative and sum to 1, got {w}")
         if not (len(w) == len(self.parts) == len(self.labels)):
             raise DimensionError("weights, parts, and labels must align")
         for lab in self.labels:

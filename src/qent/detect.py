@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionError
 from .linalg import (
     SLACK,
@@ -64,8 +65,7 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
     Evidence is ``lambda_min(rho^{T_sys})`` from ``rho.pt_spectrum`` for either
     ``sys``, since ``rho^{T_A} = (rho^{T_B})^T`` has the same spectrum.
     """
-    if len(rho.dims) != 2:
-        raise DimensionError("ppt_check needs a bipartite state")
+    linalg.BIPARTITE.require(rho.dims, "ppt_check")
     if sys not in (0, 1):
         raise DimensionError(f"sys must be 0 or 1, got {sys}")
     lam = float(rho.pt_spectrum.eigenvalues[0])
@@ -103,8 +103,7 @@ def reduction_check(rho: DensityMatrix) -> Verdict:
     ``-(d_B - 1) eps``, so only a value below that and the slack is
     ``Entangled``.  The evidence is ``lambda_min(R(rho))``.
     """
-    if len(rho.dims) != 2:
-        raise DimensionError("reduction_check needs a bipartite state")
+    linalg.BIPARTITE.require(rho.dims, "reduction_check")
     d0, d1 = rho.dims
     rho_a = np.trace(rho.mat.reshape(d0, d1, d0, d1), axis1=1, axis2=3)
     # rho_A (x) I by broadcasting: np.kron's bits at a quarter of its cost.

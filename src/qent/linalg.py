@@ -45,6 +45,10 @@ Every solve still checks its residual.  A projector also keeps its
 normalized ket as ``rho.ket`` (``None`` on every other state), so a pure
 three-qubit state is decided from its amplitudes without an eigensolve;
 only :func:`qent.states.projector` sets it.
+
+Which subsystem dimensions a function accepts is stated once, as one of the
+:class:`Shape` constants of this module; every guard of the library calls
+its ``require`` and the CLI selects its criteria and measures by its ``fits``.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -122,6 +127,7 @@ class DensityMatrix:
     def pt_spectrum(self):
         """:class:`Spectrum` of the partial transpose over the second factor
         of a bipartite state, solved at most once per instance."""
+        BIPARTITE.require(self.dims, "the partial-transpose spectrum")
         return herm_eigenvalues(partial_transpose(self, 1))
 
     @cached_property
@@ -180,10 +186,9 @@ def _square(m, ndims=(2,)):
     return m
 
 
-def _as_square(m, ndims=(2,)):
-    """``m`` as a complex array once it is a nonempty square matrix (or, with
-    ``ndims=(2, 3)``, a stack of them) with finite entries."""
-    return _finite(_square(m, ndims), "matrix")
+def _as_square(m):
+    """``m`` as a complex array once it is a nonempty square finite matrix."""
+    return _finite(_square(m), "matrix")
 
 
 def _finite(a, what):
@@ -231,6 +236,39 @@ def _checked_dims(dims, side):
     if math.prod(dims) != side:
         raise DimensionError(f"dims {dims} do not multiply to side length {side}")
     return dims
+
+
+@dataclass(frozen=True)
+class Shape:
+    """The subsystem dimensions a function accepts: ``ANY``, ``BIPARTITE``,
+    ``SQUARE`` (``[d, d]``), ``PROPER_BIPARTITE`` and ``PROPER_SQUARE`` (the
+    same with parties of dimension at least 2), ``TWO_QUBIT``,
+    ``THREE_QUBIT``, and :func:`exact_dims` for the parametrised SPA-PT maps."""
+
+    phrase: str      # completes "<name> needs ..."
+    fits: Callable   # dims tuple -> bool
+
+    def require(self, dims, name):
+        """Raise :class:`~qent.errors.DimensionError` unless ``dims`` fits."""
+        if not self.fits(tuple(dims)):
+            raise DimensionError(f"{name} needs {self.phrase}, got dims {list(dims)}")
+
+
+def exact_dims(*dims):
+    """The :class:`Shape` of the states with subsystem dimensions ``dims``."""
+    return Shape(f"dims {list(dims)}", lambda d: d == dims)
+
+
+ANY = Shape("a state", lambda d: True)
+BIPARTITE = Shape("a bipartite state", lambda d: len(d) == 2)
+SQUARE = Shape("dims [d, d]", lambda d: len(d) == 2 and d[0] == d[1])
+# Negativity, structured negativity and the Chen bound divide by d - 1.
+PROPER_BIPARTITE = Shape("two parties of dimension at least 2",
+                         lambda d: len(d) == 2 and min(d) >= 2)
+PROPER_SQUARE = Shape("dims [d, d] with d >= 2",
+                      lambda d: len(d) == 2 and d[0] == d[1] >= 2)
+TWO_QUBIT = Shape("a two-qubit state", lambda d: d == (2, 2))
+THREE_QUBIT = Shape("a three-qubit state", lambda d: d == (2, 2, 2))
 
 
 def _mat_dims(rho, dims=None):
@@ -292,8 +330,7 @@ def partial_transpose_qubit(rho, qubit):
     numpy.ndarray
     """
     mat, d = _mat_dims(rho, [2, 2, 2] if not isinstance(rho, DensityMatrix) else None)
-    if d != [2, 2, 2] or mat.shape != (8, 8):
-        raise DimensionError("partial_transpose_qubit needs an 8x8 state with dims [2,2,2]")
+    THREE_QUBIT.require(d, "partial_transpose_qubit")
     return partial_transpose(mat, _qubit_party(qubit), d)
 
 
@@ -355,8 +392,7 @@ def realign(rho, dims=None):
         The realigned ``d^2 x d^2`` matrix.
     """
     mat, d = _mat_dims(rho, dims)
-    if len(d) != 2 or d[0] != d[1]:
-        raise DimensionError(f"realignment needs dims [d, d], got {d}")
+    SQUARE.require(d, "realign")
     n = d[0]
     return mat.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionError, EigensolverError
 from .linalg import EIG_RESIDUAL_TOL, PSD_FLOOR, DensityMatrix, _as_square, herm_eigenvalues
-from .spa import _dd_coefficients
+from .spa import _spa_coefficients
 from .states import _cut_schmidt_products, ket
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -43,8 +44,7 @@ def concurrence_2q(rho: DensityMatrix) -> MeasureValue:
     ``max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))`` where ``l_i`` are
     the descending eigenvalues of ``rho (sy (x) sy) rho* (sy (x) sy)``.
     """
-    if list(rho.dims) != [2, 2]:
-        raise DimensionError(f"concurrence_2q needs dims [2, 2], got {list(rho.dims)}")
+    linalg.TWO_QUBIT.require(rho.dims, "concurrence_2q")
     flipped = _SIGMA_YY @ rho.mat.conj() @ _SIGMA_YY
     # rho @ flipped is similar to the Hermitian PSD matrix
     # sqrt(rho) flipped sqrt(rho), so its spectrum can be taken Hermitianly.
@@ -78,23 +78,14 @@ def _pt_trace_norm(rho):
     return float(np.sum(np.abs(rho.pt_spectrum.eigenvalues)))
 
 
-def _party_dim(rho, d, name):
-    """``d`` once it is at least 2; negativity and the Chen bound divide by ``d - 1``."""
-    if d < 2:
-        raise DimensionError(f"{name} needs parties of dimension at least 2, "
-                             f"got dims {list(rho.dims)}")
-    return d
-
-
 def negativity(rho: DensityMatrix) -> MeasureValue:
     """Negativity ``(|rho^{T_B}|_1 - 1)/(d - 1)``.
 
     Equals ``2/(d-1)`` times the absolute sum of negative partial-transpose
     eigenvalues.  For unequal subsystem dimensions ``d = min(d1, d2)``.
     """
-    if len(rho.dims) != 2:
-        raise DimensionError("negativity needs a bipartite state")
-    d = _party_dim(rho, min(rho.dims), "negativity")
+    linalg.PROPER_BIPARTITE.require(rho.dims, "negativity")
+    d = min(rho.dims)
     val = (_pt_trace_norm(rho) - 1.0) / (d - 1.0)
     return MeasureValue(value=val, measure="negativity", d=d)
 
@@ -115,10 +106,9 @@ def structured_negativity(rho: DensityMatrix) -> MeasureValue:
     :func:`qent.linalg.herm_eigenvalues` puts on a solve of ``rho_tilde``,
     ``EIG_RESIDUAL_TOL max(1, max |lambda_tilde|)``.
     """
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise DimensionError("structured negativity needs dims [d, d]")
-    d = _party_dim(rho, rho.dims[0], "structured negativity")
-    shift, scale, threshold, _ = _dd_coefficients(d)
+    linalg.PROPER_SQUARE.require(rho.dims, "structured_negativity")
+    d = rho.dims[0]
+    shift, scale, threshold, _ = _spa_coefficients(d, d)
     pt = rho.pt_spectrum
     lam = shift + scale * float(pt.eigenvalues[0])
     lam_max = shift + scale * float(pt.eigenvalues[-1])
@@ -136,9 +126,8 @@ def concurrence_lb_chen(rho: DensityMatrix) -> MeasureValue:
 
     ``sqrt(2/(d(d-1))) (max(|rho^{T_B}|_1, |R(rho)|_1) - 1)``, clamped at 0.
     """
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise DimensionError("concurrence bound needs dims [d, d]")
-    d = _party_dim(rho, rho.dims[0], "concurrence bound")
+    linalg.PROPER_SQUARE.require(rho.dims, "concurrence_lb_chen")
+    d = rho.dims[0]
     best = max(_pt_trace_norm(rho), rho.realign_norm)
     val = np.sqrt(2.0 / (d * (d - 1.0))) * (best - 1.0)
     return MeasureValue(value=max(0.0, float(val)), measure="concurrence_lb", d=d)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionError, NotAWitness
 from .linalg import (
     PSD_FLOOR,
@@ -82,7 +83,7 @@ def _spa_pt(rho: DensityMatrix, parties, shift, scale):
     """
     eye = shift * np.eye(rho.dim)
     mats = [eye + scale * partial_transpose(rho, k) for k in parties]
-    if len(rho.dims) == 2 and parties == [1]:
+    if parties == [1] and linalg.BIPARTITE.fits(rho.dims):
         pt = rho.pt_spectrum
         specs = [_checked_spectrum(mats[0], shift + scale * pt.eigenvalues, pt.vectors)]
     else:
@@ -90,54 +91,35 @@ def _spa_pt(rho: DensityMatrix, parties, shift, scale):
     return [_derived(mat, rho.dims, spec) for mat, spec in zip(mats, specs)]
 
 
-def _dd_coefficients(d):
-    """``(shift, scale, threshold, mixing)`` of the ``d (x) d`` SPA-PT
-    ``rho_tilde = shift I + scale rho^{T_B}``: ``shift = d/(d^3+1)``,
-    ``scale = 1/(d^3+1)``, the separability threshold ``d/(d^3+1)`` (a
-    separable ``rho`` has ``rho^{T_B} >= 0``) and the mixing
-    ``d^3/(d^3+1)``."""
-    k = float(d ** 3 + 1)
-    return d / k, 1.0 / k, d / k, d ** 3 / k
+def _spa_coefficients(d1, d2):
+    """``(shift, scale, threshold, mixing)`` of the ``d1 (x) d2`` SPA-PT
+    ``shift I + scale rho^{T_B}``: ``m/k``, ``1/k``, ``M/k`` and ``(k-1)/k``
+    with ``m = min(d1, d2)``, ``M = max(d1, d2)`` and ``k = m^2 M + 1``, the
+    published minimal-lambda forms with ``lambda = 1/m`` cancelled.  The
+    threshold is the separability floor on ``d (x) d``; for unequal
+    dimensions it exceeds the maximally mixed state's eigenvalue (see
+    package notes), so it is exposed, not enforced."""
+    m, big = min(d1, d2), max(d1, d2)
+    k = float(m * m * big + 1)
+    return m / k, 1.0 / k, big / k, (k - 1.0) / k
 
 
 def spa_pt_dd(rho: DensityMatrix, d) -> SpaState:
-    """SPA-PT for a ``d (x) d`` state.
-
+    """SPA-PT for a ``d (x) d`` state, ``spa_pt_d1d2(rho, d, d)``:
     ``rho_tilde = (d/(d^3+1)) I + (1/(d^3+1)) rho^{T_B}``; separable states
-    satisfy ``lambda_min(rho_tilde) >= d/(d^3+1)``.  The output's spectrum is
-    the affine image of ``rho.pt_spectrum``, its residual measured against
-    the output.  :func:`qent.measures.structured_negativity` maps only the
-    smallest eigenvalue, with the same coefficients, and builds no output.
-    """
-    d = int(d)
-    if list(rho.dims) != [d, d]:
-        raise DimensionError(f"expected dims [{d}, {d}], got {list(rho.dims)}")
-    shift, scale, threshold, mixing = _dd_coefficients(d)
-    (out,) = _spa_pt(rho, [1], shift, scale)
-    return SpaState(rho_tilde=out, mixing=mixing, threshold=threshold)
+    satisfy ``lambda_min(rho_tilde) >= d/(d^3+1)``."""
+    return spa_pt_d1d2(rho, d, d)
 
 
 def spa_pt_d1d2(rho: DensityMatrix, d1, d2) -> SpaState:
-    """SPA-PT for a ``d1 (x) d2`` state with the minimal-lambda convention.
-
-    With ``m = min(d1, d2)`` and ``lambda = 1/m``:
-    ``p = lambda d1^3 d2 / (1 + lambda d1^3 d2)`` (dims ordered so the cube
-    falls on the smaller factor) and
-    ``rho_tilde = (1-p) rho^{T_B} + (p/(d1 d2)) I``.
-    The reported threshold is ``lambda d1 d2 / (1 + lambda d1^3 d2)`` exactly
-    as published; note it exceeds the maximally mixed state's eigenvalue for
-    unequal dimensions (see package notes), so it is exposed, not enforced.
-    The output's spectrum is the affine image of ``rho.pt_spectrum``.
-    """
+    """SPA-PT ``shift I + scale rho^{T_B}`` of a ``d1 (x) d2`` state, with the
+    coefficients of :func:`_spa_coefficients`; the output's spectrum is the
+    affine image of ``rho.pt_spectrum``, its residual measured against it."""
     d1, d2 = int(d1), int(d2)
-    if list(rho.dims) != [d1, d2]:
-        raise DimensionError(f"expected dims [{d1}, {d2}], got {list(rho.dims)}")
-    m, big = min(d1, d2), max(d1, d2)
-    lam = 1.0 / m
-    denom = 1.0 + lam * m ** 3 * big
-    p = lam * m ** 3 * big / denom
-    (out,) = _spa_pt(rho, [1], p / (d1 * d2), 1.0 - p)
-    return SpaState(rho_tilde=out, mixing=p, threshold=lam * m * big / denom)
+    linalg.exact_dims(d1, d2).require(rho.dims, "spa_pt_d1d2")
+    shift, scale, threshold, mixing = _spa_coefficients(d1, d2)
+    (out,) = _spa_pt(rho, [1], shift, scale)
+    return SpaState(rho_tilde=out, mixing=mixing, threshold=threshold)
 
 
 def spa_pt_two_qubit(rho: DensityMatrix) -> SpaState:
@@ -163,8 +145,7 @@ def spa_pt_qutrit_qubit(rho: DensityMatrix) -> SpaState:
     Hermitian by construction, so a unit-trace output is a state.  It is
     wrapped unchecked and solved on first use.
     """
-    if list(rho.dims) != [3, 2]:
-        raise DimensionError(f"expected dims [3, 2], got {list(rho.dims)}")
+    linalg.exact_dims(3, 2).require(rho.dims, "spa_pt_qutrit_qubit")
     r = rho.mat
 
     def t(i, j):
@@ -222,7 +203,7 @@ def spa_pt_qutrit_qubit(rho: DensityMatrix) -> SpaState:
         for j in range(i + 1, 6):
             out[j, i] = np.conj(out[i, j])
     dm = _derived(_unit_trace(out, "qutrit-qubit SPA-PT output"), [3, 2])
-    # Published 2x3 floor; exposed for reference (see spa_pt_d1d2 notes).
+    # Published 2x3 floor; exposed for reference (see _spa_coefficients).
     return SpaState(rho_tilde=dm, mixing=0.75, threshold=3.0 / 13.0)
 
 
@@ -237,8 +218,7 @@ THREE_QUBIT_THRESHOLD = 0.1
 def _spa_pt_three_qubit(rho: DensityMatrix, parties):
     """``(1/10) I_8 + (1/5) rho^{T_k}`` for each party ``k`` of a three-qubit
     state."""
-    if list(rho.dims) != [2, 2, 2]:
-        raise DimensionError(f"expected dims [2, 2, 2], got {list(rho.dims)}")
+    linalg.THREE_QUBIT.require(rho.dims, "spa_pt_three_qubit")
     return tuple(SpaState(rho_tilde=out, mixing=0.8, threshold=THREE_QUBIT_THRESHOLD)
                  for out in _spa_pt(rho, parties, THREE_QUBIT_SHIFT, THREE_QUBIT_SCALE))
 

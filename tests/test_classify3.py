@@ -206,6 +206,20 @@ class TestSubclassWitnesses:
             CanonicalThreeQubit(0.35, 0.1, 0.3, l3, 0.2), "S4")
         assert min(fa, fb, fc) >= 2.0 / 3.0
 
+    def test_fidelities_of_the_s2_and_s3_variants(self):
+        # S2, the lambda1 variant: only F_A moves, to 2(1 + l4 |(l0, l1)|)/3.
+        base = 2.0 * (1.0 + 0.6 * 0.64) / 3.0
+        f = subclass_fidelities(CanonicalThreeQubit(0.6, 0.48, 0.0, 0.0, 0.64), "S2")
+        assert np.allclose(f, (2.0 * (1.0 + 0.64 * np.hypot(0.6, 0.48)) / 3.0, base, base),
+                           rtol=0, atol=1e-12)
+        # S3, the lambda1,lambda2 variant: F_B moves too, to 2(1 + l0 |(l2, l4)|)/3.
+        f = subclass_fidelities(CanonicalThreeQubit(0.4, 0.4, 0.2, 0.0, 0.8), "S3")
+        assert np.allclose(f, (2.0 * (1.0 + 0.8 * np.hypot(0.4, 0.4)) / 3.0,
+                               2.0 * (1.0 + 0.4 * np.hypot(0.2, 0.8)) / 3.0,
+                               2.0 * (1.0 + 0.4 * 0.8) / 3.0), rtol=0, atol=1e-12)
+        with pytest.raises(DimensionError, match="S3 zero pattern"):
+            subclass_fidelities(CanonicalThreeQubit(0.4, 0.4, 0.0, 0.2, 0.8), "S3")
+
 
 class TestSloccClassifier:
     def test_tilted_ghz_closed_form(self):

@@ -56,6 +56,26 @@ class TestBiseparableBounds:
         assert abs(l1_coherence(rho).value - 1.0) <= 1e-12
         assert abs(v.evidence - (9.0 / 4.0 - 2.0)) <= 1e-12
 
+    def test_classify_takes_the_mixed_cut_bound(self):
+        rho = coherence_bisep_mixture(0.5)
+        v = classify_by_coherence(rho, [self._mixture_ensemble(0.5)])
+        assert v.outcome is Outcome.ConditionSatisfied
+        assert v.criterion == "coherence:mixed_bisep_bound"
+        assert abs(v.evidence - (9.0 / 4.0 - 2.0)) <= 1e-12
+
+    def test_classify_returns_the_first_bound_that_passes(self):
+        # C(rho) = 1; three incoherent factors bound it by 0, three |+>
+        # factors by 2^3 - 1 = 7.
+        rho = coherence_bisep_mixture(0.5)
+        zero = validate_density(np.diag([1.0, 0.0]), [2])
+        plus = validate_density(np.full((2, 2), 0.5), [2])
+        incoherent = Ensemble(weights=(1.0,), parts=((zero,) * 3,), labels=("product",))
+        coherent = Ensemble(weights=(1.0,), parts=((plus,) * 3,), labels=("product",))
+        v = classify_by_coherence(rho, [incoherent, coherent, self._mixture_ensemble(0.5)])
+        assert v.outcome is Outcome.ConditionSatisfied
+        assert v.criterion == "coherence:separable_bound"
+        assert abs(v.evidence - 6.0) <= 1e-12
+
     def test_four_qubit_example(self):
         rho = coherence_bisep_four_qubit()
         phi_p = _proj(np.array([0, 0, 1, 0, 1, 0, 0, 0]) / np.sqrt(2), [2, 2, 2])
@@ -123,6 +143,15 @@ class TestEnsembleValidation:
         with pytest.raises(DimensionError):
             Ensemble(weights=(0.5, 0.4), parts=((one,), (one,)),
                      labels=("product", "product"))
+
+    @pytest.mark.parametrize("weights", [(float("nan"),), (2.0, -1.0), (float("nan"), 1.0)])
+    def test_nan_and_negative_weights_are_refused(self, weights):
+        # A NaN sum compares False with the trace tolerance, so it has to
+        # fail the check rather than pass it.
+        one = validate_density(np.diag([1.0, 0.0]), [2])
+        with pytest.raises(DimensionError):
+            Ensemble(weights=weights, parts=((one,),) * len(weights),
+                     labels=("product",) * len(weights))
 
     def test_classify_needs_candidates(self, rng):
         with pytest.raises(DimensionError):

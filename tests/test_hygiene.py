@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses; no module
 but ``linalg`` writes a tolerance as a bare literal, builds a
-``DensityMatrix`` itself or calls a LAPACK eigensolver; and only
-``states.projector`` hands a ket to ``linalg._derived``."""
+``DensityMatrix`` itself, compares a ``.dims`` value or calls a LAPACK
+eigensolver; and only ``states.projector`` hands a ket to
+``linalg._derived``."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,32 @@ def test_states_are_built_in_linalg(path):
     # A caller's matrix goes through validate_density and a matrix the
     # library built through linalg._derived; no module wraps one itself.
     assert density_matrix_calls(path.read_text(encoding="utf-8")) == []
+
+
+def dims_comparisons(source):
+    """Lines of ``source`` with a comparison that reads a ``.dims`` value
+    in one of its operands (``len(rho.dims) == 2``, ``rho.dims[0] != d``)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(sub, ast.Attribute) and sub.attr == "dims"
+                          for operand in [node.left, *node.comparators]
+                          for sub in ast.walk(operand)))
+
+
+def test_scan_finds_a_dims_comparison():
+    source = ("a = len(rho.dims) != 2\nb = 2 == rho.dims[0]\n"
+              "c = list(x.rho.dims) == [2, 2] or min(rho.dims) >= 2\n")
+    assert dims_comparisons(source) == [1, 2, 3, 3]
+    assert dims_comparisons("d = rho.dims\ne = BIPARTITE.fits(rho.dims) and p == [1]\n"
+                            "f = min(rho.dims)\ng = dims == (2, 2)\n") == []
+
+
+@pytest.mark.parametrize("path", POLICY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_dims_rules_are_shapes_in_linalg(path):
+    # Which dims a function accepts is a linalg.Shape, read by the library
+    # guard and by the CLI's selection alike; a comparison elsewhere would
+    # state a second rule that could disagree with it.
+    assert dims_comparisons(path.read_text(encoding="utf-8")) == []
 
 
 EIGENSOLVERS = ("eigh", "eigvalsh", "eig")

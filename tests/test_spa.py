@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qent
 from conftest import oracle_spa_pt_two_qubit, random_density
 from qent import linalg, spa
-from qent.errors import EigensolverError, NotAWitness, TraceViolation
+from qent.errors import DimensionError, EigensolverError, NotAWitness, TraceViolation
 from qent.linalg import (
     PSD_FLOOR,
     Spectrum,
@@ -248,6 +248,28 @@ class TestWitnessSmoothing:
         w = partial_transpose(np.outer(psi, psi.conj()), 1, dims=[2, 2])
         with pytest.raises(NotAWitness):
             spa_witness(w, 2, 2, p=0.9)
+
+    def test_normalizes_a_witness_of_other_trace(self):
+        psi = np.array([1.0, 0, 0, 1.0], dtype=complex) / np.sqrt(2.0)
+        w = partial_transpose(np.outer(psi, psi.conj()), 1, dims=[2, 2])
+        unit, scaled = spa_witness(w, 2, 2), spa_witness(3.0 * w, 2, 2)
+        assert abs(scaled.p - unit.p) <= 1e-15
+        assert np.max(np.abs(scaled.w_tilde - unit.w_tilde)) <= 1e-15
+
+    def test_rejects_a_zero_trace_witness(self):
+        with pytest.raises(NotAWitness, match="zero trace"):
+            spa_witness(np.diag([1.0, -1.0, 0.0, 0.0]), 2, 2)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_rejects_mixing_outside_the_unit_interval(self, p):
+        psi = np.array([1.0, 0, 0, 1.0], dtype=complex) / np.sqrt(2.0)
+        w = partial_transpose(np.outer(psi, psi.conj()), 1, dims=[2, 2])
+        with pytest.raises(DimensionError, match="mixing p"):
+            spa_witness(w, 2, 2, p=p)
+
+    def test_rejects_a_witness_of_the_wrong_shape(self):
+        with pytest.raises(DimensionError, match="does not match 2x3"):
+            spa_witness(np.eye(4) / 4.0, 2, 3)
 
     def test_solves_once(self, solve_sizes):
         psi = np.array([1.0, 0, 0, 1.0], dtype=complex) / np.sqrt(2.0)
