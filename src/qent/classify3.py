@@ -7,7 +7,9 @@ Two complementary toolsets:
   GHZ-subclass witnesses ``H1..H8`` built from few-body observables;
 * the SPA-PT eigenvalue-threshold SLOCC classifier for arbitrary (mixed)
   three-qubit states, comparing the minimum eigenvalues of the three
-  single-qubit SPA partial transposes against the 1/10 floor.
+  single-qubit SPA partial transposes against the 1/10 floor.  Each is
+  ``1/10 + (1/5) lambda_min(rho^{T_k})``, so the classifier solves the
+  partial transposes and never builds an SPA-PT output.
 
 The subclass witnesses assume phase ``theta = 0``; nonzero phases are
 rejected rather than silently handled.  Witness signs are evidence about
@@ -24,12 +26,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError, NotGHZClass
 from .linalg import PARAM_NORM_TOL, SLACK, ZERO_TOL, DensityMatrix, _checked_real, tensor
-from .spa import (
-    THREE_QUBIT_SCALE,
-    THREE_QUBIT_SHIFT,
-    THREE_QUBIT_THRESHOLD,
-    spa_pt_three_qubit_cuts,
-)
+from .spa import THREE_QUBIT_SCALE, THREE_QUBIT_SHIFT, THREE_QUBIT_THRESHOLD
 from .states import _cut_schmidt_products, ghz_w_mixture, ghz_w_wtilde_mixture, ket, projector
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -363,19 +360,29 @@ def slocc_classify(rho) -> SloccVerdict:
     the floor names the biseparable cut when another qubit is below; all
     three at or above the floor gives FullySeparableConsistent.
 
-    A mixed state is decided from one stacked solve of its three SPA-PT
-    outputs ``(1/10) I_8 + (1/5) rho^{T_k}``.  A pure state (an amplitude
-    vector, or a projector carrying ``rho.ket``) needs no solve.  Cut
-    ``k | rest`` of a ket has Schmidt coefficients ``s0, s1``, so
-    ``|psi> = s0|a0>|b0> + s1|a1>|b1>`` and ``(|psi><psi|)^{T_k}`` acts as
-    ``s0^2`` and ``s1^2`` on ``|a0*>|b0>`` and ``|a1*>|b1>``, as ``+-s0 s1``
-    on ``|a0*>|b1> +- |a1*>|b0>`` and as 0 on the four remaining
-    dimensions.  Its smallest eigenvalue is ``-s0 s1``, so
-    ``lambda_min = 1/10 - (1/5) s0 s1``, with ``s0 s1 = sqrt(det rho_k)``
+    The SPA-PT ``(1/10) I_8 + (1/5) rho^{T_k}`` has
+    ``lambda_min = 1/10 + (1/5) lambda_min(rho^{T_k})``, so no SPA-PT output
+    is built.  A mixed state is decided from one stacked solve of its three
+    partial transposes.  A pure state (an amplitude vector, or a projector
+    carrying ``rho.ket``) needs no solve.  Cut ``k | rest`` of a ket has
+    Schmidt coefficients ``s0, s1``, so ``|psi> = s0|a0>|b0> + s1|a1>|b1>``
+    and ``(|psi><psi|)^{T_k}`` acts as ``s0^2`` and ``s1^2`` on
+    ``|a0*>|b0>`` and ``|a1*>|b1>``, as ``+-s0 s1`` on
+    ``|a0*>|b1> +- |a1*>|b0>`` and as 0 on the four remaining dimensions.
+    Its smallest eigenvalue is ``-s0 s1``, with ``s0 s1 = sqrt(det rho_k)``
     taken as the norm of the 2x2 minors of the cut's ``2 x 4`` coefficient
     matrix (Cauchy-Binet), which has no cancellation: a product cut stays
     at 1/10 to rounding and is never claimed.  The stacked solve is the
     test oracle of this closed form.
+
+    Soundness at the validation floor: validation lets through
+    ``lambda_min(rho) = -eps`` with ``eps <= -PSD_FLOOR = 1e-9``.  The state
+    ``rho' = (rho + eps I)/(1 + 8 eps)`` is then positive semidefinite with
+    unit trace, and ``rho^{T_k} = (1 + 8 eps) rho'^{T_k} - eps I`` because
+    ``I^{T_k} = I``.  If cut ``k`` of ``rho'`` is separable,
+    ``rho'^{T_k} >= 0``, so ``lambda_min(rho^{T_k}) >= -eps`` and the cut's
+    value is at least ``1/10 - eps/5 >= 1/10 - 2e-10 > 1/10 - SLACK``: the
+    cut is not claimed, and no allowance beyond ``SLACK`` is needed.
     """
     if isinstance(rho, DensityMatrix):
         linalg.THREE_QUBIT.require(rho.dims, "slocc_classify")
@@ -383,10 +390,12 @@ def slocc_classify(rho) -> SloccVerdict:
     else:
         v = ket(np.ravel(rho), [2, 2, 2])
     if v is None:
-        cuts = spa_pt_three_qubit_cuts(rho)
-        lams = tuple(float(cut.rho_tilde.spectrum.eigenvalues[0]) for cut in cuts)
+        pts = linalg.herm_eigenvalues(np.stack([linalg.partial_transpose(rho, k)
+                                                for k in range(3)]))
+        lam_pt = np.array([spec.eigenvalues[0] for spec in pts])
     else:
-        lams = tuple((THREE_QUBIT_SHIFT - THREE_QUBIT_SCALE * _cut_schmidt_products(v)).tolist())
+        lam_pt = -_cut_schmidt_products(v)
+    lams = tuple((THREE_QUBIT_SHIFT + THREE_QUBIT_SCALE * lam_pt).tolist())
     below = [lam < THREE_QUBIT_THRESHOLD - SLACK for lam in lams]
     if all(below):
         return SloccVerdict(outcome=SloccOutcome.Genuine, lambdas=lams)

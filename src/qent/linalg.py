@@ -21,9 +21,7 @@ a :class:`DensityMatrix` caches
 * ``rho.spectrum``, the spectrum of the state (seeded by its validation);
 * ``rho.pt_spectrum``, the spectrum of the partial transpose over the second
   factor, which the PPT check, negativity, structured negativity, the Chen
-  bound, the NPT witness and the SPA-PT maps all read (structured
-  negativity maps its smallest eigenvalue affinely, without building the
-  SPA-PT output);
+  bound, the NPT witness and the bipartite SPA-PT maps all read;
 * ``rho.realign_norm``, the trace norm of the realigned matrix, which the
   realignment check and the Chen bound both read.
 
@@ -36,7 +34,9 @@ construction and exactly Hermitian:
 * the partial trace of a :class:`DensityMatrix`;
 * the SPA-PT outputs ``shift*I + scale*rho^{T_k}``, completely positive,
   trace preserving images of a validated state (the qutrit-qubit element
-  map keeps its trace check, which rejects states outside its family);
+  map keeps its trace check, which rejects states outside its family).
+  No SPA-PT output is solved: its spectrum is ``shift + scale*spec(rho^{T_k})``,
+  with the residual measured against the output;
 * the :func:`qent.states.projector` of a checked ket;
 * the GHZ/W(/flipped-W) mixtures of :mod:`qent.states`, convex combinations
   of checked kets with checked weights.
@@ -117,9 +117,10 @@ class DensityMatrix:
     def spectrum(self):
         """:class:`Spectrum` of ``mat``, solved at most once per instance.
 
-        :func:`validate_density` and the SPA-PT maps fill it from the solve
-        they already made; any other instance solves on first access.  ``mat`` must not be changed
-        in place afterwards.
+        :func:`validate_density` fills it from its own solve and the SPA-PT
+        maps from the solve of the partial transpose; any other instance
+        solves on first access.  ``mat`` must not be changed in place
+        afterwards.
         """
         return herm_eigenvalues(self.mat)
 
@@ -199,8 +200,10 @@ def _finite(a, what):
     return a
 
 
+@np.errstate(invalid="ignore")
 def _herm_dev(m):
-    """Largest entry of ``|m - m^H|`` over a matrix or a stack of them."""
+    """Largest entry of ``|m - m^H|`` over a matrix or a stack of them; an
+    infinite entry makes it NaN (``inf - inf``) without a warning."""
     return float(abs(m - m.swapaxes(-1, -2).conj()).max())
 
 

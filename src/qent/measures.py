@@ -159,6 +159,11 @@ def three_pi(psi) -> MeasureValue:
     ``N_{AB} = (|rho_AB^{T_B}|_1 - 1)/2`` come from the partial transposes
     of the three pair marginals, built straight from the ket tensor and
     solved together as one stack.
+
+    The two negativities are normalized differently: the pair terms are
+    ``(|rho^T|_1 - 1)/2`` and the one-versus-rest term is ``|rho^T|_1 - 1``.
+    On the W state this gives 0.804, where Ou and Fan's pi-tangle, with
+    ``|rho^T|_1 - 1`` for both, gives ``4 (sqrt 5 - 1)/9 = 0.549``.
     """
     t = ket(psi, [2, 2, 2]).reshape(2, 2, 2)
     # Pairs AB, AC and BC, each with the traced qubit last; entry

@@ -10,6 +10,9 @@ This module provides the generic ``d (x) d`` and ``d1 (x) d2`` maps, the
 two-qubit map (``d = 2``; its closed-form element map is a test oracle) and
 the per-qubit map for three qubits, all built by one constructor, plus the
 closed-form qutrit-qubit element map and the SPA of witness operators.
+
+An SPA-PT output ``shift*I + scale*rho^{T_k}`` is never solved: its spectrum
+is ``shift + scale*spec(rho^{T_k})``, from the solve of the partial transpose.
 """
 
 from __future__ import annotations
@@ -74,21 +77,22 @@ class SpaWitness:
     r_bound: float
 
 
-def _spa_pt(rho: DensityMatrix, parties, shift, scale):
-    """``shift*I + scale*rho^{T_k}`` (``scale > 0``) for each party ``k`` in
-    ``parties``, unchecked: the SPA mixing makes it a completely positive,
-    trace preserving map.  A bipartite cut over the second factor maps
-    ``rho.pt_spectrum`` affinely, with the residual measured against the
-    output; any other cuts are solved together, as one stack.
+def _spa_pt(rho: DensityMatrix, party, shift, scale):
+    """``shift*I + scale*rho^{T_k}`` (``scale > 0``) over party ``k``,
+    unchecked: the SPA mixing makes it a completely positive, trace
+    preserving map.  Its spectrum is the affine image of the spectrum of
+    ``rho^{T_k}`` (``rho.pt_spectrum`` for the second factor of a bipartite
+    state, else one solve of ``rho^{T_k}``), with the residual measured
+    against the output; the output itself is never solved.
     """
-    eye = shift * np.eye(rho.dim)
-    mats = [eye + scale * partial_transpose(rho, k) for k in parties]
-    if parties == [1] and linalg.BIPARTITE.fits(rho.dims):
+    t = partial_transpose(rho, party)
+    if party == 1 and linalg.BIPARTITE.fits(rho.dims):
         pt = rho.pt_spectrum
-        specs = [_checked_spectrum(mats[0], shift + scale * pt.eigenvalues, pt.vectors)]
     else:
-        specs = herm_eigenvalues(np.stack(mats))
-    return [_derived(mat, rho.dims, spec) for mat, spec in zip(mats, specs)]
+        pt = herm_eigenvalues(t)
+    out = shift * np.eye(rho.dim) + scale * t
+    return _derived(out, rho.dims,
+                    _checked_spectrum(out, shift + scale * pt.eigenvalues, pt.vectors))
 
 
 def _spa_coefficients(d1, d2):
@@ -118,7 +122,7 @@ def spa_pt_d1d2(rho: DensityMatrix, d1, d2) -> SpaState:
     d1, d2 = int(d1), int(d2)
     linalg.exact_dims(d1, d2).require(rho.dims, "spa_pt_d1d2")
     shift, scale, threshold, mixing = _spa_coefficients(d1, d2)
-    (out,) = _spa_pt(rho, [1], shift, scale)
+    out = _spa_pt(rho, 1, shift, scale)
     return SpaState(rho_tilde=out, mixing=mixing, threshold=threshold)
 
 
@@ -215,27 +219,22 @@ THREE_QUBIT_SCALE = 0.2
 THREE_QUBIT_THRESHOLD = 0.1
 
 
-def _spa_pt_three_qubit(rho: DensityMatrix, parties):
-    """``(1/10) I_8 + (1/5) rho^{T_k}`` for each party ``k`` of a three-qubit
-    state."""
-    linalg.THREE_QUBIT.require(rho.dims, "spa_pt_three_qubit")
-    return tuple(SpaState(rho_tilde=out, mixing=0.8, threshold=THREE_QUBIT_THRESHOLD)
-                 for out in _spa_pt(rho, parties, THREE_QUBIT_SHIFT, THREE_QUBIT_SCALE))
-
-
 def spa_pt_three_qubit(rho: DensityMatrix, qubit) -> SpaState:
     """SPA of single-qubit partial transposition for a three-qubit state.
 
     ``rho_tilde = (1/10) I_8 + (1/5) rho^{T_qubit}``; separable cuts satisfy
     ``lambda_min(rho_tilde) >= 1/10``.
     """
-    return _spa_pt_three_qubit(rho, [_qubit_party(qubit)])[0]
+    party = _qubit_party(qubit)
+    linalg.THREE_QUBIT.require(rho.dims, "spa_pt_three_qubit")
+    out = _spa_pt(rho, party, THREE_QUBIT_SHIFT, THREE_QUBIT_SCALE)
+    return SpaState(rho_tilde=out, mixing=0.8, threshold=THREE_QUBIT_THRESHOLD)
 
 
 def spa_pt_three_qubit_cuts(rho: DensityMatrix):
     """The SPA-PT of a three-qubit state over qubits A, B and C, in that
-    order, from one stacked solve of the three outputs."""
-    return _spa_pt_three_qubit(rho, [0, 1, 2])
+    order."""
+    return tuple(spa_pt_three_qubit(rho, q) for q in "ABC")
 
 
 def spa_witness(w, d1, d2, p=None) -> SpaWitness:

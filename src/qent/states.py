@@ -275,13 +275,6 @@ def w_tilde_state():
     return ket(v, [2, 2, 2])
 
 
-def ghz_tilted_state(l0, l1, l2):
-    """Pure vector ``l0|000> + l1|100> + l2|111>`` (genuine for generic params)."""
-    v = np.zeros(8, dtype=complex)
-    v[0], v[4], v[7] = l0, l1, l2
-    return ket(v, [2, 2, 2])
-
-
 def g2_state():
     """The fixed genuine five-term vector ``(|000>+|100>+|101>+|110>+|111>)/sqrt5``."""
     v = np.zeros(8, dtype=complex)
@@ -300,13 +293,6 @@ def bisep_a_bc_state(q):
     mat = q * tensor(np.diag([1.0, 0.0]), np.outer(phi_p, phi_p.conj())) \
         + (1.0 - q) * tensor(np.diag([0.0, 1.0]), np.outer(phi_m, phi_m.conj()))
     return validate_density(mat, [2, 2, 2])
-
-
-def bisep_ab_c_state(l0, l1, l2):
-    """Pure vector ``l0|001> + l1|101> + l2|111>`` (biseparable AB-C for C fixed)."""
-    v = np.zeros(8, dtype=complex)
-    v[1], v[5], v[7] = l0, l1, l2
-    return ket(v, [2, 2, 2])
 
 
 def kay_state(a):
@@ -372,13 +358,6 @@ def ghz_w_wtilde_mixture(q1, q2):
     mat = q1 * np.outer(g, g.conj()) + q2 * np.outer(w, w.conj()) \
         + (1.0 - q1 - q2) * np.outer(wt, wt.conj())
     return _derived(mat, [2, 2, 2])
-
-
-def maximal_slice_state(c, d):
-    """Maximal slice vector ``(|000> + c|110> + d|111>)/sqrt(2)``, c^2+d^2=1."""
-    v = np.zeros(8, dtype=complex)
-    v[0], v[6], v[7] = 1.0, c, d
-    return ket(v, [2, 2, 2])
 
 
 def two_slice_superposition(a, c, p):
