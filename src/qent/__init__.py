@@ -69,6 +69,7 @@ from .linalg import (
     DensityMatrix,
     Spectrum,
     expectation,
+    fill_spectra,
     herm_eigenvalues,
     partial_trace,
     partial_transpose,

@@ -426,6 +426,21 @@ class MixtureReport:
         it equals ``min(lambdas)`` to 1e-9 at 352 points, and every other
         point has ``q1 <= 0.45`` (another branch dips below it there, by up
         to 0.094).
+
+        Where it stops: the three cuts share one SPA-PT spectrum, and over
+        qubit A it splits into the 2x2 block on {|011>, |100>}, whose
+        smaller root is this branch, and the 3x3 blocks on {|000>, |101>,
+        |110>} and {|001>, |010>, |111>}.  Each 3x3 block has the
+        eigenvalue 1/10 (from |101> - |110>, resp. |001> - |010>) and,
+        with ``q3 = 1 - q1 - q2``, the smaller roots
+        ``B1 = (6 + 3 q1 + 4 q3 - sqrt((3 q1 - 4 q3)^2 + 32 q2^2))/60`` and
+        ``B2 = (6 + 3 q1 + 4 q2 - sqrt((3 q1 - 4 q2)^2 + 32 q3^2))/60``.
+        So ``min(lambdas) = min(predicted, B1, B2, 1/10)``: the branch is
+        the minimum exactly where ``predicted <= min(B1, B2, 1/10)``, and
+        stops being it on the curves ``predicted = B1`` and
+        ``predicted = B2`` (and beyond ``predicted = 1/10``).  At
+        (0.1, 0.5), for example, ``B1`` = 0.0798 is below the branch's
+        0.1195.
     q_forms : tuple of float or None
         The two eigenvalue branches (Q1, Q2) for the two-term GHZ/W mixture.
     regime : str or None

@@ -64,6 +64,15 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
     Necessary and sufficient for 2x2 and 2x3; only necessary above.
     Evidence is ``lambda_min(rho^{T_sys})`` from ``rho.pt_spectrum`` for either
     ``sys``, since ``rho^{T_A} = (rho^{T_B})^T`` has the same spectrum.
+
+    When validation let ``lambda_min(rho) = -eps`` through, the nearest
+    state is ``rho' = (rho + eps I)/(1 + n eps)``, and the partial transpose
+    is linear and fixes ``I``, so ``rho^{T_B} = (1 + n eps) rho'^{T_B} - eps
+    I``.  A separable ``rho'`` has ``rho'^{T_B} >= 0``, which allows
+    ``lambda_min(rho^{T_B})`` down to ``-eps``.  Validation bounds ``eps``
+    by ``-PSD_FLOOR``, which equals ``SLACK``, so the threshold ``-SLACK``
+    already covers the allowance; only rounding decides the edge case
+    ``eps = SLACK``.
     """
     linalg.BIPARTITE.require(rho.dims, "ppt_check")
     if sys not in (0, 1):
@@ -138,7 +147,17 @@ def witness_from_pure(psi, sys, dims):
 
 def criterion1(rho: DensityMatrix, w_tilde: SpaWitness) -> Verdict:
     """Physical witness criterion: ``Tr(W_tilde rho) < (1-p)/(d1 d2)``
-    detects entanglement through a measurable observable."""
+    detects entanglement through a measurable observable.
+
+    ``W_tilde = p W + r I`` with ``r = (1-p)/n`` (the ``r_bound``) has unit
+    trace, and a separable ``sigma`` has ``Tr(W sigma) >= 0``, so
+    ``Tr(W_tilde sigma) >= r``.  When validation let ``lambda_min(rho) =
+    -eps`` through, ``rho = (1 + n eps) rho' - eps I`` with ``rho'`` the
+    nearest state, and a separable ``rho'`` allows ``Tr(W_tilde rho) =
+    (1 + n eps) Tr(W_tilde rho') - eps`` down to ``r - eps (1 - n r) =
+    r - eps p``.  With ``p <= 1`` and ``eps <= -PSD_FLOOR = SLACK`` that
+    allowance is within the slack of the threshold ``r - SLACK``.
+    """
     val = expectation(w_tilde.w_tilde, rho)
     outcome = Outcome.Entangled if val < w_tilde.r_bound - SLACK else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=val, criterion="criterion1")

@@ -49,6 +49,28 @@ only :func:`qent.states.projector` sets it.
 Which subsystem dimensions a function accepts is stated once, as one of the
 :class:`Shape` constants of this module; every guard of the library calls
 its ``require`` and the CLI selects its criteria and measures by its ``fits``.
+
+Stacks of states.  A matrix ``(n, n)`` and a stack ``(k, n, n)`` take one
+code path, the matrix being the case without the leading axis:
+
+* :func:`herm_eigenvalues` returns one :class:`Spectrum`, or a tuple of
+  ``k`` from one LAPACK call;
+* :func:`validate_density` returns one :class:`DensityMatrix`, or a tuple of
+  ``k`` seeded states from one finiteness and Hermiticity pass and one
+  LAPACK call; a stack with one bad matrix raises what that matrix raises
+  alone;
+* :func:`partial_transpose` and :func:`realign` of a bare matrix or stack
+  return the same shape;
+* :func:`trace_norm` returns a float, or an array of ``k`` from one stacked
+  eigensolve of the Hermitian matrices and one stacked SVD of the others;
+* :func:`fill_spectra` fills ``pt_spectrum`` and ``realign_norm`` of a
+  tuple of states with one stacked solve per map, and is how a single state
+  fills them too.
+
+Each matrix of a stack gets the bits it gets on its own: stacked ``eigh``
+and ``svd`` solve each matrix as a loop would, and every other step is
+elementwise or a reduction within one matrix.  :class:`DensityMatrix` stays
+one state; a stack of states is a tuple.
 """
 
 from __future__ import annotations
@@ -127,15 +149,17 @@ class DensityMatrix:
     @cached_property
     def pt_spectrum(self):
         """:class:`Spectrum` of the partial transpose over the second factor
-        of a bipartite state, solved at most once per instance."""
-        BIPARTITE.require(self.dims, "the partial-transpose spectrum")
-        return herm_eigenvalues(partial_transpose(self, 1))
+        of a bipartite state, solved at most once per instance (by
+        :func:`fill_spectra`, for this state alone or for a stack)."""
+        fill_spectra((self,), ("pt_spectrum",))
+        return self.pt_spectrum
 
     @cached_property
     def realign_norm(self):
         """Trace norm of the realigned matrix of a ``[d, d]`` state, computed
-        at most once per instance."""
-        return trace_norm(realign(self))
+        at most once per instance (by :func:`fill_spectra`)."""
+        fill_spectra((self,), ("realign_norm",))
+        return self.realign_norm
 
     def __post_init__(self):
         object.__setattr__(self, "mat", np.asarray(self.mat, dtype=complex))
@@ -201,10 +225,11 @@ def _finite(a, what):
 
 
 @np.errstate(invalid="ignore")
-def _herm_dev(m):
-    """Largest entry of ``|m - m^H|`` over a matrix or a stack of them; an
-    infinite entry makes it NaN (``inf - inf``) without a warning."""
-    return float(abs(m - m.swapaxes(-1, -2).conj()).max())
+def _herm_dev(m, axis=None):
+    """Largest entry of ``|m - m^H|`` over a matrix or a stack of them, or
+    with ``axis=(-2, -1)`` of each matrix of a stack; an infinite entry
+    makes it NaN (``inf - inf``) without a warning."""
+    return abs(m - m.swapaxes(-1, -2).conj()).max(axis=axis)
 
 
 def _finite_herm_dev(m):
@@ -214,7 +239,7 @@ def _finite_herm_dev(m):
     and so the deviation; only a deviation that is not within ``HERM_TOL``
     needs the scan for them, which then wins over the Hermiticity error.
     """
-    herm_dev = _herm_dev(m)
+    herm_dev = float(_herm_dev(m))
     if not herm_dev <= HERM_TOL:
         _finite(m, "matrix")
     return herm_dev
@@ -274,40 +299,45 @@ TWO_QUBIT = Shape("a two-qubit state", lambda d: d == (2, 2))
 THREE_QUBIT = Shape("a three-qubit state", lambda d: d == (2, 2, 2))
 
 
-def _mat_dims(rho, dims=None):
-    """Accept a DensityMatrix or a (matrix, dims) pair."""
+def _mat_dims(rho, dims=None, ndims=(2,)):
+    """Accept a DensityMatrix or a (matrix, dims) pair; with ``ndims=(2, 3)``
+    the bare matrix may be a stack of them."""
     if isinstance(rho, DensityMatrix):
         return rho.mat, list(rho.dims)
     if dims is None:
         raise DimensionError("subsystem dimensions required for a bare matrix")
-    mat = _as_square(rho)
-    return mat, _checked_dims(dims, mat.shape[0])
+    mat = _finite(_square(rho, ndims), "matrix")
+    return mat, _checked_dims(dims, mat.shape[-1])
 
 
 def partial_transpose(rho, sys, dims=None):
-    """Partial transpose over one party of a matrix of any number of parties.
+    """Partial transpose over one party of a matrix of any number of parties,
+    or of each matrix of a stack.
 
     Parameters
     ----------
     rho : DensityMatrix or array_like
-        State of ``n`` parties (pass ``dims`` for a bare matrix).
+        State of ``n`` parties, or a bare matrix ``(N, N)`` or stack
+        ``(k, N, N)`` (pass ``dims`` for a bare matrix or stack).
     sys : int
         Which party to transpose, ``0 <= sys < n``.
     dims : list of int, optional
-        Subsystem dimensions when ``rho`` is a bare matrix.
+        Subsystem dimensions when ``rho`` is a bare matrix or stack.
 
     Returns
     -------
     numpy.ndarray
-        The matrix with the chosen party's indices transposed.
+        The matrix (or stack) with the chosen party's indices transposed.
     """
-    mat, d = _mat_dims(rho, dims)
+    mat, d = _mat_dims(rho, dims, (2, 3))
     n = len(d)
     if sys not in range(n):
         raise DimensionError(f"sys must lie in [0, {n - 1}], got {sys}")
-    axes = list(range(2 * n))
-    axes[sys], axes[sys + n] = axes[sys + n], axes[sys]
-    return mat.reshape(d + d).transpose(axes).reshape(mat.shape)
+    # Leading stack axes stay in place; only the party axes move.
+    lead = mat.ndim - 2
+    axes = list(range(lead + 2 * n))
+    axes[lead + sys], axes[lead + sys + n] = axes[lead + sys + n], axes[lead + sys]
+    return mat.reshape(mat.shape[:lead] + tuple(d + d)).transpose(axes).reshape(mat.shape)
 
 
 def _qubit_party(qubit):
@@ -378,7 +408,8 @@ def partial_trace(rho, keep, dims=None):
 
 
 def realign(rho, dims=None):
-    """Realignment of a bipartite matrix with square blocks.
+    """Realignment of a bipartite matrix with square blocks, or of each
+    matrix of a stack.
 
     Each ``d x d`` block of the matrix is flattened into one row of the
     output, so for a state ``A (x) B`` the result is ``vec(A) vec(B)^T``.
@@ -386,18 +417,21 @@ def realign(rho, dims=None):
     Parameters
     ----------
     rho : DensityMatrix or array_like
-        State with dims ``[d, d]``.
+        State with dims ``[d, d]``, or a bare matrix or stack ``(k, d^2,
+        d^2)``.
     dims : list of int, optional
 
     Returns
     -------
     numpy.ndarray
-        The realigned ``d^2 x d^2`` matrix.
+        The realigned ``d^2 x d^2`` matrix (or stack).
     """
-    mat, d = _mat_dims(rho, dims)
+    mat, d = _mat_dims(rho, dims, (2, 3))
     SQUARE.require(d, "realign")
     n = d[0]
-    return mat.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    lead = mat.shape[:-2]
+    return (mat.reshape(lead + (n, n, n, n)).swapaxes(-3, -2)
+            .reshape(lead + (n * n, n * n)))
 
 
 def herm_eigenvalues(h):
@@ -454,24 +488,40 @@ def _checked_spectrum(m, lam, vec):
 
 
 def trace_norm(a):
-    """Trace norm (sum of singular values) of a square matrix.
+    """Trace norm (sum of singular values) of a square matrix, or of each
+    of a stack of them.
 
-    For Hermitian input this is the sum of absolute eigenvalues; otherwise
-    it is the sum of the singular values from LAPACK's SVD.
+    For a matrix that is Hermitian within ``HERM_TOL`` this is the sum of
+    absolute eigenvalues; otherwise it is the sum of the singular values
+    from LAPACK's SVD.  A stack is split by that test into one stacked
+    eigensolve and one stacked SVD, so each matrix gets the value it gets
+    on its own.
 
     Parameters
     ----------
     a : array_like
-        Square matrix.
+        Square matrix ``(n, n)`` or stack ``(k, n, n)``.
 
     Returns
     -------
-    float
+    float or numpy.ndarray
+        One norm for a matrix, an array of ``k`` for a stack.
     """
-    m = _square(a)
-    if _finite_herm_dev(m) <= HERM_TOL:
-        return float(np.sum(np.abs(herm_eigenvalues(m).eigenvalues)))
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    m = _square(a, (2, 3))
+    if m.ndim == 2:
+        if _finite_herm_dev(m) <= HERM_TOL:
+            return float(np.sum(np.abs(herm_eigenvalues(m).eigenvalues)))
+        return float(np.linalg.svd(m, compute_uv=False).sum())
+    herm = _herm_dev(m, (-2, -1)) <= HERM_TOL
+    if not herm.all():
+        # A NaN or infinite entry makes its matrix's deviation fail.
+        _finite(m, "matrix")
+    norms = np.empty(len(m))
+    if herm.any():
+        norms[herm] = [np.sum(np.abs(s.eigenvalues)) for s in herm_eigenvalues(m[herm])]
+    if not herm.all():
+        norms[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
+    return norms
 
 
 def expectation(h, rho):
@@ -497,51 +547,120 @@ def expectation(h, rho):
 
 
 def validate_density(m, dims):
-    """Validate a matrix as a density matrix and wrap it.
+    """Validate a matrix, or each matrix of a stack, as a density matrix
+    and wrap it.
+
+    A stack ``(k, n, n)`` gets one finiteness and Hermiticity pass, a trace
+    and a ``lambda_min`` check of each matrix, and one LAPACK call; each of
+    its states has the bits, spectrum included, that its matrix gets on its
+    own.
 
     Parameters
     ----------
     m : array_like
-        Candidate square matrix.
+        Candidate square matrix ``(n, n)``, or a stack ``(k, n, n)`` of them.
     dims : list of int
-        Subsystem dimensions, each at least 1; product must equal the side
-        length.
+        Subsystem dimensions of every matrix, each at least 1; product must
+        equal the side length.
 
     Returns
     -------
-    DensityMatrix
-        Wrapping ``m`` when it is exactly Hermitian, else ``(m + m^H)/2``.
+    DensityMatrix or tuple of DensityMatrix
+        One state for a matrix, one per matrix for a stack, seeded with its
+        spectrum.  Each wraps its matrix when the input is exactly
+        Hermitian, else ``(m + m^H)/2``.
 
     Raises
     ------
     DimensionError
         If ``dims`` has an entry below 1 or does not multiply to the side.
     NonFiniteEntry, HermiticityViolation, TraceViolation, NegativityViolation
-        With the offending magnitude attached.
+        With the offending magnitude attached.  A stack raises the first of
+        these checks that any of its matrices fails, so a stack with one bad
+        matrix raises what that matrix raises alone, magnitude included.
     """
-    mat = _square(m)
+    mat = _square(m, (2, 3))
     herm_dev = _finite_herm_dev(mat)
-    dims = _checked_dims(dims, mat.shape[0])
+    dims = _checked_dims(dims, mat.shape[-1])
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("density matrix is not Hermitian", herm_dev)
     _unit_trace(mat, "density matrix")
     if herm_dev:
         # Exactly Hermitian from here on, so every map of it is too.
-        mat = (mat + mat.conj().T) / 2
+        if mat.ndim == 2:
+            mat = (mat + mat.conj().T) / 2
+        else:
+            # Only the inexact matrices of a stack change, as they would
+            # on their own.
+            inexact = _herm_dev(mat, (-2, -1)) > 0
+            mat = mat.copy()
+            part = mat[inexact]
+            mat[inexact] = (part + part.conj().swapaxes(-1, -2)) / 2
     spec = herm_eigenvalues(mat)
-    lam_min = float(spec.eigenvalues[0])
+    if mat.ndim == 2:
+        lam_min = float(spec.eigenvalues[0])
+    else:
+        lam_min = min(float(s.eigenvalues[0]) for s in spec)
     if lam_min < PSD_FLOOR:
         raise NegativityViolation("density matrix has a negative eigenvalue", -lam_min)
-    return _derived(mat, dims, spec)
+    if mat.ndim == 2:
+        return _derived(mat, dims, spec)
+    return tuple(_derived(one, dims, s) for one, s in zip(mat, spec))
 
 
 def _unit_trace(mat, what):
-    """``mat`` once its trace is within ``TRACE_TOL`` of 1."""
-    trace_dev = abs(complex(np.trace(mat)) - 1.0)
-    # Written so that a NaN trace fails the check.
-    if not trace_dev <= TRACE_TOL:
-        raise TraceViolation(f"{what} trace differs from 1", trace_dev)
+    """``mat`` once its trace, or the trace of each matrix of a stack, is
+    within ``TRACE_TOL`` of 1."""
+    trace_dev = abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0)
+    # A NaN trace makes the largest deviation NaN, which fails the check.
+    worst = float(trace_dev if mat.ndim == 2 else trace_dev.max())
+    if not worst <= TRACE_TOL:
+        raise TraceViolation(f"{what} trace differs from 1", worst)
     return mat
+
+
+# How each cached map of a bipartite state is computed from a state, or
+# from a stack of matrices with their dims: (shape rule, name for its
+# error, computation).
+_CACHED_MAPS = {
+    "pt_spectrum": (BIPARTITE, "the partial-transpose spectrum",
+                    lambda rho, dims: herm_eigenvalues(partial_transpose(rho, 1, dims))),
+    "realign_norm": (SQUARE, "realign", lambda rho, dims: trace_norm(realign(rho, dims))),
+}
+
+
+def fill_spectra(states, names=("pt_spectrum", "realign_norm")):
+    """Fill the cached ``pt_spectrum`` and ``realign_norm`` (or those
+    ``names`` list) of each state of ``states``, a tuple of states with the
+    same dims, with one stacked solve per map.
+
+    A value a state has cached already is kept.  Each value has the bits the
+    state gets solved on its own.  A single state is solved as its 2-D
+    matrix, uncopied: :attr:`DensityMatrix.pt_spectrum` and
+    :attr:`DensityMatrix.realign_norm` fill themselves this way.
+
+    Raises
+    ------
+    DimensionError
+        If the states' dims differ, or a map does not apply to them (the
+        partial-transpose spectrum needs a bipartite state, the realignment
+        dims ``[d, d]``).
+    """
+    dims = states[0].dims
+    one = len(states) == 1
+    if not one and any(rho.dims != dims for rho in states):
+        raise DimensionError("a stack of states needs one dims for all of them")
+    src = states[0] if one else np.stack([rho.mat for rho in states])
+    for name in names:
+        shape, what, compute = _CACHED_MAPS[name]
+        shape.require(dims, what)
+        values = compute(src, None if one else list(dims))
+        if one:
+            values = (values,)
+        elif isinstance(values, np.ndarray):
+            values = values.tolist()
+        for rho, value in zip(states, values):
+            vars(rho).setdefault(name, value)
 
 
 def _derived(mat, dims, spectrum=None, ket=None):

@@ -2,9 +2,14 @@
 
 :data:`TABLES` maps each table id to a :class:`Table`: its kind
 (``"table"`` or ``"curve"``, which sets the default tolerance of the golden
-diff), its column names, its parameter points and the function that turns one
-point into one output row.  :func:`qent.cli.reproduce` regenerates an entry
-and diffs it against the golden file of the same id.
+diff), its column names, its parameter points and the function that turns all
+of its points into its output rows.  :func:`qent.cli.reproduce` regenerates
+an entry and diffs it against the golden file of the same id.
+
+A curve is computed as a stack: its states are validated together, and the
+figure-6 curves fill their partial-transpose spectra and realignment norms
+with one stacked solve each (:func:`qent.linalg.fill_spectra`) before the
+measures read them.  Each row has the bits of its point computed alone.
 
 The parameter points and grid expressions are the ones the golden files were
 generated from; changing how a point is computed changes its last bits.
@@ -18,7 +23,7 @@ import numpy as np
 
 from .classify3 import CanonicalThreeQubit, ghz_witness_value, slocc_classify
 from .detect import Outcome, criterion2, witness_from_pure
-from .linalg import expectation
+from .linalg import expectation, fill_spectra
 from .measures import concurrence_lb_chen, negativity, structured_negativity
 from .spa import spa_pt_qutrit_qubit, spa_pt_two_qubit, spa_witness
 from .states import (
@@ -33,15 +38,20 @@ from .states import (
 
 
 class Table(NamedTuple):
-    """One reference table or curve: ``row(point)`` for every point."""
+    """One reference table or curve: ``rows(points)`` gives one row per point."""
 
     kind: str
     columns: tuple
     points: tuple
-    row: Callable
+    rows: Callable
 
     def generate(self):
-        return {"columns": list(self.columns), "rows": [self.row(p) for p in self.points]}
+        return {"columns": list(self.columns), "rows": self.rows(self.points)}
+
+
+def _each(row):
+    """``rows`` of a table whose points are computed one at a time."""
+    return lambda points: [row(p) for p in points]
 
 
 def _x_witness_avg(a, b, f):
@@ -111,22 +121,25 @@ def _qutrit_qubit_witness(alpha):
     return spa_witness(witness_from_pure(chi, 1, [3, 2]), 3, 2, p=0.25)
 
 
-def _row_fig2_1(alpha):
-    rho = qutrit_qubit_alpha_state(alpha)
-    sw = _qutrit_qubit_witness(alpha)
-    spa = spa_pt_qutrit_qubit(rho)
-    lower = (1.0 - sw.p) / (sw.p * 6.0) - float(expectation(sw.w_tilde, rho)) / sw.p
-    upper = float(expectation(spa.rho_tilde.mat, rho))
-    return [alpha, lower, upper]
+def _rows_fig2_1(alphas):
+    states = qutrit_qubit_alpha_state(np.array(alphas))
+    rows = []
+    for alpha, rho, spa in zip(alphas, states, spa_pt_qutrit_qubit(states)):
+        sw = _qutrit_qubit_witness(alpha)
+        lower = (1.0 - sw.p) / (sw.p * 6.0) - float(expectation(sw.w_tilde, rho)) / sw.p
+        upper = float(expectation(spa.rho_tilde.mat, rho))
+        rows.append([alpha, lower, upper])
+    return rows
 
 
 def _measure_curve(family):
-    """Row of a figure-6 curve: the point, then three measures of ``family(point)``."""
-    def row(x):
-        rho = family(x)
-        return [x, negativity(rho).value, structured_negativity(rho).value,
-                concurrence_lb_chen(rho).value]
-    return row
+    """Rows of a figure-6 curve: each point, then three measures of its state."""
+    def rows(xs):
+        states = family(np.array(xs))
+        fill_spectra(states)
+        return [[x, negativity(rho).value, structured_negativity(rho).value,
+                 concurrence_lb_chen(rho).value] for x, rho in zip(xs, states)]
+    return rows
 
 
 _X_COLUMNS = ("a", "b", "re_f", "im_f")
@@ -137,23 +150,23 @@ _LO = 1.0 / np.sqrt(2.0)
 TABLES = {
     "2.1": Table("table", _X_COLUMNS + ("F_avg_witness",),
                  ((0.05, 0.45, 0.4 + 0.1j), (0.1, 0.4, 0.25 + 0.25j),
-                  (0.15, 0.35, 0.24 + 0.2j), (0.2, 0.3, 0.27 + 0.13j)), _row_2_1),
+                  (0.15, 0.35, 0.24 + 0.2j), (0.2, 0.3, 0.27 + 0.13j)), _each(_row_2_1)),
     "2.2": Table("table", _X_COLUMNS + ("F_avg_witness", "F_avg_spa", "concurrence"),
-                 _T22_POINTS, _row_2_2),
+                 _T22_POINTS, _each(_row_2_2)),
     "2.3": Table("table", _X_COLUMNS + ("lambda_min", "criterion2_ok"),
-                 _T22_POINTS, _row_2_3),
+                 _T22_POINTS, _each(_row_2_3)),
     "3.1": Table("table", ("a", "c", "p", "H4", "H5", "H6"),
                  ((0.8, 0.3, 0.2955), (0.9, 0.4, 0.559), (0.91, 0.8, 0.455),
                   (0.85, 0.35, 0.44), (0.88, 0.8, 0.3175), (0.78, 0.3, 0.214),
-                  (0.95, 0.4, 0.695), (0.83, 0.45, 0.285)), _row_3_1),
+                  (0.95, 0.4, 0.695), (0.83, 0.45, 0.285)), _each(_row_3_1)),
     "5.1": Table("table", ("l0", "l1", "l2", "lam_A", "lam_BC", "lam_max"),
                  ((0.7, 0.1, 0.707107), (0.3, 0.4, 0.866), (0.7, 0.3, 0.648),
-                  (0.1, 0.2, 0.9747), (0.2, 0.4, 0.8944)), _row_5_1),
+                  (0.1, 0.2, 0.9747), (0.2, 0.4, 0.8944)), _each(_row_5_1)),
     "5.2": Table("table", ("l0", "l1", "l2", "lam_AB", "lam_C"),
                  ((0.1, 0.4, 0.911), (0.2, 0.4, 0.8944), (0.6, 0.1, 0.7937),
-                  (0.5, 0.4, 0.7681)), _row_5_2),
+                  (0.5, 0.4, 0.7681)), _each(_row_5_2)),
     "fig2.1": Table("curve", ("alpha", "concurrence_lower", "concurrence_upper"),
-                    tuple(i / 20.0 for i in range(20)), _row_fig2_1),
+                    tuple(i / 20.0 for i in range(20)), _rows_fig2_1),
 }
 
 # Figure 6: id -> (parameter column, state family, grid).

@@ -134,7 +134,7 @@ def spa_pt_two_qubit(rho: DensityMatrix) -> SpaState:
     return spa_pt_dd(rho, 2)
 
 
-def spa_pt_qutrit_qubit(rho: DensityMatrix) -> SpaState:
+def spa_pt_qutrit_qubit(rho):
     """Closed-form qutrit-qubit (3 x 2) SPA-PT element map.
 
     Implements the published element equations with the symmetric map
@@ -148,67 +148,77 @@ def spa_pt_qutrit_qubit(rho: DensityMatrix) -> SpaState:
     part has a positive semidefinite Choi matrix, and the output is
     Hermitian by construction, so a unit-trace output is a state.  It is
     wrapped unchecked and solved on first use.
+
+    ``rho`` is one state, which gives one :class:`SpaState`, or a tuple of
+    states, which gives a tuple: their matrices are mapped as one stack,
+    entry by entry, so each output has the bits of its state mapped alone,
+    and a stack fails the trace check as its worst output fails it alone.
     """
-    linalg.exact_dims(3, 2).require(rho.dims, "spa_pt_qutrit_qubit")
-    r = rho.mat
+    states = rho if isinstance(rho, tuple) else (rho,)
+    shape = linalg.exact_dims(3, 2)
+    for one in states:
+        shape.require(one.dims, "spa_pt_qutrit_qubit")
+    r = np.stack([one.mat for one in states])
 
     def t(i, j):
-        return r[i - 1, j - 1]
+        return r[:, i - 1, j - 1]
 
     # a = b = c = 1/sqrt(2): every product of two parameters is 1/2.
     half = 0.5
     c32 = 3.0 / 32.0
-    out = np.zeros((6, 6), dtype=complex)
+    out = np.zeros(r.shape, dtype=complex)
 
     br11 = c32 * (1.0 + half * (t(3, 3) + t(4, 4)) + half * (t(5, 5) + t(6, 6))
                   + half * (t(3, 5) + np.conj(t(3, 5)) + t(4, 6) + np.conj(t(4, 6))))
-    out[0, 0] = br11 + 0.25 * ((2.0 / 3.0) * t(1, 1) + (1.0 / 3.0) * t(2, 2))
-    out[1, 1] = br11 + 0.25 * ((1.0 / 3.0) * t(1, 1) + (2.0 / 3.0) * t(2, 2))
+    out[:, 0, 0] = br11 + 0.25 * ((2.0 / 3.0) * t(1, 1) + (1.0 / 3.0) * t(2, 2))
+    out[:, 1, 1] = br11 + 0.25 * ((1.0 / 3.0) * t(1, 1) + (2.0 / 3.0) * t(2, 2))
 
     br13 = c32 * (half * (1.0 + t(5, 5) + t(6, 6)) - half * (t(1, 3) + t(2, 4))
                   - half * (t(1, 5) + t(2, 6))
                   + half * (np.conj(t(3, 5)) + np.conj(t(4, 6))))
-    out[0, 2] = br13 + 0.25 * ((2.0 / 3.0) * t(1, 3) + (1.0 / 3.0) * t(2, 4))
-    out[1, 3] = br13 + 0.25 * ((1.0 / 3.0) * t(1, 3) + (2.0 / 3.0) * t(2, 4))
+    out[:, 0, 2] = br13 + 0.25 * ((2.0 / 3.0) * t(1, 3) + (1.0 / 3.0) * t(2, 4))
+    out[:, 1, 3] = br13 + 0.25 * ((1.0 / 3.0) * t(1, 3) + (2.0 / 3.0) * t(2, 4))
 
     br15 = c32 * (-half * (1.0 + t(3, 3) + t(4, 4)) - half * (t(1, 3) + t(2, 4))
                   - half * (t(1, 5) + t(2, 6)) - half * (t(3, 5) + t(4, 6)))
-    out[0, 4] = br15 + 0.25 * ((2.0 / 3.0) * t(1, 5) + (1.0 / 3.0) * t(2, 6))
-    out[1, 5] = br15 + 0.25 * ((1.0 / 3.0) * t(1, 5) + (2.0 / 3.0) * t(2, 6))
+    out[:, 0, 4] = br15 + 0.25 * ((2.0 / 3.0) * t(1, 5) + (1.0 / 3.0) * t(2, 6))
+    out[:, 1, 5] = br15 + 0.25 * ((1.0 / 3.0) * t(1, 5) + (2.0 / 3.0) * t(2, 6))
 
     br33 = c32 * (1.0 + half * (t(1, 1) + t(2, 2)) + half * (t(5, 5) + t(6, 6))
                   - half * (t(1, 5) + np.conj(t(1, 5)) + t(2, 6) + np.conj(t(2, 6))))
-    out[2, 2] = br33 + 0.25 * ((2.0 / 3.0) * t(3, 3) + (1.0 / 3.0) * t(4, 4))
-    out[3, 3] = br33 + 0.25 * ((1.0 / 3.0) * t(3, 3) + (2.0 / 3.0) * t(4, 4))
+    out[:, 2, 2] = br33 + 0.25 * ((2.0 / 3.0) * t(3, 3) + (1.0 / 3.0) * t(4, 4))
+    out[:, 3, 3] = br33 + 0.25 * ((1.0 / 3.0) * t(3, 3) + (2.0 / 3.0) * t(4, 4))
 
     br35 = c32 * (half * (1.0 + t(1, 1) + t(2, 2)) - half * (t(1, 5) + t(2, 6))
                   + half * (np.conj(t(1, 3)) + np.conj(t(2, 4)))
                   - half * (t(3, 5) + t(4, 6)))
-    out[2, 4] = br35 + 0.25 * ((2.0 / 3.0) * t(3, 5) + (1.0 / 3.0) * t(4, 6))
-    out[3, 5] = br35 + 0.25 * ((1.0 / 3.0) * t(3, 5) + (2.0 / 3.0) * t(4, 6))
+    out[:, 2, 4] = br35 + 0.25 * ((2.0 / 3.0) * t(3, 5) + (1.0 / 3.0) * t(4, 6))
+    out[:, 3, 5] = br35 + 0.25 * ((1.0 / 3.0) * t(3, 5) + (2.0 / 3.0) * t(4, 6))
 
     br55 = c32 * (1.0 + half * (t(1, 1) + t(2, 2)) + half * (t(3, 3) + t(4, 4))
                   + half * (t(1, 3) + np.conj(t(1, 3)) + t(2, 4) + np.conj(t(2, 4))))
-    out[4, 4] = br55 + 0.25 * ((2.0 / 3.0) * t(5, 5) + (1.0 / 3.0) * t(6, 6))
-    out[5, 5] = br55 + 0.25 * ((1.0 / 3.0) * t(5, 5) + (2.0 / 3.0) * t(6, 6))
+    out[:, 4, 4] = br55 + 0.25 * ((2.0 / 3.0) * t(5, 5) + (1.0 / 3.0) * t(6, 6))
+    out[:, 5, 5] = br55 + 0.25 * ((1.0 / 3.0) * t(5, 5) + (2.0 / 3.0) * t(6, 6))
 
     # Qubit-transpose-like entries, weight 1/12.
-    out[0, 1] = np.conj(t(1, 2)) / 12.0
-    out[0, 3] = t(2, 3) / 12.0
-    out[0, 5] = t(2, 5) / 12.0
-    out[1, 2] = t(1, 4) / 12.0
-    out[1, 4] = t(1, 6) / 12.0
-    out[2, 3] = np.conj(t(3, 4)) / 12.0
-    out[2, 5] = t(4, 5) / 12.0
-    out[3, 4] = t(3, 6) / 12.0
-    out[4, 5] = np.conj(t(5, 6)) / 12.0
+    out[:, 0, 1] = np.conj(t(1, 2)) / 12.0
+    out[:, 0, 3] = t(2, 3) / 12.0
+    out[:, 0, 5] = t(2, 5) / 12.0
+    out[:, 1, 2] = t(1, 4) / 12.0
+    out[:, 1, 4] = t(1, 6) / 12.0
+    out[:, 2, 3] = np.conj(t(3, 4)) / 12.0
+    out[:, 2, 5] = t(4, 5) / 12.0
+    out[:, 3, 4] = t(3, 6) / 12.0
+    out[:, 4, 5] = np.conj(t(5, 6)) / 12.0
 
     for i in range(6):
         for j in range(i + 1, 6):
-            out[j, i] = np.conj(out[i, j])
-    dm = _derived(_unit_trace(out, "qutrit-qubit SPA-PT output"), [3, 2])
+            out[:, j, i] = np.conj(out[:, i, j])
+    _unit_trace(out, "qutrit-qubit SPA-PT output")
     # Published 2x3 floor; exposed for reference (see _spa_coefficients).
-    return SpaState(rho_tilde=dm, mixing=0.75, threshold=3.0 / 13.0)
+    outs = tuple(SpaState(rho_tilde=_derived(mat, [3, 2]), mixing=0.75, threshold=3.0 / 13.0)
+                 for mat in out)
+    return outs if isinstance(rho, tuple) else outs[0]
 
 
 # The three-qubit SPA-PT (1/10) I_8 + (1/5) rho^{T_k}: mixing p = 4/5 is

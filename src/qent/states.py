@@ -7,6 +7,12 @@ checked weights, are states by construction and are wrapped unchecked);
 pure families return vectors from :func:`ket`, which only :func:`projector`
 turns into states.  Basis ordering is big-endian computational, subsystem 0
 leftmost.
+
+The one-parameter families of the paper's curves (:func:`werner_state`,
+:func:`mems_state`, :func:`qutrit_qubit_alpha_state`,
+:func:`two_qutrit_a_state` and :func:`two_qutrit_alpha_state`) broadcast:
+a scalar parameter gives one state, and an array of them a tuple of states
+validated as one stack, each with the bits of its scalar call.
 """
 
 from __future__ import annotations
@@ -103,12 +109,19 @@ def bell_psi_minus():
     return ket([0, 1, -1, 0], [2, 2])
 
 
+def _stacked(param):
+    """A family parameter (a scalar or an array of them) with two trailing
+    axes, to broadcast against a matrix."""
+    return np.asarray(param)[..., np.newaxis, np.newaxis]
+
+
 def werner_state(F):
     """Werner state ``F |psi-><psi-| + (1-F) I/4``.
 
     Entangled (NPT) exactly for F > 1/3.
     """
     v = bell_psi_minus()
+    F = _stacked(F)
     mat = F * np.outer(v, v.conj()) + (1.0 - F) * np.eye(4) / 4.0
     return validate_density(mat, [2, 2])
 
@@ -142,12 +155,13 @@ def mems_state(C):
     The two-parameter family with ``h = C/2`` for ``C >= 2/3`` and ``h = 1/3``
     below.
     """
-    h = C / 2.0 if C >= 2.0 / 3.0 else 1.0 / 3.0
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = h
-    mat[3, 3] = h
-    mat[1, 1] = 1.0 - 2.0 * h
-    mat[0, 3] = mat[3, 0] = C / 2.0
+    C = np.asarray(C)
+    h = np.where(C >= 2.0 / 3.0, C / 2.0, 1.0 / 3.0)
+    mat = np.zeros(C.shape + (4, 4), dtype=complex)
+    mat[..., 0, 0] = h
+    mat[..., 3, 3] = h
+    mat[..., 1, 1] = 1.0 - 2.0 * h
+    mat[..., 0, 3] = mat[..., 3, 0] = C / 2.0
     return validate_density(mat, [2, 2])
 
 
@@ -162,9 +176,10 @@ def qutrit_qubit_alpha_state(alpha):
     ``(|0>|1> + |2>|0>)/sqrt(2)`` and ``1 - alpha`` on the projector onto
     ``(|1>|0> + |2>|1>)/sqrt(2)``; entangled for every ``alpha`` in [0, 1].
     """
-    mat = np.zeros((6, 6), dtype=complex)
-    mat[1, 1] = mat[4, 4] = mat[1, 4] = mat[4, 1] = alpha / 2.0
-    mat[2, 2] = mat[5, 5] = mat[2, 5] = mat[5, 2] = (1.0 - alpha) / 2.0
+    alpha = np.asarray(alpha)
+    mat = np.zeros(alpha.shape + (6, 6), dtype=complex)
+    mat[..., 1, 1] = mat[..., 4, 4] = mat[..., 1, 4] = mat[..., 4, 1] = alpha / 2.0
+    mat[..., 2, 2] = mat[..., 5, 5] = mat[..., 2, 5] = mat[..., 5, 2] = (1.0 - alpha) / 2.0
     return validate_density(mat, [3, 2])
 
 
@@ -220,10 +235,12 @@ def two_qutrit_a_state(a):
     ``(|psi1><psi1| + |psi2><psi2| + |psi3><psi3|)/(5 + 2a^2)`` with
     ``|psi_i> = |0i> - a|i0>`` (i = 1, 2) and ``|psi3> = sum_i |ii>``.
     """
-    p1 = basis_ket(1, 9) - a * basis_ket(3, 9)      # |01> - a|10>
-    p2 = basis_ket(2, 9) - a * basis_ket(6, 9)      # |02> - a|20>
+    a = np.asarray(a)
+    p1 = basis_ket(1, 9) - a[..., np.newaxis] * basis_ket(3, 9)      # |01> - a|10>
+    p2 = basis_ket(2, 9) - a[..., np.newaxis] * basis_ket(6, 9)      # |02> - a|20>
     p3 = basis_ket(0, 9) + basis_ket(4, 9) + basis_ket(8, 9)
-    mat = sum(np.outer(p, p.conj()) for p in (p1, p2, p3)) / (5.0 + 2.0 * a * a)
+    outers = (p[..., :, np.newaxis] * p.conj()[..., np.newaxis, :] for p in (p1, p2, p3))
+    mat = sum(outers) / _stacked(5.0 + 2.0 * a * a)
     return validate_density(mat, [3, 3])
 
 
@@ -241,6 +258,7 @@ def two_qutrit_alpha_state(alpha):
     s_minus = np.zeros((9, 9), dtype=complex)
     for idx in (3, 7, 2):                           # |10>, |21>, |02>
         s_minus[idx, idx] = 1.0 / 3.0
+    alpha = _stacked(alpha)
     mat = (2.0 / 7.0) * phi + (alpha / 7.0) * s_plus + ((5.0 - alpha) / 7.0) * s_minus
     return validate_density(mat, [3, 3])
 

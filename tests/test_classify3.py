@@ -273,6 +273,36 @@ class TestSloccClassifier:
             assert all(abs(lam - alpha / 8.0) <= 1e-12 for lam in v.lambdas)
 
 
+def _trig_roots(a):
+    """Eigenvalues of a real symmetric 3x3 matrix (nested lists) from the
+    trigonometric solution of its characteristic cubic, with no eigensolver:
+    ``q + 2 p cos(phi + 2 pi k / 3)``, where ``q`` is the mean eigenvalue,
+    ``p`` the deviation scale and ``cos(3 phi) = det((A - q I)/p)/2``."""
+    q = (a[0][0] + a[1][1] + a[2][2]) / 3.0
+    off = a[0][1] ** 2 + a[0][2] ** 2 + a[1][2] ** 2
+    p = np.sqrt(((a[0][0] - q) ** 2 + (a[1][1] - q) ** 2 + (a[2][2] - q) ** 2
+                 + 2.0 * off) / 6.0)
+    if p == 0.0:
+        return [q, q, q]
+    b = [[(a[i][j] - (q if i == j else 0.0)) / p for j in range(3)] for i in range(3)]
+    det = (b[0][0] * (b[1][1] * b[2][2] - b[1][2] * b[2][1])
+           - b[0][1] * (b[1][0] * b[2][2] - b[1][2] * b[2][0])
+           + b[0][2] * (b[1][0] * b[2][1] - b[1][1] * b[2][0]))
+    phi = np.arccos(min(1.0, max(-1.0, det / 2.0))) / 3.0
+    return [q + 2.0 * p * np.cos(phi + 2.0 * np.pi * k / 3.0) for k in range(3)]
+
+
+def _spa_pt_blocks(q1, q2):
+    """The blocks of ``rho^{T_A}`` for ``q1 GHZ + q2 W + (1-q1-q2) W~``: the
+    3x3 blocks on {|000>, |101>, |110>} and {|001>, |010>, |111>}, and the
+    smaller root of the 2x2 block on {|011>, |100>}."""
+    g, w, t = q1 / 2.0, q2 / 3.0, (1.0 - q1 - q2) / 3.0
+    first = [[g, w, w], [w, t, t], [w, t, t]]
+    second = [[w, w, t], [w, w, t], [t, t, g]]
+    mean, det = (t + w) / 2.0, t * w - g * g
+    return first, second, mean - np.sqrt(mean * mean - det)
+
+
 class TestMixtureAnalysis:
     def test_two_term_branch_is_the_minimum(self):
         for q in np.linspace(0.0, 1.0, 21):
@@ -296,6 +326,28 @@ class TestMixtureAnalysis:
         assert sum(agree) == 352
         # Another branch dips below only at GHZ weights up to 0.45.
         assert all(r.q1 <= 0.45 for r, a in zip(reports, agree) if not a)
+
+    def test_the_spa_pt_blocks_give_the_minimum_on_the_simplex(self):
+        # Over qubit A the SPA-PT splits into the 3x3 blocks {|000>, |101>,
+        # |110>} and {|001>, |010>, |111>} and the 2x2 block {|011>, |100>}
+        # (the paper's branch); the three cuts share one spectrum.  The
+        # cubic roots of the 3x3 blocks, in trigonometric form, and the 2x2
+        # roots together give min(lambdas) at every grid point.
+        worst = 0.0
+        for i in range(41):
+            for j in range(41 - i):
+                q1, q2 = i / 40, j / 40
+                first, second, pair = _spa_pt_blocks(q1, q2)
+                oracle = 0.1 + 0.2 * min(*_trig_roots(first), *_trig_roots(second), pair)
+                worst = max(worst, abs(oracle - min(ghz_w_mixture_analysis(q1, q2).lambdas)))
+        assert worst <= 1e-12
+
+    def test_the_first_cubic_block_dips_below_the_branch(self):
+        # The example of MixtureReport.predicted.
+        r = ghz_w_mixture_analysis(0.1, 0.5)
+        first = 0.1 + 0.2 * min(_trig_roots(_spa_pt_blocks(0.1, 0.5)[0]))
+        assert abs(first - 0.0798) <= 1e-4 and abs(r.predicted - 0.1195) <= 1e-4
+        assert abs(first - min(r.lambdas)) <= 1e-12
 
     def test_three_term_branch_is_in_the_spectrum(self):
         from qent.states import ghz_w_wtilde_mixture

@@ -1,6 +1,7 @@
 """Command-line interface: file format, reports, exit codes, reproduction."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -534,6 +535,33 @@ def test_fuzzed_state_files_fail_only_with_documented_errors(fuzz_path, doc):
 
 
 class TestReproduceTables:
+    # The sha256 of each report's bytes, as `qent reproduce ID` prints it.
+    _REPORT_SHA256 = {
+        "2.1": "b3c6efacdb0fc7de3ab1557e9635f827e53ee21f62b4844b52b683fe91e342fc",
+        "2.2": "47f7e5010f90032c2176337f2d00e6b936c18ffe3ff31f15538eadc459cfdcee",
+        "2.3": "1c93e493151be1d9a5936250211c450fb596be7fedc3f826ab0cf98b5bc5d2f0",
+        "3.1": "784af3e271cddb35a7ae151df54579c5b1bb6f78161286960087f0bbe0de9cb9",
+        "5.1": "9960c788ca40bebdd5ce83b3365760abc330745ce3799e8376e98088337c8694",
+        "5.2": "e5d6508f2b0630125055cde1375c0bb8382344f608e5292c38c445fb71e47dcc",
+        "fig2.1": "c4ad3ae5e5fc25295a7b59faff185d368ef252d146ca2edc897112a468b9679b",
+        "fig6.1": "07e86926647c04d0497b2f3eaf15b29bd02a0befc4f817b7a7aa1aa2ecdca4cf",
+        "fig6.2": "3c2ed21172cb05f551dcd34ce31cc2e3eedb7d38f6befa1a756da99326e8774e",
+        "fig6.3": "badd692bba2faa43acc3084f2de6d1223784bbab5eac9f4a45da91139b7dec5b",
+        "fig6.4": "d43d6b29379f9991267ab70761f8c029dd812b82ca32ef3d4282d43da3f2883d",
+        "fig6.5": "853ad7993d179b3c8c259e52475b95cad9c4cf07306516782a79606226b4bfb5",
+    }
+
+    def test_every_table_has_a_pinned_report(self):
+        assert sorted(self._REPORT_SHA256) == sorted(TABLES)
+
+    @pytest.mark.parametrize("table_id", sorted(_REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, capsysbinary, table_id):
+        # Reports are byte-stable: a change to how a row is computed that
+        # moves any bit of any cell changes the hash.
+        assert main(["reproduce", table_id]) == EXIT_OK
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == self._REPORT_SHA256[table_id]
+
     def test_grid_column_is_bit_identical_to_golden(self):
         for table_id in TABLES:
             report, _ = reproduce(table_id)

@@ -1,0 +1,289 @@
+"""Stacks of states: ``validate_density``, ``partial_transpose``, ``realign``
+and ``trace_norm`` take a stack ``(k, n, n)`` as well as one matrix, and
+``fill_spectra`` fills the cached spectra of a tuple of states with one
+stacked solve per map.  Every state of a stack must carry the bits of the
+same matrix validated and solved on its own, and a stack with one bad
+matrix must fail as that matrix fails alone."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qent import linalg
+from qent.errors import (
+    DimensionError,
+    HermiticityViolation,
+    NegativityViolation,
+    NonFiniteEntry,
+    TraceViolation,
+)
+from qent.linalg import (
+    DensityMatrix,
+    fill_spectra,
+    partial_transpose,
+    realign,
+    trace_norm,
+    validate_density,
+)
+from qent.measures import concurrence_lb_chen, negativity, structured_negativity
+from qent.reproduce import TABLES
+from qent.spa import spa_pt_qutrit_qubit
+from qent.states import (
+    mems_state,
+    qutrit_qubit_alpha_state,
+    two_qutrit_a_state,
+    two_qutrit_alpha_state,
+    werner_state,
+)
+
+_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+
+
+def _swap(mat, d):
+    """``S mat S`` for the swap ``S`` of a ``[d, d]`` matrix."""
+    return mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+
+
+def _random_state_matrix(rng, dims, hermitian_realignment):
+    """A random density matrix of random rank.  With
+    ``hermitian_realignment`` (square dims only) it is ``(s + S s* S)/2``,
+    whose realigned matrix is Hermitian, so ``trace_norm`` takes its
+    eigensolver branch rather than the SVD."""
+    n = int(np.prod(dims))
+    rank = int(rng.integers(1, n + 1))
+    a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    m = a @ a.conj().T
+    m /= np.trace(m).real
+    if hermitian_realignment:
+        m = (m + _swap(m.conj(), dims[0])) / 2
+    return m
+
+
+def _stack(seed, k, dims):
+    rng = np.random.default_rng(seed)
+    square = dims[0] == dims[1]
+    return np.stack([_random_state_matrix(rng, dims, square and bool(rng.integers(2)))
+                     for _ in range(k)])
+
+
+def _measures(rho):
+    """The measures defined on ``rho``'s dims, as floats."""
+    values = [negativity(rho).value]
+    if linalg.PROPER_SQUARE.fits(rho.dims):
+        values += [structured_negativity(rho).value, concurrence_lb_chen(rho).value]
+    return values
+
+
+def _same_spectrum(a, b):
+    return (np.array_equal(a.eigenvalues, b.eigenvalues)
+            and np.array_equal(a.vectors, b.vectors) and a.residual == b.residual)
+
+
+class TestStackEqualsLoop:
+    @pytest.mark.parametrize("dims", _DIMS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           k=st.integers(min_value=1, max_value=6))
+    def test_every_state_of_a_stack_has_the_bits_of_its_own_validation(self, dims, seed, k):
+        stack = _stack(seed, k, dims)
+        states = validate_density(stack, list(dims))
+        assert isinstance(states, tuple) and len(states) == k
+        names = ("pt_spectrum", "realign_norm") if dims[0] == dims[1] else ("pt_spectrum",)
+        fill_spectra(states, names)
+        for m, rho in zip(stack, states):
+            one = validate_density(m, list(dims))
+            assert isinstance(rho, DensityMatrix) and rho.dims == one.dims
+            assert np.array_equal(rho.mat, one.mat)
+            assert _same_spectrum(rho.spectrum, one.spectrum)
+            assert _same_spectrum(rho.pt_spectrum, one.pt_spectrum)
+            if dims[0] == dims[1]:
+                assert rho.realign_norm == one.realign_norm
+            assert _measures(rho) == _measures(one)
+
+    @pytest.mark.parametrize("dims", _DIMS)
+    def test_the_maps_of_a_stack_are_the_maps_of_its_matrices(self, rng, dims):
+        stack = _stack(int(rng.integers(2 ** 32)), 4, dims)
+        for sys in (0, 1):
+            pts = partial_transpose(stack, sys, list(dims))
+            assert pts.shape == stack.shape
+            for m, pt in zip(stack, pts):
+                assert np.array_equal(pt, partial_transpose(m, sys, list(dims)))
+        if dims[0] == dims[1]:
+            rs = realign(stack, list(dims))
+            assert np.array_equal(rs, [realign(m, list(dims)) for m in stack])
+            norms = trace_norm(rs)
+            assert norms.shape == (4,)
+            assert norms.tolist() == [trace_norm(r) for r in rs]
+
+    def test_a_matrix_is_the_one_element_case(self, eigh_shapes):
+        m = _stack(7, 1, (3, 3))
+        (first,) = validate_density(m, [3, 3])
+        one = validate_density(m[0], [3, 3])
+        assert isinstance(one, DensityMatrix)
+        assert _same_spectrum(first.spectrum, one.spectrum)
+        eigh_shapes.clear()
+        one.pt_spectrum
+        one.realign_norm
+        # A single state is solved as a matrix, not as a stack of one.
+        assert all(len(shape) == 2 for shape in eigh_shapes)
+
+    def test_fill_spectra_keeps_what_is_cached(self):
+        states = validate_density(_stack(3, 3, (2, 2)), [2, 2])
+        cached = states[1].pt_spectrum
+        fill_spectra(states, ("pt_spectrum",))
+        assert states[1].pt_spectrum is cached
+        assert _same_spectrum(states[0].pt_spectrum,
+                              validate_density(states[0].mat, [2, 2]).pt_spectrum)
+
+    def test_fill_spectra_needs_one_dims_for_the_stack(self):
+        a = validate_density(_stack(1, 1, (2, 2))[0], [2, 2])
+        b = validate_density(_stack(2, 1, (2, 2))[0], [4])
+        with pytest.raises(DimensionError):
+            fill_spectra((a, b), ("pt_spectrum",))
+
+    @pytest.mark.parametrize("name,dims", [("pt_spectrum", [4]), ("realign_norm", [2, 3])])
+    def test_fill_spectra_keeps_each_maps_shape_rule(self, name, dims):
+        n = int(np.prod(dims))
+        rho = validate_density(np.eye(n) / n, dims)
+        with pytest.raises(DimensionError):
+            fill_spectra((rho, rho), (name,))
+        with pytest.raises(DimensionError):
+            getattr(rho, name)
+
+
+def _spoiled(m, defects):
+    """``m`` with each named defect applied, in a fixed order."""
+    m = m.copy()
+    if "negative" in defects:
+        m = np.diag([1.25, -0.25] + [0.0] * (len(m) - 2)).astype(complex)
+    if "off-trace" in defects:
+        m = m * 1.01
+    if "non-hermitian" in defects:
+        m[0, 1] += 1e-6
+    if "nan" in defects:
+        m[1, 1] = np.nan
+    return m
+
+
+_DEFECTS = [("nan",), ("non-hermitian",), ("off-trace",), ("negative",),
+            ("nan", "non-hermitian"), ("non-hermitian", "off-trace"),
+            ("off-trace", "negative"), ("nan", "off-trace", "negative")]
+
+
+class TestOneBadMatrix:
+    @pytest.mark.parametrize("defects", _DEFECTS, ids="+".join)
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_a_stack_fails_as_its_bad_matrix_fails_alone(self, defects, pos):
+        stack = _stack(11, 5, (2, 3))
+        stack[pos] = _spoiled(stack[pos], defects)
+        with pytest.raises((NonFiniteEntry, HermiticityViolation, TraceViolation,
+                            NegativityViolation)) as alone:
+            validate_density(stack[pos], [2, 3])
+        with pytest.raises(type(alone.value)) as stacked:
+            validate_density(stack, [2, 3])
+        assert type(stacked.value) is type(alone.value)
+        assert stacked.value.magnitude == alone.value.magnitude
+
+    def test_an_exactly_hermitian_matrix_keeps_its_bits_beside_an_inexact_one(self):
+        # Off-diagonal entries whose sum overflows: halving the sum would
+        # turn them infinite, which the matrix alone never meets.
+        huge = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        huge[0, 1] = huge[1, 0] = 1e308
+        inexact = np.eye(4, dtype=complex) / 4
+        inexact[0, 1] = 1e-12j
+        with pytest.raises(NegativityViolation) as alone:
+            validate_density(huge, [2, 2])
+        with pytest.raises(NegativityViolation) as stacked:
+            validate_density(np.stack([inexact, huge]), [2, 2])
+        assert stacked.value.magnitude == alone.value.magnitude
+        first, second = validate_density(np.stack([inexact, np.eye(4) / 4]), [2, 2])
+        assert np.array_equal(first.mat, validate_density(inexact, [2, 2]).mat)
+        assert np.array_equal(second.mat, np.eye(4) / 4)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 4, 4), (2, 2, 4, 4)])
+    def test_rejects_what_is_not_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(DimensionError):
+            validate_density(np.zeros(shape), [2, 2])
+
+    def test_dims_must_fit_the_side_of_the_stack(self):
+        with pytest.raises(DimensionError):
+            validate_density(np.stack([np.eye(4) / 4] * 2), [2, 3])
+
+
+# Each family's curve grid, as the figures use it.
+_FAMILIES = [
+    (werner_state, [0.35 + 0.05 * i for i in range(14)]),
+    (mems_state, [(2.0 / 3.0) * i / 10.0 for i in range(11)]
+     + [2.0 / 3.0 + (1.0 / 3.0) * i / 10.0 for i in range(11)]),
+    (two_qutrit_a_state, [1 / np.sqrt(2.0) + (1.0 - 1 / np.sqrt(2.0)) * i / 10.0
+                          for i in range(11)]),
+    (two_qutrit_alpha_state, [4.0 + i / 10.0 for i in range(11)]),
+    (qutrit_qubit_alpha_state, [i / 20.0 for i in range(20)]),
+]
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("family,grid", _FAMILIES, ids=lambda f: getattr(f, "__name__", ""))
+    def test_an_array_of_parameters_is_a_tuple_of_the_scalar_states(self, family, grid):
+        states = family(np.array(grid))
+        assert isinstance(states, tuple) and len(states) == len(grid)
+        for x, rho in zip(grid, states):
+            one = family(x)
+            assert isinstance(one, DensityMatrix) and one.dims == rho.dims
+            assert np.array_equal(rho.mat, one.mat)
+            assert _same_spectrum(rho.spectrum, one.spectrum)
+
+    def test_the_qutrit_qubit_map_of_a_tuple_is_the_map_of_each_state(self):
+        states = qutrit_qubit_alpha_state(np.array([i / 20.0 for i in range(20)]))
+        outs = spa_pt_qutrit_qubit(states)
+        assert isinstance(outs, tuple) and len(outs) == 20
+        for rho, out in zip(states, outs):
+            one = spa_pt_qutrit_qubit(rho)
+            assert np.array_equal(out.rho_tilde.mat, one.rho_tilde.mat)
+            assert (out.mixing, out.threshold) == (one.mixing, one.threshold)
+
+    def test_the_qutrit_qubit_map_checks_the_trace_of_each_output(self):
+        good = qutrit_qubit_alpha_state(0.3)
+        m = np.eye(6, dtype=complex) / 6
+        m[0, 2] = m[2, 0] = 0.1  # outside the family: the map leaves the trace
+        bad = validate_density(m, [3, 2])
+        with pytest.raises(TraceViolation) as alone:
+            spa_pt_qutrit_qubit(bad)
+        with pytest.raises(TraceViolation) as stacked:
+            spa_pt_qutrit_qubit((good, bad, good))
+        assert stacked.value.magnitude == alone.value.magnitude
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """List that records the input shape of every ``np.linalg.svd`` call."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+class TestCurveSolves:
+    @pytest.mark.parametrize("table_id", ["fig6.1", "fig6.2", "fig6.3", "fig6.4", "fig6.5"])
+    def test_a_figure_6_curve_makes_one_call_per_layer(self, eigh_shapes, svd_shapes, table_id):
+        table = TABLES[table_id]
+        table.generate()
+        k = len(table.points)
+        n = eigh_shapes[0][-1]
+        # Validation, the partial transposes, and the realigned matrices
+        # split into a Hermitian stack (eigh) and the rest (svd).
+        assert len(eigh_shapes) <= 3 and len(svd_shapes) <= 1
+        assert eigh_shapes[:2] == [(k, n, n), (k, n, n)]
+        assert sum(s[0] for s in eigh_shapes[2:] + svd_shapes) == k
+
+    def test_fig2_1_validates_its_curve_as_one_stack(self, eigh_shapes):
+        TABLES["fig2.1"].generate()
+        assert eigh_shapes.count((20, 6, 6)) == 1
+        # The rest are the 20 witnesses, one per point.
+        assert sorted(eigh_shapes, key=len) == [(6, 6)] * 20 + [(20, 6, 6)]

@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 from qent.classify3 import CanonicalThreeQubit, canonical_projector
 from qent.cli import EXIT_OK, main, write_state_file
-from qent.detect import Outcome, realignment_check, reduction_check
+from conftest import random_product_density, random_pure
+from qent.detect import (
+    Outcome,
+    criterion1,
+    ppt_check,
+    realignment_check,
+    reduction_check,
+    witness_from_pure,
+)
 from qent.errors import DimensionError
 from qent.linalg import (
     HERM_TOL,
@@ -25,7 +33,7 @@ from qent.linalg import (
     validate_density,
 )
 from qent.measures import concurrence_lb_chen, negativity, structured_negativity
-from qent.spa import spa_pt_d1d2, spa_pt_dd, spa_pt_three_qubit, spa_pt_two_qubit
+from qent.spa import spa_pt_d1d2, spa_pt_dd, spa_pt_three_qubit, spa_pt_two_qubit, spa_witness
 from qent.states import ghz_w_mixture, ghz_w_wtilde_mixture, horodecki_bound_entangled, projector
 
 DELTA = 0.9e-9
@@ -86,6 +94,28 @@ class TestRealignmentAtTheValidationFloor:
     def test_entangled_states_are_still_detected(self):
         rho = horodecki_bound_entangled(0.3)
         assert realignment_check(rho).outcome is Outcome.Entangled
+
+
+class TestSeparableStatesAtTheValidationFloor:
+    # A product mixture sigma pushed to (1 + n eps) sigma - eps I passes
+    # validation for eps below -PSD_FLOOR, and its nearest state is the
+    # separable sigma: no criterion may claim it (see each docstring for
+    # the criterion's allowance).
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           eps=st.floats(min_value=0.0, max_value=0.99e-9))
+    def test_no_criterion_says_entangled(self, dims, seed, eps):
+        rng = np.random.default_rng(seed)
+        n = math.prod(dims)
+        sigma = random_product_density(rng, dims)
+        rho = validate_density((1.0 + n * eps) * sigma.mat - eps * np.eye(n), list(dims))
+        # An SPA witness of a random ket, entangled with probability one.
+        witness = spa_witness(witness_from_pure(random_pure(rng, n), 1, list(dims)), *dims)
+        verdicts = [ppt_check(rho), reduction_check(rho), criterion1(rho, witness)]
+        if dims[0] == dims[1]:
+            verdicts.append(realignment_check(rho))
+        assert [v for v in verdicts if v.outcome is Outcome.Entangled] == []
 
 
 def _near_hermitian_matrix():
