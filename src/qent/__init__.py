@@ -27,7 +27,6 @@ from .classify3 import (
     ghz_witness_operator,
     ghz_witness_value,
     lu_invariants,
-    observable,
     parametric_subclass,
     slocc_classify,
     subclass_fidelities,
@@ -97,7 +96,6 @@ from .spa import (
     spa_pt_dd,
     spa_pt_qutrit_qubit,
     spa_pt_three_qubit,
-    spa_pt_three_qubit_cuts,
     spa_pt_two_qubit,
     spa_witness,
 )

@@ -32,7 +32,6 @@ from .states import _cut_schmidt_products, ghz_w_mixture, ghz_w_wtilde_mixture, 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
 _PAULI_STACK = np.stack([_SX, _SY, _SZ])
 
 # Tangle boundary of the GHZ/W/W~ mixture regimes (quoted value).
@@ -148,27 +147,10 @@ def lu_invariants(params: CanonicalThreeQubit) -> LuInvariants:
 # Few-body observables and GHZ-subclass witnesses
 # ---------------------------------------------------------------------------
 
-def observable(which):
-    """The fixed observables ``O1..O6`` used by the subclass witnesses.
-
-    ``O1 = 2 sx sx sx``, ``O2 = 2 sx sz sx``, ``O3 = 2 sx sx sz``,
-    ``O4 = 2 sx I I``, ``O5 = |000><000|``, ``O6 = 2 I sy sy``.
-    """
-    table = {
-        "O1": 2.0 * tensor(tensor(_SX, _SX), _SX),
-        "O2": 2.0 * tensor(tensor(_SX, _SZ), _SX),
-        "O3": 2.0 * tensor(tensor(_SX, _SX), _SZ),
-        "O4": 2.0 * tensor(tensor(_SX, _I2), _I2),
-        "O6": 2.0 * tensor(tensor(_I2, _SY), _SY),
-    }
-    if which == "O5":
-        m = np.zeros((8, 8), dtype=complex)
-        m[0, 0] = 1.0
-        return m
-    try:
-        return table[which]
-    except KeyError:
-        raise DimensionError(f"unknown observable {which!r}") from None
+# The observables of the subclass witnesses: O1 = 2 sx sx sx, O4 = 2 sx I I.
+_O1 = 2.0 * tensor(tensor(_SX, _SX), _SX)
+_O4 = 2.0 * tensor(_SX, np.eye(4))
+_O1.flags.writeable = _O4.flags.writeable = False
 
 
 def _require_theta_zero(params):
@@ -213,9 +195,9 @@ def ghz_witness_operator(params: CanonicalThreeQubit, which):
     tuned per state.
     """
     _require_theta_zero(params)
-    h = observable("O1") - _witness_coefficient(params, which) * np.eye(8)
+    h = _O1 - _witness_coefficient(params, which) * np.eye(8)
     if which == "H8":
-        h = h + observable("O4") / 2.0
+        h = h + _O4 / 2.0
     return h
 
 
@@ -327,7 +309,13 @@ def subclass_fidelities(params: CanonicalThreeQubit, subclass):
 # ---------------------------------------------------------------------------
 
 class SloccOutcome(Enum):
-    """SLOCC-level verdicts from the SPA-PT eigenvalue thresholds."""
+    """SLOCC-level verdicts from the SPA-PT eigenvalue thresholds, exact for a ket.
+
+    For a mixed state, ``Genuine`` means that all three cuts are NPT: necessary
+    for genuine multipartite entanglement, not sufficient.  ``ghz_werner_state(0.79)``
+    is ``Genuine``, with lambda = 0.09875 on every cut, yet biseparable (Guhne &
+    Seevinck, NJP 12, 053002 (2010)).  ``BiseparableX`` means "consistent with X|rest".
+    """
 
     Genuine = "Genuine"
     BiseparableA_BC = "BiseparableA_BC"
@@ -356,9 +344,10 @@ def slocc_classify(rho) -> SloccVerdict:
     Accepts a :class:`DensityMatrix` or a pure-state amplitude vector.
 
     Decision order against the 1/10 floor (``SLACK`` slack): all three below
-    gives Genuine; otherwise the first qubit (A, B, C order) at or above
-    the floor names the biseparable cut when another qubit is below; all
-    three at or above the floor gives FullySeparableConsistent.
+    gives Genuine (for a mixed state, only "all cuts NPT"; see
+    :class:`SloccOutcome`); otherwise the first qubit (A, B, C order) at or
+    above the floor names the cut X of BiseparableX when another qubit is
+    below; all three at or above the floor gives FullySeparableConsistent.
 
     The SPA-PT ``(1/10) I_8 + (1/5) rho^{T_k}`` has
     ``lambda_min = 1/10 + (1/5) lambda_min(rho^{T_k})``, so no SPA-PT output

@@ -241,12 +241,6 @@ def spa_pt_three_qubit(rho: DensityMatrix, qubit) -> SpaState:
     return SpaState(rho_tilde=out, mixing=0.8, threshold=THREE_QUBIT_THRESHOLD)
 
 
-def spa_pt_three_qubit_cuts(rho: DensityMatrix):
-    """The SPA-PT of a three-qubit state over qubits A, B and C, in that
-    order."""
-    return tuple(spa_pt_three_qubit(rho, q) for q in "ABC")
-
-
 def spa_witness(w, d1, d2, p=None) -> SpaWitness:
     """SPA of a witness operator.
 

@@ -120,9 +120,8 @@ def werner_state(F):
 
     Entangled (NPT) exactly for F > 1/3.
     """
-    v = bell_psi_minus()
     F = _stacked(F)
-    mat = F * np.outer(v, v.conj()) + (1.0 - F) * np.eye(4) / 4.0
+    mat = F * _PSI_MINUS + (1.0 - F) * np.eye(4) / 4.0
     return validate_density(mat, [2, 2])
 
 
@@ -193,8 +192,7 @@ def isotropic_two_qutrit(alpha):
     With ``|phi+> = (|00>+|11>+|22>)/sqrt(3)``; flagged by the reduction
     criterion for ``alpha > 1/4``.
     """
-    v = ket([1, 0, 0, 0, 1, 0, 0, 0, 1], [3, 3])
-    mat = alpha * np.outer(v, v.conj()) + (1.0 - alpha) * np.eye(9) / 9.0
+    mat = alpha * _PHI_PLUS_3 + (1.0 - alpha) * np.eye(9) / 9.0
     return validate_density(mat, [3, 3])
 
 
@@ -250,16 +248,8 @@ def two_qutrit_alpha_state(alpha):
     ``s+`` mixes |01>,|12>,|20>; ``s-`` mixes |10>,|21>,|02>.  NPT entangled
     for ``4 < alpha <= 5``, PPT (bound) entangled for ``3 < alpha <= 4``.
     """
-    v = ket([1, 0, 0, 0, 1, 0, 0, 0, 1], [3, 3])
-    phi = np.outer(v, v.conj())
-    s_plus = np.zeros((9, 9), dtype=complex)
-    for idx in (1, 5, 6):                           # |01>, |12>, |20>
-        s_plus[idx, idx] = 1.0 / 3.0
-    s_minus = np.zeros((9, 9), dtype=complex)
-    for idx in (3, 7, 2):                           # |10>, |21>, |02>
-        s_minus[idx, idx] = 1.0 / 3.0
     alpha = _stacked(alpha)
-    mat = (2.0 / 7.0) * phi + (alpha / 7.0) * s_plus + ((5.0 - alpha) / 7.0) * s_minus
+    mat = (2.0 / 7.0) * _PHI_PLUS_3 + (alpha / 7.0) * _S_PLUS + ((5.0 - alpha) / 7.0) * _S_MINUS
     return validate_density(mat, [3, 3])
 
 
@@ -293,6 +283,18 @@ def w_tilde_state():
     return ket(v, [2, 2, 2])
 
 
+# Fixed projectors of the families: built once, at import, and read-only.
+_PSI_MINUS, _PHI_PLUS, _PHI_MINUS, _PHI_PLUS_3, _GHZ, _W, _W_TILDE = (
+    np.outer(v, v.conj()) for v in (bell_psi_minus(), bell_phi_plus(), ket([1, 0, 0, -1], [2, 2]),
+                                     ket([1, 0, 0, 0, 1, 0, 0, 0, 1], [3, 3]),
+                                     ghz_state(), w_state(), w_tilde_state()))
+# s+ mixes |01>, |12>, |20>; s- mixes |10>, |21>, |02>.
+_S_PLUS = np.diag([0, 1, 0, 0, 0, 1, 1, 0, 0]) / 3.0 + 0j
+_S_MINUS = np.diag([0, 0, 1, 1, 0, 0, 0, 1, 0]) / 3.0 + 0j
+for _m in (_PSI_MINUS, _PHI_PLUS, _PHI_MINUS, _PHI_PLUS_3, _GHZ, _W, _W_TILDE, _S_PLUS, _S_MINUS):
+    _m.flags.writeable = False
+
+
 def g2_state():
     """The fixed genuine five-term vector ``(|000>+|100>+|101>+|110>+|111>)/sqrt5``."""
     v = np.zeros(8, dtype=complex)
@@ -306,10 +308,8 @@ def bisep_a_bc_state(q):
 
     ``q |0><0| (x) phi+ + (1-q) |1><1| (x) phi-`` with Bell states on BC.
     """
-    phi_p = ket([1, 0, 0, 1], [2, 2])
-    phi_m = ket([1, 0, 0, -1], [2, 2])
-    mat = q * tensor(np.diag([1.0, 0.0]), np.outer(phi_p, phi_p.conj())) \
-        + (1.0 - q) * tensor(np.diag([0.0, 1.0]), np.outer(phi_m, phi_m.conj()))
+    mat = q * tensor(np.diag([1.0, 0.0]), _PHI_PLUS) \
+        + (1.0 - q) * tensor(np.diag([0.0, 1.0]), _PHI_MINUS)
     return validate_density(mat, [2, 2, 2])
 
 
@@ -328,8 +328,7 @@ def kay_state(a):
 
 def ghz_werner_state(alpha):
     """GHZ state mixed with white noise: ``(1-alpha) GHZ + alpha I/8``."""
-    g = ghz_state()
-    mat = (1.0 - alpha) * np.outer(g, g.conj()) + alpha * np.eye(8) / 8.0
+    mat = (1.0 - alpha) * _GHZ + alpha * np.eye(8) / 8.0
     return validate_density(mat, [2, 2, 2])
 
 
@@ -343,8 +342,7 @@ def two_term_product_mixture(q):
 
 def ghz_corner_mixture(q):
     """Separable-boundary mixture ``q |000><000| + (1-q) GHZ``."""
-    g = ghz_state()
-    mat = (1.0 - q) * np.outer(g, g.conj())
+    mat = (1.0 - q) * _GHZ
     mat[0, 0] += q
     return validate_density(mat, [2, 2, 2])
 
@@ -358,9 +356,7 @@ def ghz_w_mixture(q):
     # Written so that a NaN weight fails the check.
     if not -ZERO_TOL <= q <= 1 + ZERO_TOL:
         raise DimensionError(f"need 0 <= q <= 1, got {q}")
-    g = ghz_state()
-    w = w_state()
-    mat = q * np.outer(g, g.conj()) + (1.0 - q) * np.outer(w, w.conj())
+    mat = q * _GHZ + (1.0 - q) * _W
     return _derived(mat, [2, 2, 2])
 
 
@@ -370,11 +366,7 @@ def ghz_w_wtilde_mixture(q1, q2):
     # Written so that a NaN weight fails the check.
     if not (q1 >= -ZERO_TOL and q2 >= -ZERO_TOL and q1 + q2 <= 1 + ZERO_TOL):
         raise DimensionError("need q1, q2 >= 0 and q1 + q2 <= 1")
-    g = ghz_state()
-    w = w_state()
-    wt = w_tilde_state()
-    mat = q1 * np.outer(g, g.conj()) + q2 * np.outer(w, w.conj()) \
-        + (1.0 - q1 - q2) * np.outer(wt, wt.conj())
+    mat = q1 * _GHZ + q2 * _W + (1.0 - q1 - q2) * _W_TILDE
     return _derived(mat, [2, 2, 2])
 
 
@@ -432,11 +424,8 @@ def embed_pair_product(single, single_pos, pair, n=3):
 
 def coherence_bisep_mixture(q):
     """Three-qubit ``q |0>_A<0| (x) phi+_BC + (1-q) |1>_B<1| (x) phi-_AC``."""
-    phi_p = ket([1, 0, 0, 1], [2, 2])
-    phi_m = ket([1, 0, 0, -1], [2, 2])
-    term_a = tensor(np.diag([1.0, 0.0]), np.outer(phi_p, phi_p.conj()))
-    term_b = embed_pair_product(np.diag([0.0, 1.0]).astype(complex), 1,
-                                np.outer(phi_m, phi_m.conj()), n=3)
+    term_a = tensor(np.diag([1.0, 0.0]), _PHI_PLUS)
+    term_b = embed_pair_product(np.diag([0.0, 1.0]).astype(complex), 1, _PHI_MINUS, n=3)
     return validate_density(q * term_a + (1.0 - q) * term_b, [2, 2, 2])
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_correlation_tensors, random_density, random_pure, random_unitary
+from qent import classify3
 from qent.classify3 import (
     CanonicalThreeQubit,
     SloccOutcome,
@@ -156,6 +157,20 @@ class TestSubclassWitnesses:
                 w = f"H{k}"
                 assert abs(expectation(ghz_witness_operator(p, w), rho)
                            - ghz_witness_value(p, w)) <= 1e-12
+
+    def test_operators_are_built_from_constants(self, monkeypatch):
+        p = CanonicalThreeQubit(0.5, 0.83666, 0.2, 0.0, 0.1)
+        want = {w: ghz_witness_operator(p, w) for w in ("H1", "H8")}
+
+        def refuse(*args):
+            raise AssertionError("tensor called after import")
+
+        monkeypatch.setattr(classify3, "tensor", refuse)
+        for w, h in want.items():
+            assert np.array_equal(ghz_witness_operator(p, w), h)
+        for name in ("_O1", "_O4"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(classify3, name)[0, 0] = 1.0
 
     @pytest.mark.parametrize("params,which,val", [
         ((0.4, 0.911043, 0.0, 0.0, 0.1), "H1", -0.3712),

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qent import cli
+from qent.classify3 import CanonicalThreeQubit, subclass_fidelities
 from qent.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -34,6 +36,7 @@ from qent.reproduce import TABLES
 from qent.states import (
     ghz_state,
     ghz_w_mixture,
+    ghz_werner_state,
     projector,
     qutrit_qubit_alpha_state,
     two_qutrit_alpha_state,
@@ -67,6 +70,11 @@ class TestStateFiles:
         write_state_file(path, rho)
         _, back = parse_state_file(path)
         assert np.max(np.abs(back.mat - rho.mat)) == 0.0
+
+    @pytest.mark.parametrize("command", ["detect", "measure", "classify3"])
+    def test_missing_state_file_is_a_parse_error(self, capsys, tmp_path, command):
+        assert main([command, str(tmp_path / "absent.json")]) == EXIT_PARSE
+        assert "cannot read" in capsys.readouterr().err
 
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -215,6 +223,49 @@ class TestCommands:
         by_name = {e["name"]: e for e in rep["results"]}
         assert by_name["subclass"]["verdict"] == "S3"
         assert by_name["witness:H4"]["verdict"] == "negative"
+
+    @pytest.mark.parametrize("params, subclass", [
+        ((0.6, 0.0, 0.0, 0.0, 0.8), "S1"),
+        ((0.6, 0.48, 0.0, 0.0, 0.64), "S2"),
+        ((0.4, 0.4, 0.2, 0.0, 0.8), "S3"),  # the lambda1,lambda2 variant
+        ((0.35, 0.1, 0.3, math.sqrt(1 - 0.35 ** 2 - 0.1 ** 2 - 0.3 ** 2 - 0.2 ** 2), 0.2), "S4"),
+    ])
+    def test_classify3_canonical_reports_the_fidelities(self, capsys, params, subclass):
+        argv = ["classify3", "--canonical"] + [repr(x) for x in params]
+        code, rep = self._run(capsys, argv)
+        assert code == EXIT_OK
+        by_name = {e["name"]: e for e in rep["results"]}
+        assert by_name["subclass"]["verdict"] == subclass
+        want = subclass_fidelities(CanonicalThreeQubit(*params), subclass)
+        assert tuple(by_name[f"fidelity:{q}"]["value"] for q in "ABC") == want
+
+    def test_classify3_canonical_without_tangle_is_not_ghz_class(self, capsys):
+        code, rep = self._run(capsys, ["classify3", "--canonical", "1", "0", "0", "0", "0"])
+        assert code == EXIT_OK
+        assert {"name": "subclass", "value": None, "verdict": "NotGHZClass"} in rep["results"]
+        assert not [e for e in rep["results"]
+                    if e["name"].startswith(("witness:", "fidelity:"))]
+
+    @pytest.mark.parametrize("name", ["tangle", "three-pi"])
+    def test_pure_state_measure_of_a_mixed_state_is_usage_error(self, capsys, tmp_path, name):
+        path = tmp_path / "ghz-noise.json"
+        write_state_file(path, ghz_werner_state(0.3))
+        assert main(["measure", str(path), name]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{name} needs a pure state" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "{state}"],
+        ["measure", "{state}"],
+        ["classify3", "--canonical", "0.6", "0", "0", "0", "0.8"],
+        ["reproduce", "2.1"],
+    ])
+    def test_out_file_holds_the_stdout_bytes(self, capsysbinary, tmp_path, werner_file, argv):
+        out = tmp_path / "report.json"
+        code = main([a.format(state=werner_file) for a in argv] + ["--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_bytes() == capsysbinary.readouterr().out
 
     def test_classify3_non_finite_canonical_is_usage_error(self, capsys):
         assert main(["classify3", "--canonical", "nan", "0.5", "0.5", "0.5", "0.5"]) == EXIT_USAGE

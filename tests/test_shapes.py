@@ -1,15 +1,28 @@
 """The dims rules of :mod:`qent.linalg`: every guarded library function
 raises ``DimensionError`` exactly on the states its ``Shape`` does not fit,
 and every criterion and measure of the CLI fits exactly the states its
-library function accepts."""
+library function accepts.  The argument guards outside the shape table
+raise ``DimensionError`` too."""
 
 import numpy as np
 import pytest
 
 from conftest import random_density
 from qent import cli
-from qent.classify3 import correlation_tensors, slocc_classify
-from qent.detect import ppt_check, reduction_check
+from qent.classify3 import (
+    CanonicalThreeQubit,
+    correlation_tensors,
+    ghz_witness_value,
+    slocc_classify,
+    subclass_fidelities,
+)
+from qent.coherence import (
+    Ensemble,
+    biseparable_pure_bound,
+    mixed_biseparable_bound,
+    separable_bound,
+)
+from qent.detect import concurrence_bounds, criterion2, criterion3, ppt_check, reduction_check
 from qent.errors import DimensionError
 from qent.linalg import (
     BIPARTITE,
@@ -19,19 +32,28 @@ from qent.linalg import (
     THREE_QUBIT,
     TWO_QUBIT,
     exact_dims,
+    expectation,
+    partial_trace,
+    partial_transpose,
     partial_transpose_qubit,
     realign,
 )
 from qent.measures import concurrence_2q, concurrence_lb_chen, negativity, structured_negativity
 from qent.spa import (
+    SpaWitness,
     spa_pt_d1d2,
     spa_pt_dd,
     spa_pt_qutrit_qubit,
     spa_pt_three_qubit,
-    spa_pt_three_qubit_cuts,
     spa_pt_two_qubit,
 )
-from qent.states import bell_phi_plus, ghz_state, projector, qutrit_qubit_alpha_state
+from qent.states import (
+    bell_phi_plus,
+    embed_pair_product,
+    ghz_state,
+    projector,
+    qutrit_qubit_alpha_state,
+)
 
 
 def _states():
@@ -55,7 +77,6 @@ GUARDED = {
     "spa_pt_two_qubit": (spa_pt_two_qubit, TWO_QUBIT),
     "spa_pt_qutrit_qubit": (spa_pt_qutrit_qubit, exact_dims(3, 2)),
     "spa_pt_three_qubit": (lambda rho: spa_pt_three_qubit(rho, "B"), THREE_QUBIT),
-    "spa_pt_three_qubit_cuts": (spa_pt_three_qubit_cuts, THREE_QUBIT),
     "pt_spectrum": (lambda rho: rho.pt_spectrum, BIPARTITE),
     "ppt_check": (ppt_check, BIPARTITE),
     "reduction_check": (reduction_check, BIPARTITE),
@@ -103,3 +124,50 @@ def test_shape_error_names_the_function_and_the_dims():
     with pytest.raises(DimensionError, match=r"realign needs dims \[d, d\], got dims \[2, 3\]"):
         SQUARE.require((2, 3), "realign")
     SQUARE.require([3, 3], "realign")
+
+
+_TWO_QUBIT = STATES["[2, 2]"]
+_GHZ_CLASS = CanonicalThreeQubit(0.6, 0.0, 0.0, 0.0, 0.8)
+
+
+def _ensemble(*labels):
+    parts = tuple((_TWO_QUBIT,) for _ in labels)
+    return Ensemble(weights=(1.0 / len(labels),) * len(labels), parts=parts, labels=labels)
+
+
+ARGUMENT_GUARDS = {
+    "Ensemble misaligned": (lambda: Ensemble(weights=(1.0,), parts=(), labels=("A-BC",)),
+                            "must align"),
+    "Ensemble label": (lambda: _ensemble("AB-C"), "unknown partition label"),
+    "biseparable_pure_bound label": (lambda: biseparable_pure_bound(
+        _ensemble("A-BC", "B-AC"), _TWO_QUBIT), "one common cut label"),
+    "mixed_biseparable_bound label": (lambda: mixed_biseparable_bound(
+        _ensemble("A-BC", "product"), _TWO_QUBIT), "cut-labeled terms only"),
+    "separable_bound label": (lambda: separable_bound(
+        _ensemble("product", "C-AB"), _TWO_QUBIT), "fully-product terms"),
+    "concurrence_bounds p = 0": (lambda: concurrence_bounds(
+        _TWO_QUBIT, SpaWitness(w_tilde=np.eye(4) / 4, p=0.0, r_bound=0.25),
+        spa_pt_two_qubit(_TWO_QUBIT)), "p must be nonzero"),
+    "criterion2 c < 0": (lambda: criterion2(_TWO_QUBIT, spa_pt_two_qubit(_TWO_QUBIT), -0.1),
+                         "must be nonnegative"),
+    "criterion3 c < 0": (lambda: criterion3(_TWO_QUBIT, spa_pt_two_qubit(_TWO_QUBIT), -0.1),
+                         "must be nonnegative"),
+    "partial_trace empty keep": (lambda: partial_trace(_TWO_QUBIT, []), "nonempty"),
+    "partial_trace keep out of range": (lambda: partial_trace(_TWO_QUBIT, [2]), "out of range"),
+    "expectation shapes": (lambda: expectation(np.eye(2), _TWO_QUBIT), "!= state shape"),
+    "bare matrix without dims": (lambda: partial_transpose(np.eye(4) / 4, 0),
+                                 "required for a bare matrix"),
+    "embed_pair_product pair size": (lambda: embed_pair_product(
+        np.eye(2) / 2, 0, np.eye(2) / 2), "wrong size"),
+    "subclass_fidelities subclass": (lambda: subclass_fidelities(_GHZ_CLASS, "S5"),
+                                     "unknown subclass"),
+    "ghz_witness_value witness": (lambda: ghz_witness_value(_GHZ_CLASS, "H9"),
+                                  "unknown witness"),
+}
+
+
+@pytest.mark.parametrize("name", ARGUMENT_GUARDS)
+def test_argument_guard_raises_dimension_error(name):
+    run, message = ARGUMENT_GUARDS[name]
+    with pytest.raises(DimensionError, match=message):
+        run()

@@ -22,7 +22,6 @@ from qent.spa import (
     spa_pt_dd,
     spa_pt_qutrit_qubit,
     spa_pt_three_qubit,
-    spa_pt_three_qubit_cuts,
     spa_pt_two_qubit,
     spa_witness,
 )
@@ -113,19 +112,6 @@ class TestDerivedSpectrum:
         assert solve_sizes == [8]
         direct = np.linalg.eigvalsh(out.mat)
         assert np.max(np.abs(out.spectrum.eigenvalues - direct)) <= 1e-12
-
-    def test_three_cuts_solve_once_and_equal_single_cuts(self, rng, solve_sizes):
-        for _ in range(20):
-            rho = random_density(rng, (2, 2, 2))
-            solve_sizes.clear()
-            cuts = spa_pt_three_qubit_cuts(rho)
-            assert solve_sizes == [8, 8, 8]
-            for q, cut in zip("ABC", cuts):
-                one = spa_pt_three_qubit(rho, q)
-                assert np.array_equal(cut.rho_tilde.mat, one.rho_tilde.mat)
-                assert np.array_equal(cut.rho_tilde.spectrum.eigenvalues,
-                                      one.rho_tilde.spectrum.eigenvalues)
-                assert (cut.mixing, cut.threshold) == (one.mixing, one.threshold)
 
     def test_spa_outputs_reuse_the_pt_solve(self, rng, solve_sizes):
         rho = random_density(rng, (2, 2))

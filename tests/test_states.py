@@ -5,22 +5,31 @@ import warnings
 import numpy as np
 import pytest
 
+from qent import states
 from qent.detect import Outcome, ppt_check
 from qent.errors import DimensionError, NonFiniteEntry
 from qent.linalg import herm_eigenvalues, partial_trace, validate_density
 from qent.measures import concurrence_pure
 from qent.states import (
     bell_phi_plus,
+    bisep_a_bc_state,
+    coherence_bisep_mixture,
     embed_pair_product,
+    ghz_corner_mixture,
     ghz_state,
+    ghz_w_mixture,
     ghz_w_wtilde_mixture,
+    ghz_werner_state,
+    isotropic_two_qutrit,
     kay_state,
     ket,
     mems_state,
     pptes_two_qutrit,
     projector,
+    two_qutrit_alpha_state,
     two_slice_superposition,
     w_state,
+    werner_state,
     x_state,
 )
 
@@ -116,3 +125,35 @@ class TestFamilies:
         rho = ghz_w_wtilde_mixture(0.5, 0.3)
         marg = partial_trace(rho, [0])
         assert abs(np.trace(marg.mat) - 1.0) <= 1e-12
+
+
+# The families that weight and add fixed projectors.
+MIXED_FAMILIES = {
+    "werner_state": lambda: werner_state(0.6),
+    "isotropic_two_qutrit": lambda: isotropic_two_qutrit(0.4),
+    "two_qutrit_alpha_state": lambda: two_qutrit_alpha_state(4.5),
+    "ghz_werner_state": lambda: ghz_werner_state(0.3),
+    "ghz_corner_mixture": lambda: ghz_corner_mixture(0.3),
+    "ghz_w_mixture": lambda: ghz_w_mixture(0.3),
+    "ghz_w_wtilde_mixture": lambda: ghz_w_wtilde_mixture(0.3, 0.2),
+    "bisep_a_bc_state": lambda: bisep_a_bc_state(0.3),
+    "coherence_bisep_mixture": lambda: coherence_bisep_mixture(0.3),
+}
+
+
+class TestFixedProjectors:
+    @pytest.mark.parametrize("name", MIXED_FAMILIES)
+    def test_families_build_without_normalizing_a_ket(self, monkeypatch, name):
+        want = MIXED_FAMILIES[name]().mat
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ket called after import")
+
+        monkeypatch.setattr(states, "ket", refuse)
+        assert np.array_equal(MIXED_FAMILIES[name]().mat, want)
+
+    @pytest.mark.parametrize("name", ["_PSI_MINUS", "_PHI_PLUS", "_PHI_MINUS", "_PHI_PLUS_3",
+                                      "_S_PLUS", "_S_MINUS", "_GHZ", "_W", "_W_TILDE"])
+    def test_constants_are_read_only(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(states, name)[0, 0] = 1.0
