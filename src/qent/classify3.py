@@ -25,14 +25,16 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, NotGHZClass
-from .linalg import PARAM_NORM_TOL, SLACK, ZERO_TOL, DensityMatrix, _checked_real, tensor
+from .linalg import PARAM_NORM_TOL, ZERO_TOL, DensityMatrix, _below, _checked_real, tensor
 from .spa import THREE_QUBIT_SCALE, THREE_QUBIT_SHIFT, THREE_QUBIT_THRESHOLD
-from .states import _cut_schmidt_products, ghz_w_mixture, ghz_w_wtilde_mixture, ket, projector
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_PAULI_STACK = np.stack([_SX, _SY, _SZ])
+from .states import (
+    _PAULI,
+    _cut_schmidt_products,
+    ghz_w_mixture,
+    ghz_w_wtilde_mixture,
+    ket,
+    projector,
+)
 
 # Tangle boundary of the GHZ/W/W~ mixture regimes (quoted value).
 _W_CLASS_MAX_Q1 = 0.6269
@@ -106,7 +108,7 @@ def correlation_tensors(rho: DensityMatrix) -> CorrelationTensor:
     linalg.THREE_QUBIT.require(rho.dims, "correlation_tensors")
     # Tr(rho P_w (x) P_c (x) P_r) with rho indexed [a b c, a' b' c'].
     t = np.einsum("abcxyz,wxa,kyb,rzc->wrk", rho.mat.reshape((2,) * 6),
-                  _PAULI_STACK, _PAULI_STACK, _PAULI_STACK)
+                  _PAULI, _PAULI, _PAULI)
     tx, ty, tz = _checked_real(t)
     return CorrelationTensor(Tx=tx, Ty=ty, Tz=tz)
 
@@ -148,8 +150,8 @@ def lu_invariants(params: CanonicalThreeQubit) -> LuInvariants:
 # ---------------------------------------------------------------------------
 
 # The observables of the subclass witnesses: O1 = 2 sx sx sx, O4 = 2 sx I I.
-_O1 = 2.0 * tensor(tensor(_SX, _SX), _SX)
-_O4 = 2.0 * tensor(_SX, np.eye(4))
+_O1 = 2.0 * tensor(tensor(_PAULI[0], _PAULI[0]), _PAULI[0])
+_O4 = 2.0 * tensor(_PAULI[0], np.eye(4))
 _O1.flags.writeable = _O4.flags.writeable = False
 
 
@@ -266,7 +268,7 @@ def classify_ghz_subclass(params: CanonicalThreeQubit) -> SubclassReport:
         raise NotGHZClass("tangle is zero; subclass witnesses need lambda0, lambda4 > 0")
     values = {w: ghz_witness_value(params, w) for w in _WITNESS_NAMES}
     values["W_MS"] = 4.0 * l0 * l4 - 1.0
-    negative = tuple(w for w in _WITNESS_NAMES if values[w] < -SLACK)
+    negative = tuple(w for w in _WITNESS_NAMES if _below(values[w], 0.0))
     return SubclassReport(
         values=values,
         negative=negative,
@@ -364,14 +366,8 @@ def slocc_classify(rho) -> SloccVerdict:
     at 1/10 to rounding and is never claimed.  The stacked solve is the
     test oracle of this closed form.
 
-    Soundness at the validation floor: validation lets through
-    ``lambda_min(rho) = -eps`` with ``eps <= -PSD_FLOOR = 1e-9``.  The state
-    ``rho' = (rho + eps I)/(1 + 8 eps)`` is then positive semidefinite with
-    unit trace, and ``rho^{T_k} = (1 + 8 eps) rho'^{T_k} - eps I`` because
-    ``I^{T_k} = I``.  If cut ``k`` of ``rho'`` is separable,
-    ``rho'^{T_k} >= 0``, so ``lambda_min(rho^{T_k}) >= -eps`` and the cut's
-    value is at least ``1/10 - eps/5 >= 1/10 - 2e-10 > 1/10 - SLACK``: the
-    cut is not claimed, and no allowance beyond ``SLACK`` is needed.
+    Floor budget (:func:`~qent.linalg._floor_eps`): ``I^{T_k} = I``, so a cut
+    separable in the nearest state has a value of at least ``1/10 - eps/5``: 0.
     """
     if isinstance(rho, DensityMatrix):
         linalg.THREE_QUBIT.require(rho.dims, "slocc_classify")
@@ -385,7 +381,7 @@ def slocc_classify(rho) -> SloccVerdict:
     else:
         lam_pt = -_cut_schmidt_products(v)
     lams = tuple((THREE_QUBIT_SHIFT + THREE_QUBIT_SCALE * lam_pt).tolist())
-    below = [lam < THREE_QUBIT_THRESHOLD - SLACK for lam in lams]
+    below = [_below(lam, THREE_QUBIT_THRESHOLD) for lam in lams]
     if all(below):
         return SloccVerdict(outcome=SloccOutcome.Genuine, lambdas=lams)
     if not any(below):

@@ -198,8 +198,9 @@ def _verdict_entry(v):
 # ---------------------------------------------------------------------------
 
 def _pure_vector(rho: DensityMatrix):
-    """Amplitude vector if ``rho`` is (numerically) pure, else None."""
-    if abs(float(np.trace(rho.mat @ rho.mat).real) - 1.0) > SLACK:
+    """Amplitude vector if ``rho`` is pure (its purity ``Tr(rho^2)`` within the
+    slack of 1), else None."""
+    if linalg._below(-abs(float(np.trace(rho.mat @ rho.mat).real) - 1.0), 0.0):
         return None
     return rho.spectrum.vectors[:, -1]
 
@@ -242,11 +243,11 @@ def _select(table, names, rho):
 
 def _criterion1_entry(rho: DensityMatrix):
     """Criterion 1 with the SPA witness of the most negative partial-transpose
-    eigenvector; Inconclusive when the state is PPT (no such witness)."""
-    spec = rho.pt_spectrum
-    if spec.eigenvalues[0] >= -SLACK:
+    eigenvector; Inconclusive when the PPT check does not find the state NPT
+    (no such witness)."""
+    if ppt_check(rho).outcome is not Outcome.Entangled:
         return _entry("criterion1", None, Outcome.Inconclusive.value)
-    w = witness_from_pure(spec.vectors[:, 0], 1, list(rho.dims))
+    w = witness_from_pure(rho.pt_spectrum.vectors[:, 0], 1, list(rho.dims))
     return _verdict_entry(_criterion1(rho, spa_witness(w, rho.dims[0], rho.dims[1])))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .detect import Outcome, Verdict
 from .errors import DimensionError
-from .linalg import SLACK, TRACE_TOL, DensityMatrix
+from .linalg import TRACE_TOL, DensityMatrix, _below
 from .measures import l1_coherence
 
 _CUTS = ("A-BC", "B-AC", "C-AB")
@@ -86,7 +86,7 @@ def biseparable_pure_bound(e: Ensemble, rho: DensityMatrix) -> Verdict:
     lhs = _coh(rho)
     rhs = sum(p * (_term_x(fs) ** 2 / 4.0 + _term_x(fs))
               for p, fs in zip(e.weights, e.parts))
-    out = Outcome.ConditionSatisfied if lhs <= rhs + SLACK else Outcome.ConditionViolated
+    out = Outcome.ConditionViolated if _below(-lhs, -rhs) else Outcome.ConditionSatisfied
     return Verdict(outcome=out, evidence=float(rhs - lhs), criterion="bisep_pure_bound")
 
 
@@ -101,7 +101,7 @@ def mixed_biseparable_bound(e: Ensemble, rho: DensityMatrix) -> Verdict:
     lhs = 1.0 + _coh(rho)
     rhs = 0.25 * sum(p * (_term_x(fs) + 2.0) ** 2
                      for p, fs in zip(e.weights, e.parts))
-    out = Outcome.ConditionSatisfied if lhs <= rhs + SLACK else Outcome.ConditionViolated
+    out = Outcome.ConditionViolated if _below(-lhs, -rhs) else Outcome.ConditionSatisfied
     return Verdict(outcome=out, evidence=float(rhs - lhs), criterion="mixed_bisep_bound")
 
 
@@ -122,7 +122,7 @@ def separable_bound(e: Ensemble, rho: DensityMatrix) -> Verdict:
         for f in fs:
             prod *= 1.0 + _coh(f)
         rhs += p * (prod - 1.0)
-    out = Outcome.ConditionSatisfied if lhs <= rhs + SLACK else Outcome.ConditionViolated
+    out = Outcome.ConditionViolated if _below(-lhs, -rhs) else Outcome.ConditionSatisfied
     return Verdict(outcome=out, evidence=float(rhs - lhs), criterion="separable_bound")
 
 

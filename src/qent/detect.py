@@ -19,13 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import (
-    SLACK,
-    DensityMatrix,
-    expectation,
-    herm_eigenvalues,
-    partial_transpose,
-)
+from .linalg import DensityMatrix, _below, _floor_eps, expectation, herm_eigenvalues
 from .spa import SpaState, SpaWitness
 from .states import projector
 
@@ -63,54 +57,38 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
 
     Necessary and sufficient for 2x2 and 2x3; only necessary above.
     Evidence is ``lambda_min(rho^{T_sys})`` from ``rho.pt_spectrum`` for either
-    ``sys``, since ``rho^{T_A} = (rho^{T_B})^T`` has the same spectrum.
-
-    When validation let ``lambda_min(rho) = -eps`` through, the nearest
-    state is ``rho' = (rho + eps I)/(1 + n eps)``, and the partial transpose
-    is linear and fixes ``I``, so ``rho^{T_B} = (1 + n eps) rho'^{T_B} - eps
-    I``.  A separable ``rho'`` has ``rho'^{T_B} >= 0``, which allows
-    ``lambda_min(rho^{T_B})`` down to ``-eps``.  Validation bounds ``eps``
-    by ``-PSD_FLOOR``, which equals ``SLACK``, so the threshold ``-SLACK``
-    already covers the allowance; only rounding decides the edge case
-    ``eps = SLACK``.
+    ``sys``, since ``rho^{T_A} = (rho^{T_B})^T`` has the same spectrum.  Floor
+    budget (:func:`~qent.linalg._floor_eps`): ``I^{T_B} = I`` gives ``eps``,
+    inside the slack: 0.
     """
     linalg.BIPARTITE.require(rho.dims, "ppt_check")
     if sys not in (0, 1):
         raise DimensionError(f"sys must be 0 or 1, got {sys}")
     lam = float(rho.pt_spectrum.eigenvalues[0])
-    outcome = Outcome.Entangled if lam < -SLACK else Outcome.Inconclusive
+    outcome = Outcome.Entangled if _below(lam, 0.0) else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="ppt")
 
 
 def realignment_check(rho: DensityMatrix) -> Verdict:
     """Realignment (CCNR) criterion: trace norm of the realigned matrix
-    above 1 proves entanglement (catches some PPT-entangled states).
-
-    Realignment ``R`` is linear and ``R(I) = vec(I) vec(I)^T`` has trace
-    norm ``d``.  When validation let ``lambda_min(rho) = -eps`` through,
-    the nearest state is ``rho' = (rho + eps I)/(1 + n eps)`` with
-    ``n = d^2``, and ``R(rho) = (1 + n eps) R(rho') - eps R(I)``.  A
-    separable ``rho'`` has ``|R(rho')|_1 <= 1``, so it allows
-    ``|R(rho)|_1`` up to ``1 + (d^2 + d) eps``; only a norm above that and
-    the slack is ``Entangled``.  The evidence is ``|R(rho)|_1``.
+    above 1 proves entanglement (catches some PPT-entangled states).  The
+    evidence is ``|R(rho)|_1``.  Floor budget (:func:`~qent.linalg._floor_eps`):
+    ``n = d^2`` and ``R(I) = vec(I) vec(I)^T`` has trace norm ``d``, so
+    ``(d^2 + d) eps``.
     """
+    linalg.SQUARE.require(rho.dims, "realignment_check")
     lam = rho.realign_norm
     d = rho.dims[0]
-    eps = max(0.0, -float(rho.spectrum.eigenvalues[0]))
-    entangled = lam > 1.0 + SLACK + (d * d + d) * eps
+    entangled = _below(-lam, -1.0, (d * d + d) * _floor_eps(rho))
     outcome = Outcome.Entangled if entangled else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="realignment")
 
 
 def reduction_check(rho: DensityMatrix) -> Verdict:
     """Reduction criterion: a negative eigenvalue of ``rho_A (x) I - rho``
-    proves entanglement.
-
-    ``R(X) = X_A (x) I - X`` is linear with ``R(I) = (d_B - 1) I``.  When
-    validation let ``lambda_min(rho) = -eps`` through, a separable
-    ``(rho + eps I)/(1 + n eps)`` allows ``lambda_min(R(rho))`` down to
-    ``-(d_B - 1) eps``, so only a value below that and the slack is
-    ``Entangled``.  The evidence is ``lambda_min(R(rho))``.
+    proves entanglement.  The evidence is ``lambda_min(R(rho))``.  Floor
+    budget (:func:`~qent.linalg._floor_eps`): ``R(X) = X_A (x) I - X`` has
+    ``R(I) = (d_B - 1) I``, so ``(d_B - 1) eps``.
     """
     linalg.BIPARTITE.require(rho.dims, "reduction_check")
     d0, d1 = rho.dims
@@ -118,8 +96,8 @@ def reduction_check(rho: DensityMatrix) -> Verdict:
     # rho_A (x) I by broadcasting: np.kron's bits at a quarter of its cost.
     rho_a_i = rho_a[:, None, :, None] * np.eye(d1)[None, :, None, :]
     lam = float(herm_eigenvalues(rho_a_i.reshape(rho.mat.shape) - rho.mat).eigenvalues[0])
-    eps = max(0.0, -float(rho.spectrum.eigenvalues[0]))
-    outcome = Outcome.Entangled if lam < -SLACK - (d1 - 1) * eps else Outcome.Inconclusive
+    entangled = _below(lam, 0.0, (d1 - 1) * _floor_eps(rho))
+    outcome = Outcome.Entangled if entangled else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="reduction")
 
 
@@ -142,7 +120,7 @@ def witness_from_pure(psi, sys, dims):
     -------
     numpy.ndarray
     """
-    return partial_transpose(projector(psi, dims), sys)
+    return linalg.partial_transpose(projector(psi, dims), sys)
 
 
 def criterion1(rho: DensityMatrix, w_tilde: SpaWitness) -> Verdict:
@@ -151,15 +129,12 @@ def criterion1(rho: DensityMatrix, w_tilde: SpaWitness) -> Verdict:
 
     ``W_tilde = p W + r I`` with ``r = (1-p)/n`` (the ``r_bound``) has unit
     trace, and a separable ``sigma`` has ``Tr(W sigma) >= 0``, so
-    ``Tr(W_tilde sigma) >= r``.  When validation let ``lambda_min(rho) =
-    -eps`` through, ``rho = (1 + n eps) rho' - eps I`` with ``rho'`` the
-    nearest state, and a separable ``rho'`` allows ``Tr(W_tilde rho) =
-    (1 + n eps) Tr(W_tilde rho') - eps`` down to ``r - eps (1 - n r) =
-    r - eps p``.  With ``p <= 1`` and ``eps <= -PSD_FLOOR = SLACK`` that
-    allowance is within the slack of the threshold ``r - SLACK``.
+    ``Tr(W_tilde sigma) >= r``.  Floor budget
+    (:func:`~qent.linalg._floor_eps`): ``eps (1 - n r) = eps p``, inside the
+    slack for ``p <= 1``: 0.
     """
     val = expectation(w_tilde.w_tilde, rho)
-    outcome = Outcome.Entangled if val < w_tilde.r_bound - SLACK else Outcome.Inconclusive
+    outcome = Outcome.Entangled if _below(val, w_tilde.r_bound) else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=val, criterion="criterion1")
 
 
@@ -203,20 +178,20 @@ def criterion2(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
 
     Evidence is the margin ``lambda_min - (Tr(rho_tilde rho) - C)``.
     """
-    if c < 0:
-        raise DimensionError("concurrence estimate must be nonnegative")
+    if not 0.0 <= c < np.inf:
+        raise DimensionError(f"concurrence estimate must be nonnegative and finite, got {c}")
     rt = rho_tilde.rho_tilde
     lam = float(rt.spectrum.eigenvalues[0])
     margin = lam - (expectation(rt.mat, rho) - c)
-    outcome = Outcome.ConditionSatisfied if margin >= -SLACK else Outcome.ConditionViolated
+    outcome = Outcome.ConditionViolated if _below(margin, 0.0) else Outcome.ConditionSatisfied
     return Verdict(outcome=outcome, evidence=float(margin), criterion="criterion2")
 
 
 def criterion3(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
     """Entanglement from the tightened upper bound:
     ``U_ent = 1/2 + Tr(rho_tilde rho) - C < 1/2`` detects entanglement."""
-    if c < 0:
-        raise DimensionError("concurrence estimate must be nonnegative")
+    if not 0.0 <= c < np.inf:
+        raise DimensionError(f"concurrence estimate must be nonnegative and finite, got {c}")
     u_ent = 0.5 + expectation(rho_tilde.rho_tilde.mat, rho) - c
-    outcome = Outcome.Entangled if u_ent < 0.5 - SLACK else Outcome.Inconclusive
+    outcome = Outcome.Entangled if _below(u_ent, 0.5) else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=float(u_ent), criterion="criterion3")

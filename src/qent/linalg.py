@@ -104,6 +104,31 @@ TABLE_TOL = 1e-3  # per-cell tolerance of a reproduced golden table
 CURVE_TOL = 1e-9  # per-cell tolerance of a reproduced golden curve
 
 
+def _below(statistic, threshold, budget=0.0):
+    """Whether ``statistic`` lies below ``threshold`` by more than ``SLACK``
+    and the claim's floor ``budget`` (:func:`_floor_eps`): the one rule of
+    every decision.  A claim above a threshold is ``_below(-statistic,
+    -threshold, budget)``, which rounds as ``statistic > threshold + SLACK +
+    budget`` does (``fl(-a - b) = -fl(a + b)``).  NaN is never below."""
+    return statistic < threshold - SLACK - budget
+
+
+def _floor_eps(rho):
+    """``eps = max(0, -lambda_min(rho))``, the validation floor of a state.
+
+    Validation lets ``eps`` reach ``-PSD_FLOOR = SLACK``.  The nearest state
+    is ``rho' = (rho + eps I)/(1 + n eps)``, so ``rho = (1 + n eps) rho' -
+    eps I`` and a linear map ``L`` has ``L(rho) = (1 + n eps) L(rho') - eps
+    L(I)``.  Where every separable ``rho'`` has ``L(rho') >= 0`` with
+    ``L(I) = c I``, ``lambda_min(L(rho))`` may reach ``-c eps``; where it has
+    ``Tr(W rho') >= t``, ``Tr(W rho)`` may reach ``t - eps (Tr W - n t)``;
+    where it has ``|L(rho')|_1 <= t``, ``|L(rho)|_1`` may reach ``t + eps (n t
+    + |L(I)|_1)``.  That allowance is the claim's budget in :func:`_below`;
+    one of at most ``SLACK`` is inside the slack and passed as 0, and only
+    rounding decides the edge case ``eps = SLACK``."""
+    return max(0.0, -float(rho.spectrum.eigenvalues[0]))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix with its subsystem dimension list.
@@ -467,17 +492,23 @@ def herm_eigenvalues(h):
     return _checked_spectrum(m, lam, vec)
 
 
-def _checked_spectrum(m, lam, vec):
-    """Wrap eigenpairs of ``m`` (a matrix, or a stack of them with stacked
-    ``lam`` and ``vec``) as :class:`Spectrum` objects once ``m v = lambda v``
-    holds for each matrix to ``EIG_RESIDUAL_TOL * max(1, max |lambda|)`` of
-    its own eigenvalues."""
-    residual = abs(m @ vec - vec * lam[..., np.newaxis, :]).max(axis=(-2, -1))
+def _check_residual(residual, lam):
+    """Raise :class:`~qent.errors.EigensolverError` unless each residual (one
+    per matrix) is within ``EIG_RESIDUAL_TOL * max(1, max |lambda|)`` of its
+    matrix's eigenvalues, the last axis of ``lam``: the one residual bound."""
     bound = EIG_RESIDUAL_TOL * abs(lam).max(axis=-1, initial=1.0)
     # Written so that a NaN residual fails the check.
     if not (residual <= bound).all():
         worst = np.where(residual <= bound, 0.0, residual).max()
         raise EigensolverError("eigensolver residual above tolerance", float(worst))
+
+
+def _checked_spectrum(m, lam, vec):
+    """Wrap eigenpairs of ``m`` (a matrix, or a stack of them with stacked
+    ``lam`` and ``vec``) as :class:`Spectrum` objects once ``m v = lambda v``
+    holds for each matrix (:func:`_check_residual`)."""
+    residual = abs(m @ vec - vec * lam[..., np.newaxis, :]).max(axis=(-2, -1))
+    _check_residual(residual, lam)
     # Read-only, because DensityMatrix.spectrum hands one Spectrum to every caller.
     lam.flags.writeable = False
     vec.flags.writeable = False

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, EigensolverError
-from .linalg import EIG_RESIDUAL_TOL, PSD_FLOOR, DensityMatrix, _as_square, herm_eigenvalues
+from .errors import DimensionError
+from .linalg import PSD_FLOOR, DensityMatrix, _as_square, _check_residual, herm_eigenvalues
 from .spa import _spa_coefficients
-from .states import _cut_schmidt_products, ket
-
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+from .states import _SIGMA_YY, _cut_schmidt_products, ket
 
 
 @dataclass(frozen=True)
@@ -103,21 +100,16 @@ def structured_negativity(rho: DensityMatrix) -> MeasureValue:
     ``rho_tilde v - (shift + scale lambda) v = scale (rho^{T_B} v - lambda
     v)``, so their residual against ``rho_tilde`` is ``scale`` times the
     checked ``rho.pt_spectrum.residual``.  That product is held to the bound
-    :func:`qent.linalg.herm_eigenvalues` puts on a solve of ``rho_tilde``,
-    ``EIG_RESIDUAL_TOL max(1, max |lambda_tilde|)``.
+    a solve of ``rho_tilde`` meets (:func:`qent.linalg._check_residual`).
     """
     linalg.PROPER_SQUARE.require(rho.dims, "structured_negativity")
     d = rho.dims[0]
     shift, scale, threshold, _ = _spa_coefficients(d, d)
     pt = rho.pt_spectrum
-    lam = shift + scale * float(pt.eigenvalues[0])
-    lam_max = shift + scale * float(pt.eigenvalues[-1])
-    residual = scale * pt.residual
-    # Written so that a NaN residual fails the check.
-    if not residual <= EIG_RESIDUAL_TOL * max(1.0, abs(lam), abs(lam_max)):
-        raise EigensolverError("eigensolver residual above tolerance", residual)
+    lam_tilde = shift + scale * pt.eigenvalues
+    _check_residual(scale * pt.residual, lam_tilde)
     k = d * (d ** 3 + 1)
-    return MeasureValue(value=k * max(threshold - lam, 0.0),
+    return MeasureValue(value=k * max(threshold - float(lam_tilde[0]), 0.0),
                         measure="structured_negativity", d=d)
 
 

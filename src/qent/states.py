@@ -284,14 +284,22 @@ def w_tilde_state():
 
 
 # Fixed projectors of the families: built once, at import, and read-only.
-_PSI_MINUS, _PHI_PLUS, _PHI_MINUS, _PHI_PLUS_3, _GHZ, _W, _W_TILDE = (
+# _PLUS01 projects on (|001> + |101>)/sqrt2, _PHI_P3 and _PHI_M3 on (|100> +- |010>)/sqrt2.
+_PSI_MINUS, _PHI_PLUS, _PHI_MINUS, _PHI_PLUS_3, _GHZ, _W, _W_TILDE, _PLUS01, _PHI_P3, _PHI_M3 = (
     np.outer(v, v.conj()) for v in (bell_psi_minus(), bell_phi_plus(), ket([1, 0, 0, -1], [2, 2]),
                                      ket([1, 0, 0, 0, 1, 0, 0, 0, 1], [3, 3]),
-                                     ghz_state(), w_state(), w_tilde_state()))
+                                     ghz_state(), w_state(), w_tilde_state(),
+                                     ket([0, 1, 0, 0, 0, 1, 0, 0], [2, 2, 2]),
+                                     ket([0, 0, 1, 0, 1, 0, 0, 0], [2, 2, 2]),
+                                     ket([0, 0, -1, 0, 1, 0, 0, 0], [2, 2, 2])))
 # s+ mixes |01>, |12>, |20>; s- mixes |10>, |21>, |02>.
 _S_PLUS = np.diag([0, 1, 0, 0, 0, 1, 1, 0, 0]) / 3.0 + 0j
 _S_MINUS = np.diag([0, 0, 1, 1, 0, 0, 0, 1, 0]) / 3.0 + 0j
-for _m in (_PSI_MINUS, _PHI_PLUS, _PHI_MINUS, _PHI_PLUS_3, _GHZ, _W, _W_TILDE, _S_PLUS, _S_MINUS):
+# The Pauli matrices X, Y, Z as one stack, and the spin flip Y (x) Y.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_SIGMA_YY = np.kron(_PAULI[1], _PAULI[1])
+for _m in (_PSI_MINUS, _PHI_PLUS, _PHI_MINUS, _PHI_PLUS_3, _GHZ, _W, _W_TILDE, _PLUS01,
+           _PHI_P3, _PHI_M3, _S_PLUS, _S_MINUS, _PAULI, _SIGMA_YY):
     _m.flags.writeable = False
 
 
@@ -334,8 +342,7 @@ def ghz_werner_state(alpha):
 
 def two_term_product_mixture(q):
     """Fully separable mixture ``q P[|+>|0>|1>] + (1-q) P[|111>]``."""
-    plus01 = ket([0, 1, 0, 0, 0, 1, 0, 0], [2, 2, 2])    # (|001>+|101>)/sqrt2
-    mat = q * np.outer(plus01, plus01.conj())
+    mat = q * _PLUS01
     mat[7, 7] += 1.0 - q
     return validate_density(mat, [2, 2, 2])
 
@@ -434,11 +441,8 @@ def coherence_bisep_four_qubit():
 
     With ``phi+- = (|100> +- |010>)/sqrt(2)`` on the three remaining qubits.
     """
-    phi_p = ket([0, 0, 1, 0, 1, 0, 0, 0], [2, 2, 2])
-    phi_m = ket([0, 0, -1, 0, 1, 0, 0, 0], [2, 2, 2])
-    term_a = tensor(np.diag([1.0, 0.0]), np.outer(phi_p, phi_p.conj()))
-    term_b = embed_pair_product(np.diag([0.0, 1.0]).astype(complex), 1,
-                                np.outer(phi_m, phi_m.conj()), n=4)
+    term_a = tensor(np.diag([1.0, 0.0]), _PHI_P3)
+    term_b = embed_pair_product(np.diag([0.0, 1.0]).astype(complex), 1, _PHI_M3, n=4)
     return validate_density(0.5 * term_a + 0.5 * term_b, [2, 2, 2, 2])
 
 

@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name it never uses; no module
 but ``linalg`` writes a tolerance as a bare literal, builds a
-``DensityMatrix`` itself, compares a ``.dims`` value or calls a LAPACK
-eigensolver; and only ``states.projector`` hands a ket to
-``linalg._derived``."""
+``DensityMatrix`` itself, compares a ``.dims`` value, compares against
+``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver; and only
+``states.projector`` hands a ket to ``linalg._derived``."""
 
 import ast
 from pathlib import Path
@@ -105,6 +105,35 @@ def test_dims_rules_are_shapes_in_linalg(path):
     # guard and by the CLI's selection alike; a comparison elsewhere would
     # state a second rule that could disagree with it.
     assert dims_comparisons(path.read_text(encoding="utf-8")) == []
+
+
+POLICY_NAMES = ("SLACK", "EIG_RESIDUAL_TOL")
+
+
+def policy_comparisons(source):
+    """Lines of ``source`` with a comparison that reads ``SLACK`` or
+    ``EIG_RESIDUAL_TOL``, by name or attribute, in one of its operands."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(getattr(sub, "id", getattr(sub, "attr", None)) in POLICY_NAMES
+                          for operand in [node.left, *node.comparators]
+                          for sub in ast.walk(operand)))
+
+
+def test_scan_finds_a_policy_comparison():
+    source = ("a = lam < -SLACK\nb = 1.0 + linalg.SLACK + e < x\n"
+              "c = r <= EIG_RESIDUAL_TOL * m or 0 < 1 < SLACK\n")
+    assert policy_comparisons(source) == [1, 2, 3, 3]
+    assert policy_comparisons('d = {"slack": SLACK}\ne = _below(lam, 0.0)\n'
+                              'f = SLACK * 2\ng = "SLACK" == s\n') == []
+
+
+@pytest.mark.parametrize("path", POLICY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_decisions_compare_in_linalg(path):
+    # linalg._below is the one comparison against the slack, and
+    # linalg._check_residual the one residual bound; a comparison elsewhere
+    # would state a second rule that could round differently.
+    assert policy_comparisons(path.read_text(encoding="utf-8")) == []
 
 
 EIGENSOLVERS = ("eigh", "eigvalsh", "eig")

@@ -22,7 +22,14 @@ from qent.coherence import (
     mixed_biseparable_bound,
     separable_bound,
 )
-from qent.detect import concurrence_bounds, criterion2, criterion3, ppt_check, reduction_check
+from qent.detect import (
+    concurrence_bounds,
+    criterion2,
+    criterion3,
+    ppt_check,
+    realignment_check,
+    reduction_check,
+)
 from qent.errors import DimensionError
 from qent.linalg import (
     BIPARTITE,
@@ -37,6 +44,7 @@ from qent.linalg import (
     partial_transpose,
     partial_transpose_qubit,
     realign,
+    validate_density,
 )
 from qent.measures import concurrence_2q, concurrence_lb_chen, negativity, structured_negativity
 from qent.spa import (
@@ -87,6 +95,7 @@ GUARDED = {
     "correlation_tensors": (correlation_tensors, THREE_QUBIT),
     "slocc_classify": (slocc_classify, THREE_QUBIT),
     "realign": (realign, SQUARE),
+    "realignment_check": (realignment_check, SQUARE),
     "partial_transpose_qubit": (lambda rho: partial_transpose_qubit(rho, "C"), THREE_QUBIT),
 }
 
@@ -127,6 +136,7 @@ def test_shape_error_names_the_function_and_the_dims():
 
 
 _TWO_QUBIT = STATES["[2, 2]"]
+_MAXIMALLY_MIXED = validate_density(np.eye(4) / 4, [2, 2])
 _GHZ_CLASS = CanonicalThreeQubit(0.6, 0.0, 0.0, 0.0, 0.8)
 
 
@@ -152,6 +162,17 @@ ARGUMENT_GUARDS = {
                          "must be nonnegative"),
     "criterion3 c < 0": (lambda: criterion3(_TWO_QUBIT, spa_pt_two_qubit(_TWO_QUBIT), -0.1),
                          "must be nonnegative"),
+    "criterion2 c = nan": (lambda: criterion2(_TWO_QUBIT, spa_pt_two_qubit(_TWO_QUBIT),
+                                              float("nan")), "must be nonnegative"),
+    "criterion3 c = nan": (lambda: criterion3(_TWO_QUBIT, spa_pt_two_qubit(_TWO_QUBIT),
+                                              float("nan")), "must be nonnegative"),
+    # I/4 is separable, so an infinite estimate would make criterion 3 claim it.
+    "criterion2 c = inf": (lambda: criterion2(_MAXIMALLY_MIXED, spa_pt_two_qubit(
+        _MAXIMALLY_MIXED), float("inf")), "must be nonnegative"),
+    "criterion3 c = inf": (lambda: criterion3(_MAXIMALLY_MIXED, spa_pt_two_qubit(
+        _MAXIMALLY_MIXED), float("inf")), "must be nonnegative"),
+    "realignment_check dims": (lambda: realignment_check(STATES["[2, 3]"]),
+                               r"realignment_check needs dims \[d, d\], got dims \[2, 3\]"),
     "partial_trace empty keep": (lambda: partial_trace(_TWO_QUBIT, []), "nonempty"),
     "partial_trace keep out of range": (lambda: partial_trace(_TWO_QUBIT, [2]), "out of range"),
     "expectation shapes": (lambda: expectation(np.eye(2), _TWO_QUBIT), "!= state shape"),

@@ -13,6 +13,7 @@ from qent.measures import concurrence_pure
 from qent.states import (
     bell_phi_plus,
     bisep_a_bc_state,
+    coherence_bisep_four_qubit,
     coherence_bisep_mixture,
     embed_pair_product,
     ghz_corner_mixture,
@@ -28,6 +29,7 @@ from qent.states import (
     projector,
     two_qutrit_alpha_state,
     two_slice_superposition,
+    two_term_product_mixture,
     w_state,
     werner_state,
     x_state,
@@ -138,6 +140,8 @@ MIXED_FAMILIES = {
     "ghz_w_wtilde_mixture": lambda: ghz_w_wtilde_mixture(0.3, 0.2),
     "bisep_a_bc_state": lambda: bisep_a_bc_state(0.3),
     "coherence_bisep_mixture": lambda: coherence_bisep_mixture(0.3),
+    "two_term_product_mixture": lambda: two_term_product_mixture(0.3),
+    "coherence_bisep_four_qubit": coherence_bisep_four_qubit,
 }
 
 
@@ -153,7 +157,8 @@ class TestFixedProjectors:
         assert np.array_equal(MIXED_FAMILIES[name]().mat, want)
 
     @pytest.mark.parametrize("name", ["_PSI_MINUS", "_PHI_PLUS", "_PHI_MINUS", "_PHI_PLUS_3",
-                                      "_S_PLUS", "_S_MINUS", "_GHZ", "_W", "_W_TILDE"])
+                                      "_S_PLUS", "_S_MINUS", "_GHZ", "_W", "_W_TILDE",
+                                      "_PLUS01", "_PHI_P3", "_PHI_M3", "_PAULI", "_SIGMA_YY"])
     def test_constants_are_read_only(self, name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(states, name)[0, 0] = 1.0
