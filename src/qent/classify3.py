@@ -29,6 +29,7 @@ from .linalg import PARAM_NORM_TOL, ZERO_TOL, DensityMatrix, _below, _checked_re
 from .spa import THREE_QUBIT_SCALE, THREE_QUBIT_SHIFT, THREE_QUBIT_THRESHOLD
 from .states import (
     _PAULI,
+    _amplitudes,
     _cut_schmidt_products,
     ghz_w_mixture,
     ghz_w_wtilde_mixture,
@@ -74,9 +75,7 @@ class CanonicalThreeQubit:
 def _canonical_amplitudes(params):
     """Raw amplitudes of the canonical state (basis |000>..|111>)."""
     l0, l1, l2, l3, l4 = params.lambdas
-    v = np.zeros(8, dtype=complex)
-    v[[0, 4, 5, 6, 7]] = l0, l1 * np.exp(1j * params.theta), l2, l3, l4
-    return v
+    return _amplitudes(8, {0: l0, 4: l1 * np.exp(1j * params.theta), 5: l2, 6: l3, 7: l4})
 
 
 def canonical_state(params: CanonicalThreeQubit):

@@ -165,12 +165,21 @@ def concurrence_bounds(rho: DensityMatrix, w_tilde: SpaWitness,
     ``lower = (1-p)/(p d1 d2) - Tr(W_tilde rho)/p`` and
     ``upper = Tr(rho_tilde rho)``.
     """
-    if w_tilde.p == 0:
-        raise DimensionError("witness mixing p must be nonzero")
+    # Written so that a NaN p fails the check.
+    if not 0.0 < w_tilde.p <= 1.0:
+        raise DimensionError(f"witness mixing p must be nonzero, in (0, 1], got {w_tilde.p}")
     dim = rho.dim
     lower = (1.0 - w_tilde.p) / (w_tilde.p * dim) - expectation(w_tilde.w_tilde, rho) / w_tilde.p
     upper = expectation(rho_tilde.rho_tilde.mat, rho)
     return ConcurrenceBounds(lower=float(lower), upper=float(upper))
+
+
+def _check_estimate(c):
+    """Refuse a concurrence estimate that is not one nonnegative finite number."""
+    # Written so that a NaN estimate fails the check.
+    if np.ndim(c) != 0 or not 0.0 <= c < np.inf:
+        raise DimensionError(
+            f"concurrence estimate must be nonnegative, finite and scalar, got {c}")
 
 
 def criterion2(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
@@ -178,8 +187,7 @@ def criterion2(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
 
     Evidence is the margin ``lambda_min - (Tr(rho_tilde rho) - C)``.
     """
-    if not 0.0 <= c < np.inf:
-        raise DimensionError(f"concurrence estimate must be nonnegative and finite, got {c}")
+    _check_estimate(c)
     rt = rho_tilde.rho_tilde
     lam = float(rt.spectrum.eigenvalues[0])
     margin = lam - (expectation(rt.mat, rho) - c)
@@ -190,8 +198,7 @@ def criterion2(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
 def criterion3(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
     """Entanglement from the tightened upper bound:
     ``U_ent = 1/2 + Tr(rho_tilde rho) - C < 1/2`` detects entanglement."""
-    if not 0.0 <= c < np.inf:
-        raise DimensionError(f"concurrence estimate must be nonnegative and finite, got {c}")
+    _check_estimate(c)
     u_ent = 0.5 + expectation(rho_tilde.rho_tilde.mat, rho) - c
     outcome = Outcome.Entangled if _below(u_ent, 0.5) else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=float(u_ent), criterion="criterion3")

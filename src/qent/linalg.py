@@ -14,9 +14,9 @@ or a stack ``(k, n, n)``: a stack is checked for finite entries and
 Hermiticity in one pass (a NaN or infinite entry makes the Hermiticity
 deviation NaN or infinite, so only a failing deviation is scanned for
 them), solved by one LAPACK call, and each of its matrices is held to the
-residual bound of its own spectral radius; a single matrix is the
-one-element case.  Each distinct matrix of a state is solved at most once:
-a :class:`DensityMatrix` caches
+residual bound of its own spectral radius; a single matrix is checked and
+solved the same way, without the leading axis.  Each distinct matrix of a
+state is solved at most once: a :class:`DensityMatrix` caches
 
 * ``rho.spectrum``, the spectrum of the state (seeded by its validation);
 * ``rho.pt_spectrum``, the spectrum of the partial transpose over the second
@@ -50,8 +50,8 @@ Which subsystem dimensions a function accepts is stated once, as one of the
 :class:`Shape` constants of this module; every guard of the library calls
 its ``require`` and the CLI selects its criteria and measures by its ``fits``.
 
-Stacks of states.  A matrix ``(n, n)`` and a stack ``(k, n, n)`` take one
-code path, the matrix being the case without the leading axis:
+Stacks of states.  A matrix ``(n, n)`` and a stack ``(k, n, n)`` follow the
+same rules, and these functions take both:
 
 * :func:`herm_eigenvalues` returns one :class:`Spectrum`, or a tuple of
   ``k`` from one LAPACK call;
@@ -69,8 +69,12 @@ code path, the matrix being the case without the leading axis:
 
 Each matrix of a stack gets the bits it gets on its own: stacked ``eigh``
 and ``svd`` solve each matrix as a loop would, and every other step is
-elementwise or a reduction within one matrix.  :class:`DensityMatrix` stays
-one state; a stack of states is a tuple.
+elementwise or a reduction within one matrix.  A single state is still
+solved as a 2-D matrix, not as a stack of one: the benchmark's tracer
+(``bench/tracer.py``) sizes a solve by the first axis of its shape, so it
+would file a stack of one as a 1 x 1 solve, and the stacks tests pin the
+2-D solve.  :class:`DensityMatrix` stays one state; a stack of states is a
+tuple.
 """
 
 from __future__ import annotations
@@ -280,10 +284,18 @@ def _checked_real(val):
     return val.real
 
 
+def _whole(d):
+    """Dimension ``d`` as an int, once it is a whole number (``2``, ``2.0``
+    and ``numpy.int64(2)`` are; ``2.5``, NaN and infinity are not)."""
+    if not float(d).is_integer():
+        raise DimensionError(f"dimension {d!r} is not a whole number")
+    return int(d)
+
+
 def _checked_dims(dims, side):
-    """``dims`` as a list of ints, once each is at least 1 and their exact
-    product is ``side``."""
-    dims = [int(d) for d in dims]
+    """``dims`` as a list of ints, once each is a whole number at least 1
+    and their exact product is ``side``."""
+    dims = [_whole(d) for d in dims]
     if any(d < 1 for d in dims):
         raise DimensionError(f"dims {dims} must all be at least 1")
     if math.prod(dims) != side:

@@ -22,11 +22,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .classify3 import CanonicalThreeQubit, ghz_witness_value, slocc_classify
-from .detect import Outcome, criterion2, witness_from_pure
+from .detect import Outcome, concurrence_bounds, criterion2, witness_from_pure
 from .linalg import expectation, fill_spectra
 from .measures import concurrence_lb_chen, negativity, structured_negativity
 from .spa import spa_pt_qutrit_qubit, spa_pt_two_qubit, spa_witness
 from .states import (
+    _amplitudes,
     mems_state,
     qutrit_qubit_alpha_state,
     two_qutrit_a_state,
@@ -57,8 +58,7 @@ def _each(row):
 def _x_witness_avg(a, b, f):
     """Tr(W_tilde rho) for the symmetric X family and its tuned witness."""
     rho = x_state(a, b, f)
-    k = -f / abs(f)
-    psi = np.array([k, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    psi = _amplitudes(4, {0: -f / abs(f), 3: 1.0}) / np.sqrt(2.0)
     sw = spa_witness(witness_from_pure(psi, 1, [2, 2]), 2, 2)
     return rho, float(expectation(sw.w_tilde, rho))
 
@@ -96,9 +96,7 @@ def _row_3_1(point):
 
 
 def _slocc_lambdas(slots, amplitudes):
-    v = np.zeros(8, dtype=complex)
-    v[list(slots)] = amplitudes
-    return slocc_classify(v).lambdas
+    return slocc_classify(_amplitudes(8, dict(zip(slots, amplitudes)))).lambdas
 
 
 def _row_5_1(point):
@@ -114,22 +112,16 @@ def _row_5_2(point):
 def _qutrit_qubit_witness(alpha):
     """SPA witness (p = 1/4) for the qutrit-qubit alpha family."""
     kappa = (alpha + np.sqrt(4.0 - 8.0 * alpha + 5.0 * alpha ** 2)) / (2.0 * (1.0 - alpha))
-    chi = np.zeros(6, dtype=complex)
-    chi[3] = -kappa          # |11> in the 3x2 basis
-    chi[4] = 1.0             # |20>
+    chi = _amplitudes(6, {3: -kappa, 4: 1.0})      # |11> and |20> in the 3x2 basis
     chi /= np.linalg.norm(chi)
     return spa_witness(witness_from_pure(chi, 1, [3, 2]), 3, 2, p=0.25)
 
 
 def _rows_fig2_1(alphas):
     states = qutrit_qubit_alpha_state(np.array(alphas))
-    rows = []
-    for alpha, rho, spa in zip(alphas, states, spa_pt_qutrit_qubit(states)):
-        sw = _qutrit_qubit_witness(alpha)
-        lower = (1.0 - sw.p) / (sw.p * 6.0) - float(expectation(sw.w_tilde, rho)) / sw.p
-        upper = float(expectation(spa.rho_tilde.mat, rho))
-        rows.append([alpha, lower, upper])
-    return rows
+    bounds = (concurrence_bounds(rho, _qutrit_qubit_witness(alpha), spa)
+              for alpha, rho, spa in zip(alphas, states, spa_pt_qutrit_qubit(states)))
+    return [[alpha, b.lower, b.upper] for alpha, b in zip(alphas, bounds)]
 
 
 def _measure_curve(family):

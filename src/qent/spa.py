@@ -32,6 +32,7 @@ from .linalg import (
     _derived,
     _qubit_party,
     _unit_trace,
+    _whole,
     herm_eigenvalues,
     partial_transpose,
 )
@@ -119,7 +120,7 @@ def spa_pt_d1d2(rho: DensityMatrix, d1, d2) -> SpaState:
     """SPA-PT ``shift I + scale rho^{T_B}`` of a ``d1 (x) d2`` state, with the
     coefficients of :func:`_spa_coefficients`; the output's spectrum is the
     affine image of ``rho.pt_spectrum``, its residual measured against it."""
-    d1, d2 = int(d1), int(d2)
+    d1, d2 = _whole(d1), _whole(d2)
     linalg.exact_dims(d1, d2).require(rho.dims, "spa_pt_d1d2")
     shift, scale, threshold, mixing = _spa_coefficients(d1, d2)
     out = _spa_pt(rho, 1, shift, scale)
@@ -170,35 +171,24 @@ def spa_pt_qutrit_qubit(rho):
 
     br11 = c32 * (1.0 + half * (t(3, 3) + t(4, 4)) + half * (t(5, 5) + t(6, 6))
                   + half * (t(3, 5) + np.conj(t(3, 5)) + t(4, 6) + np.conj(t(4, 6))))
-    out[:, 0, 0] = br11 + 0.25 * ((2.0 / 3.0) * t(1, 1) + (1.0 / 3.0) * t(2, 2))
-    out[:, 1, 1] = br11 + 0.25 * ((1.0 / 3.0) * t(1, 1) + (2.0 / 3.0) * t(2, 2))
-
     br13 = c32 * (half * (1.0 + t(5, 5) + t(6, 6)) - half * (t(1, 3) + t(2, 4))
                   - half * (t(1, 5) + t(2, 6))
                   + half * (np.conj(t(3, 5)) + np.conj(t(4, 6))))
-    out[:, 0, 2] = br13 + 0.25 * ((2.0 / 3.0) * t(1, 3) + (1.0 / 3.0) * t(2, 4))
-    out[:, 1, 3] = br13 + 0.25 * ((1.0 / 3.0) * t(1, 3) + (2.0 / 3.0) * t(2, 4))
-
     br15 = c32 * (-half * (1.0 + t(3, 3) + t(4, 4)) - half * (t(1, 3) + t(2, 4))
                   - half * (t(1, 5) + t(2, 6)) - half * (t(3, 5) + t(4, 6)))
-    out[:, 0, 4] = br15 + 0.25 * ((2.0 / 3.0) * t(1, 5) + (1.0 / 3.0) * t(2, 6))
-    out[:, 1, 5] = br15 + 0.25 * ((1.0 / 3.0) * t(1, 5) + (2.0 / 3.0) * t(2, 6))
-
     br33 = c32 * (1.0 + half * (t(1, 1) + t(2, 2)) + half * (t(5, 5) + t(6, 6))
                   - half * (t(1, 5) + np.conj(t(1, 5)) + t(2, 6) + np.conj(t(2, 6))))
-    out[:, 2, 2] = br33 + 0.25 * ((2.0 / 3.0) * t(3, 3) + (1.0 / 3.0) * t(4, 4))
-    out[:, 3, 3] = br33 + 0.25 * ((1.0 / 3.0) * t(3, 3) + (2.0 / 3.0) * t(4, 4))
-
     br35 = c32 * (half * (1.0 + t(1, 1) + t(2, 2)) - half * (t(1, 5) + t(2, 6))
                   + half * (np.conj(t(1, 3)) + np.conj(t(2, 4)))
                   - half * (t(3, 5) + t(4, 6)))
-    out[:, 2, 4] = br35 + 0.25 * ((2.0 / 3.0) * t(3, 5) + (1.0 / 3.0) * t(4, 6))
-    out[:, 3, 5] = br35 + 0.25 * ((1.0 / 3.0) * t(3, 5) + (2.0 / 3.0) * t(4, 6))
-
     br55 = c32 * (1.0 + half * (t(1, 1) + t(2, 2)) + half * (t(3, 3) + t(4, 4))
                   + half * (t(1, 3) + np.conj(t(1, 3)) + t(2, 4) + np.conj(t(2, 4))))
-    out[:, 4, 4] = br55 + 0.25 * ((2.0 / 3.0) * t(5, 5) + (1.0 / 3.0) * t(6, 6))
-    out[:, 5, 5] = br55 + 0.25 * ((1.0 / 3.0) * t(5, 5) + (2.0 / 3.0) * t(6, 6))
+    # Block (i, j): its bracket plus the qubit entries t(i, j), t(i+1, j+1),
+    # weighted (2/3, 1/3) in row i-1 and (1/3, 2/3) in row i.
+    for (i, j), br in zip(((1, 1), (1, 3), (1, 5), (3, 3), (3, 5), (5, 5)),
+                          (br11, br13, br15, br33, br35, br55)):
+        out[:, i - 1, j - 1] = br + 0.25 * ((2.0 / 3.0) * t(i, j) + (1.0 / 3.0) * t(i + 1, j + 1))
+        out[:, i, j] = br + 0.25 * ((1.0 / 3.0) * t(i, j) + (2.0 / 3.0) * t(i + 1, j + 1))
 
     # Qubit-transpose-like entries, weight 1/12.
     out[:, 0, 1] = np.conj(t(1, 2)) / 12.0
@@ -267,6 +257,7 @@ def spa_witness(w, d1, d2, p=None) -> SpaWitness:
         If ``w`` has no negative eigenvalue.
     """
     w = np.asarray(w, dtype=complex)
+    d1, d2 = _whole(d1), _whole(d2)
     dim = d1 * d2
     if w.shape != (dim, dim):
         raise DimensionError(f"witness shape {w.shape} does not match {d1}x{d2}")

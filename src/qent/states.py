@@ -88,11 +88,17 @@ def _cut_schmidt_products(v):
     return np.linalg.norm(minors, axis=1)
 
 
+def _amplitudes(dim, entries):
+    """Complex vector of length ``dim``, zero but for ``entries`` (index ->
+    amplitude); not normalized."""
+    v = np.zeros(dim, dtype=complex)
+    v[list(entries)] = list(entries.values())
+    return v
+
+
 def basis_ket(index, dim):
     """Computational basis vector |index> in a ``dim``-level system."""
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
+    return _amplitudes(dim, {index: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +267,19 @@ def ghz_state(alpha=None, beta=None):
     """Generalized GHZ vector ``alpha|000> + beta|111>`` (defaults 1/sqrt2)."""
     if alpha is None:
         alpha = beta = 1.0 / np.sqrt(2.0)
-    v = np.zeros(8, dtype=complex)
-    v[0] = alpha
-    v[7] = beta
-    return ket(v, [2, 2, 2])
+    return ket(_amplitudes(8, {0: alpha, 7: beta}), [2, 2, 2])
 
 
 def w_state(l0=None, l1=None, l2=None):
     """Generalized W vector ``l0|001> + l1|010> + l2|100>`` (defaults 1/sqrt3)."""
     if l0 is None:
         l0 = l1 = l2 = 1.0 / np.sqrt(3.0)
-    v = np.zeros(8, dtype=complex)
-    v[1], v[2], v[4] = l0, l1, l2
-    return ket(v, [2, 2, 2])
+    return ket(_amplitudes(8, {1: l0, 2: l1, 4: l2}), [2, 2, 2])
 
 
 def w_tilde_state():
     """Flipped W vector ``(|110> + |101> + |011>)/sqrt(3)``."""
-    v = np.zeros(8, dtype=complex)
-    v[6] = v[5] = v[3] = 1.0
-    return ket(v, [2, 2, 2])
+    return ket(_amplitudes(8, dict.fromkeys((6, 5, 3), 1.0)), [2, 2, 2])
 
 
 # Fixed projectors of the families: built once, at import, and read-only.
@@ -305,10 +304,7 @@ for _m in (_PSI_MINUS, _PHI_PLUS, _PHI_MINUS, _PHI_PLUS_3, _GHZ, _W, _W_TILDE, _
 
 def g2_state():
     """The fixed genuine five-term vector ``(|000>+|100>+|101>+|110>+|111>)/sqrt5``."""
-    v = np.zeros(8, dtype=complex)
-    for idx in (0, 4, 5, 6, 7):
-        v[idx] = 1.0
-    return ket(v, [2, 2, 2])
+    return ket(_amplitudes(8, dict.fromkeys((0, 4, 5, 6, 7), 1.0)), [2, 2, 2])
 
 
 def bisep_a_bc_state(q):
@@ -384,12 +380,8 @@ def two_slice_superposition(a, c, p):
     """
     b = np.sqrt(1.0 - a * a)
     dd = np.sqrt(1.0 - c * c)
-    v = np.zeros(8, dtype=complex)
-    v[0] = np.sqrt(p) * a
-    v[7] = np.sqrt(p) * b
-    v[6] = -np.sqrt(1.0 - p) * c
-    v[5] = -np.sqrt(1.0 - p) * dd
-    return ket(v, [2, 2, 2])
+    return ket(_amplitudes(8, {0: np.sqrt(p) * a, 7: np.sqrt(p) * b,
+                               6: -np.sqrt(1.0 - p) * c, 5: -np.sqrt(1.0 - p) * dd}), [2, 2, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +448,5 @@ def diagonal_four_qubit():
 
 def three_qutrit_bisep():
     """Three-qutrit vector ``|0>_A (x) (|12> + |01> + |20>)/sqrt(3)``."""
-    pair = np.zeros(9, dtype=complex)
-    pair[5] = pair[1] = pair[6] = 1.0      # |12>, |01>, |20>
-    v = np.zeros(27, dtype=complex)
-    v[:9] = pair / np.sqrt(3.0)
-    return ket(v, [3, 3, 3])
+    # |0>|12>, |0>|01>, |0>|20>
+    return ket(_amplitudes(27, dict.fromkeys((5, 1, 6), 1.0 / np.sqrt(3.0))), [3, 3, 3])

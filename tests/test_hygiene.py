@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses; no module
 but ``linalg`` writes a tolerance as a bare literal, builds a
 ``DensityMatrix`` itself, compares a ``.dims`` value, compares against
-``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver; and only
-``states.projector`` hands a ket to ``linalg._derived``."""
+``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver; only
+``states.projector`` hands a ket to ``linalg._derived``; and no module
+builds a vector of a literal size by hand."""
 
 import ast
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "qent").glob("*.py") if p.name != "__init__.py")
 SOURCES += sorted((ROOT / "tests").glob("*.py"))
-POLICY_SOURCES = sorted(p for p in (ROOT / "src" / "qent").glob("*.py") if p.name != "linalg.py")
+LIBRARY_SOURCES = sorted((ROOT / "src" / "qent").glob("*.py"))
+POLICY_SOURCES = [p for p in LIBRARY_SOURCES if p.name != "linalg.py"]
 
 
 def unused_imports(source):
@@ -202,6 +204,34 @@ def test_only_the_projector_passes_a_ket():
     # The pure-state closed forms trust rho.ket to be the normalized ket of
     # rho.mat; states.projector builds both from one checked ket.
     found = {(path.name, func)
-             for path in sorted((ROOT / "src" / "qent").glob("*.py"))
+             for path in LIBRARY_SOURCES
              for func, _ in ket_passing_calls(path.read_text(encoding="utf-8"))}
     assert found == {("states.py", "projector")}
+
+
+def literal_size_zeros(source):
+    """Lines of ``source`` that call ``zeros`` (by name or attribute) with an
+    integer literal as its size, positionally or as ``shape``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "zeros"):
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "shape"), None)
+            if isinstance(size, ast.Constant) and type(size.value) is int:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scan_finds_a_vector_of_literal_size():
+    source = "a = np.zeros(8, dtype=complex)\nb = zeros(27)\nc = numpy.zeros(shape=6)\n"
+    assert literal_size_zeros(source) == [1, 2, 3]
+    assert literal_size_zeros("d = np.zeros(dim)\ne = np.zeros((9, 9))\nf = np.ones(8)\n"
+                              "g = np.zeros(r.shape, dtype=complex)\nh = np.zeros(8.0)\n") == []
+
+
+@pytest.mark.parametrize("path", LIBRARY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_amplitude_vectors_are_built_in_states(path):
+    # states._amplitudes is the one constructor of a sparse amplitude
+    # vector; a zero vector of literal size elsewhere is a second one.
+    assert literal_size_zeros(path.read_text(encoding="utf-8")) == []

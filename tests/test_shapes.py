@@ -29,6 +29,7 @@ from qent.detect import (
     ppt_check,
     realignment_check,
     reduction_check,
+    witness_from_pure,
 )
 from qent.errors import DimensionError
 from qent.linalg import (
@@ -54,11 +55,13 @@ from qent.spa import (
     spa_pt_qutrit_qubit,
     spa_pt_three_qubit,
     spa_pt_two_qubit,
+    spa_witness,
 )
 from qent.states import (
     bell_phi_plus,
     embed_pair_product,
     ghz_state,
+    ket,
     projector,
     qutrit_qubit_alpha_state,
 )
@@ -138,6 +141,7 @@ def test_shape_error_names_the_function_and_the_dims():
 _TWO_QUBIT = STATES["[2, 2]"]
 _MAXIMALLY_MIXED = validate_density(np.eye(4) / 4, [2, 2])
 _GHZ_CLASS = CanonicalThreeQubit(0.6, 0.0, 0.0, 0.0, 0.8)
+_BELL_WITNESS = witness_from_pure(bell_phi_plus(), 1, [2, 2])
 
 
 def _ensemble(*labels):
@@ -158,6 +162,9 @@ ARGUMENT_GUARDS = {
     "concurrence_bounds p = 0": (lambda: concurrence_bounds(
         _TWO_QUBIT, SpaWitness(w_tilde=np.eye(4) / 4, p=0.0, r_bound=0.25),
         spa_pt_two_qubit(_TWO_QUBIT)), "p must be nonzero"),
+    "concurrence_bounds p = nan": (lambda: concurrence_bounds(
+        _MAXIMALLY_MIXED, SpaWitness(w_tilde=np.eye(4) / 4, p=float("nan"), r_bound=0.25),
+        spa_pt_two_qubit(_MAXIMALLY_MIXED)), "p must be nonzero"),
     "criterion2 c < 0": (lambda: criterion2(_TWO_QUBIT, spa_pt_two_qubit(_TWO_QUBIT), -0.1),
                          "must be nonnegative"),
     "criterion3 c < 0": (lambda: criterion3(_TWO_QUBIT, spa_pt_two_qubit(_TWO_QUBIT), -0.1),
@@ -171,8 +178,24 @@ ARGUMENT_GUARDS = {
         _MAXIMALLY_MIXED), float("inf")), "must be nonnegative"),
     "criterion3 c = inf": (lambda: criterion3(_MAXIMALLY_MIXED, spa_pt_two_qubit(
         _MAXIMALLY_MIXED), float("inf")), "must be nonnegative"),
+    "criterion2 c = array": (lambda: criterion2(_TWO_QUBIT, spa_pt_two_qubit(_TWO_QUBIT),
+                                                np.array([0.1, 0.2])), "must be nonnegative"),
+    "criterion3 c = array": (lambda: criterion3(_TWO_QUBIT, spa_pt_two_qubit(_TWO_QUBIT),
+                                                np.array([0.1, 0.2])), "must be nonnegative"),
     "realignment_check dims": (lambda: realignment_check(STATES["[2, 3]"]),
                                r"realignment_check needs dims \[d, d\], got dims \[2, 3\]"),
+    "validate_density dims 2.5": (lambda: validate_density(np.eye(4) / 4, [2.5, 2]),
+                                  "not a whole number"),
+    "validate_density dims nan": (lambda: validate_density(np.eye(4) / 4, [float("nan"), 2]),
+                                  "not a whole number"),
+    "validate_density dims inf": (lambda: validate_density(np.eye(4) / 4, [float("inf"), 2]),
+                                  "not a whole number"),
+    "ket dims 2.7": (lambda: ket([1, 0, 0, 1], [2.7, 2]), "not a whole number"),
+    "spa_pt_dd d = 2.9": (lambda: spa_pt_dd(_TWO_QUBIT, 2.9), "not a whole number"),
+    "spa_pt_d1d2 d2 = 3.5": (lambda: spa_pt_d1d2(STATES["[2, 3]"], 2, 3.5), "not a whole number"),
+    "spa_witness d1 = 2.5": (lambda: spa_witness(_BELL_WITNESS, 2.5, 2), "not a whole number"),
+    "spa_witness d2 = nan": (lambda: spa_witness(_BELL_WITNESS, 2, float("nan")),
+                             "not a whole number"),
     "partial_trace empty keep": (lambda: partial_trace(_TWO_QUBIT, []), "nonempty"),
     "partial_trace keep out of range": (lambda: partial_trace(_TWO_QUBIT, [2]), "out of range"),
     "expectation shapes": (lambda: expectation(np.eye(2), _TWO_QUBIT), "!= state shape"),
@@ -192,3 +215,15 @@ def test_argument_guard_raises_dimension_error(name):
     run, message = ARGUMENT_GUARDS[name]
     with pytest.raises(DimensionError, match=message):
         run()
+
+
+@pytest.mark.parametrize("two", [2.0, np.int64(2)], ids=["float", "numpy int"])
+def test_whole_valued_dims_work_as_ints(two):
+    assert validate_density(np.eye(4) / 4, [two, 2]).dims == (2, 2)
+    assert np.array_equal(ket([1, 0, 0, 1], [two, 2]), ket([1, 0, 0, 1], [2, 2]))
+    got, want = spa_pt_dd(_TWO_QUBIT, two), spa_pt_dd(_TWO_QUBIT, 2)
+    assert np.array_equal(got.rho_tilde.mat, want.rho_tilde.mat)
+    assert (got.mixing, got.threshold) == (want.mixing, want.threshold)
+    got, want = spa_witness(_BELL_WITNESS, two, two), spa_witness(_BELL_WITNESS, 2, 2)
+    assert np.array_equal(got.w_tilde, want.w_tilde)
+    assert (got.p, got.r_bound) == (want.p, want.r_bound)
