@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import DensityMatrix, _below, _floor_eps, expectation, herm_eigenvalues
+from .linalg import DensityMatrix, _below, _floor_eps, _party, expectation, herm_eigenvalues
 from .spa import SpaState, SpaWitness
 from .states import projector
 
@@ -62,8 +62,7 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
     inside the slack: 0.
     """
     linalg.BIPARTITE.require(rho.dims, "ppt_check")
-    if sys not in (0, 1):
-        raise DimensionError(f"sys must be 0 or 1, got {sys}")
+    _party(sys, 2)
     lam = float(rho.pt_spectrum.eigenvalues[0])
     outcome = Outcome.Entangled if _below(lam, 0.0) else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="ppt")

@@ -49,6 +49,7 @@ only :func:`qent.states.projector` sets it.
 Which subsystem dimensions a function accepts is stated once, as one of the
 :class:`Shape` constants of this module; every guard of the library calls
 its ``require`` and the CLI selects its criteria and measures by its ``fits``.
+So are a whole number (:func:`_whole`) and a party index (:func:`_party`).
 
 Stacks of states.  A matrix ``(n, n)`` and a stack ``(k, n, n)`` follow the
 same rules, and these functions take both:
@@ -284,12 +285,21 @@ def _checked_real(val):
     return val.real
 
 
-def _whole(d):
-    """Dimension ``d`` as an int, once it is a whole number (``2``, ``2.0``
-    and ``numpy.int64(2)`` are; ``2.5``, NaN and infinity are not)."""
-    if not float(d).is_integer():
-        raise DimensionError(f"dimension {d!r} is not a whole number")
+def _whole(d, what="dimension"):
+    """``d`` as an int, once it is a whole number: ``2``, ``2.0`` and
+    ``numpy.int64(2)`` are; ``2.5``, NaN, infinity, bools and strings are not."""
+    if (isinstance(d, bool) or not isinstance(d, (int, float, np.integer, np.floating))
+            or not float(d).is_integer()):
+        raise DimensionError(f"{what} {d!r} is not a whole number")
     return int(d)
+
+
+def _party(k, n):
+    """Party index ``k`` of ``n`` parties as an int, once whole and in ``[0, n - 1]``."""
+    k = _whole(k, "party index")
+    if not 0 <= k < n:
+        raise DimensionError(f"party index {k} out of range for {n} subsystems")
+    return k
 
 
 def _checked_dims(dims, side):
@@ -368,8 +378,7 @@ def partial_transpose(rho, sys, dims=None):
     """
     mat, d = _mat_dims(rho, dims, (2, 3))
     n = len(d)
-    if sys not in range(n):
-        raise DimensionError(f"sys must lie in [0, {n - 1}], got {sys}")
+    sys = _party(sys, n)
     # Leading stack axes stay in place; only the party axes move.
     lead = mat.ndim - 2
     axes = list(range(lead + 2 * n))
@@ -424,12 +433,10 @@ def partial_trace(rho, keep, dims=None):
         bare matrix.
     """
     mat, d = _mat_dims(rho, dims)
-    keep = sorted(set(int(k) for k in keep))
     n = len(d)
+    keep = sorted(set(_party(k, n) for k in keep))
     if not keep:
         raise DimensionError("keep set must be nonempty")
-    if any(k < 0 or k >= n for k in keep):
-        raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
     t = mat.reshape(d + d)
     traced = [k for k in range(n) if k not in keep]
     # Trace out highest-numbered subsystems first so axis numbers stay valid.

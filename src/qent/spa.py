@@ -135,11 +135,17 @@ def spa_pt_two_qubit(rho: DensityMatrix) -> SpaState:
     return spa_pt_dd(rho, 2)
 
 
+# Entries i < j of a 3 x 2 matrix whose qubit indices differ (i + j odd).
+_QUBITS_DIFFER = np.triu(np.add.outer(np.arange(6), np.arange(6)) % 2 == 1)
+_QUBITS_DIFFER.flags.writeable = False
+
+
 def spa_pt_qutrit_qubit(rho):
     """Closed-form qutrit-qubit (3 x 2) SPA-PT element map.
 
     Implements the published element equations with the symmetric map
-    parameters ``a = b = c = 1/sqrt(2)``.  The map is specified for states
+    parameters ``a = b = c = 1/sqrt(2)``.  Its entries between different
+    qubit values are ``rho^{T_B}/12``.  The map is specified for states
     whose off-diagonal blocks satisfy the symmetry of the published family;
     outside that family the element equations do not preserve the trace
     (the excess is ``(3/16) Re[(t13+t24) - (t15+t26) + (t35+t46)]`` in
@@ -190,16 +196,7 @@ def spa_pt_qutrit_qubit(rho):
         out[:, i - 1, j - 1] = br + 0.25 * ((2.0 / 3.0) * t(i, j) + (1.0 / 3.0) * t(i + 1, j + 1))
         out[:, i, j] = br + 0.25 * ((1.0 / 3.0) * t(i, j) + (2.0 / 3.0) * t(i + 1, j + 1))
 
-    # Qubit-transpose-like entries, weight 1/12.
-    out[:, 0, 1] = np.conj(t(1, 2)) / 12.0
-    out[:, 0, 3] = t(2, 3) / 12.0
-    out[:, 0, 5] = t(2, 5) / 12.0
-    out[:, 1, 2] = t(1, 4) / 12.0
-    out[:, 1, 4] = t(1, 6) / 12.0
-    out[:, 2, 3] = np.conj(t(3, 4)) / 12.0
-    out[:, 2, 5] = t(4, 5) / 12.0
-    out[:, 3, 4] = t(3, 6) / 12.0
-    out[:, 4, 5] = np.conj(t(5, 6)) / 12.0
+    out[:, _QUBITS_DIFFER] = partial_transpose(r, 1, [3, 2])[:, _QUBITS_DIFFER] / 12.0
 
     for i in range(6):
         for j in range(i + 1, 6):

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import ZERO_TOL, _checked_dims, _derived, _finite, tensor, validate_density
+from .linalg import (ZERO_TOL, _checked_dims, _derived, _finite, _party, _whole, tensor,
+                     validate_density)
 
 
 def ket(amplitudes, dims):
@@ -94,11 +95,6 @@ def _amplitudes(dim, entries):
     v = np.zeros(dim, dtype=complex)
     v[list(entries)] = list(entries.values())
     return v
-
-
-def basis_ket(index, dim):
-    """Computational basis vector |index> in a ``dim``-level system."""
-    return _amplitudes(dim, {index: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +236,9 @@ def two_qutrit_a_state(a):
     ``|psi_i> = |0i> - a|i0>`` (i = 1, 2) and ``|psi3> = sum_i |ii>``.
     """
     a = np.asarray(a)
-    p1 = basis_ket(1, 9) - a[..., np.newaxis] * basis_ket(3, 9)      # |01> - a|10>
-    p2 = basis_ket(2, 9) - a[..., np.newaxis] * basis_ket(6, 9)      # |02> - a|20>
-    p3 = basis_ket(0, 9) + basis_ket(4, 9) + basis_ket(8, 9)
+    p1 = _amplitudes(9, {1: 1.0}) - a[..., np.newaxis] * _amplitudes(9, {3: 1.0})  # |01> - a|10>
+    p2 = _amplitudes(9, {2: 1.0}) - a[..., np.newaxis] * _amplitudes(9, {6: 1.0})  # |02> - a|20>
+    p3 = _amplitudes(9, {0: 1.0, 4: 1.0, 8: 1.0})
     outers = (p[..., :, np.newaxis] * p.conj()[..., np.newaxis, :] for p in (p1, p2, p3))
     mat = sum(outers) / _stacked(5.0 + 2.0 * a * a)
     return validate_density(mat, [3, 3])
@@ -408,11 +404,11 @@ def embed_pair_product(single, single_pos, pair, n=3):
     numpy.ndarray
         The ``2^n x 2^n`` product matrix with factors routed to their positions.
     """
-    rest = int(2 ** (n - 1))
+    n = _whole(n, "register size")
+    rest = 2 ** (n - 1)
     if pair.shape != (rest, rest):
         raise DimensionError("pair factor has the wrong size for this register")
-    if single_pos not in range(n):
-        raise DimensionError(f"single_pos must lie in [0, {n - 1}], got {single_pos}")
+    single_pos = _party(single_pos, n)
     full = tensor(single, pair).reshape([2] * (2 * n))
     order = list(range(1, n))
     order.insert(single_pos, 0)

@@ -2,8 +2,9 @@
 but ``linalg`` writes a tolerance as a bare literal, builds a
 ``DensityMatrix`` itself, compares a ``.dims`` value, compares against
 ``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver; only
-``states.projector`` hands a ket to ``linalg._derived``; and no module
-builds a vector of a literal size by hand."""
+``states.projector`` hands a ket to ``linalg._derived``; no module
+builds a vector of a literal size by hand; and no module tests an
+argument by membership in ``range(...)`` or in a literal set of ints."""
 
 import ast
 from pathlib import Path
@@ -235,3 +236,38 @@ def test_amplitude_vectors_are_built_in_states(path):
     # states._amplitudes is the one constructor of a sparse amplitude
     # vector; a zero vector of literal size elsewhere is a second one.
     assert literal_size_zeros(path.read_text(encoding="utf-8")) == []
+
+
+def _int_literals(node):
+    """Whether ``node`` is a tuple, list or set of int literals (not bools)."""
+    return (isinstance(node, (ast.Tuple, ast.List, ast.Set))
+            and all(isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts))
+
+
+def index_membership_tests(source):
+    """Lines of ``source`` with an ``in`` or ``not in`` test against a call of
+    ``range`` or against a tuple, list or set of int literals."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.In, ast.NotIn))
+                          and ((isinstance(right, ast.Call)
+                                and getattr(right.func, "id", None) == "range")
+                               or _int_literals(right))
+                          for op, right in zip(node.ops, node.comparators)))
+
+
+def test_scan_finds_an_index_membership_test():
+    source = ("a = sys not in range(n)\nb = k in (0, 1)\nc = x in [2, 3] or y not in {4}\n"
+              "if 0 < q in range(1, n):\n    pass\n")
+    assert index_membership_tests(source) == [1, 2, 3, 3, 4]
+    assert index_membership_tests("for k in range(n):\n    pass\nd = [k for k in range(n)]\n"
+                                  "e = k in keep\nf = s in ('A', 'B')\ng = b in (True, 1)\n"
+                                  "h = k == 1\n") == []
+
+
+@pytest.mark.parametrize("path", LIBRARY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_party_indices_are_checked_in_linalg(path):
+    # linalg._party is the one party-index rule: a whole number in
+    # [0, n - 1].  A membership test in range(n) lets 1.0 through to fail
+    # as a list index and takes True as party 1.
+    assert index_membership_tests(path.read_text(encoding="utf-8")) == []

@@ -190,6 +190,14 @@ ARGUMENT_GUARDS = {
                                   "not a whole number"),
     "validate_density dims inf": (lambda: validate_density(np.eye(4) / 4, [float("inf"), 2]),
                                   "not a whole number"),
+    "validate_density dims str": (lambda: validate_density(np.eye(4) / 4, ["2", "2"]),
+                                  "not a whole number"),
+    "validate_density dims bool": (lambda: validate_density(np.eye(4) / 4, [True, 4]),
+                                   "not a whole number"),
+    "validate_density dims word": (lambda: validate_density(np.eye(4) / 4, ["x", 4]),
+                                   "not a whole number"),
+    "validate_density dims None": (lambda: validate_density(np.eye(4) / 4, [None, 4]),
+                                   "not a whole number"),
     "ket dims 2.7": (lambda: ket([1, 0, 0, 1], [2.7, 2]), "not a whole number"),
     "spa_pt_dd d = 2.9": (lambda: spa_pt_dd(_TWO_QUBIT, 2.9), "not a whole number"),
     "spa_pt_d1d2 d2 = 3.5": (lambda: spa_pt_d1d2(STATES["[2, 3]"], 2, 3.5), "not a whole number"),
@@ -198,11 +206,20 @@ ARGUMENT_GUARDS = {
                              "not a whole number"),
     "partial_trace empty keep": (lambda: partial_trace(_TWO_QUBIT, []), "nonempty"),
     "partial_trace keep out of range": (lambda: partial_trace(_TWO_QUBIT, [2]), "out of range"),
+    "partial_trace keep 0.7": (lambda: partial_trace(_TWO_QUBIT, [0.7]), "not a whole number"),
+    "partial_trace keep 1.5": (lambda: partial_trace(_TWO_QUBIT, [1.5]), "not a whole number"),
+    "partial_transpose sys 0.5": (lambda: partial_transpose(_TWO_QUBIT, 0.5),
+                                  "not a whole number"),
+    "partial_transpose sys True": (lambda: partial_transpose(_TWO_QUBIT, True),
+                                   "not a whole number"),
+    "ppt_check sys 0.5": (lambda: ppt_check(_TWO_QUBIT, 0.5), "not a whole number"),
     "expectation shapes": (lambda: expectation(np.eye(2), _TWO_QUBIT), "!= state shape"),
     "bare matrix without dims": (lambda: partial_transpose(np.eye(4) / 4, 0),
                                  "required for a bare matrix"),
     "embed_pair_product pair size": (lambda: embed_pair_product(
         np.eye(2) / 2, 0, np.eye(2) / 2), "wrong size"),
+    "embed_pair_product single_pos 1.5": (lambda: embed_pair_product(
+        np.eye(2) / 2, 1.5, np.eye(4) / 4), "not a whole number"),
     "subclass_fidelities subclass": (lambda: subclass_fidelities(_GHZ_CLASS, "S5"),
                                      "unknown subclass"),
     "ghz_witness_value witness": (lambda: ghz_witness_value(_GHZ_CLASS, "H9"),
@@ -227,3 +244,15 @@ def test_whole_valued_dims_work_as_ints(two):
     got, want = spa_witness(_BELL_WITNESS, two, two), spa_witness(_BELL_WITNESS, 2, 2)
     assert np.array_equal(got.w_tilde, want.w_tilde)
     assert (got.p, got.r_bound) == (want.p, want.r_bound)
+
+
+@pytest.mark.parametrize("one", [1.0, np.int64(1)], ids=["float", "numpy int"])
+def test_whole_valued_party_indices_work_as_ints(one):
+    assert np.array_equal(partial_transpose(_TWO_QUBIT, one), partial_transpose(_TWO_QUBIT, 1))
+    assert ppt_check(_TWO_QUBIT, one) == ppt_check(_TWO_QUBIT, 1)
+    assert np.array_equal(partial_trace(_TWO_QUBIT, [one]).mat,
+                          partial_trace(_TWO_QUBIT, [1]).mat)
+    single, pair = np.diag([0.0, 1.0]), np.eye(4) / 4
+    want = embed_pair_product(single, 1, pair, n=3)
+    assert np.array_equal(embed_pair_product(single, one, pair, n=3), want)
+    assert np.array_equal(embed_pair_product(single, 1, pair, n=3 * one), want)
