@@ -31,7 +31,6 @@ from .states import (
     _PAULI,
     _amplitudes,
     _cut_schmidt_products,
-    ghz_w_mixture,
     ghz_w_wtilde_mixture,
     ket,
     projector,
@@ -447,21 +446,20 @@ def ghz_w_mixture_analysis(q1, q2=None) -> MixtureReport:
     """Analyze ``q1 GHZ + q2 W + (1-q1-q2) W~`` (or the two-term GHZ/W
     mixture when ``q2`` is omitted) under the SPA-PT classifier."""
     two_term = q2 is None
+    q2 = 1.0 - q1 if two_term else q2
+    # Built first: the mixture checks the weights before any closed form.
+    verdict = slocc_classify(ghz_w_wtilde_mixture(q1, q2))
     if two_term:
-        q2 = 1.0 - q1
-        rho = ghz_w_mixture(q1)
         r1 = 1.0 - 2.0 * q1 + 10.0 * q1 ** 2
         r2 = 32.0 - 64.0 * q1 + 41.0 * q1 ** 2
         q_forms = ((4.0 - q1 - np.sqrt(r1)) / 30.0,
                    (6.0 + 3.0 * q1 - np.sqrt(r2)) / 60.0)
         predicted = min(q_forms)
     else:
-        rho = ghz_w_wtilde_mixture(q1, q2)
         rad = (1.0 - 2.0 * q1 + 10.0 * q1 ** 2 - 4.0 * q2 + 4.0 * q1 * q2
                + 4.0 * q2 ** 2)
         q_forms = None
         predicted = (4.0 - q1 - np.sqrt(rad)) / 30.0
-    verdict = slocc_classify(rho)
     if q1 > _W_CLASS_MAX_Q1:
         regime = "GHZ-class"
     elif q1 >= 0.25:

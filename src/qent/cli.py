@@ -13,7 +13,8 @@ State files are JSON documents with keys ``dims`` (nonempty list of
 positive subsystem dimensions) and ``matrix`` (row-major nested array whose
 entries are ``[re, im]`` pairs), plus an optional ``label``.  Reports are
 printed as deterministic JSON (sorted keys, native float repr) so identical
-inputs produce byte-identical output.
+inputs produce byte-identical output.  :func:`main` writes each report:
+with ``--out PATH`` the same bytes go to ``PATH`` first, then to stdout.
 
 The criteria of ``detect`` and the measures of ``measure`` are tables whose
 entries name the :class:`~qent.linalg.Shape` their library function requires
@@ -22,8 +23,9 @@ command runs every default entry that fits the state; a name that does not
 fit is a usage error, raised before anything is computed.  :func:`main`
 builds the argument parser on its first call and reuses it.
 
-Exit codes: 0 success, 1 usage error, 2 file parse error, 3 validation
-error (density-matrix invariant violation or golden-data mismatch).
+Exit codes: 0 success, 1 usage error (an ``--out`` path that cannot be
+written included), 2 file parse error, 3 validation error (density-matrix
+invariant violation or golden-data mismatch).
 """
 
 from __future__ import annotations
@@ -175,11 +177,16 @@ def write_state_file(path, rho: DensityMatrix, label=None):
 # ---------------------------------------------------------------------------
 
 def _emit(report, out_path):
+    """Write ``report`` to ``out_path``, if given, then the same bytes to
+    stdout; a path that cannot be written is a usage error."""
     payload = document_bytes(report)
-    sys.stdout.write(payload.decode("utf-8"))
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc}") from None
+    sys.stdout.write(payload.decode("utf-8"))
 
 
 def _entry(name, value, verdict=None):
@@ -292,14 +299,13 @@ def cmd_detect(args):
     label, rho = parse_state_file(args.state)
     _require(linalg.BIPARTITE, rho, "detect")
     names = _select(_CRITERIA, [name for name in _CRITERIA if getattr(args, name)], rho)
-    _emit({
+    return {
         "command": "detect",
         "input": label,
         "results": [_CRITERIA[name].run(rho) for name in names],
         "tolerances": {"slack": SLACK},
         "version": __version__,
-    }, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_measure(args):
@@ -308,13 +314,12 @@ def cmd_measure(args):
         if name not in _MEASURES:
             raise UsageError(f"unknown measure {name!r}; choose from {', '.join(_MEASURES)}")
     names = _select(_MEASURES, args.measures, rho)
-    _emit({
+    return {
         "command": "measure",
         "input": label,
         "results": [_entry(name, float(_MEASURES[name].run(rho).value)) for name in names],
         "version": __version__,
-    }, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +337,6 @@ def cmd_classify3(args):
             raise UsageError(str(exc)) from None
         label = "canonical(" + ", ".join(repr(x) for x in args.canonical) + ")"
         rho = canonical_projector(params)
-        verdict = slocc_classify(rho)
         try:
             rep = classify_ghz_subclass(params)
             for name in sorted(rep.values):
@@ -353,18 +357,17 @@ def cmd_classify3(args):
     else:
         label, rho = parse_state_file(args.state)
         _require(linalg.THREE_QUBIT, rho, "classify3")
-        verdict = slocc_classify(rho)
+    verdict = slocc_classify(rho)
     for qubit, lam in zip("ABC", verdict.lambdas):
         results.append(_entry(f"lambda_min:{qubit}", float(lam)))
     results.append(_entry("slocc", None, verdict.outcome.value))
-    _emit({
+    return {
         "command": "classify3",
         "input": label,
         "results": results,
         "tolerances": {"slack": SLACK},
         "version": __version__,
-    }, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +451,7 @@ def reproduce(table_id, tol=None):
 
 def cmd_reproduce(args):
     report, mismatched = reproduce(args.table_id, args.tol)
-    _emit(report, args.out)
-    return EXIT_VALIDATION if mismatched else EXIT_OK
+    return report, EXIT_VALIDATION if mismatched else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +490,6 @@ def build_parser():
     p.add_argument("state", help="path to a state file")
     for name, criterion in _CRITERIA.items():
         p.add_argument(f"--{name}", action="store_true", help=criterion.help)
-    p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("measure", help="evaluate measures on a state file")
@@ -496,7 +497,6 @@ def build_parser():
     p.add_argument("measures", nargs="*",
                    help=f"measures to evaluate (default: all applicable); "
                         f"choices: {', '.join(_MEASURES)}")
-    p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("classify3", help="classify a three-qubit state")
@@ -504,7 +504,6 @@ def build_parser():
     p.add_argument("--canonical", nargs=5, type=float,
                    metavar=("L0", "L1", "L2", "L3", "L4"),
                    help="canonical pure-state parameters instead of a file")
-    p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_classify3)
 
     p = sub.add_parser("reproduce", help="regenerate a reference table or curve")
@@ -512,8 +511,9 @@ def build_parser():
     p.add_argument("--tol", type=tolerance, default=None,
                    help=f"per-cell tolerance (default {TABLE_TOL:g} tables, "
                         f"{CURVE_TOL:g} curves)")
-    p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_reproduce)
+    for p in sub.choices.values():
+        p.add_argument("--out", help="also write the report to this path")
     return parser
 
 
@@ -529,7 +529,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        _emit(report, args.out)
+        return code
     except UsageError as exc:
         sys.stderr.write(f"qent: error: {exc}\n")
         return EXIT_USAGE

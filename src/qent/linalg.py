@@ -214,6 +214,11 @@ class Spectrum:
     residual: float
     vectors: np.ndarray = field(repr=False, default=None)
 
+    @property
+    def trace_norm(self):
+        """Trace norm of the solved matrix, the sum of ``|lambda|``."""
+        return float(np.sum(np.abs(self.eigenvalues)))
+
 
 def tensor(a, b):
     """Kronecker product of two matrices.
@@ -239,11 +244,6 @@ def _square(m, ndims=(2,)):
     if m.ndim not in ndims or m.shape[-1] != m.shape[-2] or not m.size:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def _as_square(m):
-    """``m`` as a complex array once it is a nonempty square finite matrix."""
-    return _finite(_square(m), "matrix")
 
 
 def _finite(a, what):
@@ -560,7 +560,7 @@ def trace_norm(a):
     m = _square(a, (2, 3))
     if m.ndim == 2:
         if _finite_herm_dev(m) <= HERM_TOL:
-            return float(np.sum(np.abs(herm_eigenvalues(m).eigenvalues)))
+            return herm_eigenvalues(m).trace_norm
         return float(np.linalg.svd(m, compute_uv=False).sum())
     herm = _herm_dev(m, (-2, -1)) <= HERM_TOL
     if not herm.all():
@@ -568,7 +568,7 @@ def trace_norm(a):
         _finite(m, "matrix")
     norms = np.empty(len(m))
     if herm.any():
-        norms[herm] = [np.sum(np.abs(s.eigenvalues)) for s in herm_eigenvalues(m[herm])]
+        norms[herm] = [s.trace_norm for s in herm_eigenvalues(m[herm])]
     if not herm.all():
         norms[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
     return norms
@@ -589,8 +589,8 @@ def expectation(h, rho):
     float
         The (real) trace value.
     """
-    hm = _as_square(h)
-    mat = rho.mat if isinstance(rho, DensityMatrix) else _as_square(rho)
+    hm = _finite(_square(h), "matrix")
+    mat = rho.mat if isinstance(rho, DensityMatrix) else _finite(_square(rho), "matrix")
     if hm.shape != mat.shape:
         raise DimensionError(f"operator shape {hm.shape} != state shape {mat.shape}")
     return _checked_real(complex(np.trace(hm @ mat)))
@@ -663,7 +663,7 @@ def _unit_trace(mat, what):
     within ``TRACE_TOL`` of 1."""
     trace_dev = abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0)
     # A NaN trace makes the largest deviation NaN, which fails the check.
-    worst = float(trace_dev if mat.ndim == 2 else trace_dev.max())
+    worst = float(trace_dev.max())
     if not worst <= TRACE_TOL:
         raise TraceViolation(f"{what} trace differs from 1", worst)
     return mat

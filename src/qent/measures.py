@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import PSD_FLOOR, DensityMatrix, _as_square, _check_residual, herm_eigenvalues
+from .linalg import PSD_FLOOR, DensityMatrix, _check_residual, _finite, _square, herm_eigenvalues
 from .spa import _spa_coefficients
 from .states import _SIGMA_YY, _cut_schmidt_products, ket
 
@@ -63,16 +63,12 @@ def concurrence_pure(psi, d1, d2) -> MeasureValue:
     ``s_i``, so a product state gives 0 to rounding instead of the square
     root of a rounding error.
     """
+    d1, d2 = linalg._whole(d1), linalg._whole(d2)
     v = ket(psi, [d1, d2])
     p = np.linalg.svd(v.reshape(d1, d2), compute_uv=False) ** 2
     cross = float(np.triu(np.outer(p, p), 1).sum())
     return MeasureValue(value=float(np.sqrt(4.0 * cross)),
                         measure="concurrence_pure", d=min(d1, d2))
-
-
-def _pt_trace_norm(rho):
-    """``|rho^{T_B}|_1 = |rho^{T_A}|_1`` from the cached partial-transpose spectrum."""
-    return float(np.sum(np.abs(rho.pt_spectrum.eigenvalues)))
 
 
 def negativity(rho: DensityMatrix) -> MeasureValue:
@@ -83,7 +79,7 @@ def negativity(rho: DensityMatrix) -> MeasureValue:
     """
     linalg.PROPER_BIPARTITE.require(rho.dims, "negativity")
     d = min(rho.dims)
-    val = (_pt_trace_norm(rho) - 1.0) / (d - 1.0)
+    val = (rho.pt_spectrum.trace_norm - 1.0) / (d - 1.0)
     return MeasureValue(value=val, measure="negativity", d=d)
 
 
@@ -120,7 +116,7 @@ def concurrence_lb_chen(rho: DensityMatrix) -> MeasureValue:
     """
     linalg.PROPER_SQUARE.require(rho.dims, "concurrence_lb_chen")
     d = rho.dims[0]
-    best = max(_pt_trace_norm(rho), rho.realign_norm)
+    best = max(rho.pt_spectrum.trace_norm, rho.realign_norm)
     val = np.sqrt(2.0 / (d * (d - 1.0))) * (best - 1.0)
     return MeasureValue(value=max(0.0, float(val)), measure="concurrence_lb", d=d)
 
@@ -164,8 +160,7 @@ def three_pi(psi) -> MeasureValue:
     pair_tensors = np.stack([t, t.transpose(0, 2, 1), t.transpose(1, 2, 0)])
     pts = np.einsum("payc,pxbc->pabxy", pair_tensors, pair_tensors.conj())
     pt_spectra = herm_eigenvalues(pts.reshape(3, 4, 4))
-    n_ab, n_ac, n_bc = ((float(np.sum(np.abs(spec.eigenvalues))) - 1.0) / 2.0
-                        for spec in pt_spectra)
+    n_ab, n_ac, n_bc = ((spec.trace_norm - 1.0) / 2.0 for spec in pt_spectra)
     # N_{k(rest)}^2 = 4 (s0 s1)^2 for k = A, B, C.
     sq_a, sq_b, sq_c = (4.0 * _cut_schmidt_products(t.ravel()) ** 2).tolist()
     pis = (sq_a - n_ab ** 2 - n_ac ** 2,
@@ -177,6 +172,6 @@ def three_pi(psi) -> MeasureValue:
 def l1_coherence(rho) -> MeasureValue:
     """l1-norm of coherence: sum of moduli of off-diagonal entries in the
     computational basis."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else _as_square(rho)
+    mat = rho.mat if isinstance(rho, DensityMatrix) else _finite(_square(rho), "matrix")
     val = float(np.sum(np.abs(mat)) - np.sum(np.abs(np.diag(mat))))
     return MeasureValue(value=val, measure="l1_coherence", d=mat.shape[0])

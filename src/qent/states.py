@@ -347,21 +347,17 @@ def ghz_corner_mixture(q):
 
 
 def ghz_w_mixture(q):
-    """Two-term mixture ``q GHZ + (1-q) W`` of the standard GHZ and W states.
-
-    A convex combination of checked kets is a state by construction, so once
-    ``0 <= q <= 1`` it is wrapped unchecked and solved on first use.
-    """
-    # Written so that a NaN weight fails the check.
-    if not -ZERO_TOL <= q <= 1 + ZERO_TOL:
-        raise DimensionError(f"need 0 <= q <= 1, got {q}")
-    mat = q * _GHZ + (1.0 - q) * _W
-    return _derived(mat, [2, 2, 2])
+    """Two-term mixture ``q GHZ + (1-q) W`` of the standard GHZ and W states:
+    the three-term :func:`ghz_w_wtilde_mixture` with no W~ (its weight
+    ``(1 - q) - (1 - q)`` is exactly 0)."""
+    return ghz_w_wtilde_mixture(q, 1.0 - q)
 
 
 def ghz_w_wtilde_mixture(q1, q2):
-    """Three-term mixture ``q1 GHZ + q2 W + (1-q1-q2) W~``, wrapped unchecked
-    like :func:`ghz_w_mixture` once the weights are a probability vector."""
+    """Three-term mixture ``q1 GHZ + q2 W + (1-q1-q2) W~``: a convex
+    combination of checked kets, so once the weights are a probability
+    vector it is a state by construction, wrapped unchecked and solved on
+    first use."""
     # Written so that a NaN weight fails the check.
     if not (q1 >= -ZERO_TOL and q2 >= -ZERO_TOL and q1 + q2 <= 1 + ZERO_TOL):
         raise DimensionError("need q1, q2 >= 0 and q1 + q2 <= 1")
@@ -406,8 +402,8 @@ def embed_pair_product(single, single_pos, pair, n=3):
     """
     n = _whole(n, "register size")
     rest = 2 ** (n - 1)
-    if pair.shape != (rest, rest):
-        raise DimensionError("pair factor has the wrong size for this register")
+    if np.shape(single) != (2, 2) or pair.shape != (rest, rest):
+        raise DimensionError("a factor has the wrong size for this register")
     single_pos = _party(single_pos, n)
     full = tensor(single, pair).reshape([2] * (2 * n))
     order = list(range(1, n))

@@ -267,6 +267,27 @@ class TestCommands:
         assert code == EXIT_OK
         assert out.read_bytes() == capsysbinary.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["detect", "{state}"],
+        ["measure", "{state}"],
+        ["classify3", "--canonical", "0.6", "0", "0", "0", "0.8"],
+        ["reproduce", "2.1"],
+    ])
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, werner_file, argv,
+                                             target):
+        # FileNotFoundError and IsADirectoryError escaped main before, after
+        # the report was printed.
+        box = tmp_path / "box"
+        box.mkdir()
+        out = box / target
+        code = main([a.format(state=werner_file) for a in argv] + ["--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert stderr.startswith(f"qent: error: cannot write {out}: ")
+        assert list(box.iterdir()) == []
+
     def test_classify3_non_finite_canonical_is_usage_error(self, capsys):
         assert main(["classify3", "--canonical", "nan", "0.5", "0.5", "0.5", "0.5"]) == EXIT_USAGE
 
@@ -629,6 +650,26 @@ class TestReproduceTables:
         assert rep["status"] == "mismatch"
         assert rep["mismatches"] == ["row count differs"]
         assert rep["max_abs_diff"] is None
+
+
+class TestHelpScreens:
+    # The sha256 of each --help screen at 80 columns, as `qent ... --help`
+    # prints it.
+    _HELP_SHA256 = {
+        "qent": "41113bbd8898bbc67d177923eb4e0e5ff92ffed0416e2e45dc626da077f0819a",
+        "qent detect": "717975334a3f60a06f7f27f7b59d2ac250d9d1e6abf3eb3f0f55a25293843561",
+        "qent measure": "dadfaf9364632a4f1292e4976cfbf101c8b35f32e0f0ff4c40ea3d346b6db1ba",
+        "qent classify3": "6890c146bea1c6a2a01df37fed346bbe632c9cf82299929736d0c4f83efb0698",
+        "qent reproduce": "72681844feb77288e9f5c26d47b945b10ff72b7b0a6258a6d32bb3ce656dda75",
+    }
+
+    @pytest.mark.parametrize("command", sorted(_HELP_SHA256))
+    def test_help_bytes_are_pinned(self, capsysbinary, monkeypatch, command):
+        # argparse wraps help to the terminal width, which COLUMNS sets.
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(command.split()[1:] + ["--help"]) == EXIT_OK
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == self._HELP_SHA256[command]
 
 
 class TestCachedParser:

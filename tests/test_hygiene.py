@@ -3,8 +3,9 @@ but ``linalg`` writes a tolerance as a bare literal, builds a
 ``DensityMatrix`` itself, compares a ``.dims`` value, compares against
 ``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver; only
 ``states.projector`` hands a ket to ``linalg._derived``; no module
-builds a vector of a literal size by hand; and no module tests an
-argument by membership in ``range(...)`` or in a literal set of ints."""
+builds a vector of a literal size by hand; no module tests an
+argument by membership in ``range(...)`` or in a literal set of ints; and
+no module but ``linalg`` takes the modulus of eigenvalues."""
 
 import ast
 from pathlib import Path
@@ -271,3 +272,29 @@ def test_party_indices_are_checked_in_linalg(path):
     # [0, n - 1].  A membership test in range(n) lets 1.0 through to fail
     # as a list index and takes True as party 1.
     assert index_membership_tests(path.read_text(encoding="utf-8")) == []
+
+
+def eigenvalue_moduli(source):
+    """Lines of ``source`` that call ``abs``, ``np.abs`` or ``np.absolute`` on
+    an expression that reads an ``.eigenvalues`` attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in ("abs", "absolute")
+                  and any(isinstance(sub, ast.Attribute) and sub.attr == "eigenvalues"
+                          for arg in node.args for sub in ast.walk(arg)))
+
+
+def test_scan_finds_a_modulus_of_eigenvalues():
+    source = ("a = np.sum(np.abs(rho.pt_spectrum.eigenvalues))\nb = abs(spec.eigenvalues[0])\n"
+              "c = [numpy.absolute(s.eigenvalues - 1) for s in specs]\n")
+    assert eigenvalue_moduli(source) == [1, 2, 3]
+    assert eigenvalue_moduli("d = np.abs(mat)\ne = abs(lam_min)\nf = spec.trace_norm\n"
+                             "g = np.sum(spec.eigenvalues)\nh = np.abs\n") == []
+
+
+@pytest.mark.parametrize("path", POLICY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_trace_norms_are_read_in_linalg(path):
+    # linalg.Spectrum.trace_norm is the one sum of |lambda| over a solved
+    # spectrum; a second one elsewhere could sum a different set of values.
+    assert eigenvalue_moduli(path.read_text(encoding="utf-8")) == []

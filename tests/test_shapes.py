@@ -47,7 +47,13 @@ from qent.linalg import (
     realign,
     validate_density,
 )
-from qent.measures import concurrence_2q, concurrence_lb_chen, negativity, structured_negativity
+from qent.measures import (
+    concurrence_2q,
+    concurrence_lb_chen,
+    concurrence_pure,
+    negativity,
+    structured_negativity,
+)
 from qent.spa import (
     SpaWitness,
     spa_pt_d1d2,
@@ -218,6 +224,8 @@ ARGUMENT_GUARDS = {
                                  "required for a bare matrix"),
     "embed_pair_product pair size": (lambda: embed_pair_product(
         np.eye(2) / 2, 0, np.eye(2) / 2), "wrong size"),
+    "embed_pair_product single size": (lambda: embed_pair_product(
+        np.eye(3) / 3, 0, np.eye(4) / 4), "wrong size"),
     "embed_pair_product single_pos 1.5": (lambda: embed_pair_product(
         np.eye(2) / 2, 1.5, np.eye(4) / 4), "not a whole number"),
     "subclass_fidelities subclass": (lambda: subclass_fidelities(_GHZ_CLASS, "S5"),
@@ -244,6 +252,7 @@ def test_whole_valued_dims_work_as_ints(two):
     got, want = spa_witness(_BELL_WITNESS, two, two), spa_witness(_BELL_WITNESS, 2, 2)
     assert np.array_equal(got.w_tilde, want.w_tilde)
     assert (got.p, got.r_bound) == (want.p, want.r_bound)
+    assert concurrence_pure([1, 0, 0, 1], two, two) == concurrence_pure([1, 0, 0, 1], 2, 2)
 
 
 @pytest.mark.parametrize("one", [1.0, np.int64(1)], ids=["float", "numpy int"])
