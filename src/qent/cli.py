@@ -111,6 +111,11 @@ def _matrix(rows):
     return cells.astype(float).view(complex)[..., 0]
 
 
+def _os_reason(exc):
+    """The reason an ``OSError`` gives, without the path its ``str`` adds."""
+    return exc.strerror if exc.strerror is not None else str(exc)
+
+
 def parse_state_file(path):
     """Parse a state file into ``(label, DensityMatrix)``.
 
@@ -121,7 +126,7 @@ def parse_state_file(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        raise ParseError(f"cannot read {path}: {_os_reason(exc)}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except (UnicodeDecodeError, RecursionError) as exc:
@@ -185,7 +190,7 @@ def _emit(report, out_path):
             with open(out_path, "wb") as fh:
                 fh.write(payload)
         except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc}") from None
+            raise UsageError(f"cannot write {out_path}: {_os_reason(exc)}") from None
     sys.stdout.write(payload.decode("utf-8"))
 
 

@@ -127,13 +127,21 @@ def tangle_pure(psi) -> MeasureValue:
     Amplitudes ``a..h`` correspond to |000>..|111>; the ``d_i`` are the
     standard hyperdeterminant quartics.  Zero on W-class, 1 on standard GHZ.
     """
-    a, b, c, d, e, f, g, h = ket(psi, [2, 2, 2])
+    # Python complex arithmetic: the same products as on numpy scalars, faster.
+    a, b, c, d, e, f, g, h = ket(psi, [2, 2, 2]).tolist()
     d1 = a * a * h * h + b * b * g * g + c * c * f * f + d * d * e * e
     d2 = (a * h * d * e + a * h * f * c + a * h * g * b
           + d * e * f * c + d * e * g * b + f * c * g * b)
     d3 = a * d * f * g + b * c * e * h
     return MeasureValue(value=4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3),
                         measure="tangle", d=2)
+
+
+# The ket indices of three_pi's pair tensors, shape (3, 2, 2, 2): the ket
+# tensor with the pair AB, AC or BC first and the traced qubit last.
+_PAIR_TENSORS = np.stack([np.arange(8).reshape(2, 2, 2).transpose(axes)
+                          for axes in ((0, 1, 2), (0, 2, 1), (1, 2, 0))])
+_PAIR_TENSORS.flags.writeable = False
 
 
 def three_pi(psi) -> MeasureValue:
@@ -153,16 +161,16 @@ def three_pi(psi) -> MeasureValue:
     On the W state this gives 0.804, where Ou and Fan's pi-tangle, with
     ``|rho^T|_1 - 1`` for both, gives ``4 (sqrt 5 - 1)/9 = 0.549``.
     """
-    t = ket(psi, [2, 2, 2]).reshape(2, 2, 2)
+    v = ket(psi, [2, 2, 2])
     # Pairs AB, AC and BC, each with the traced qubit last; entry
     # [a, b, x, y] of a partial transpose over the second qubit of the pair
-    # is rho_pair[a y, x b] = sum_c t[a, y, c] t*[x, b, c].
-    pair_tensors = np.stack([t, t.transpose(0, 2, 1), t.transpose(1, 2, 0)])
+    # is rho_pair[a y, x b] = sum_c t[a, y, c] t*[x, b, c] for its tensor t.
+    pair_tensors = v[_PAIR_TENSORS]
     pts = np.einsum("payc,pxbc->pabxy", pair_tensors, pair_tensors.conj())
     pt_spectra = herm_eigenvalues(pts.reshape(3, 4, 4))
     n_ab, n_ac, n_bc = ((spec.trace_norm - 1.0) / 2.0 for spec in pt_spectra)
     # N_{k(rest)}^2 = 4 (s0 s1)^2 for k = A, B, C.
-    sq_a, sq_b, sq_c = (4.0 * _cut_schmidt_products(t.ravel()) ** 2).tolist()
+    sq_a, sq_b, sq_c = (4.0 * _cut_schmidt_products(v) ** 2).tolist()
     pis = (sq_a - n_ab ** 2 - n_ac ** 2,
            sq_b - n_ab ** 2 - n_bc ** 2,
            sq_c - n_ac ** 2 - n_bc ** 2)

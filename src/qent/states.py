@@ -38,16 +38,23 @@ def ket(amplitudes, dims):
     Returns
     -------
     numpy.ndarray
+
+    Notes
+    -----
+    The checks run in this order: the vector's shape, then ``dims`` against
+    its length, then finiteness, then the zero vector.  A NaN or infinite
+    amplitude makes the norm NaN or infinite, so finiteness is scanned only
+    when the norm is not finite and positive, the path an ordinary ket skips.
     """
     v = np.asarray(amplitudes, dtype=complex)
     if v.ndim != 1:
         raise DimensionError(f"expected a vector of amplitudes, got shape {v.shape}")
     _checked_dims(dims, v.size)
-    _finite(v, "amplitude vector")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
     if not 0 < norm < np.inf:
-        # The squares overflowed or underflowed; an ordinary ket skips this.
+        # A non-finite amplitude, or squares that overflowed or underflowed.
+        _finite(v, "amplitude vector")
         big = max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))
         if big == 0:
             raise DimensionError("zero vector")
@@ -65,8 +72,22 @@ def projector(psi, dims):
     return _derived((m + m.conj().T) / 2, dims, ket=v)
 
 
-# Index pairs (i < j) of the 2x2 minors of a 2x4 matrix.
-_MINOR_COLUMNS = np.triu_indices(4, 1)
+def _minor_factors(v):
+    """The factors ``a, b, c, d`` of the 2x2 minors ``a b - c d`` of the cuts
+    A|BC, B|AC and C|AB of ``v``, stacked to shape (4, 3, 6): rows 0 and 1
+    of the ``2 x 4`` coefficient matrix of each qubit against the rest, at
+    the column pairs ``i < j``."""
+    t = v.reshape(2, 2, 2)
+    m = np.stack([t.reshape(2, 4), t.transpose(1, 0, 2).reshape(2, 4),
+                  t.transpose(2, 0, 1).reshape(2, 4)])
+    i, j = np.triu_indices(4, 1)
+    return np.stack([m[:, 0, i], m[:, 1, j], m[:, 0, j], m[:, 1, i]])
+
+
+# The ket indices of every minor factor, read-only: v[_MINOR_FACTORS] is
+# _minor_factors(v).
+_MINOR_FACTORS = _minor_factors(np.arange(8))
+_MINOR_FACTORS.flags.writeable = False
 
 
 def _cut_schmidt_products(v):
@@ -79,14 +100,12 @@ def _cut_schmidt_products(v):
     of ``|M_0i M_1j - M_0j M_1i|^2`` over the column pairs ``i < j``: a sum
     of squares, with no cancellation, so a product cut gives 0 to rounding
     (``rho_00 rho_11 - |rho_01|^2`` leaves ~1e-16 there, ~1e-8 after the
-    square root).
+    square root).  The factors of every minor are gathered from ``v`` at
+    once through ``_MINOR_FACTORS``, the table of ket indices that
+    :func:`_minor_factors` makes of ``arange(8)``.
     """
-    t = v.reshape(2, 2, 2)
-    m = np.stack([t.reshape(2, 4), t.transpose(1, 0, 2).reshape(2, 4),
-                  t.transpose(2, 0, 1).reshape(2, 4)])
-    i, j = _MINOR_COLUMNS
-    minors = m[:, 0, i] * m[:, 1, j] - m[:, 0, j] * m[:, 1, i]
-    return np.linalg.norm(minors, axis=1)
+    a, b, c, d = v[_MINOR_FACTORS]
+    return np.linalg.norm(a * b - c * d, axis=1)
 
 
 def _amplitudes(dim, entries):

@@ -73,8 +73,11 @@ class TestStateFiles:
 
     @pytest.mark.parametrize("command", ["detect", "measure", "classify3"])
     def test_missing_state_file_is_a_parse_error(self, capsys, tmp_path, command):
-        assert main([command, str(tmp_path / "absent.json")]) == EXIT_PARSE
-        assert "cannot read" in capsys.readouterr().err
+        path = str(tmp_path / "absent.json")
+        assert main([command, path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "cannot read" in err
+        assert err.count(path) == 1
 
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -286,6 +289,7 @@ class TestCommands:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert stderr.startswith(f"qent: error: cannot write {out}: ")
+        assert stderr.count(str(out)) == 1
         assert list(box.iterdir()) == []
 
     def test_classify3_non_finite_canonical_is_usage_error(self, capsys):

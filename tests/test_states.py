@@ -58,6 +58,26 @@ class TestVectors:
         with pytest.raises(NonFiniteEntry):
             concurrence_pure([bad, 1, 0, 0], 2, 2)
 
+    @pytest.mark.parametrize("amps, count", [
+        ([np.nan, 0, 0, 0], 1),
+        ([np.inf, 0, 0, 0], 1),
+        ([np.inf, -np.inf, 0, 0], 2),
+        ([complex(0, np.nan), 0, 0, 0], 1),
+        ([complex(0, np.inf), 0, 0, np.nan], 2),
+    ], ids=["nan", "inf", "inf-and-minus-inf", "imaginary-nan", "imaginary-inf-and-nan"])
+    def test_only_non_finite_amplitudes_are_not_a_zero_vector(self, amps, count):
+        # The finiteness scan runs before the zero test and before rescaling:
+        # max(0.0, nan) makes a NaN imaginary part beside zero real parts a
+        # largest entry of 0, and rescaled by an infinite largest entry the
+        # vector would turn NaN and recurse without end.
+        with pytest.raises(NonFiniteEntry) as err:
+            ket(amps, [2, 2])
+        assert err.value.magnitude == count
+
+    def test_ket_checks_the_length_before_finiteness(self):
+        with pytest.raises(DimensionError):
+            ket([np.nan, 0, 0], [2, 2])
+
     @pytest.mark.parametrize("scale", [1e200, 1e-170])
     def test_ket_of_huge_or_tiny_amplitudes(self, scale):
         # Their squares overflow to inf or underflow to 0 inside the norm.
