@@ -351,8 +351,9 @@ def slocc_classify(rho) -> SloccVerdict:
 
     The SPA-PT ``(1/10) I_8 + (1/5) rho^{T_k}`` has
     ``lambda_min = 1/10 + (1/5) lambda_min(rho^{T_k})``, so no SPA-PT output
-    is built.  A mixed state is decided from one stacked solve of its three
-    partial transposes.  A pure state (an amplitude vector, or a projector
+    is built.  A mixed state reads the spectra of its three partial transposes
+    from its cache (``rho.pt_spectrum_of``), which one stacked solve fills with
+    those not cached yet.  A pure state (an amplitude vector, or a projector
     carrying ``rho.ket``) needs no solve.  Cut ``k | rest`` of a ket has
     Schmidt coefficients ``s0, s1``, so ``|psi> = s0|a0>|b0> + s1|a1>|b1>``
     and ``(|psi><psi|)^{T_k}`` acts as ``s0^2`` and ``s1^2`` on
@@ -361,7 +362,7 @@ def slocc_classify(rho) -> SloccVerdict:
     Its smallest eigenvalue is ``-s0 s1``, with ``s0 s1 = sqrt(det rho_k)``
     taken as the norm of the 2x2 minors of the cut's ``2 x 4`` coefficient
     matrix (Cauchy-Binet), which has no cancellation: a product cut stays
-    at 1/10 to rounding and is never claimed.  The stacked solve is the
+    at 1/10 to rounding and is never claimed.  The solved spectra are the
     test oracle of this closed form.
 
     Floor budget (:func:`~qent.linalg._floor_eps`): ``I^{T_k} = I``, so a cut
@@ -373,9 +374,8 @@ def slocc_classify(rho) -> SloccVerdict:
     else:
         v = ket(np.ravel(rho), [2, 2, 2])
     if v is None:
-        pts = linalg.herm_eigenvalues(np.stack([linalg.partial_transpose(rho, k)
-                                                for k in range(3)]))
-        lam_pt = np.array([spec.eigenvalues[0] for spec in pts])
+        linalg.fill_spectra((rho,), ("pt_spectrum",), (0, 1, 2))
+        lam_pt = np.array([rho.pt_spectrum_of(k).eigenvalues[0] for k in range(3)])
     else:
         lam_pt = -_cut_schmidt_products(v)
     lams = tuple((THREE_QUBIT_SHIFT + THREE_QUBIT_SCALE * lam_pt).tolist())

@@ -19,9 +19,9 @@ solved the same way, without the leading axis.  Each distinct matrix of a
 state is solved at most once: a :class:`DensityMatrix` caches
 
 * ``rho.spectrum``, the spectrum of the state (seeded by its validation);
-* ``rho.pt_spectrum``, the spectrum of the partial transpose over the second
-  factor, which the PPT check, negativity, structured negativity, the Chen
-  bound, the NPT witness and the bipartite SPA-PT maps all read;
+* ``rho.pt_spectrum_of(k)``, the spectrum of the partial transpose over party
+  ``k`` (``rho.pt_spectrum`` on a bipartite state, whose parties share it),
+  which every check, measure, SPA-PT map and classifier built on it reads;
 * ``rho.realign_norm``, the trace norm of the realigned matrix, which the
   realignment check and the Chen bound both read.
 
@@ -64,9 +64,9 @@ same rules, and these functions take both:
   return the same shape;
 * :func:`trace_norm` returns a float, or an array of ``k`` from one stacked
   eigensolve of the Hermitian matrices and one stacked SVD of the others;
-* :func:`fill_spectra` fills ``pt_spectrum`` and ``realign_norm`` of a
-  tuple of states with one stacked solve per map, and is how a single state
-  fills them too.
+* :func:`fill_spectra`, the only writer of the partial-transpose cache,
+  fills it over any parties of a tuple of states with one stacked solve, and
+  ``realign_norm`` with another; a single state fills itself this way too.
 
 Each matrix of a stack gets the bits it gets on its own: stacked ``eigh``
 and ``svd`` solve each matrix as a loop would, and every other step is
@@ -159,6 +159,7 @@ class DensityMatrix:
     mat: np.ndarray
     dims: tuple
     ket: np.ndarray = field(default=None, repr=False, compare=False)
+    _pt_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -176,13 +177,21 @@ class DensityMatrix:
         """
         return herm_eigenvalues(self.mat)
 
-    @cached_property
+    @property
     def pt_spectrum(self):
-        """:class:`Spectrum` of the partial transpose over the second factor
-        of a bipartite state, solved at most once per instance (by
-        :func:`fill_spectra`, for this state alone or for a stack)."""
-        fill_spectra((self,), ("pt_spectrum",))
-        return self.pt_spectrum
+        """The :meth:`pt_spectrum_of` entry both parties of a bipartite state share."""
+        BIPARTITE.require(self.dims, "the partial-transpose spectrum")
+        return self.pt_spectrum_of(1)
+
+    def pt_spectrum_of(self, k):
+        """Cached :class:`Spectrum` of the partial transpose over party ``k``,
+        solved by :func:`fill_spectra` on a miss.  Both parties of a bipartite
+        state share the entry of ``rho^{T_B}``, whose transpose is ``rho^{T_A}``."""
+        # A cached key is a checked party that is its own key.
+        key = k if type(k) is int and k in self._pt_spectra else _pt_key(self.dims, k)
+        if key not in self._pt_spectra:
+            fill_spectra((self,), ("pt_spectrum",), (key,))
+        return self._pt_spectra[key]
 
     @cached_property
     def realign_norm(self):
@@ -669,48 +678,44 @@ def _unit_trace(mat, what):
     return mat
 
 
-# How each cached map of a bipartite state is computed from a state, or
-# from a stack of matrices with their dims: (shape rule, name for its
-# error, computation).
-_CACHED_MAPS = {
-    "pt_spectrum": (BIPARTITE, "the partial-transpose spectrum",
-                    lambda rho, dims: herm_eigenvalues(partial_transpose(rho, 1, dims))),
-    "realign_norm": (SQUARE, "realign", lambda rho, dims: trace_norm(realign(rho, dims))),
-}
+def _pt_key(dims, party):
+    """Cache key of ``rho^{T_party}``: the checked party, or 1 on a bipartite state."""
+    party = _party(party, len(dims))
+    return 1 if len(dims) == 2 else party
 
 
-def fill_spectra(states, names=("pt_spectrum", "realign_norm")):
-    """Fill the cached ``pt_spectrum`` and ``realign_norm`` (or those
-    ``names`` list) of each state of ``states``, a tuple of states with the
-    same dims, with one stacked solve per map.
-
-    A value a state has cached already is kept.  Each value has the bits the
-    state gets solved on its own.  A single state is solved as its 2-D
-    matrix, uncopied: :attr:`DensityMatrix.pt_spectrum` and
-    :attr:`DensityMatrix.realign_norm` fill themselves this way.
+def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
+    """Fill the cached partial-transpose spectra over ``parties``
+    (:meth:`DensityMatrix.pt_spectrum_of`) and ``realign_norm`` (or those
+    ``names`` list) of each of ``states``, a tuple of states with the same
+    dims: every (state, party) pair not cached yet by one stacked
+    :func:`herm_eigenvalues` call, and the norms by one :func:`trace_norm`
+    call, keeping those cached already.  Each map is taken of the states as
+    one stack, and each value has the bits the state gets solved on its own;
+    a lone state is mapped, and a lone pair solved, as its 2-D matrix.
 
     Raises
     ------
     DimensionError
-        If the states' dims differ, or a map does not apply to them (the
-        partial-transpose spectrum needs a bipartite state, the realignment
-        dims ``[d, d]``).
+        If the states' dims differ, a party is not one of theirs, or the
+        realignment does not apply to them (it needs dims ``[d, d]``).
     """
     dims = states[0].dims
     one = len(states) == 1
     if not one and any(rho.dims != dims for rho in states):
         raise DimensionError("a stack of states needs one dims for all of them")
-    src = states[0] if one else np.stack([rho.mat for rho in states])
-    for name in names:
-        shape, what, compute = _CACHED_MAPS[name]
-        shape.require(dims, what)
-        values = compute(src, None if one else list(dims))
-        if one:
-            values = (values,)
-        elif isinstance(values, np.ndarray):
-            values = values.tolist()
-        for rho, value in zip(states, values):
-            vars(rho).setdefault(name, value)
+    src, sdims = (states[0], None) if one else (np.stack([rho.mat for rho in states]), list(dims))
+    if "pt_spectrum" in names:
+        keys = dict.fromkeys(_pt_key(dims, k) for k in parties)
+        todo = [(i, k) for k in keys for i, rho in enumerate(states) if k not in rho._pt_spectra]
+        pts = {k: partial_transpose(src, k, sdims) for k in {k for _, k in todo}}
+        mats = [pts[k] if one else pts[k][i] for i, k in todo]
+        specs = herm_eigenvalues(np.stack(mats)) if len(mats) > 1 else map(herm_eigenvalues, mats)
+        for (i, k), spec in zip(todo, specs):
+            states[i]._pt_spectra[k] = spec
+    if "realign_norm" in names:
+        for rho, norm in zip(states, np.ravel(trace_norm(realign(src, sdims))).tolist()):
+            vars(rho).setdefault("realign_norm", norm)
 
 
 def _derived(mat, dims, spectrum=None, ket=None):

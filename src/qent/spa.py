@@ -81,17 +81,11 @@ class SpaWitness:
 def _spa_pt(rho: DensityMatrix, party, shift, scale):
     """``shift*I + scale*rho^{T_k}`` (``scale > 0``) over party ``k``,
     unchecked: the SPA mixing makes it a completely positive, trace
-    preserving map.  Its spectrum is the affine image of the spectrum of
-    ``rho^{T_k}`` (``rho.pt_spectrum`` for the second factor of a bipartite
-    state, else one solve of ``rho^{T_k}``), with the residual measured
-    against the output; the output itself is never solved.
-    """
-    t = partial_transpose(rho, party)
-    if party == 1 and linalg.BIPARTITE.fits(rho.dims):
-        pt = rho.pt_spectrum
-    else:
-        pt = herm_eigenvalues(t)
-    out = shift * np.eye(rho.dim) + scale * t
+    preserving map.  Its spectrum is the affine image of ``rho``'s cached
+    spectrum of ``rho^{T_k}`` (``rho.pt_spectrum_of(k)``), with the residual
+    measured against the output; the output itself is never solved."""
+    pt = rho.pt_spectrum_of(party)
+    out = shift * np.eye(rho.dim) + scale * partial_transpose(rho, party)
     return _derived(out, rho.dims,
                     _checked_spectrum(out, shift + scale * pt.eigenvalues, pt.vectors))
 

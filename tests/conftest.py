@@ -1,13 +1,27 @@
 """Shared helpers: seeded random states, index-loop oracles, and a solve
 counter."""
 
+import importlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from qent import linalg
 from qent.linalg import validate_density
+
+# Hypothesis imports this module (and with it libcst) only to report a
+# falsifying example; libcst's import warns through mypy_extensions with a
+# DeprecationWarning, which the pytest setting turns into an INTERNALERROR
+# that stops the run.  Importing it once here, with that warning ignored,
+# lets a failing property fail as a test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:
+        pass
 
 
 def random_hermitian(rng, n):

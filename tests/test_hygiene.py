@@ -5,7 +5,8 @@ but ``linalg`` writes a tolerance as a bare literal, builds a
 ``states.projector`` hands a ket to ``linalg._derived``; no module
 builds a vector of a literal size by hand; no module tests an
 argument by membership in ``range(...)`` or in a literal set of ints; and
-no module but ``linalg`` takes the modulus of eigenvalues."""
+no module but ``linalg`` takes the modulus of eigenvalues or solves a
+partial transpose."""
 
 import ast
 from pathlib import Path
@@ -298,3 +299,47 @@ def test_trace_norms_are_read_in_linalg(path):
     # linalg.Spectrum.trace_norm is the one sum of |lambda| over a solved
     # spectrum; a second one elsewhere could sum a different set of values.
     assert eigenvalue_moduli(path.read_text(encoding="utf-8")) == []
+
+
+def _calls(node, name):
+    """Whether ``node`` contains a call of ``name``, by name or attribute."""
+    return any(isinstance(sub, ast.Call)
+               and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == name
+               for sub in ast.walk(node))
+
+
+def partial_transpose_solves(source):
+    """Lines of ``source`` that call ``herm_eigenvalues`` on an argument that
+    calls ``partial_transpose``, or that reads a name some assignment of
+    ``source`` binds to an expression calling it."""
+    tree = ast.parse(source)
+    bound = {target.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and _calls(node.value, "partial_transpose")
+             for target in node.targets if isinstance(target, ast.Name)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "herm_eigenvalues"
+                  and any(_calls(arg, "partial_transpose")
+                          or any(isinstance(sub, ast.Name) and sub.id in bound
+                                 for sub in ast.walk(arg))
+                          for arg in node.args))
+
+
+def test_scan_finds_a_solve_of_a_partial_transpose():
+    source = ("a = herm_eigenvalues(partial_transpose(rho, 1))\n"
+              "b = linalg.herm_eigenvalues(np.stack([linalg.partial_transpose(rho, k)\n"
+              "    for k in range(3)]))\n"
+              "t = partial_transpose(rho, party)\nc = herm_eigenvalues(t)\n")
+    assert partial_transpose_solves(source) == [1, 2, 5]
+    assert partial_transpose_solves("d = herm_eigenvalues(w)\ne = partial_transpose(rho, 0)\n"
+                                    "f = herm_eigenvalues(np.einsum('ijk->kji', m))\n"
+                                    "g = rho.pt_spectrum_of(k)\n") == []
+
+
+@pytest.mark.parametrize("path", POLICY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_partial_transposes_are_solved_in_linalg(path):
+    # linalg.fill_spectra is the one solve of a partial transpose, and the
+    # only writer of each state's cache of them; a solve elsewhere would
+    # solve a cut the cache may hold already.
+    assert partial_transpose_solves(path.read_text(encoding="utf-8")) == []

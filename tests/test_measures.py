@@ -183,9 +183,8 @@ class TestStructuredNegativityFromThePtSpectrum:
         scale = 1.0 / (d ** 3 + 1)
         lam_tilde = d * scale + scale * spec.eigenvalues
         bound = EIG_RESIDUAL_TOL * max(1.0, float(np.abs(lam_tilde).max()))
-        # cached_property reads the instance dict first.
-        rho.__dict__["pt_spectrum"] = Spectrum(spec.eigenvalues, factor * bound / scale,
-                                               spec.vectors)
+        # The cache entry both parties of a bipartite state share.
+        rho._pt_spectra[1] = Spectrum(spec.eigenvalues, factor * bound / scale, spec.vectors)
         if raises:
             with pytest.raises(EigensolverError):
                 structured_negativity(rho)

@@ -34,6 +34,22 @@ def _random_of_rank(rng, rank):
     return validate_density(m / np.trace(m).real, [2, 2, 2])
 
 
+@pytest.mark.parametrize("qubit", "ABC")
+def test_a_cut_after_the_classifier_needs_no_lapack_call(rng, eigh_shapes, qubit):
+    mat = _random_of_rank(rng, 5).mat
+    rho = validate_density(mat, [2, 2, 2])
+    slocc_classify(rho)
+    eigh_shapes.clear()
+    out = spa_pt_three_qubit(rho, qubit).rho_tilde
+    assert eigh_shapes == []
+    fresh = spa_pt_three_qubit(validate_density(mat, [2, 2, 2]), qubit).rho_tilde
+    # The classifier's stacked solve gives the bits of the cut solved alone.
+    assert out.mat.tobytes() == fresh.mat.tobytes()
+    assert out.spectrum.eigenvalues.tobytes() == fresh.spectrum.eigenvalues.tobytes()
+    assert out.spectrum.vectors.tobytes() == fresh.spectrum.vectors.tobytes()
+    assert float(out.spectrum.residual).hex() == float(fresh.spectrum.residual).hex()
+
+
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_mixed_lambdas_equal_the_solved_spa_pt_outputs(rng, rank):
     for _ in range(25):

@@ -1,9 +1,9 @@
 """Stacks of states: ``validate_density``, ``partial_transpose``, ``realign``
 and ``trace_norm`` take a stack ``(k, n, n)`` as well as one matrix, and
 ``fill_spectra`` fills the cached spectra of a tuple of states with one
-stacked solve per map.  Every state of a stack must carry the bits of the
-same matrix validated and solved on its own, and a stack with one bad
-matrix must fail as that matrix fails alone."""
+stacked solve per map, over any parties.  Every state of a stack must carry
+the bits of the same matrix validated and solved on its own, and a stack
+with one bad matrix must fail as that matrix fails alone."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qent import linalg
+from qent.classify3 import slocc_classify
 from qent.errors import (
     DimensionError,
     HermiticityViolation,
@@ -21,6 +22,7 @@ from qent.errors import (
 from qent.linalg import (
     DensityMatrix,
     fill_spectra,
+    herm_eigenvalues,
     partial_transpose,
     realign,
     trace_norm,
@@ -135,6 +137,10 @@ class TestStackEqualsLoop:
         assert states[1].pt_spectrum is cached
         assert _same_spectrum(states[0].pt_spectrum,
                               validate_density(states[0].mat, [2, 2]).pt_spectrum)
+        norm = states[2].realign_norm
+        fill_spectra(states, ("realign_norm",))
+        assert states[2].realign_norm is norm
+        assert states[0].realign_norm == validate_density(states[0].mat, [2, 2]).realign_norm
 
     def test_fill_spectra_needs_one_dims_for_the_stack(self):
         a = validate_density(_stack(1, 1, (2, 2))[0], [2, 2])
@@ -150,6 +156,79 @@ class TestStackEqualsLoop:
             fill_spectra((rho, rho), (name,))
         with pytest.raises(DimensionError):
             getattr(rho, name)
+
+
+def _bits(spec):
+    return spec.eigenvalues.tobytes(), spec.vectors.tobytes(), float(spec.residual).hex()
+
+
+def _three_qubit_stack(seed, k):
+    rng = np.random.default_rng(seed)
+    return np.stack([_random_state_matrix(rng, (2, 2, 2), False) for _ in range(k)])
+
+
+class TestThreeQubitCuts:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           k=st.integers(min_value=1, max_value=5))
+    def test_every_cut_of_a_stack_has_the_bits_of_its_own_solve(self, seed, k):
+        stack = _three_qubit_stack(seed, k)
+        classified = validate_density(stack, [2, 2, 2])
+        filled = validate_density(stack, [2, 2, 2])
+        for rho in classified:
+            slocc_classify(rho)  # one (3, 8, 8) solve per state
+        fill_spectra(filled, ("pt_spectrum",), (0, 1, 2))  # one (3k, 8, 8) solve
+        for a, b in zip(classified, filled):
+            for party in range(3):
+                alone = herm_eigenvalues(partial_transpose(a.mat, party, [2, 2, 2]))
+                assert _bits(a.pt_spectrum_of(party)) == _bits(alone)
+                assert _bits(b.pt_spectrum_of(party)) == _bits(alone)
+
+    def test_the_missing_cuts_of_a_tuple_are_solved_in_one_call(self, eigh_shapes):
+        states = validate_density(_three_qubit_stack(5, 4), [2, 2, 2])
+        eigh_shapes.clear()
+        fill_spectra(states, ("pt_spectrum",), (0, 1, 2))
+        assert eigh_shapes == [(12, 8, 8)]
+        fill_spectra(states, ("pt_spectrum",), (2, 1, 0))
+        assert eigh_shapes == [(12, 8, 8)]
+        states = validate_density(_three_qubit_stack(6, 3), [2, 2, 2])
+        cached = states[1].pt_spectrum_of(2)
+        eigh_shapes.clear()
+        fill_spectra(states, ("pt_spectrum",), (0, 1, 2))
+        assert eigh_shapes == [(8, 8, 8)]
+        assert states[1].pt_spectrum_of(2) is cached
+
+    def test_a_lone_missing_cut_is_solved_as_a_matrix(self, eigh_shapes):
+        states = validate_density(_three_qubit_stack(8, 2), [2, 2, 2])
+        fill_spectra(states, ("pt_spectrum",), (0, 2))
+        states[1].pt_spectrum_of(1)
+        eigh_shapes.clear()
+        fill_spectra(states, ("pt_spectrum",), (0, 1, 2))
+        assert eigh_shapes == [(8, 8)]
+        alone = herm_eigenvalues(partial_transpose(states[0].mat, 1, [2, 2, 2]))
+        assert _bits(states[0].pt_spectrum_of(1)) == _bits(alone)
+
+    def test_both_parties_of_a_bipartite_state_share_one_entry(self, eigh_shapes):
+        (rho,) = validate_density(_stack(9, 1, (2, 3)), [2, 3])
+        eigh_shapes.clear()
+        fill_spectra((rho,), ("pt_spectrum",), (0, 1))
+        assert rho.pt_spectrum_of(0) is rho.pt_spectrum_of(1) is rho.pt_spectrum
+        assert eigh_shapes == [(6, 6)]
+
+    @pytest.mark.parametrize("party", [3, -1, 1.5, True])
+    def test_a_party_outside_the_state_is_refused(self, party):
+        rho = validate_density(np.eye(8) / 8, [2, 2, 2])
+        with pytest.raises(DimensionError):
+            fill_spectra((rho,), ("pt_spectrum",), (party,))
+        # Refused with every cut cached too: True == 1 must not read party 1.
+        fill_spectra((rho,), ("pt_spectrum",), (0, 1, 2))
+        with pytest.raises(DimensionError):
+            rho.pt_spectrum_of(party)
+
+    def test_a_whole_number_party_reads_its_entry(self):
+        rho = validate_density(np.eye(8) / 8, [2, 2, 2])
+        assert rho.pt_spectrum_of(np.int64(2)) is rho.pt_spectrum_of(2)
+        assert rho.pt_spectrum_of(1.0) is rho.pt_spectrum_of(1)
 
 
 def _spoiled(m, defects):
