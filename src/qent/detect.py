@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import DensityMatrix, _below, _floor_eps, _party, expectation, herm_eigenvalues
+from .linalg import DensityMatrix, _below, _floor_eps, expectation, herm_eigenvalues
 from .spa import SpaState, SpaWitness
 from .states import projector
 
@@ -56,14 +56,13 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
     entanglement.
 
     Necessary and sufficient for 2x2 and 2x3; only necessary above.
-    Evidence is ``lambda_min(rho^{T_sys})`` from ``rho.pt_spectrum`` for either
-    ``sys``, since ``rho^{T_A} = (rho^{T_B})^T`` has the same spectrum.  Floor
-    budget (:func:`~qent.linalg._floor_eps`): ``I^{T_B} = I`` gives ``eps``,
-    inside the slack: 0.
+    Evidence is ``lambda_min(rho^{T_sys})`` from ``rho.pt_spectrum_of(sys)``,
+    the entry both parties share, since ``rho^{T_A} = (rho^{T_B})^T`` has the
+    same spectrum.  Floor budget (:func:`~qent.linalg._floor_eps`):
+    ``I^{T_B} = I`` gives ``eps``, inside the slack: 0.
     """
     linalg.BIPARTITE.require(rho.dims, "ppt_check")
-    _party(sys, 2)
-    lam = float(rho.pt_spectrum.eigenvalues[0])
+    lam = float(rho.pt_spectrum_of(sys).eigenvalues[0])
     outcome = Outcome.Entangled if _below(lam, 0.0) else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="ppt")
 

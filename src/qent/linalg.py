@@ -9,14 +9,9 @@ every cut of every state.
 Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
 (``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
 the returned eigenpairs do not satisfy ``H v = lambda v`` to within
-``EIG_RESIDUAL_TOL`` relative to the spectral radius.  It takes one matrix
-or a stack ``(k, n, n)``: a stack is checked for finite entries and
-Hermiticity in one pass (a NaN or infinite entry makes the Hermiticity
-deviation NaN or infinite, so only a failing deviation is scanned for
-them), solved by one LAPACK call, and each of its matrices is held to the
-residual bound of its own spectral radius; a single matrix is checked and
-solved the same way, without the leading axis.  Each distinct matrix of a
-state is solved at most once: a :class:`DensityMatrix` caches
+``EIG_RESIDUAL_TOL`` relative to the spectral radius of their own matrix.
+Each distinct matrix of a state is solved at most once: a
+:class:`DensityMatrix` caches
 
 * ``rho.spectrum``, the spectrum of the state (seeded by its validation);
 * ``rho.pt_spectrum_of(k)``, the spectrum of the partial transpose over party
@@ -52,30 +47,22 @@ its ``require`` and the CLI selects its criteria and measures by its ``fits``.
 So are a whole number (:func:`_whole`) and a party index (:func:`_party`).
 
 Stacks of states.  A matrix ``(n, n)`` and a stack ``(k, n, n)`` follow the
-same rules, and these functions take both:
-
-* :func:`herm_eigenvalues` returns one :class:`Spectrum`, or a tuple of
-  ``k`` from one LAPACK call;
-* :func:`validate_density` returns one :class:`DensityMatrix`, or a tuple of
-  ``k`` seeded states from one finiteness and Hermiticity pass and one
-  LAPACK call; a stack with one bad matrix raises what that matrix raises
-  alone;
-* :func:`partial_transpose` and :func:`realign` of a bare matrix or stack
-  return the same shape;
-* :func:`trace_norm` returns a float, or an array of ``k`` from one stacked
-  eigensolve of the Hermitian matrices and one stacked SVD of the others;
-* :func:`fill_spectra`, the only writer of the partial-transpose cache,
-  fills it over any parties of a tuple of states with one stacked solve, and
-  ``realign_norm`` with another; a single state fills itself this way too.
-
+same rules by the same code, a matrix being the one-element case:
+:func:`herm_eigenvalues`, :func:`validate_density`, :func:`partial_transpose`,
+:func:`realign` and :func:`trace_norm` take both, and :func:`fill_spectra`,
+the only writer of the partial-transpose cache, fills a tuple of states
+with one stacked solve per map (a single state fills itself this way too).
 Each matrix of a stack gets the bits it gets on its own: stacked ``eigh``
-and ``svd`` solve each matrix as a loop would, and every other step is
-elementwise or a reduction within one matrix.  A single state is still
-solved as a 2-D matrix, not as a stack of one: the benchmark's tracer
-(``bench/tracer.py``) sizes a solve by the first axis of its shape, so it
-would file a stack of one as a 1 x 1 solve, and the stacks tests pin the
-2-D solve.  :class:`DensityMatrix` stays one state; a stack of states is a
-tuple.
+and ``svd`` solve each matrix as a loop would, every other step is
+elementwise or a reduction within one matrix, and a stack with one bad
+matrix raises what that matrix raises alone.  Two steps still see the
+leading axis: the returned container (one value for a matrix, a tuple or
+array of ``k`` for a stack), and the LAPACK call, which solves a lone matrix
+2-D rather than as a stack of one.  The benchmark's tracer
+(``bench/tracer.py``) sizes a solve by the first axis of its shape and would
+file a stack of one as a 1 x 1 solve; the stacks tests pin the 2-D solve
+until the tracer sizes by the last axis.  :class:`DensityMatrix` stays one
+state; a stack of states is a tuple.
 """
 
 from __future__ import annotations
@@ -186,9 +173,11 @@ class DensityMatrix:
     def pt_spectrum_of(self, k):
         """Cached :class:`Spectrum` of the partial transpose over party ``k``,
         solved by :func:`fill_spectra` on a miss.  Both parties of a bipartite
-        state share the entry of ``rho^{T_B}``, whose transpose is ``rho^{T_A}``."""
-        # A cached key is a checked party that is its own key.
-        key = k if type(k) is int and k in self._pt_spectra else _pt_key(self.dims, k)
+        state share the entry of ``rho^{T_B}``, whose transpose is
+        ``rho^{T_A}``: it has ``rho^{T_A}``'s eigenvalues, but the complex
+        conjugates of ``rho^{T_A}``'s eigenvectors (``vectors.conj()`` are
+        those)."""
+        key = _pt_key(self.dims, k)
         if key not in self._pt_spectra:
             fill_spectra((self,), ("pt_spectrum",), (key,))
         return self._pt_spectra[key]
@@ -296,7 +285,10 @@ def _checked_real(val):
 
 def _whole(d, what="dimension"):
     """``d`` as an int, once it is a whole number: ``2``, ``2.0`` and
-    ``numpy.int64(2)`` are; ``2.5``, NaN, infinity, bools and strings are not."""
+    ``numpy.int64(2)`` are; ``2.5``, NaN, infinity, bools and strings are not.
+    An exact ``int`` is one as it is, at any size."""
+    if type(d) is int:
+        return d
     if (isinstance(d, bool) or not isinstance(d, (int, float, np.integer, np.floating))
             or not float(d).is_integer()):
         raise DimensionError(f"{what} {d!r} is not a whole number")
@@ -516,8 +508,7 @@ def herm_eigenvalues(h):
     herm_dev = _finite_herm_dev(m)
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("eigensolver input is not Hermitian", herm_dev)
-    lam, vec = np.linalg.eigh(m)
-    return _checked_spectrum(m, lam, vec)
+    return _checked_spectrum(m, *np.linalg.eigh(m))
 
 
 def _check_residual(residual, lam):
@@ -567,14 +558,13 @@ def trace_norm(a):
         One norm for a matrix, an array of ``k`` for a stack.
     """
     m = _square(a, (2, 3))
-    if m.ndim == 2:
-        if _finite_herm_dev(m) <= HERM_TOL:
-            return herm_eigenvalues(m).trace_norm
-        return float(np.linalg.svd(m, compute_uv=False).sum())
     herm = _herm_dev(m, (-2, -1)) <= HERM_TOL
     if not herm.all():
         # A NaN or infinite entry makes its matrix's deviation fail.
         _finite(m, "matrix")
+    if m.ndim == 2:
+        return (herm_eigenvalues(m).trace_norm if herm
+                else float(np.linalg.svd(m, compute_uv=False).sum()))
     norms = np.empty(len(m))
     if herm.any():
         norms[herm] = [s.trace_norm for s in herm_eigenvalues(m[herm])]
@@ -645,37 +635,32 @@ def validate_density(m, dims):
         raise HermiticityViolation("density matrix is not Hermitian", herm_dev)
     _unit_trace(mat, "density matrix")
     if herm_dev:
-        # Exactly Hermitian from here on, so every map of it is too.
-        if mat.ndim == 2:
-            mat = (mat + mat.conj().T) / 2
-        else:
-            # Only the inexact matrices of a stack change, as they would
-            # on their own.
-            inexact = _herm_dev(mat, (-2, -1)) > 0
-            mat = mat.copy()
-            part = mat[inexact]
-            mat[inexact] = (part + part.conj().swapaxes(-1, -2)) / 2
+        # Exactly Hermitian from here on, so every map of it is too.  Only
+        # the inexact matrices of a stack change, as they would on their own;
+        # a lone matrix is the one-element case of the mask.
+        inexact = _herm_dev(mat, (-2, -1)) > 0
+        mat = mat.copy()
+        part = mat[inexact]
+        mat[inexact] = (part + part.conj().swapaxes(-1, -2)) / 2
     spec = herm_eigenvalues(mat)
-    if mat.ndim == 2:
-        lam_min = float(spec.eigenvalues[0])
-    else:
-        lam_min = min(float(s.eigenvalues[0]) for s in spec)
+    # A lone matrix is solved 2-D (see the module notes) and is the
+    # one-element tuple from here on.
+    mats, specs = (mat, spec) if mat.ndim == 3 else ((mat,), (spec,))
+    lam_min = min(float(s.eigenvalues[0]) for s in specs)
     if lam_min < PSD_FLOOR:
         raise NegativityViolation("density matrix has a negative eigenvalue", -lam_min)
-    if mat.ndim == 2:
-        return _derived(mat, dims, spec)
-    return tuple(_derived(one, dims, s) for one, s in zip(mat, spec))
+    states = tuple(_derived(one, dims, s) for one, s in zip(mats, specs))
+    return states if mat.ndim == 3 else states[0]
 
 
 def _unit_trace(mat, what):
-    """``mat`` once its trace, or the trace of each matrix of a stack, is
-    within ``TRACE_TOL`` of 1."""
+    """Raise :class:`~qent.errors.TraceViolation` unless the trace of
+    ``mat``, or of each matrix of a stack, is within ``TRACE_TOL`` of 1."""
     trace_dev = abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0)
     # A NaN trace makes the largest deviation NaN, which fails the check.
     worst = float(trace_dev.max())
     if not worst <= TRACE_TOL:
         raise TraceViolation(f"{what} trace differs from 1", worst)
-    return mat
 
 
 def _pt_key(dims, party):
@@ -692,14 +677,22 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
     :func:`herm_eigenvalues` call, and the norms by one :func:`trace_norm`
     call, keeping those cached already.  Each map is taken of the states as
     one stack, and each value has the bits the state gets solved on its own;
-    a lone state is mapped, and a lone pair solved, as its 2-D matrix.
+    a lone state is mapped, and a lone pair solved, as its 2-D matrix.  An
+    empty tuple of states fills nothing.
 
     Raises
     ------
     DimensionError
-        If the states' dims differ, a party is not one of theirs, or the
+        If an entry of ``names`` is neither ``"pt_spectrum"`` nor
+        ``"realign_norm"`` (checked first, even for an empty tuple), the
+        states' dims differ, a party is not one of theirs, or the
         realignment does not apply to them (it needs dims ``[d, d]``).
     """
+    unknown = [name for name in names if name not in ("pt_spectrum", "realign_norm")]
+    if unknown:
+        raise DimensionError(f"fill_spectra cannot fill {', '.join(map(repr, unknown))}")
+    if not states:
+        return
     dims = states[0].dims
     one = len(states) == 1
     if not one and any(rho.dims != dims for rho in states):

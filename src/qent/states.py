@@ -165,7 +165,12 @@ def x_state_concurrence(a, f):
 
     This is the scale used by the family's witness and eigenvalue bounds;
     it is half the Wootters concurrence ``2(|f| - a)`` of the same state.
+    A NaN or infinite ``a`` or ``f`` raises
+    :class:`~qent.errors.DimensionError`, as ``max`` would hide a NaN.
     """
+    # Written so that a NaN difference fails the check.
+    if not abs(abs(f) - a) < np.inf:
+        raise DimensionError(f"x_state_concurrence needs finite a and f, got a={a}, f={f}")
     return max(0.0, abs(f) - a)
 
 

@@ -548,6 +548,23 @@ class TestStateFileDims:
             assert main(argv + [str(path)]) == EXIT_OK
             assert capsys.readouterr().out == first
 
+    # A JSON integer beyond the float range passes the parser as a whole
+    # number; validation must refuse it as it refuses any dims that do not
+    # multiply to the side.
+    @pytest.mark.parametrize("dims", [[10 ** 400], [10 ** 400, 2], [2, 10 ** 400]],
+                             ids=["alone", "first", "second"])
+    def test_a_dim_beyond_the_float_range_is_a_validation_error(self, capsys, tmp_path, dims):
+        doc = state_document(werner_state(0.5))
+        doc["dims"] = dims
+        path = tmp_path / "huge.json"
+        path.write_bytes(document_bytes(doc))
+        for command in ("detect", "measure"):
+            assert main([command, str(path)]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("qent: validation error: dims")
+            assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("field, value", [
         ("cell", {"0": 0.25, "1": 0.0}), ("cell", [10 ** 400, 0.0]), ("cell", [0.25]),
         ("label", float("nan")), ("label", ["x", float("inf")]),

@@ -265,3 +265,26 @@ def test_whole_valued_party_indices_work_as_ints(one):
     want = embed_pair_product(single, 1, pair, n=3)
     assert np.array_equal(embed_pair_product(single, one, pair, n=3), want)
     assert np.array_equal(embed_pair_product(single, 1, pair, n=3 * one), want)
+
+
+# An int beyond the float range is a whole number too: it must fail the
+# range or product rule with DimensionError, not overflow on its way there.
+HUGE_WHOLE_NUMBERS = {
+    "validate_density dims 10**400": (lambda: validate_density(np.eye(1), [10 ** 400]),
+                                      "do not multiply"),
+    "validate_density dims -10**400": (lambda: validate_density(np.eye(1), [-10 ** 400]),
+                                       "at least 1"),
+    "partial_transpose sys 10**400": (lambda: partial_transpose(np.eye(4), 10 ** 400, [2, 2]),
+                                      "out of range"),
+    "partial_trace keep 10**400": (lambda: partial_trace(_TWO_QUBIT, [10 ** 400]),
+                                   "out of range"),
+    "ppt_check sys -10**400": (lambda: ppt_check(_TWO_QUBIT, -10 ** 400), "out of range"),
+    "ket dims 10**400": (lambda: ket([1, 0, 0, 1], [10 ** 400, 2]), "do not multiply"),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_WHOLE_NUMBERS)
+def test_a_whole_number_beyond_the_float_range_is_a_dimension_error(name):
+    run, message = HUGE_WHOLE_NUMBERS[name]
+    with pytest.raises(DimensionError, match=message):
+        run()

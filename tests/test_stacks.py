@@ -157,6 +157,20 @@ class TestStackEqualsLoop:
         with pytest.raises(DimensionError):
             getattr(rho, name)
 
+    @pytest.mark.parametrize("lone", [False, True], ids=["no states", "one state"])
+    def test_fill_spectra_refuses_a_name_it_cannot_fill(self, eigh_shapes, lone):
+        rho = validate_density(np.eye(4) / 4, [2, 2])
+        states = (rho,) if lone else ()
+        with pytest.raises(DimensionError, match="'pt_spectra'"):
+            fill_spectra(states, ("pt_spectrum", "pt_spectra"))
+        assert eigh_shapes == [(4, 4)]  # the validation's solve, nothing filled
+        assert not rho._pt_spectra and "realign_norm" not in vars(rho)
+
+    def test_fill_spectra_of_no_states_fills_nothing(self, eigh_shapes, svd_shapes):
+        fill_spectra(())
+        fill_spectra((), ("pt_spectrum",), (0, 1, 2))
+        assert eigh_shapes == [] and svd_shapes == []
+
 
 def _bits(spec):
     return spec.eigenvalues.tobytes(), spec.vectors.tobytes(), float(spec.residual).hex()
@@ -214,6 +228,20 @@ class TestThreeQubitCuts:
         fill_spectra((rho,), ("pt_spectrum",), (0, 1))
         assert rho.pt_spectrum_of(0) is rho.pt_spectrum_of(1) is rho.pt_spectrum
         assert eigh_shapes == [(6, 6)]
+
+    def test_party_0_of_a_bipartite_state_reads_conjugate_vectors(self):
+        (rho,) = validate_density(_stack(11, 1, (2, 3)), [2, 3])
+        assert np.iscomplexobj(rho.mat) and np.abs(rho.mat.imag).max() > 0.01
+        spec = rho.pt_spectrum_of(0)
+        assert spec is rho.pt_spectrum_of(1)
+        # rho^{T_A} is the transpose of rho^{T_B}, so its eigenvectors are
+        # the conjugates of the shared entry's, with the same eigenvalues.
+        pt_a = partial_transpose(rho, 0)
+        conj = spec.vectors.conj()
+        residual = abs(pt_a @ conj - conj * spec.eigenvalues).max()
+        assert residual <= linalg.EIG_RESIDUAL_TOL * max(1.0, abs(spec.eigenvalues).max())
+        # The vectors themselves are not rho^{T_A}'s.
+        assert abs(pt_a @ spec.vectors - spec.vectors * spec.eigenvalues).max() > 1e-3
 
     @pytest.mark.parametrize("party", [3, -1, 1.5, True])
     def test_a_party_outside_the_state_is_refused(self, party):

@@ -33,6 +33,7 @@ from qent.states import (
     w_state,
     werner_state,
     x_state,
+    x_state_concurrence,
 )
 
 
@@ -118,6 +119,18 @@ class TestFamilies:
             x_state(0.2, 0.2, 0.1)
         rho = x_state(0.1, 0.4, 0.3j)
         assert abs(rho.mat[1, 2] - 0.3j) <= 1e-15
+
+    @pytest.mark.parametrize("a, f", [
+        (float("nan"), 0.1), (0.1, float("nan")), (0.1, complex(float("nan"), 0.2)),
+        (float("inf"), 0.1), (0.1, float("inf")), (float("inf"), float("inf")),
+    ])
+    def test_x_state_concurrence_refuses_what_is_not_finite(self, a, f):
+        with pytest.raises(DimensionError, match="finite a and f"):
+            x_state_concurrence(a, f)
+
+    def test_x_state_concurrence_is_the_clipped_difference(self):
+        assert x_state_concurrence(0.1, 0.4j) == abs(0.4j) - 0.1
+        assert x_state_concurrence(0.4, 0.1) == 0.0
 
     def test_mems_trace_and_branch(self):
         for c in (0.2, 0.9):
