@@ -3,8 +3,12 @@
 Everything here operates on plain ``numpy`` arrays of ``complex128`` plus a
 list of subsystem dimensions.  Subsystem 0 is the *leftmost* tensor factor and
 the computational basis is big-endian (for three qubits, basis index 0 is
-|000> and index 7 is |111>).  One kernel, :func:`partial_transpose`, serves
-every cut of every state.
+|000> and index 7 is |111>).  A partial transpose and a realignment are
+fixed permutations of a matrix's entries: :func:`partial_transpose` serves
+every cut of every state with one gather through the flat index table of its
+``(dims, party)`` (:func:`_pt_table`), and :func:`realign` through that of
+its ``d`` (:func:`_realign_table`).  Each table is built on first use,
+cached and read-only; importing the package builds none.
 
 Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
 (``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
@@ -49,16 +53,19 @@ So are a whole number (:func:`_whole`) and a party index (:func:`_party`).
 Stacks of states.  A matrix ``(n, n)`` and a stack ``(k, n, n)`` follow the
 same rules by the same code, a matrix being the one-element case:
 :func:`herm_eigenvalues`, :func:`validate_density`, :func:`partial_transpose`,
-:func:`realign` and :func:`trace_norm` take both, and :func:`fill_spectra`,
-the only writer of the partial-transpose cache, fills a tuple of states
-with one stacked solve per map (a single state fills itself this way too).
-Each matrix of a stack gets the bits it gets on its own: stacked ``eigh``
-and ``svd`` solve each matrix as a loop would, every other step is
-elementwise or a reduction within one matrix, and a stack with one bad
-matrix raises what that matrix raises alone.  Two steps still see the
-leading axis: the returned container (one value for a matrix, a tuple or
-array of ``k`` for a stack), and the LAPACK call, which solves a lone matrix
-2-D rather than as a stack of one.  The benchmark's tracer
+:func:`realign` and :func:`trace_norm` take both, and the two maps also take
+a tuple of states, whose validated matrices are not scanned again.
+:func:`fill_spectra`, the only writer of the partial-transpose cache, fills
+a tuple of states with one gather and one stacked solve per map (a single
+state fills itself this way too).  The spectra of one stacked solve share
+one sum of ``|lambda|`` per matrix, taken on the first read of a
+``trace_norm``.  Each matrix of a stack gets the bits it gets on its own:
+stacked ``eigh`` and ``svd`` solve each matrix as a loop would, every other
+step is a gather, elementwise, or a reduction within one matrix, and a stack
+with one bad matrix raises what that matrix raises alone.  Two steps still
+see the leading axis: the returned container (one value for a matrix, a
+tuple or array of ``k`` for a stack), and the LAPACK call, which solves a
+lone matrix 2-D rather than as a stack of one.  The benchmark's tracer
 (``bench/tracer.py``) sizes a solve by the first axis of its shape and would
 file a stack of one as a 1 x 1 solve; the stacks tests pin the 2-D solve
 until the tracer sizes by the last axis.  :class:`DensityMatrix` stays one
@@ -69,7 +76,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -206,16 +214,44 @@ class Spectrum:
         max over returned pairs of ``|H v - lambda v|`` (infinity norm).
     vectors : numpy.ndarray
         Unit eigenvectors as columns, aligned with ``eigenvalues``.
+
+    The sums of ``|lambda|`` behind :attr:`trace_norm` are private: the
+    spectra of one stacked solve share one :class:`_AbsSums` of the stack
+    (``_sums``, read at row ``_row``), which :func:`_checked_spectrum` sets;
+    any other spectrum makes its own on first read.
     """
 
     eigenvalues: np.ndarray
     residual: float
     vectors: np.ndarray = field(repr=False, default=None)
+    _sums: _AbsSums = field(default=None, repr=False, compare=False)
+    _row: int = field(default=0, repr=False, compare=False)
 
     @property
     def trace_norm(self):
-        """Trace norm of the solved matrix, the sum of ``|lambda|``."""
-        return float(np.sum(np.abs(self.eigenvalues)))
+        """Trace norm of the solved matrix, the sum of ``|lambda|``, summed at
+        most once.  A spectrum of a stacked solve reads its row of one sum
+        over the whole stack, taken when the first of them is read: the same
+        float as its own sum."""
+        if self._sums is None:
+            object.__setattr__(self, "_sums", _AbsSums(self.eigenvalues[np.newaxis]))
+        return self._sums[self._row]
+
+
+class _AbsSums:
+    """The sums of ``|lambda|`` of each row of a stack's eigenvalues, as
+    floats: one reduction, taken on the first read (an eager one would sum,
+    and may overflow on, spectra nobody reads)."""
+
+    __slots__ = ("lam", "sums")
+
+    def __init__(self, lam):
+        self.lam, self.sums = lam, None
+
+    def __getitem__(self, row):
+        if self.sums is None:
+            self.sums = np.abs(self.lam).sum(axis=-1).tolist()
+        return self.sums[row]
 
 
 def tensor(a, b):
@@ -260,17 +296,20 @@ def _herm_dev(m, axis=None):
     return abs(m - m.swapaxes(-1, -2).conj()).max(axis=axis)
 
 
-def _finite_herm_dev(m):
-    """``_herm_dev(m)``, once every entry of ``m`` is finite.
+def _finite_herm_dev(m, axis=None):
+    """``(worst, devs)``: the deviations ``_herm_dev(m, axis)`` and the
+    largest of them as a float, once every entry of ``m`` is finite: one
+    Hermiticity pass.
 
-    A NaN or infinite entry makes its entry of ``m - m^H`` NaN or infinite,
-    and so the deviation; only a deviation that is not within ``HERM_TOL``
-    needs the scan for them, which then wins over the Hermiticity error.
+    A NaN or infinite entry makes its entry of ``m - m^H``, and so the
+    deviation, NaN or infinite; only a deviation that is not finite needs
+    the scan for them, which then wins over the Hermiticity error.
     """
-    herm_dev = float(_herm_dev(m))
-    if not herm_dev <= HERM_TOL:
+    devs = _herm_dev(m, axis)
+    worst = float(devs if devs.ndim == 0 else devs.max())
+    if not math.isfinite(worst):
         _finite(m, "matrix")
-    return herm_dev
+    return worst, devs
 
 
 def _checked_real(val):
@@ -348,43 +387,112 @@ THREE_QUBIT = Shape("a three-qubit state", lambda d: d == (2, 2, 2))
 
 
 def _mat_dims(rho, dims=None, ndims=(2,)):
-    """Accept a DensityMatrix or a (matrix, dims) pair; with ``ndims=(2, 3)``
-    the bare matrix may be a stack of them."""
+    """Accept a DensityMatrix or a (matrix, dims) pair, giving the matrix and
+    its dims as a tuple; with ``ndims=(2, 3)`` the bare matrix may be a stack
+    of them, and ``rho`` a tuple of states with one dims, whose matrices are
+    stacked unscanned (each is a validated state already)."""
     if isinstance(rho, DensityMatrix):
-        return rho.mat, list(rho.dims)
+        return rho.mat, rho.dims
+    if 3 in ndims and _is_states(rho):
+        dims = _one_dims(rho)
+        return np.stack([one.mat for one in rho]), dims
     if dims is None:
         raise DimensionError("subsystem dimensions required for a bare matrix")
     mat = _finite(_square(rho, ndims), "matrix")
-    return mat, _checked_dims(dims, mat.shape[-1])
+    return mat, tuple(_checked_dims(dims, mat.shape[-1]))
+
+
+def _is_states(rho):
+    """Whether ``rho`` is a tuple of states rather than an array-like matrix."""
+    return isinstance(rho, tuple) and bool(rho) and isinstance(rho[0], DensityMatrix)
+
+
+def _one_dims(states):
+    """The dims that every state of a nonempty tuple of states shares."""
+    dims = states[0].dims
+    if any(not isinstance(rho, DensityMatrix) or rho.dims != dims for rho in states):
+        raise DimensionError("a stack of states needs one dims for all of them")
+    return dims
+
+
+@lru_cache(maxsize=None)
+def _pt_table(dims, party):
+    """Flat index table of the partial transpose over ``party`` of a matrix
+    of subsystem dimensions ``dims`` (a tuple): flat entry ``i`` of the
+    transpose is flat entry ``table[i]`` of the matrix.  Built on first use,
+    once per ``(dims, party)``, and read-only, since every later map of those
+    dims reads it."""
+    n = len(dims)
+    axes = list(range(2 * n))
+    axes[party], axes[party + n] = axes[party + n], axes[party]
+    table = np.arange(math.prod(dims) ** 2).reshape(dims + dims).transpose(axes).ravel()
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _realign_table(d):
+    """Flat index table of the realignment of a ``[d, d]`` matrix, as
+    :func:`_pt_table`: entry ``((i, j), (k, l))`` moves to ``((i, k), (j, l))``."""
+    table = np.arange(d ** 4).reshape(d, d, d, d).swapaxes(1, 2).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _gather(mat, table):
+    """``mat``, or each matrix of a stack, with flat entry ``i`` taken from
+    its flat entry ``table[i]``: one fancy-index gather."""
+    return mat.reshape(mat.shape[:-2] + (-1,))[..., table].reshape(mat.shape)
 
 
 def partial_transpose(rho, sys, dims=None):
     """Partial transpose over one party of a matrix of any number of parties,
-    or of each matrix of a stack.
+    or of each matrix of a stack: one gather through the index table of
+    ``(dims, sys)`` (:func:`_pt_table`).
 
     Parameters
     ----------
-    rho : DensityMatrix or array_like
-        State of ``n`` parties, or a bare matrix ``(N, N)`` or stack
-        ``(k, N, N)`` (pass ``dims`` for a bare matrix or stack).
-    sys : int
-        Which party to transpose, ``0 <= sys < n``.
+    rho : DensityMatrix, tuple of DensityMatrix, or array_like
+        State of ``n`` parties, a tuple of states with one dims, or a bare
+        matrix ``(N, N)`` or stack ``(k, N, N)`` (pass ``dims`` for a bare
+        matrix or stack).  A tuple of states is mapped as the stack of their
+        matrices, which are not scanned again.
+    sys : int or tuple of int
+        Which party to transpose, ``0 <= sys < n``.  With a tuple of ``k``
+        states, also a tuple of ``k`` parties: matrix ``j`` of the result is
+        state ``j`` transposed over party ``j``, so ``partial_transpose((rho,)
+        * 3, (0, 1, 2))`` gathers all three cuts of ``rho`` from its own
+        matrix at once.
     dims : list of int, optional
         Subsystem dimensions when ``rho`` is a bare matrix or stack.
 
     Returns
     -------
     numpy.ndarray
-        The matrix (or stack) with the chosen party's indices transposed.
+        The matrix (or stack, ``(k, N, N)`` for a tuple of states) with the
+        chosen party's indices transposed.
     """
+    if isinstance(sys, tuple):
+        return _pt_pairs(rho, sys)
     mat, d = _mat_dims(rho, dims, (2, 3))
-    n = len(d)
-    sys = _party(sys, n)
-    # Leading stack axes stay in place; only the party axes move.
-    lead = mat.ndim - 2
-    axes = list(range(lead + 2 * n))
-    axes[lead + sys], axes[lead + sys + n] = axes[lead + sys + n], axes[lead + sys]
-    return mat.reshape(mat.shape[:lead] + tuple(d + d)).transpose(axes).reshape(mat.shape)
+    return _gather(mat, _pt_table(d, _party(sys, len(d))))
+
+
+def _pt_pairs(states, parties):
+    """Matrix ``j`` is ``states[j]`` transposed over ``parties[j]``: one
+    gather through the concatenated tables, from the one matrix of a tuple
+    that repeats one state, else from the stack of the states' matrices."""
+    if not _is_states(states) or len(parties) != len(states):
+        raise DimensionError("a tuple of parties needs a tuple of as many states")
+    dims = _one_dims(states)
+    table = np.concatenate([_pt_table(dims, _party(k, len(dims))) for k in parties])
+    first = states[0].mat
+    if states.count(states[0]) == len(states):
+        src = first
+    else:
+        src = np.stack([rho.mat for rho in states])
+        table = table + np.repeat(np.arange(0, src.size, first.size), first.size)
+    return src.reshape(-1)[table].reshape((len(states),) + first.shape)
 
 
 def _qubit_party(qubit):
@@ -454,16 +562,18 @@ def partial_trace(rho, keep, dims=None):
 
 def realign(rho, dims=None):
     """Realignment of a bipartite matrix with square blocks, or of each
-    matrix of a stack.
+    matrix of a stack: one gather through the index table of ``d``
+    (:func:`_realign_table`).
 
     Each ``d x d`` block of the matrix is flattened into one row of the
     output, so for a state ``A (x) B`` the result is ``vec(A) vec(B)^T``.
 
     Parameters
     ----------
-    rho : DensityMatrix or array_like
-        State with dims ``[d, d]``, or a bare matrix or stack ``(k, d^2,
-        d^2)``.
+    rho : DensityMatrix, tuple of DensityMatrix, or array_like
+        State with dims ``[d, d]``, a tuple of them (mapped as the stack of
+        their matrices, not scanned again), or a bare matrix or stack ``(k,
+        d^2, d^2)``.
     dims : list of int, optional
 
     Returns
@@ -473,10 +583,7 @@ def realign(rho, dims=None):
     """
     mat, d = _mat_dims(rho, dims, (2, 3))
     SQUARE.require(d, "realign")
-    n = d[0]
-    lead = mat.shape[:-2]
-    return (mat.reshape(lead + (n, n, n, n)).swapaxes(-3, -2)
-            .reshape(lead + (n * n, n * n)))
+    return _gather(mat, _realign_table(d[0]))
 
 
 def herm_eigenvalues(h):
@@ -505,7 +612,7 @@ def herm_eigenvalues(h):
         max |lambda|)``, taken over that matrix's own eigenvalues.
     """
     m = _square(h, (2, 3))
-    herm_dev = _finite_herm_dev(m)
+    herm_dev, _ = _finite_herm_dev(m)
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("eigensolver input is not Hermitian", herm_dev)
     return _checked_spectrum(m, *np.linalg.eigh(m))
@@ -514,9 +621,17 @@ def herm_eigenvalues(h):
 def _check_residual(residual, lam):
     """Raise :class:`~qent.errors.EigensolverError` unless each residual (one
     per matrix) is within ``EIG_RESIDUAL_TOL * max(1, max |lambda|)`` of its
-    matrix's eigenvalues, the last axis of ``lam``: the one residual bound."""
+    matrix's eigenvalues, the last axis of ``lam``: the one residual bound.
+    A lone matrix's residual is a float, checked without a numpy reduction:
+    its ``lam`` is ascending, so ``max |lambda|`` is read from the two ends as
+    ``max(-lam[0], lam[-1])``, the same float as the largest modulus."""
+    # Each check is written so that a NaN residual fails it.
+    if lam.ndim == 1:
+        bound = EIG_RESIDUAL_TOL * max(1.0, -lam[0], lam[-1])
+        if not residual <= bound:
+            raise EigensolverError("eigensolver residual above tolerance", float(residual))
+        return
     bound = EIG_RESIDUAL_TOL * abs(lam).max(axis=-1, initial=1.0)
-    # Written so that a NaN residual fails the check.
     if not (residual <= bound).all():
         worst = np.where(residual <= bound, 0.0, residual).max()
         raise EigensolverError("eigensolver residual above tolerance", float(worst))
@@ -525,16 +640,21 @@ def _check_residual(residual, lam):
 def _checked_spectrum(m, lam, vec):
     """Wrap eigenpairs of ``m`` (a matrix, or a stack of them with stacked
     ``lam`` and ``vec``) as :class:`Spectrum` objects once ``m v = lambda v``
-    holds for each matrix (:func:`_check_residual`)."""
-    residual = abs(m @ vec - vec * lam[..., np.newaxis, :]).max(axis=(-2, -1))
+    holds for each matrix (:func:`_check_residual`).  The residual is formed
+    in place, and the spectra of a stack are built in one pass, sharing the
+    stack's sums of ``|lambda|`` (:class:`_AbsSums`)."""
+    r = m @ vec
+    r -= vec * lam[..., np.newaxis, :]
+    r = abs(r)
+    residual = float(r.max()) if m.ndim == 2 else r.max(axis=(-2, -1))
     _check_residual(residual, lam)
     # Read-only, because DensityMatrix.spectrum hands one Spectrum to every caller.
     lam.flags.writeable = False
     vec.flags.writeable = False
     if m.ndim == 2:
-        return Spectrum(eigenvalues=lam, residual=float(residual), vectors=vec)
-    return tuple(Spectrum(eigenvalues=l, residual=r, vectors=v)
-                 for l, r, v in zip(lam, residual.tolist(), vec))
+        return Spectrum(lam, residual, vec)
+    return tuple(map(Spectrum, lam, residual.tolist(), vec, repeat(_AbsSums(lam)),
+                     range(len(lam))))
 
 
 def trace_norm(a):
@@ -558,10 +678,7 @@ def trace_norm(a):
         One norm for a matrix, an array of ``k`` for a stack.
     """
     m = _square(a, (2, 3))
-    herm = _herm_dev(m, (-2, -1)) <= HERM_TOL
-    if not herm.all():
-        # A NaN or infinite entry makes its matrix's deviation fail.
-        _finite(m, "matrix")
+    herm = _finite_herm_dev(m, (-2, -1))[1] <= HERM_TOL
     if m.ndim == 2:
         return (herm_eigenvalues(m).trace_norm if herm
                 else float(np.linalg.svd(m, compute_uv=False).sum()))
@@ -629,7 +746,7 @@ def validate_density(m, dims):
         matrix raises what that matrix raises alone, magnitude included.
     """
     mat = _square(m, (2, 3))
-    herm_dev = _finite_herm_dev(mat)
+    herm_dev, devs = _finite_herm_dev(mat, (-2, -1))
     dims = _checked_dims(dims, mat.shape[-1])
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("density matrix is not Hermitian", herm_dev)
@@ -638,7 +755,7 @@ def validate_density(m, dims):
         # Exactly Hermitian from here on, so every map of it is too.  Only
         # the inexact matrices of a stack change, as they would on their own;
         # a lone matrix is the one-element case of the mask.
-        inexact = _herm_dev(mat, (-2, -1)) > 0
+        inexact = devs > 0
         mat = mat.copy()
         part = mat[inexact]
         mat[inexact] = (part + part.conj().swapaxes(-1, -2)) / 2
@@ -673,12 +790,14 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
     """Fill the cached partial-transpose spectra over ``parties``
     (:meth:`DensityMatrix.pt_spectrum_of`) and ``realign_norm`` (or those
     ``names`` list) of each of ``states``, a tuple of states with the same
-    dims: every (state, party) pair not cached yet by one stacked
-    :func:`herm_eigenvalues` call, and the norms by one :func:`trace_norm`
-    call, keeping those cached already.  Each map is taken of the states as
-    one stack, and each value has the bits the state gets solved on its own;
-    a lone state is mapped, and a lone pair solved, as its 2-D matrix.  An
-    empty tuple of states fills nothing.
+    dims, keeping those cached already.  Every (state, party) pair not
+    cached yet is taken by one :func:`partial_transpose` call, one gather
+    from the states' own matrices (party-major, each state once per party
+    it misses), and solved by one stacked :func:`herm_eigenvalues` call; a
+    lone pair is solved as its 2-D matrix.  The norms take one
+    :func:`realign` of the states and one :func:`trace_norm` call.  Each
+    value has the bits the state gets solved on its own.  An empty tuple of
+    states fills nothing.
 
     Raises
     ------
@@ -693,21 +812,19 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
         raise DimensionError(f"fill_spectra cannot fill {', '.join(map(repr, unknown))}")
     if not states:
         return
-    dims = states[0].dims
-    one = len(states) == 1
-    if not one and any(rho.dims != dims for rho in states):
-        raise DimensionError("a stack of states needs one dims for all of them")
-    src, sdims = (states[0], None) if one else (np.stack([rho.mat for rho in states]), list(dims))
+    dims = _one_dims(states)
     if "pt_spectrum" in names:
         keys = dict.fromkeys(_pt_key(dims, k) for k in parties)
-        todo = [(i, k) for k in keys for i, rho in enumerate(states) if k not in rho._pt_spectra]
-        pts = {k: partial_transpose(src, k, sdims) for k in {k for _, k in todo}}
-        mats = [pts[k] if one else pts[k][i] for i, k in todo]
-        specs = herm_eigenvalues(np.stack(mats)) if len(mats) > 1 else map(herm_eigenvalues, mats)
-        for (i, k), spec in zip(todo, specs):
-            states[i]._pt_spectra[k] = spec
+        todo = [(rho, k) for k in keys for rho in states if k not in rho._pt_spectra]
+        if todo:
+            owners, cuts = zip(*todo)
+            pts = partial_transpose(owners, cuts)
+            specs = herm_eigenvalues(pts) if len(pts) > 1 else (herm_eigenvalues(pts[0]),)
+            for rho, k, spec in zip(owners, cuts, specs):
+                rho._pt_spectra[k] = spec
     if "realign_norm" in names:
-        for rho, norm in zip(states, np.ravel(trace_norm(realign(src, sdims))).tolist()):
+        norms = trace_norm(realign(states if len(states) > 1 else states[0]))
+        for rho, norm in zip(states, np.ravel(norms).tolist()):
             vars(rho).setdefault("realign_norm", norm)
 
 

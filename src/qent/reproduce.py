@@ -110,17 +110,20 @@ def _row_5_2(point):
 
 
 def _qutrit_qubit_witness(alpha):
-    """SPA witness (p = 1/4) for the qutrit-qubit alpha family."""
+    """Witness ``(|chi><chi|)^{T_B}`` of the qutrit-qubit alpha family."""
     kappa = (alpha + np.sqrt(4.0 - 8.0 * alpha + 5.0 * alpha ** 2)) / (2.0 * (1.0 - alpha))
     chi = _amplitudes(6, {3: -kappa, 4: 1.0})      # |11> and |20> in the 3x2 basis
     chi /= np.linalg.norm(chi)
-    return spa_witness(witness_from_pure(chi, 1, [3, 2]), 3, 2, p=0.25)
+    return witness_from_pure(chi, 1, [3, 2])
 
 
 def _rows_fig2_1(alphas):
     states = qutrit_qubit_alpha_state(np.array(alphas))
-    bounds = (concurrence_bounds(rho, _qutrit_qubit_witness(alpha), spa)
-              for alpha, rho, spa in zip(alphas, states, spa_pt_qutrit_qubit(states)))
+    # The SPA witnesses (p = 1/4) of every point, as one stack.
+    witnesses = spa_witness(np.stack([_qutrit_qubit_witness(alpha) for alpha in alphas]),
+                            3, 2, p=0.25)
+    bounds = (concurrence_bounds(rho, witness, spa)
+              for rho, witness, spa in zip(states, witnesses, spa_pt_qutrit_qubit(states)))
     return [[alpha, b.lower, b.upper] for alpha, b in zip(alphas, bounds)]
 
 

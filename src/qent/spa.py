@@ -222,8 +222,8 @@ def spa_pt_three_qubit(rho: DensityMatrix, qubit) -> SpaState:
     return SpaState(rho_tilde=out, mixing=0.8, threshold=THREE_QUBIT_THRESHOLD)
 
 
-def spa_witness(w, d1, d2, p=None) -> SpaWitness:
-    """SPA of a witness operator.
+def spa_witness(w, d1, d2, p=None):
+    """SPA of a witness operator, or of each of a stack of them.
 
     ``W_tilde = p W + ((1-p)/(d1 d2)) I``.  When ``p`` is omitted it defaults
     to the largest value keeping ``W_tilde`` positive semidefinite,
@@ -232,42 +232,55 @@ def spa_witness(w, d1, d2, p=None) -> SpaWitness:
     Parameters
     ----------
     w : array_like
-        Hermitian witness; normalized to unit trace if necessary.
+        Hermitian witness ``(n, n)``, or a stack ``(k, n, n)`` of them; each
+        is normalized to unit trace if necessary.
     d1, d2 : int
         Subsystem dimensions.
     p : float, optional
-        Explicit mixing override in (0, 1].
+        Explicit mixing override in (0, 1], the same for every witness.
 
     Returns
     -------
-    SpaWitness
+    SpaWitness or tuple of SpaWitness
+        One for a matrix, one per matrix for a stack.  A stack is solved by
+        one :func:`~qent.linalg.herm_eigenvalues` call, and each of its
+        witnesses has the bits of its matrix taken alone; a stack raises the
+        first check that any of its matrices fails.
 
     Raises
     ------
     NotAWitness
-        If ``w`` has no negative eigenvalue.
+        If a witness has no negative eigenvalue.
     """
     w = np.asarray(w, dtype=complex)
     d1, d2 = _whole(d1), _whole(d2)
     dim = d1 * d2
-    if w.shape != (dim, dim):
+    if not 2 <= w.ndim <= 3 or w.shape[-2:] != (dim, dim):
         raise DimensionError(f"witness shape {w.shape} does not match {d1}x{d2}")
-    tr = complex(np.trace(w))
-    if abs(tr - 1.0) > TRACE_TOL:
-        if abs(tr) < ZERO_TOL:
-            raise NotAWitness("witness has zero trace and cannot be normalized")
-        w = w / tr
-    lam_min = float(herm_eigenvalues(w).eigenvalues[0])
-    if lam_min >= -ZERO_TOL:
+    stack = w if w.ndim == 3 else w[np.newaxis]
+    traces = [complex(np.trace(one)) for one in stack]
+    off = [i for i, tr in enumerate(traces) if abs(tr - 1.0) > TRACE_TOL]
+    if any(abs(traces[i]) < ZERO_TOL for i in off):
+        raise NotAWitness("witness has zero trace and cannot be normalized")
+    if off:
+        stack = stack.copy()
+        for i in off:
+            stack[i] = stack[i] / traces[i]
+    # A lone witness is solved 2-D (see the linalg module notes).
+    specs = herm_eigenvalues(stack) if w.ndim == 3 else (herm_eigenvalues(stack[0]),)
+    lam_mins = [float(spec.eigenvalues[0]) for spec in specs]
+    if max(lam_mins) >= -ZERO_TOL:
         raise NotAWitness("operator is positive semidefinite, not a witness")
-    if p is None:
-        inv = 1.0 / dim
-        p = inv / (inv + abs(lam_min))
-    if not (0.0 <= p <= 1.0):
-        raise DimensionError(f"mixing p must lie in [0, 1], got {p}")
-    w_tilde = p * w + ((1.0 - p) / dim) * np.eye(dim)
+    inv = 1.0 / dim
+    ps = [inv / (inv + abs(lam)) for lam in lam_mins] if p is None else [p] * len(stack)
+    for q in ps:
+        if not (0.0 <= q <= 1.0):
+            raise DimensionError(f"mixing p must lie in [0, 1], got {q}")
     # W_tilde is an affine image of W with p >= 0, so its smallest eigenvalue
     # follows from W's.
-    if p * lam_min + (1.0 - p) / dim < PSD_FLOOR:
+    if any(q * lam + (1.0 - q) / dim < PSD_FLOOR for q, lam in zip(ps, lam_mins)):
         raise NotAWitness("chosen p leaves the approximated witness non-positive")
-    return SpaWitness(w_tilde=w_tilde, p=float(p), r_bound=(1.0 - p) / dim)
+    eye = np.eye(dim)
+    out = tuple(SpaWitness(w_tilde=q * one + ((1.0 - q) / dim) * eye, p=float(q),
+                           r_bound=(1.0 - q) / dim) for q, one in zip(ps, stack))
+    return out if w.ndim == 3 else out[0]

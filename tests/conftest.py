@@ -1,5 +1,5 @@
-"""Shared helpers: seeded random states, index-loop oracles, and a solve
-counter."""
+"""Shared helpers: seeded random states, index-loop oracles, the reshape
+kernels the index tables replaced, and a solve counter."""
 
 import importlib
 import sys
@@ -75,7 +75,7 @@ def oracle_tensor(a, b):
     return out
 
 
-def oracle_partial_transpose(mat, sys, dims):
+def loop_partial_transpose(mat, sys, dims):
     d0, d1 = dims
     out = np.zeros_like(mat)
     for i in range(d0):
@@ -112,7 +112,7 @@ def oracle_spa_pt_two_qubit(mat):
     return t
 
 
-def oracle_realign(mat, d):
+def loop_realign(mat, d):
     """Realignment of a ``[d, d]`` matrix: entry ``((i, j), (k, l))`` of the
     matrix moves to ``((i, k), (j, l))``."""
     out = np.zeros_like(mat)
@@ -122,6 +122,24 @@ def oracle_realign(mat, d):
                 for l in range(d):
                     out[i * d + k, j * d + l] = mat[i * d + j, k * d + l]
     return out
+
+
+def oracle_partial_transpose(mat, sys, dims):
+    """Partial transpose over party ``sys`` of a matrix, or of each matrix of
+    a stack, of any number of parties by reshape and transpose: the kernel
+    the flat index tables of ``qent.linalg`` replaced."""
+    n = len(dims)
+    lead = mat.ndim - 2
+    axes = list(range(lead + 2 * n))
+    axes[lead + sys], axes[lead + sys + n] = axes[lead + sys + n], axes[lead + sys]
+    return mat.reshape(mat.shape[:lead] + tuple(dims) * 2).transpose(axes).reshape(mat.shape)
+
+
+def oracle_realign(mat, d):
+    """Realignment of a ``[d, d]`` matrix, or of each matrix of a stack, by
+    reshape and axis swap: the kernel the flat index tables replaced."""
+    lead = mat.shape[:-2]
+    return mat.reshape(lead + (d, d, d, d)).swapaxes(-3, -2).reshape(lead + (d * d, d * d))
 
 
 def oracle_partial_trace(mat, keep, dims):

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    loop_partial_transpose,
     oracle_partial_trace,
-    oracle_partial_transpose,
     oracle_tensor,
     random_density,
     random_product_density,
@@ -344,7 +344,7 @@ class TestCriterion8OracleEquivalence:
             rho = random_density(rng, dims)
             for sys in (0, 1):
                 assert np.max(np.abs(partial_transpose(rho, sys)
-                                     - oracle_partial_transpose(rho.mat, sys, dims))) <= 1e-12
+                                     - loop_partial_transpose(rho.mat, sys, dims))) <= 1e-12
         for dims in ((2, 3), (3, 3), (2, 2, 2)):
             rho = random_density(rng, dims)
             for keep in itertools.combinations(range(len(dims)), len(dims) - 1):

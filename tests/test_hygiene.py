@@ -6,11 +6,17 @@ but ``linalg`` writes a tolerance as a bare literal, builds a
 builds a vector of a literal size by hand; no module tests an
 argument by membership in ``range(...)`` or in a literal set of ints; and
 no module but ``linalg`` takes the modulus of eigenvalues or solves a
-partial transpose."""
+partial transpose.  Every array the package shares, a module-level constant
+or a cached index table, is read-only, and importing the package builds no
+index table."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -343,3 +349,39 @@ def test_partial_transposes_are_solved_in_linalg(path):
     # only writer of each state's cache of them; a solve elsewhere would
     # solve a cut the cache may hold already.
     assert partial_transpose_solves(path.read_text(encoding="utf-8")) == []
+
+
+def test_shared_arrays_are_read_only():
+    # Every caller reads the same module-level arrays and cached index
+    # tables; a write through one of them would corrupt every later map.
+    import qent
+    from qent import linalg
+
+    modules = [module for name, module in sorted(sys.modules.items())
+               if name == "qent" or name.startswith("qent.")]
+    assert len(modules) > 1 and qent in modules
+    writable = [(module.__name__, name) for module in modules
+                for name, value in vars(module).items()
+                if isinstance(value, np.ndarray) and value.flags.writeable]
+    assert writable == []
+    for dims in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4), (1, 4), (2, 1, 2, 2)]:
+        for party in range(len(dims)):
+            table = linalg._pt_table(dims, party)
+            assert table is linalg._pt_table(dims, party)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+    for d in range(1, 5):
+        assert not linalg._realign_table(d).flags.writeable
+
+
+def test_importing_the_package_builds_no_index_table():
+    # The tables are built on first use, so an import (and with it the CLI's
+    # cold start) pays for none of them.
+    probe = ("import qent, qent.cli; from qent import linalg; "
+             "print(linalg._pt_table.cache_info().currsize, "
+             "linalg._realign_table.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["0", "0"]

@@ -1,11 +1,16 @@
 """Core linear algebra: eigensolver, tensor ops, validation."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    loop_partial_transpose,
+    loop_realign,
     oracle_jacobi,
     oracle_partial_trace,
     oracle_partial_transpose,
@@ -24,6 +29,7 @@ from qent.errors import (
     NonFiniteEntry,
     TraceViolation,
 )
+from qent import linalg
 from qent.linalg import (
     EIG_RESIDUAL_TOL,
     DensityMatrix,
@@ -206,7 +212,7 @@ class TestTensorOps:
     def test_partial_transpose_oracle(self, rng, dims, sys):
         rho = random_density(rng, dims)
         got = partial_transpose(rho, sys)
-        ref = oracle_partial_transpose(rho.mat, sys, dims)
+        ref = loop_partial_transpose(rho.mat, sys, dims)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
     @pytest.mark.parametrize("qubit,sys", [("A", 0), ("B", 1), ("C", 2)])
@@ -306,9 +312,120 @@ class TestRealignProperties:
     @given(seed=_SEEDS)
     def test_matches_the_index_loop_oracle(self, d, seed):
         m = _random_matrix(seed, d * d)
-        assert np.array_equal(realign(m, dims=[d, d]), oracle_realign(m, d))
+        assert np.array_equal(realign(m, dims=[d, d]), loop_realign(m, d))
         rho = random_density(np.random.default_rng(seed), (d, d))
-        assert np.array_equal(realign(rho), oracle_realign(rho.mat, d))
+        assert np.array_equal(realign(rho), loop_realign(rho.mat, d))
+
+
+# Every dims of one to four parties, each of dimension 1 to 4, with at most
+# 16 basis states.
+TABLE_DIMS = [dims for n in range(1, 5) for dims in itertools.product(range(1, 5), repeat=n)
+              if math.prod(dims) <= 16]
+
+
+def _same_bytes(got, ref):
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+class TestIndexTables:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=_SEEDS, k=st.integers(min_value=1, max_value=3))
+    def test_the_gather_is_the_reshape_kernel_byte_for_byte(self, seed, k):
+        rng = np.random.default_rng(seed)
+        for dims in TABLE_DIMS:
+            n = math.prod(dims)
+            stack = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+            for sys in range(len(dims)):
+                for m in (stack, stack[0]):
+                    assert _same_bytes(partial_transpose(m, sys, list(dims)),
+                                       oracle_partial_transpose(m, sys, dims))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=4), seed=_SEEDS,
+           k=st.integers(min_value=1, max_value=3))
+    def test_the_realignment_gather_is_the_reshape_kernel_byte_for_byte(self, d, seed, k):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(k, d * d, d * d)) + 1j * rng.normal(size=(k, d * d, d * d))
+        for m in (stack, stack[0]):
+            assert _same_bytes(realign(m, [d, d]), oracle_realign(m, d))
+
+    def test_a_tuple_of_states_is_mapped_as_the_stack_of_their_matrices(self, rng):
+        a, b = random_density(rng, (2, 2, 2)), random_density(rng, (2, 2, 2))
+        stack = np.stack([a.mat, b.mat])
+        assert _same_bytes(partial_transpose((a, b), 2), partial_transpose(stack, 2, [2, 2, 2]))
+        pairs = partial_transpose((a, b, a, a), (0, 2, 2, 1))
+        assert _same_bytes(pairs, np.stack([partial_transpose(a, 0), partial_transpose(b, 2),
+                                            partial_transpose(a, 2), partial_transpose(a, 1)]))
+        alone = partial_transpose((a,) * 3, (2, 1, 0))
+        assert _same_bytes(alone, np.stack([partial_transpose(a, k) for k in (2, 1, 0)]))
+        c, e = random_density(rng, (3, 3)), random_density(rng, (3, 3))
+        assert _same_bytes(realign((c, e)), np.stack([realign(c), realign(e)]))
+
+    def test_a_tuple_of_states_needs_one_dims_and_one_party_each(self, rng):
+        a, b = random_density(rng, (2, 2)), random_density(rng, (4,))
+        c = random_density(rng, (3, 3))
+        for op in (lambda: partial_transpose((a, b), 0),
+                   lambda: partial_transpose((a, c), 0),
+                   lambda: partial_transpose((a, c), (0, 0)),
+                   lambda: realign((a, c)),
+                   lambda: partial_transpose((a, a), (0,)),
+                   lambda: partial_transpose((a, a), (0, 2)),
+                   lambda: partial_transpose((a, a), (0, True)),
+                   lambda: partial_transpose(a, (0, 1)),
+                   lambda: partial_transpose((a, a.mat), (0, 1)),
+                   lambda: realign((a, b))):
+            with pytest.raises(DimensionError):
+                op()
+
+    def test_a_nested_tuple_is_still_a_bare_matrix(self):
+        m = ((1.0, 2.0), (3.0, 4.0))
+        assert np.array_equal(partial_transpose(m, 0, [2]), [[1.0, 3.0], [2.0, 4.0]])
+        assert np.array_equal(realign(((2.0,),), [1, 1]), [[2.0]])
+
+
+class TestResidualBound:
+    @pytest.mark.parametrize("lam", [[-3.0, 0.5, 2.0], [-0.5, 0.25], [-1.0, 4.0], [0.1, 0.2],
+                                     [-2.0], [-1e300, 1e-300]])
+    def test_the_bound_read_from_the_two_ends_is_the_largest_modulus(self, lam):
+        lam = np.array(lam)
+        edge = EIG_RESIDUAL_TOL * abs(lam).max(initial=1.0)
+        over = np.nextafter(edge, np.inf)
+        linalg._check_residual(edge, lam)
+        linalg._check_residual(np.array([edge, 0.0]), np.stack([lam, lam]))
+        with pytest.raises(EigensolverError) as alone:
+            linalg._check_residual(over, lam)
+        with pytest.raises(EigensolverError) as stacked:
+            linalg._check_residual(np.array([edge, over]), np.stack([lam, lam]))
+        assert alone.value.magnitude == stacked.value.magnitude == over
+
+    def test_a_nan_residual_fails(self):
+        lam = np.array([-1.0, 1.0])
+        with pytest.raises(EigensolverError):
+            linalg._check_residual(np.nan, lam)
+        with pytest.raises(EigensolverError):
+            linalg._check_residual(np.array([0.0, np.nan]), np.stack([lam, lam]))
+
+
+class TestTraceNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEEDS, k=st.integers(min_value=1, max_value=6),
+           n=st.integers(min_value=1, max_value=16))
+    def test_a_stacked_norm_is_each_matrix_s_own_sum(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        specs = herm_eigenvalues(np.stack([random_hermitian(rng, n) for _ in range(k)]))
+        # The first read, from any row, sums the whole stack once.
+        for i in rng.permutation(k):
+            own = float(np.sum(np.abs(specs[i].eigenvalues)))
+            assert specs[i].trace_norm.hex() == own.hex()
+        assert all(spec._sums is specs[0]._sums for spec in specs)
+        alone = herm_eigenvalues(specs[0].vectors @ np.diag(specs[0].eigenvalues)
+                                 @ specs[0].vectors.conj().T)
+        assert alone.trace_norm.hex() == float(np.sum(np.abs(alone.eigenvalues))).hex()
+
+    def test_a_spectrum_built_by_hand_sums_its_own_eigenvalues(self):
+        spec = Spectrum(np.array([-0.25, 0.5, 0.75]), 0.0)
+        assert spec.trace_norm == 1.5
+        assert spec.trace_norm == 1.5
 
 
 class TestValidation:
@@ -345,6 +462,22 @@ class TestValidation:
                    lambda: partial_trace(m, [0], dims=dims)):
             with pytest.raises(DimensionError):
                 op()
+
+    def test_an_inexact_matrix_takes_one_hermiticity_pass(self, rng, monkeypatch):
+        passes = []
+        herm_dev = linalg._herm_dev
+
+        def counting(m, *axis):
+            passes.append(np.shape(m))
+            return herm_dev(m, *axis)
+
+        m = random_density(rng, (2, 2, 2)).mat.copy()
+        m[0, 1] += 1e-13
+        monkeypatch.setattr(linalg, "_herm_dev", counting)
+        rho = validate_density(m, [2, 2, 2])
+        assert np.array_equal(rho.mat, (m + m.conj().T) / 2)
+        # The validation's pass, then the input check of its solve.
+        assert passes == [(8, 8), (8, 8)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite(self, bad):

@@ -1,9 +1,10 @@
-"""Stacks of states: ``validate_density``, ``partial_transpose``, ``realign``
-and ``trace_norm`` take a stack ``(k, n, n)`` as well as one matrix, and
-``fill_spectra`` fills the cached spectra of a tuple of states with one
-stacked solve per map, over any parties.  Every state of a stack must carry
-the bits of the same matrix validated and solved on its own, and a stack
-with one bad matrix must fail as that matrix fails alone."""
+"""Stacks of states: ``validate_density``, ``partial_transpose``, ``realign``,
+``trace_norm`` and ``spa_witness`` take a stack ``(k, n, n)`` as well as one
+matrix, and ``fill_spectra`` fills the cached spectra of a tuple of states
+with one gather and one stacked solve per map, over any parties.  Every
+state of a stack must carry the bits of the same matrix validated and solved
+on its own, and a stack with one bad matrix must fail as that matrix fails
+alone."""
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from qent import linalg
 from qent.classify3 import slocc_classify
+from qent.detect import witness_from_pure
 from qent.errors import (
     DimensionError,
     HermiticityViolation,
     NegativityViolation,
     NonFiniteEntry,
+    NotAWitness,
     TraceViolation,
 )
 from qent.linalg import (
@@ -30,7 +33,7 @@ from qent.linalg import (
 )
 from qent.measures import concurrence_lb_chen, negativity, structured_negativity
 from qent.reproduce import TABLES
-from qent.spa import spa_pt_qutrit_qubit
+from qent.spa import spa_pt_qutrit_qubit, spa_witness
 from qent.states import (
     mems_state,
     qutrit_qubit_alpha_state,
@@ -212,6 +215,48 @@ class TestThreeQubitCuts:
         assert eigh_shapes == [(8, 8, 8)]
         assert states[1].pt_spectrum_of(2) is cached
 
+    def test_a_fill_gathers_and_solves_exactly_the_missing_pairs(self, monkeypatch, eigh_shapes):
+        states = validate_density(_three_qubit_stack(12, 3), [2, 2, 2])
+        a, b, c = states
+        cached = [a.pt_spectrum_of(1), c.pt_spectrum_of(0), c.pt_spectrum_of(2)]
+        gathers = []
+        gather = linalg.partial_transpose
+
+        def counting(rho, sys, dims=None):
+            gathers.append((rho, sys))
+            return gather(rho, sys, dims)
+
+        monkeypatch.setattr(linalg, "partial_transpose", counting)
+        eigh_shapes.clear()
+        fill_spectra(states, ("pt_spectrum",), (0, 1, 2))
+        # Party-major, each state once per party it misses.
+        assert gathers == [((a, b, b, c, a, b), (0, 0, 1, 1, 2, 2))]
+        assert eigh_shapes == [(6, 8, 8)]
+        assert [a.pt_spectrum_of(1), c.pt_spectrum_of(0), c.pt_spectrum_of(2)] == cached
+        # One state's three cuts are one gather from its own matrix.
+        (rho,) = validate_density(_three_qubit_stack(13, 1), [2, 2, 2])
+        gathers.clear()
+        eigh_shapes.clear()
+        slocc_classify(rho)
+        assert gathers == [((rho, rho, rho), (0, 1, 2))]
+        assert eigh_shapes == [(3, 8, 8)]
+
+    def test_a_fill_does_not_scan_validated_states_again(self, monkeypatch):
+        states = two_qutrit_alpha_state(np.array([4.0 + i / 10.0 for i in range(5)]))
+        lone = two_qutrit_alpha_state(4.5)
+        scans = []
+        finite = linalg._finite
+
+        def counting(a, what):
+            scans.append(np.shape(a))
+            return finite(a, what)
+
+        monkeypatch.setattr(linalg, "_finite", counting)
+        fill_spectra(states)
+        fill_spectra((lone,))
+        assert scans == []
+        assert states[0].realign_norm > 1.0 and lone.pt_spectrum is lone.pt_spectrum
+
     def test_a_lone_missing_cut_is_solved_as_a_matrix(self, eigh_shapes):
         states = validate_density(_three_qubit_stack(8, 2), [2, 2, 2])
         fill_spectra(states, ("pt_spectrum",), (0, 2))
@@ -318,6 +363,70 @@ class TestOneBadMatrix:
             validate_density(np.stack([np.eye(4) / 4] * 2), [2, 3])
 
 
+def _witnesses(seed, k):
+    """``k`` witnesses ``(|psi><psi|)^{T_B}`` of random entangled 2 x 3 kets,
+    every other one scaled by 3 so that it is normalized first."""
+    rng = np.random.default_rng(seed)
+    ws = []
+    for i in range(k):
+        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+        ws.append(witness_from_pure(psi, 1, [2, 3]) * (3.0 if i % 2 else 1.0))
+    return np.stack(ws)
+
+
+def _weak_witness(rng):
+    """The witness of a 2 x 3 ket a little away from a product: its smallest
+    eigenvalue is negative but small, so it stays a witness at ``p = 0.9``."""
+    a = rng.normal(size=2) + 1j * rng.normal(size=2)
+    b = rng.normal(size=3) + 1j * rng.normal(size=3)
+    psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)) + 0.002 * rng.normal(size=6)
+    return witness_from_pure(psi, 1, [2, 3])
+
+
+def _witness_bits(sw):
+    return sw.w_tilde.tobytes(), float(sw.p).hex(), float(sw.r_bound).hex(), type(sw.r_bound)
+
+
+class TestWitnessStacks:
+    @pytest.mark.parametrize("p", [None, 0.25])
+    def test_every_witness_of_a_stack_has_the_bits_of_its_own(self, eigh_shapes, p):
+        ws = _witnesses(21, 5)
+        stacked = spa_witness(ws, 2, 3, p=p)
+        assert eigh_shapes == [(5, 6, 6)]
+        assert isinstance(stacked, tuple) and len(stacked) == 5
+        for w, sw in zip(ws, stacked):
+            assert _witness_bits(sw) == _witness_bits(spa_witness(w, 2, 3, p=p))
+
+    def test_a_lone_witness_is_solved_as_a_matrix(self, eigh_shapes):
+        sw = spa_witness(_witnesses(22, 1)[0], 2, 3)
+        assert eigh_shapes == [(6, 6)]
+        assert not isinstance(sw, tuple)
+
+    @pytest.mark.parametrize("case", ["positive", "zero trace", "p too large",
+                                      "p outside [0, 1]"])
+    def test_a_stack_fails_as_its_bad_witness_fails_alone(self, case):
+        rng = np.random.default_rng(24)
+        ws = np.stack([_weak_witness(rng) for _ in range(3)])
+        bad, p = {"positive": (np.eye(6) / 6, None),
+                  "zero trace": (np.diag([1.0, -1.0, 0, 0, 0, 0]), None),
+                  "p too large": (_witnesses(23, 1)[0], 0.9),
+                  "p outside [0, 1]": (ws[1], 1.5)}[case]
+        if case != "p outside [0, 1]":
+            # The other witnesses pass every check: only the bad one fails.
+            spa_witness(np.delete(ws, 1, axis=0), 2, 3, p=p)
+        ws[1] = bad
+        with pytest.raises((NotAWitness, DimensionError)) as alone:
+            spa_witness(ws[1], 2, 3, p=p)
+        with pytest.raises(type(alone.value)) as stacked:
+            spa_witness(ws, 2, 3, p=p)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 6, 4), (2, 2, 6, 6), (4, 4)])
+    def test_rejects_what_is_not_a_stack_of_witnesses_of_the_dims(self, shape):
+        with pytest.raises(DimensionError):
+            spa_witness(np.zeros(shape), 2, 3)
+
+
 # Each family's curve grid, as the figures use it.
 _FAMILIES = [
     (werner_state, [0.35 + 0.05 * i for i in range(14)]),
@@ -391,6 +500,5 @@ class TestCurveSolves:
 
     def test_fig2_1_validates_its_curve_as_one_stack(self, eigh_shapes):
         TABLES["fig2.1"].generate()
-        assert eigh_shapes.count((20, 6, 6)) == 1
-        # The rest are the 20 witnesses, one per point.
-        assert sorted(eigh_shapes, key=len) == [(6, 6)] * 20 + [(20, 6, 6)]
+        # The validation of the 20 states, then their 20 witnesses.
+        assert eigh_shapes == [(20, 6, 6), (20, 6, 6)]
