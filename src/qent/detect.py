@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import DensityMatrix, _below, _floor_eps, expectation, herm_eigenvalues
+from .linalg import DensityMatrix, _below, _eye, _floor_eps, expectation, herm_eigenvalues
 from .spa import SpaState, SpaWitness
 from .states import projector
 
@@ -92,7 +92,7 @@ def reduction_check(rho: DensityMatrix) -> Verdict:
     d0, d1 = rho.dims
     rho_a = np.trace(rho.mat.reshape(d0, d1, d0, d1), axis1=1, axis2=3)
     # rho_A (x) I by broadcasting: np.kron's bits at a quarter of its cost.
-    rho_a_i = rho_a[:, None, :, None] * np.eye(d1)[None, :, None, :]
+    rho_a_i = rho_a[:, None, :, None] * _eye(d1)[None, :, None, :]
     lam = float(herm_eigenvalues(rho_a_i.reshape(rho.mat.shape) - rho.mat).eigenvalues[0])
     entangled = _below(lam, 0.0, (d1 - 1) * _floor_eps(rho))
     outcome = Outcome.Entangled if entangled else Outcome.Inconclusive
@@ -143,7 +143,7 @@ def bounds_LU(rho: DensityMatrix, rho_tilde: SpaState, w):
     ``U = 1/2 + L``; the minimum eigenvalue of ``rho_tilde`` satisfies
     ``max(L, 0) <= lambda_min <= U`` when ``W`` detects ``rho``.
     """
-    val = (expectation(rho_tilde.rho_tilde.mat, rho)
+    val = (expectation(rho_tilde.rho_tilde, rho)
            + expectation(np.asarray(w, dtype=complex), rho))
     return float(val), float(0.5 + val)
 
@@ -168,7 +168,7 @@ def concurrence_bounds(rho: DensityMatrix, w_tilde: SpaWitness,
         raise DimensionError(f"witness mixing p must be nonzero, in (0, 1], got {w_tilde.p}")
     dim = rho.dim
     lower = (1.0 - w_tilde.p) / (w_tilde.p * dim) - expectation(w_tilde.w_tilde, rho) / w_tilde.p
-    upper = expectation(rho_tilde.rho_tilde.mat, rho)
+    upper = expectation(rho_tilde.rho_tilde, rho)
     return ConcurrenceBounds(lower=float(lower), upper=float(upper))
 
 
@@ -188,7 +188,7 @@ def criterion2(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
     _check_estimate(c)
     rt = rho_tilde.rho_tilde
     lam = float(rt.spectrum.eigenvalues[0])
-    margin = lam - (expectation(rt.mat, rho) - c)
+    margin = lam - (expectation(rt, rho) - c)
     outcome = Outcome.ConditionViolated if _below(margin, 0.0) else Outcome.ConditionSatisfied
     return Verdict(outcome=outcome, evidence=float(margin), criterion="criterion2")
 
@@ -197,6 +197,6 @@ def criterion3(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
     """Entanglement from the tightened upper bound:
     ``U_ent = 1/2 + Tr(rho_tilde rho) - C < 1/2`` detects entanglement."""
     _check_estimate(c)
-    u_ent = 0.5 + expectation(rho_tilde.rho_tilde.mat, rho) - c
+    u_ent = 0.5 + expectation(rho_tilde.rho_tilde, rho) - c
     outcome = Outcome.Entangled if _below(u_ent, 0.5) else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=float(u_ent), criterion="criterion3")

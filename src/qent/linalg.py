@@ -7,8 +7,14 @@ the computational basis is big-endian (for three qubits, basis index 0 is
 fixed permutations of a matrix's entries: :func:`partial_transpose` serves
 every cut of every state with one gather through the flat index table of its
 ``(dims, party)`` (:func:`_pt_table`), and :func:`realign` through that of
-its ``d`` (:func:`_realign_table`).  Each table is built on first use,
-cached and read-only; importing the package builds none.
+its ``d`` (:func:`_realign_table`).  These tables, the identity of
+:func:`_eye` (the ``I`` of the SPA-PT maps, the SPA witnesses and the
+reduction check) and the :func:`exact_dims` shapes are the fixed operands of
+the package: each is built on first use and read-only.  The arrays are
+cached by one rule (:func:`_fixed_operand`: at most ``OPERAND_CACHE_COUNT``
+of each kind, and only those of matrices of side at most
+``OPERAND_CACHE_SIDE``; a larger one is built per call), and the shapes,
+which are tiny, by the count alone.  Importing the package builds none.
 
 Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
 (``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
@@ -57,12 +63,13 @@ same rules by the same code, a matrix being the one-element case:
 a tuple of states, whose validated matrices are not scanned again.
 :func:`fill_spectra`, the only writer of the partial-transpose cache, fills
 a tuple of states with one gather and one stacked solve per map (a single
-state fills itself this way too).  The spectra of one stacked solve share
-one sum of ``|lambda|`` per matrix, taken on the first read of a
-``trace_norm``.  Each matrix of a stack gets the bits it gets on its own:
-stacked ``eigh`` and ``svd`` solve each matrix as a loop would, every other
-step is a gather, elementwise, or a reduction within one matrix, and a stack
-with one bad matrix raises what that matrix raises alone.  Two steps still
+state fills itself this way too, its lone matrix gathered and solved 2-D).
+The spectra of one stacked solve share one sum of ``|lambda|`` per matrix,
+taken on the first read of a ``trace_norm``.  Each matrix of a stack gets
+the bits it gets on its own: stacked ``eigh`` and ``svd`` solve each matrix
+as a loop would, every other step is a gather, elementwise, or a reduction
+within one matrix, and a stack with one bad matrix raises what that matrix
+raises alone.  Two steps still
 see the leading axis: the returned container (one value for a matrix, a
 tuple or array of ``k`` for a stack), and the LAPACK call, which solves a
 lone matrix 2-D rather than as a stack of one.  The benchmark's tracer
@@ -76,7 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import repeat
 from typing import Callable
 
@@ -102,6 +109,10 @@ IMAG_TOL = 1e-8  # largest imaginary part of an expectation value
 PARAM_NORM_TOL = 1e-6  # largest |sum lambda_i^2 - 1| of typed canonical parameters
 TABLE_TOL = 1e-3  # per-cell tolerance of a reproduced golden table
 CURVE_TOL = 1e-9  # per-cell tolerance of a reproduced golden curve
+
+# The cache rule of the fixed operands (see the module notes).
+OPERAND_CACHE_SIDE = 64  # largest matrix side whose operands are cached
+OPERAND_CACHE_COUNT = 1024  # most operands of one kind kept at once
 
 
 def _below(statistic, threshold, budget=0.0):
@@ -199,7 +210,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", np.asarray(self.mat, dtype=complex))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
 
 
 @dataclass(frozen=True)
@@ -369,8 +380,10 @@ class Shape:
             raise DimensionError(f"{name} needs {self.phrase}, got dims {list(dims)}")
 
 
+@lru_cache(maxsize=OPERAND_CACHE_COUNT, typed=True)
 def exact_dims(*dims):
-    """The :class:`Shape` of the states with subsystem dimensions ``dims``."""
+    """The :class:`Shape` of the states with subsystem dimensions ``dims``,
+    built once per ``dims`` (of the ``OPERAND_CACHE_COUNT`` latest)."""
     return Shape(f"dims {list(dims)}", lambda d: d == dims)
 
 
@@ -415,13 +428,39 @@ def _one_dims(states):
     return dims
 
 
-@lru_cache(maxsize=None)
+def _fixed_operand(side):
+    """Decorate the builder of a read-only fixed operand with the one cache
+    rule of the package: the operand of a key whose matrices have side
+    ``side(*key)`` at most ``OPERAND_CACHE_SIDE`` is built once and kept
+    (the ``OPERAND_CACHE_COUNT`` latest of them), and a larger one is built
+    on every call by the same builder, so a large state leaves nothing
+    behind.  The decorated function keeps the cache's ``cache_info``."""
+    def decorate(build):
+        cached = lru_cache(maxsize=OPERAND_CACHE_COUNT)(build)
+
+        @wraps(build)
+        def operand(*key):
+            return (cached if side(*key) <= OPERAND_CACHE_SIDE else build)(*key)
+
+        operand.cache_info = cached.cache_info
+        return operand
+    return decorate
+
+
+@_fixed_operand(lambda n: n)
+def _eye(n):
+    """The read-only ``n x n`` identity (float), a :func:`_fixed_operand`."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@_fixed_operand(lambda dims, party: math.prod(dims))
 def _pt_table(dims, party):
     """Flat index table of the partial transpose over ``party`` of a matrix
     of subsystem dimensions ``dims`` (a tuple): flat entry ``i`` of the
-    transpose is flat entry ``table[i]`` of the matrix.  Built on first use,
-    once per ``(dims, party)``, and read-only, since every later map of those
-    dims reads it."""
+    transpose is flat entry ``table[i]`` of the matrix.  A read-only
+    :func:`_fixed_operand`, since every later map of those dims reads it."""
     n = len(dims)
     axes = list(range(2 * n))
     axes[party], axes[party + n] = axes[party + n], axes[party]
@@ -430,7 +469,7 @@ def _pt_table(dims, party):
     return table
 
 
-@lru_cache(maxsize=None)
+@_fixed_operand(lambda d: d * d)
 def _realign_table(d):
     """Flat index table of the realignment of a ``[d, d]`` matrix, as
     :func:`_pt_table`: entry ``((i, j), (k, l))`` moves to ``((i, k), (j, l))``."""
@@ -623,10 +662,11 @@ def _check_residual(residual, lam):
     per matrix) is within ``EIG_RESIDUAL_TOL * max(1, max |lambda|)`` of its
     matrix's eigenvalues, the last axis of ``lam``: the one residual bound.
     A lone matrix's residual is a float, checked without a numpy reduction:
-    its ``lam`` is ascending, so ``max |lambda|`` is read from the two ends as
-    ``max(-lam[0], lam[-1])``, the same float as the largest modulus."""
+    its ``lam`` is ascending (or only its two ends), so ``max |lambda|`` is
+    read from the two ends as ``max(-lam[0], lam[-1])``, the same float as
+    the largest modulus."""
     # Each check is written so that a NaN residual fails it.
-    if lam.ndim == 1:
+    if isinstance(residual, float):
         bound = EIG_RESIDUAL_TOL * max(1.0, -lam[0], lam[-1])
         if not residual <= bound:
             raise EigensolverError("eigensolver residual above tolerance", float(residual))
@@ -690,26 +730,35 @@ def trace_norm(a):
     return norms
 
 
+def _matrix(a):
+    """The matrix of a :class:`DensityMatrix`, read without a scan (a state
+    is finite by construction), or ``a`` as a complex array once it is a
+    finite square matrix."""
+    return a.mat if isinstance(a, DensityMatrix) else _finite(_square(a), "matrix")
+
+
 def expectation(h, rho):
     """Expectation value ``Tr(h rho)`` of a Hermitian operator.
 
     Parameters
     ----------
-    h : array_like
-        Hermitian operator.
+    h : DensityMatrix or array_like
+        Hermitian operator.  A :class:`DensityMatrix` (say the SPA-PT state
+        ``rho_tilde``) is read as its matrix without a finiteness scan,
+        because a state is finite by construction; a bare operator is
+        scanned.
     rho : DensityMatrix or array_like
-        State of matching dimension.
+        State of matching dimension, read the same way.
 
     Returns
     -------
     float
         The (real) trace value.
     """
-    hm = _finite(_square(h), "matrix")
-    mat = rho.mat if isinstance(rho, DensityMatrix) else _finite(_square(rho), "matrix")
+    hm, mat = _matrix(h), _matrix(rho)
     if hm.shape != mat.shape:
         raise DimensionError(f"operator shape {hm.shape} != state shape {mat.shape}")
-    return _checked_real(complex(np.trace(hm @ mat)))
+    return _checked_real(complex((hm @ mat).trace()))
 
 
 def validate_density(m, dims):
@@ -773,7 +822,7 @@ def validate_density(m, dims):
 def _unit_trace(mat, what):
     """Raise :class:`~qent.errors.TraceViolation` unless the trace of
     ``mat``, or of each matrix of a stack, is within ``TRACE_TOL`` of 1."""
-    trace_dev = abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0)
+    trace_dev = abs(mat.trace(axis1=-2, axis2=-1) - 1.0)
     # A NaN trace makes the largest deviation NaN, which fails the check.
     worst = float(trace_dev.max())
     if not worst <= TRACE_TOL:
@@ -794,7 +843,7 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
     cached yet is taken by one :func:`partial_transpose` call, one gather
     from the states' own matrices (party-major, each state once per party
     it misses), and solved by one stacked :func:`herm_eigenvalues` call; a
-    lone pair is solved as its 2-D matrix.  The norms take one
+    lone pair is gathered and solved as its 2-D matrix.  The norms take one
     :func:`realign` of the states and one :func:`trace_norm` call.  Each
     value has the bits the state gets solved on its own.  An empty tuple of
     states fills nothing.
@@ -818,8 +867,8 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
         todo = [(rho, k) for k in keys for rho in states if k not in rho._pt_spectra]
         if todo:
             owners, cuts = zip(*todo)
-            pts = partial_transpose(owners, cuts)
-            specs = herm_eigenvalues(pts) if len(pts) > 1 else (herm_eigenvalues(pts[0]),)
+            specs = (herm_eigenvalues(partial_transpose(owners, cuts)) if len(todo) > 1
+                     else (herm_eigenvalues(partial_transpose(*todo[0])),))
             for rho, k, spec in zip(owners, cuts, specs):
                 rho._pt_spectra[k] = spec
     if "realign_norm" in names:
@@ -832,7 +881,7 @@ def _derived(mat, dims, spectrum=None, ket=None):
     """Wrap ``mat`` unchecked, seeding its spectrum when it is known and
     keeping the normalized ``ket`` of a projector: a state by construction
     (see the module notes)."""
-    rho = DensityMatrix(mat=mat, dims=tuple(dims), ket=ket)
+    rho = DensityMatrix(mat=mat, dims=dims, ket=ket)
     if spectrum is not None:
         # cached_property stores in the instance dict, which the frozen
         # dataclass's __setattr__ guard does not cover.

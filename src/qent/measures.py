@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import PSD_FLOOR, DensityMatrix, _check_residual, _finite, _square, herm_eigenvalues
+from .linalg import PSD_FLOOR, DensityMatrix, _check_residual, _matrix, herm_eigenvalues
 from .spa import _spa_coefficients
 from .states import _SIGMA_YY, _cut_schmidt_products, ket
 
@@ -45,13 +45,15 @@ def concurrence_2q(rho: DensityMatrix) -> MeasureValue:
     flipped = _SIGMA_YY @ rho.mat.conj() @ _SIGMA_YY
     # rho @ flipped is similar to the Hermitian PSD matrix
     # sqrt(rho) flipped sqrt(rho), so its spectrum can be taken Hermitianly.
+    # Scaling column j by s_j has the bits of the product with diag(s): each
+    # entry of that matmul is v_ij s_j plus exact zeros.  np.clip(x, 0.0,
+    # None) is np.maximum(x, 0.0) (clip calls it when there is no upper
+    # bound), and the tail rounds on Python floats as on numpy scalars.
     spec = rho.spectrum
-    root = spec.vectors @ np.diag(np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) \
-        @ spec.vectors.conj().T
+    root = (spec.vectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))) @ spec.vectors.conj().T
     lam = herm_eigenvalues(root @ flipped @ root).eigenvalues
-    lam = np.sqrt(np.clip(lam[::-1], 0.0, None))
-    return MeasureValue(value=max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])),
-                        measure="concurrence", d=2)
+    l1, l2, l3, l4 = np.sqrt(np.maximum(lam[::-1], 0.0)).tolist()
+    return MeasureValue(value=max(0.0, l1 - l2 - l3 - l4), measure="concurrence", d=2)
 
 
 def concurrence_pure(psi, d1, d2) -> MeasureValue:
@@ -102,10 +104,11 @@ def structured_negativity(rho: DensityMatrix) -> MeasureValue:
     d = rho.dims[0]
     shift, scale, threshold, _ = _spa_coefficients(d, d)
     pt = rho.pt_spectrum
-    lam_tilde = shift + scale * pt.eigenvalues
-    _check_residual(scale * pt.residual, lam_tilde)
+    # The two ends of the affine spectrum are all the bound and the value read.
+    lo, hi = (shift + scale * pt.eigenvalues.item(i) for i in (0, -1))
+    _check_residual(scale * pt.residual, (lo, hi))
     k = d * (d ** 3 + 1)
-    return MeasureValue(value=k * max(threshold - float(lam_tilde[0]), 0.0),
+    return MeasureValue(value=k * max(threshold - lo, 0.0),
                         measure="structured_negativity", d=d)
 
 
@@ -180,6 +183,6 @@ def three_pi(psi) -> MeasureValue:
 def l1_coherence(rho) -> MeasureValue:
     """l1-norm of coherence: sum of moduli of off-diagonal entries in the
     computational basis."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else _finite(_square(rho), "matrix")
+    mat = _matrix(rho)
     val = float(np.sum(np.abs(mat)) - np.sum(np.abs(np.diag(mat))))
     return MeasureValue(value=val, measure="l1_coherence", d=mat.shape[0])

@@ -72,7 +72,7 @@ def _row_2_1(point):
 def _row_2_2(point):
     a, b, f = point
     rho, favg = _x_witness_avg(a, b, f)
-    upper = float(expectation(spa_pt_two_qubit(rho).rho_tilde.mat, rho))
+    upper = float(expectation(spa_pt_two_qubit(rho).rho_tilde, rho))
     return [a, b, f.real, f.imag, favg, upper, x_state_concurrence(a, f)]
 
 

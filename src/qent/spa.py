@@ -30,6 +30,7 @@ from .linalg import (
     DensityMatrix,
     _checked_spectrum,
     _derived,
+    _eye,
     _qubit_party,
     _unit_trace,
     _whole,
@@ -85,7 +86,7 @@ def _spa_pt(rho: DensityMatrix, party, shift, scale):
     spectrum of ``rho^{T_k}`` (``rho.pt_spectrum_of(k)``), with the residual
     measured against the output; the output itself is never solved."""
     pt = rho.pt_spectrum_of(party)
-    out = shift * np.eye(rho.dim) + scale * partial_transpose(rho, party)
+    out = shift * _eye(rho.dim) + scale * partial_transpose(rho, party)
     return _derived(out, rho.dims,
                     _checked_spectrum(out, shift + scale * pt.eigenvalues, pt.vectors))
 
@@ -280,7 +281,7 @@ def spa_witness(w, d1, d2, p=None):
     # follows from W's.
     if any(q * lam + (1.0 - q) / dim < PSD_FLOOR for q, lam in zip(ps, lam_mins)):
         raise NotAWitness("chosen p leaves the approximated witness non-positive")
-    eye = np.eye(dim)
+    eye = _eye(dim)
     out = tuple(SpaWitness(w_tilde=q * one + ((1.0 - q) / dim) * eye, p=float(q),
                            r_bound=(1.0 - q) / dim) for q, one in zip(ps, stack))
     return out if w.ndim == 3 else out[0]

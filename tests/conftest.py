@@ -1,5 +1,6 @@
 """Shared helpers: seeded random states, index-loop oracles, the reshape
-kernels the index tables replaced, and a solve counter."""
+kernels the index tables replaced, the diagonal-matmul concurrence kernel
+the column scaling replaced, and a solve counter."""
 
 import importlib
 import sys
@@ -133,6 +134,24 @@ def oracle_partial_transpose(mat, sys, dims):
     axes = list(range(lead + 2 * n))
     axes[lead + sys], axes[lead + sys + n] = axes[lead + sys + n], axes[lead + sys]
     return mat.reshape(mat.shape[:lead] + tuple(dims) * 2).transpose(axes).reshape(mat.shape)
+
+
+def oracle_concurrence_2q(rho):
+    """``(solved, value)`` of the two-qubit concurrence by the kernel the
+    column scaling replaced: the root of ``rho`` through ``np.diag`` of its
+    clipped eigenvalues, and a tail on numpy scalars.  ``solved`` is the
+    matrix whose spectrum it takes, ``value`` the concurrence before
+    ``MeasureValue``'s clamp."""
+    from qent.states import _SIGMA_YY
+
+    flipped = _SIGMA_YY @ rho.mat.conj() @ _SIGMA_YY
+    spec = rho.spectrum
+    root = spec.vectors @ np.diag(np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) \
+        @ spec.vectors.conj().T
+    solved = root @ flipped @ root
+    lam = linalg.herm_eigenvalues(solved).eigenvalues
+    lam = np.sqrt(np.clip(lam[::-1], 0.0, None))
+    return solved, max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def oracle_realign(mat, d):

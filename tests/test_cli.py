@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,8 @@ from qent.states import (
     two_qutrit_alpha_state,
     werner_state,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -395,9 +399,10 @@ class TestReproduce:
 
 class TestConsoleScript:
     def test_entry_point_runs(self, werner_file):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "qent.cli", "detect", werner_file],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["command"] == "detect"

@@ -7,8 +7,8 @@ builds a vector of a literal size by hand; no module tests an
 argument by membership in ``range(...)`` or in a literal set of ints; and
 no module but ``linalg`` takes the modulus of eigenvalues or solves a
 partial transpose.  Every array the package shares, a module-level constant
-or a cached index table, is read-only, and importing the package builds no
-index table."""
+or a cached fixed operand (an index table or an identity), is read-only, and
+importing the package builds no fixed operand."""
 
 import ast
 import os
@@ -352,8 +352,9 @@ def test_partial_transposes_are_solved_in_linalg(path):
 
 
 def test_shared_arrays_are_read_only():
-    # Every caller reads the same module-level arrays and cached index
-    # tables; a write through one of them would corrupt every later map.
+    # Every caller reads the same module-level arrays and cached fixed
+    # operands; a write through one of them would corrupt every later map,
+    # and through the shared identity every later reduction check and SPA-PT.
     import qent
     from qent import linalg
 
@@ -373,15 +374,23 @@ def test_shared_arrays_are_read_only():
                 table[0] = 0
     for d in range(1, 5):
         assert not linalg._realign_table(d).flags.writeable
+    # The largest side cached and the smallest built per call.
+    for n in [1, 2, 3, 4, 6, 8, 9, 16, linalg.OPERAND_CACHE_SIDE, linalg.OPERAND_CACHE_SIDE + 1]:
+        eye = linalg._eye(n)
+        assert not eye.flags.writeable
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
+
+CACHED_OPERANDS = ("_pt_table", "_realign_table", "_eye", "exact_dims")
 
 
 def test_importing_the_package_builds_no_index_table():
-    # The tables are built on first use, so an import (and with it the CLI's
-    # cold start) pays for none of them.
+    # The fixed operands are built on first use, so an import (and with it
+    # the CLI's cold start) pays for none of them.
     probe = ("import qent, qent.cli; from qent import linalg; "
-             "print(linalg._pt_table.cache_info().currsize, "
-             "linalg._realign_table.cache_info().currsize)")
+             f"print(*(getattr(linalg, name).cache_info().currsize for name in {CACHED_OPERANDS}))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0"] * len(CACHED_OPERANDS)

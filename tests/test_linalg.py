@@ -383,6 +383,49 @@ class TestIndexTables:
         assert np.array_equal(realign(((2.0,),), [1, 1]), [[2.0]])
 
 
+class TestOperandCaches:
+    def test_a_large_state_leaves_no_table_behind(self, rng):
+        # Above OPERAND_CACHE_SIDE each table is built per call: mapping a
+        # 9-qubit matrix over each party leaves the cache as it was, while a
+        # small map is served from it.
+        dims = (2,) * 9
+        m = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
+        before = linalg._pt_table.cache_info()
+        for sys in range(len(dims)):
+            assert _same_bytes(partial_transpose(m, sys, list(dims)),
+                               oracle_partial_transpose(m, sys, dims))
+        assert linalg._pt_table.cache_info() == before
+        small = rng.normal(size=(9, 9))
+        partial_transpose(small, 0, [3, 3])
+        hits = linalg._pt_table.cache_info().hits
+        assert _same_bytes(partial_transpose(small, 0, [3, 3]),
+                           oracle_partial_transpose(small.astype(complex), 0, (3, 3)))
+        assert linalg._pt_table.cache_info().hits == hits + 1
+
+    def test_every_fixed_operand_follows_the_side_rule(self):
+        side = linalg.OPERAND_CACHE_SIDE
+        cases = [(linalg._pt_table, ((2, side // 2), 1), ((2, side // 2 + 1), 1)),
+                 (linalg._realign_table, (8,), (9,)),
+                 (linalg._eye, (side,), (side + 1,))]
+        for builder, kept, built in cases:
+            assert builder(*kept) is builder(*kept)
+            before = builder.cache_info()
+            assert np.array_equal(builder(*built), builder(*built))
+            assert builder(*built) is not builder(*built)
+            assert builder.cache_info() == before
+        assert np.array_equal(linalg._eye(3), np.eye(3))
+
+    def test_the_shapes_are_bounded_by_count(self):
+        assert linalg.exact_dims(2, 3) is linalg.exact_dims(2, 3)
+        assert linalg.exact_dims(2, 3).fits((2, 3)) and not linalg.exact_dims(2, 3).fits((3, 2))
+        for d in range(linalg.OPERAND_CACHE_COUNT + 5):
+            linalg.exact_dims(1, d)
+        assert linalg.exact_dims.cache_info().currsize == linalg.OPERAND_CACHE_COUNT
+        # A float dimension is a key of its own, with its own phrase.
+        assert "2.0" in linalg.exact_dims(2.0, 2.0).phrase
+        assert "2.0" not in linalg.exact_dims(2, 2).phrase
+
+
 class TestResidualBound:
     @pytest.mark.parametrize("lam", [[-3.0, 0.5, 2.0], [-0.5, 0.25], [-1.0, 4.0], [0.1, 0.2],
                                      [-2.0], [-1e300, 1e-300]])
@@ -544,6 +587,20 @@ class TestExpectation:
         sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
         with pytest.raises(HermiticityViolation):
             expectation(sy, np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (2, 2, 2)])
+    def test_a_state_operator_has_the_bits_of_its_matrix(self, rng, dims):
+        op, rho = random_density(rng, dims), random_density(rng, dims)
+        for state in (rho, rho.mat):
+            assert expectation(op, state).hex() == expectation(op.mat, state).hex()
+
+    def test_rejects_a_non_finite_bare_operator(self, rng):
+        rho = random_density(rng, (2, 2))
+        for bad in (np.nan, np.inf):
+            op = np.eye(4, dtype=complex)
+            op[1, 2] = bad
+            with pytest.raises(NonFiniteEntry):
+                expectation(op, rho)
 
 
 class TestIdentity:

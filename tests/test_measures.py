@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_density, random_product_density, random_pure, random_unitary
+from conftest import (
+    oracle_concurrence_2q,
+    random_density,
+    random_product_density,
+    random_pure,
+    random_unitary,
+)
+from qent import measures
 from qent.detect import ppt_check, realignment_check, reduction_check
 from qent.errors import DimensionError, EigensolverError
 from qent.linalg import EIG_RESIDUAL_TOL, Spectrum, partial_trace, tensor, validate_density
@@ -21,6 +30,7 @@ from qent.measures import (
 from qent.spa import spa_pt_dd
 from qent.states import (
     bell_phi_plus,
+    projector,
     ghz_state,
     ghz_w_mixture,
     mems_state,
@@ -76,6 +86,52 @@ class TestConcurrence:
             rho_a = v @ v.conj().T
             ref = np.sqrt(2.0 * (1.0 - np.trace(rho_a @ rho_a).real))
             assert abs(concurrence_pure(v.reshape(-1), d1, d2).value - ref) <= 1e-12
+
+
+def _two_qubit_state(seed, rank, kind):
+    """A two-qubit state of ``rank`` 1 to 4: a validated mixture of complex
+    or real random kets, a mixture of product kets, or (rank 1) the
+    projector of a ket.  The rank-deficient ones have zero eigenvalues that
+    round to either sign."""
+    rng = np.random.default_rng(seed)
+    if kind == "projector":
+        return projector(random_pure(rng, 4), [2, 2])
+    if kind == "product":
+        kets = [np.kron(random_pure(rng, 2), random_pure(rng, 2)) for _ in range(rank)]
+        g = np.stack(kets, axis=1) * np.sqrt(rng.dirichlet(np.ones(rank)))
+    else:
+        g = rng.normal(size=(4, rank)) + (kind == "complex") * 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    return validate_density(m / np.trace(m).real, [2, 2])
+
+
+class TestConcurrenceKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           rank=st.integers(min_value=1, max_value=4),
+           kind=st.sampled_from(["complex", "real", "product", "projector"]))
+    def test_the_column_scaling_has_the_bits_of_the_diagonal_matmul(self, seed, rank, kind):
+        rho = _two_qubit_state(seed, rank, kind)
+        solved = []
+        solve = measures.herm_eigenvalues
+
+        def recording(h):
+            solved.append(h)
+            return solve(h)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "herm_eigenvalues", recording)
+            got = concurrence_2q(rho).value
+        ref_solved, ref = oracle_concurrence_2q(rho)
+        assert len(solved) == 1 and solved[0].tobytes() == ref_solved.tobytes()
+        assert got.hex() == ref.hex()
+
+    def test_pure_and_product_states_reach_both_ends(self):
+        # The property's states include concurrence 1 and exact zeros.
+        bell = projector(bell_phi_plus(), [2, 2])
+        assert concurrence_2q(bell).value.hex() == oracle_concurrence_2q(bell)[1].hex()
+        product = _two_qubit_state(3, 2, "product")
+        assert concurrence_2q(product).value == oracle_concurrence_2q(product)[1] == 0.0
 
 
 class TestNegativities:
