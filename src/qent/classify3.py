@@ -18,6 +18,7 @@ the parametric form, not a SLOCC-inequivalence proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,7 +47,7 @@ class CanonicalThreeQubit:
 
     ``lambda0 |000> + lambda1 e^{i theta} |100> + lambda2 |101>
     + lambda3 |110> + lambda4 |111>`` with all lambdas in [0, 1] and
-    squared norms summing to 1.
+    squared norms summing to 1, kept as floats once checked.
     """
 
     lambda0: float
@@ -69,6 +70,8 @@ class CanonicalThreeQubit:
             raise DimensionError(f"canonical lambdas must be nonnegative, got {self.lambdas}")
         if not (0.0 <= self.theta <= np.pi):
             raise DimensionError("theta must lie in [0, pi]")
+        for k, l in enumerate(self.lambdas):
+            object.__setattr__(self, f"lambda{k}", float(l))
 
 
 def _canonical_amplitudes(params):
@@ -170,7 +173,7 @@ def _witness_coefficient(params, which):
     if which == "H4":
         t1 = (l2 ** 4 - 2.0 * l2 ** 2 * l3 ** 2 + 2.0 * l2 ** 2 * l4 ** 2
               + (l3 ** 2 + l4 ** 2) ** 2)
-        return 2.0 * l0 ** 2 * (1.0 - l0 ** 2 + np.sqrt(t1))
+        return 2.0 * l0 ** 2 * (1.0 - l0 ** 2 + math.sqrt(max(0.0, t1)))
     if which in ("H5", "H8"):
         li = l2
     elif which == "H6":
@@ -180,11 +183,11 @@ def _witness_coefficient(params, which):
               - 2.0 * l2 ** 2 * l3 ** 2 + 2.0 * l2 ** 2 * l4 ** 2
               + 2.0 * l1 ** 2 * l2 ** 2 + 2.0 * l1 ** 2 * l3 ** 2
               - 2.0 * l1 ** 2 * l4 ** 2 + 2.0 * l3 ** 2 * l4 ** 2)
-        return 2.0 * l0 ** 2 * (l1 ** 2 + l2 ** 2 + l3 ** 2 + l4 ** 2 + np.sqrt(t4))
+        return 2.0 * l0 ** 2 * (l1 ** 2 + l2 ** 2 + l3 ** 2 + l4 ** 2 + math.sqrt(max(0.0, t4)))
     else:
         raise DimensionError(f"unknown witness {which!r}")
     ti = l1 ** 4 + 2.0 * l1 ** 2 * (li ** 2 - l4 ** 2) + (li ** 2 + l4 ** 2) ** 2
-    return 2.0 * l0 ** 2 * (l1 ** 2 + li ** 2 + l4 ** 2 + np.sqrt(ti))
+    return 2.0 * l0 ** 2 * (l1 ** 2 + li ** 2 + l4 ** 2 + math.sqrt(max(0.0, ti)))
 
 
 def ghz_witness_operator(params: CanonicalThreeQubit, which):
@@ -291,16 +294,16 @@ def subclass_fidelities(params: CanonicalThreeQubit, subclass):
     base = 2.0 * (1.0 + l0 * l4) / 3.0
     if subclass == "S1":
         return (base, base, base)
-    f_a = 2.0 * (1.0 + l4 * np.sqrt(l0 ** 2 + l1 ** 2)) / 3.0
+    f_a = 2.0 * (1.0 + l4 * math.sqrt(max(0.0, l0 ** 2 + l1 ** 2))) / 3.0
     if subclass == "S2":
         return (f_a, base, base)
-    f_b = 2.0 * (1.0 + l0 * np.sqrt(l2 ** 2 + l4 ** 2)) / 3.0
+    f_b = 2.0 * (1.0 + l0 * math.sqrt(max(0.0, l2 ** 2 + l4 ** 2))) / 3.0
     if subclass == "S3":
         return (f_a, f_b, base)
     y = (l0 ** 2 * l4 ** 2 + l1 ** 2 * l4 ** 2 + l2 ** 2 * l3 ** 2
          - 4.0 * l1 * l2 * l3 * l4)
-    f_a4 = 2.0 * (1.0 + np.sqrt(max(0.0, y))) / 3.0
-    f_c = 2.0 * (1.0 + l0 * np.sqrt(l3 ** 2 + l4 ** 2)) / 3.0
+    f_a4 = 2.0 * (1.0 + math.sqrt(max(0.0, y))) / 3.0
+    f_c = 2.0 * (1.0 + l0 * math.sqrt(max(0.0, l3 ** 2 + l4 ** 2))) / 3.0
     return (f_a4, f_b, f_c)
 
 
@@ -375,10 +378,10 @@ def slocc_classify(rho) -> SloccVerdict:
         v = ket(np.ravel(rho), [2, 2, 2])
     if v is None:
         linalg.fill_spectra((rho,), ("pt_spectrum",), (0, 1, 2))
-        lam_pt = np.array([rho.pt_spectrum_of(k).eigenvalues[0] for k in range(3)])
+        lam_pt = [rho.pt_spectrum_of(k).eigenvalues.item(0) for k in range(3)]
     else:
-        lam_pt = -_cut_schmidt_products(v)
-    lams = tuple((THREE_QUBIT_SHIFT + THREE_QUBIT_SCALE * lam_pt).tolist())
+        lam_pt = [-s for s in _cut_schmidt_products(v).tolist()]
+    lams = tuple(THREE_QUBIT_SHIFT + THREE_QUBIT_SCALE * lam for lam in lam_pt)
     below = [_below(lam, THREE_QUBIT_THRESHOLD) for lam in lams]
     if all(below):
         return SloccVerdict(outcome=SloccOutcome.Genuine, lambdas=lams)
@@ -449,23 +452,24 @@ def ghz_w_mixture_analysis(q1, q2=None) -> MixtureReport:
     q2 = 1.0 - q1 if two_term else q2
     # Built first: the mixture checks the weights before any closed form.
     verdict = slocc_classify(ghz_w_wtilde_mixture(q1, q2))
+    q1, q2 = float(q1), float(q2)
     if two_term:
         r1 = 1.0 - 2.0 * q1 + 10.0 * q1 ** 2
         r2 = 32.0 - 64.0 * q1 + 41.0 * q1 ** 2
-        q_forms = ((4.0 - q1 - np.sqrt(r1)) / 30.0,
-                   (6.0 + 3.0 * q1 - np.sqrt(r2)) / 60.0)
+        q_forms = ((4.0 - q1 - math.sqrt(max(0.0, r1))) / 30.0,
+                   (6.0 + 3.0 * q1 - math.sqrt(max(0.0, r2))) / 60.0)
         predicted = min(q_forms)
     else:
+        # (q1 + 2 q2 - 1)^2 + 9 q1^2, which rounds below 0 near (0, 1/2).
         rad = (1.0 - 2.0 * q1 + 10.0 * q1 ** 2 - 4.0 * q2 + 4.0 * q1 * q2
                + 4.0 * q2 ** 2)
         q_forms = None
-        predicted = (4.0 - q1 - np.sqrt(rad)) / 30.0
+        predicted = (4.0 - q1 - math.sqrt(max(0.0, rad))) / 30.0
     if q1 > _W_CLASS_MAX_Q1:
         regime = "GHZ-class"
     elif q1 >= 0.25:
         regime = "W-class"
     else:
         regime = None
-    return MixtureReport(q1=float(q1), q2=float(q2), lambdas=verdict.lambdas,
-                         predicted=float(predicted), q_forms=q_forms,
-                         regime=regime, verdict=verdict)
+    return MixtureReport(q1=q1, q2=q2, lambdas=verdict.lambdas, predicted=predicted,
+                         q_forms=q_forms, regime=regime, verdict=verdict)

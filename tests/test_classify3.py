@@ -1,6 +1,7 @@
 """Three-qubit canonical form, subclass witnesses, and the SLOCC classifier."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -192,6 +193,35 @@ class TestSubclassWitnesses:
         p8 = CanonicalThreeQubit(0.01, 0.948631, 0.3, 0.0, 0.1)
         assert abs(ghz_witness_value(p8, "H8") - 0.0225762926) <= 1e-9
 
+    @pytest.mark.parametrize("params,which", [
+        ((0.7270937711087943, 0.6566063115629335, 0.14177940546939863,
+          0.14177940546939863, 0.0), "H4"),
+        ((0.08055826410711227, 0.0, 0.7048086144777349, 0.7048086144777349, 0.0), "H7"),
+    ])
+    def test_a_radicand_rounded_below_zero_gives_a_finite_witness(self, params, which):
+        # Both radicands vanish here in exact arithmetic; expanded, they round
+        # below 0.  With a zero root and lambda4 = 0, H4 is -2 l0^2 (1 - l0^2)
+        # and H7 (lambda1 = 0, lambda2 = lambda3) is -4 l0^2 l2^2.
+        p = CanonicalThreeQubit(*params)
+        value, h = ghz_witness_value(p, which), ghz_witness_operator(p, which)
+        assert math.isfinite(value) and np.isfinite(h).all()
+        assert abs(expectation(h, canonical_projector(p)) - value) <= 1e-12
+        l0, l2 = params[0], params[2]
+        exact = -2.0 * l0 ** 2 * (1.0 - l0 ** 2) if which == "H4" else -4.0 * l0 ** 2 * l2 ** 2
+        assert abs(value - exact) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 1.0))
+    def test_witnesses_are_finite_where_the_radicands_vanish(self, l0, l1, l2):
+        # lambda2 = lambda3 and lambda4 = 0: H4's radicand
+        # ((l2-l3)^2+l4^2)((l2+l3)^2+l4^2) is 0, and H7's (l1^2+l2^2-l3^2-l4^2)^2
+        # + 4(l1 l3+l2 l4)^2 is 0 too when lambda1 = 0.
+        norm = math.sqrt(l0 * l0 + l1 * l1 + 2.0 * l2 * l2)
+        p = CanonicalThreeQubit(l0 / norm, l1 / norm, l2 / norm, l2 / norm, 0.0)
+        for which in classify3._WITNESS_NAMES:
+            assert math.isfinite(ghz_witness_value(p, which))
+            assert np.isfinite(ghz_witness_operator(p, which)).all()
+
     def test_theta_and_class_guards(self):
         tilted = CanonicalThreeQubit(0.6, 0.1, 0.0, 0.0,
                                      np.sqrt(1 - 0.37), theta=0.5)
@@ -220,6 +250,10 @@ class TestSubclassWitnesses:
         fa, fb, fc = subclass_fidelities(
             CanonicalThreeQubit(0.35, 0.1, 0.3, l3, 0.2), "S4")
         assert min(fa, fb, fc) >= 2.0 / 3.0
+        # Plain floats, whatever the type of the parameters, with pinned bits.
+        assert all(type(x) is float for x in (*f, fa, fb, fc))
+        assert [x.hex() for x in (fa, fb, fc)] == [
+            "0x1.a27741d4b8210p-1", "0x1.80685beb3c0b7p-1", "0x1.beac994b2d2fcp-1"]
 
     def test_fidelities_of_the_s2_and_s3_variants(self):
         # S2, the lambda1 variant: only F_A moves, to 2(1 + l4 |(l0, l1)|)/3.
@@ -227,11 +261,15 @@ class TestSubclassWitnesses:
         f = subclass_fidelities(CanonicalThreeQubit(0.6, 0.48, 0.0, 0.0, 0.64), "S2")
         assert np.allclose(f, (2.0 * (1.0 + 0.64 * np.hypot(0.6, 0.48)) / 3.0, base, base),
                            rtol=0, atol=1e-12)
+        assert all(type(x) is float for x in f)
+        assert f[0].hex() == "0x1.fd2ff90298129p-1"
         # S3, the lambda1,lambda2 variant: F_B moves too, to 2(1 + l0 |(l2, l4)|)/3.
         f = subclass_fidelities(CanonicalThreeQubit(0.4, 0.4, 0.2, 0.0, 0.8), "S3")
         assert np.allclose(f, (2.0 * (1.0 + 0.8 * np.hypot(0.4, 0.4)) / 3.0,
                                2.0 * (1.0 + 0.4 * np.hypot(0.2, 0.8)) / 3.0,
                                2.0 * (1.0 + 0.4 * 0.8) / 3.0), rtol=0, atol=1e-12)
+        assert all(type(x) is float for x in f)
+        assert [x.hex() for x in f[:2]] == ["0x1.efcd9c55501a0p-1", "0x1.c5ebee4221a0bp-1"]
         with pytest.raises(DimensionError, match="S3 zero pattern"):
             subclass_fidelities(CanonicalThreeQubit(0.4, 0.4, 0.0, 0.2, 0.8), "S3")
 
@@ -324,6 +362,20 @@ class TestMixtureAnalysis:
             r = ghz_w_mixture_analysis(q)
             assert abs(r.predicted - min(r.q_forms)) <= 1e-15
             assert abs(r.predicted - min(r.lambdas)) <= 1e-9
+            assert all(type(x) is float for x in (r.q1, r.q2, r.predicted, *r.q_forms))
+        # Pinned bits of the two branches.
+        assert [x.hex() for x in ghz_w_mixture_analysis(0.3).q_forms] == [
+            "0x1.5d805a917022cp-4", "0x1.83a5a607133d7p-5"]
+        assert [x.hex() for x in ghz_w_mixture_analysis(0.75).q_forms] == [
+            "0x1.0d492427343f7p-5", "0x1.7dc7625f5f75bp-4"]
+
+    def test_a_three_term_radicand_rounded_below_zero_gives_the_branch(self):
+        # The radicand is (q1 + 2 q2 - 1)^2 + 9 q1^2 >= 0; expanded, it rounds
+        # to -2.2e-16 here, and the branch is its root at 0.
+        q1, q2 = 8.80776060671029e-10, 0.5000000001967209
+        r = ghz_w_mixture_analysis(q1, q2)
+        assert r.predicted == (4.0 - q1) / 30.0
+        assert r.predicted >= min(r.lambdas) - SLACK
 
     def test_regime_labels(self):
         assert ghz_w_mixture_analysis(0.1).regime is None

@@ -6,8 +6,9 @@ but ``linalg`` writes a tolerance as a bare literal, builds a
 builds a vector of a literal size by hand; no module tests an
 argument by membership in ``range(...)`` or in a literal set of ints; and
 no module but ``linalg`` takes the modulus of eigenvalues or solves a
-partial transpose.  Every array the package shares, a module-level constant
-or a cached fixed operand (an index table or an identity), is read-only, and
+partial transpose; every square root in ``classify3`` takes ``max(0.0,
+...)``.  Every array the package shares, a module-level constant or a
+cached fixed operand (an index table or an identity), is read-only, and
 importing the package builds no fixed operand."""
 
 import ast
@@ -349,6 +350,38 @@ def test_partial_transposes_are_solved_in_linalg(path):
     # only writer of each state's cache of them; a solve elsewhere would
     # solve a cut the cache may hold already.
     assert partial_transpose_solves(path.read_text(encoding="utf-8")) == []
+
+
+def _clamped(node):
+    """Whether call ``node`` takes the single argument ``max(0.0, ...)``."""
+    arg = node.args[0] if len(node.args) == 1 and not node.keywords else None
+    return (isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "max"
+            and len(arg.args) == 2 and isinstance(arg.args[0], ast.Constant)
+            and type(arg.args[0].value) is float and arg.args[0].value == 0.0)
+
+
+def unclamped_roots(source):
+    """Lines of ``source`` that call ``sqrt`` (by name or attribute) on
+    anything but ``max(0.0, ...)``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "sqrt"
+                  and not _clamped(node))
+
+
+def test_scan_finds_an_unclamped_root():
+    source = ("a = math.sqrt(x)\nb = sqrt(max(x, 0.0))\nc = math.sqrt(max(0, x))\n"
+              "d = np.sqrt(abs(x)) + math.sqrt(max(0.0, x, y))\n")
+    assert unclamped_roots(source) == [1, 2, 3, 4, 4]
+    assert unclamped_roots("e = math.sqrt(max(0.0, l0 ** 2 + l1 ** 2))\nf = math.sqrt\n"
+                           "g = np.hypot(x, y)\nh = np.sqrt(max(0.0, y))\n") == []
+
+
+def test_closed_form_roots_are_clamped():
+    # A radicand that is nonnegative in exact arithmetic can round below 0;
+    # math.sqrt raises there, and np.sqrt returns NaN.
+    source = (ROOT / "src" / "qent" / "classify3.py").read_text(encoding="utf-8")
+    assert unclamped_roots(source) == []
 
 
 def test_shared_arrays_are_read_only():

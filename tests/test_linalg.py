@@ -130,14 +130,15 @@ class TestEigensolver:
 
 
 def _perturb_eigh(monkeypatch, which, shift):
-    """Make ``np.linalg.eigh`` return, for matrix ``which`` of a stack, its
-    lowest eigenvalue moved by ``shift`` (a residual of about ``shift``)."""
+    """Make ``np.linalg.eigh`` return, for matrix ``which`` of a stack (0 for
+    a lone matrix), its lowest eigenvalue moved by ``shift`` (a residual of
+    about ``shift``)."""
     eigh = np.linalg.eigh
 
     def perturbed(m):
         lam, vec = eigh(m)
         lam = lam.copy()
-        lam[which, 0] += shift
+        lam.reshape(-1, lam.shape[-1])[which, 0] += shift
         return lam, vec
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
@@ -183,17 +184,41 @@ class TestStackedSolve:
     # matrices make a moved eigenvalue a residual of exactly the shift.
     _RADII = np.stack([np.diag([1e6, 1.0, 2.0, 3.0]), np.diag([0.1, 0.2, 0.3, 0.4])])
 
-    def test_a_large_matrix_does_not_loosen_the_others_bound(self, monkeypatch):
-        _perturb_eigh(monkeypatch, 1, 1e-6)
+    @pytest.mark.parametrize("shift", [1e-6, 2 * EIG_RESIDUAL_TOL])
+    def test_a_large_matrix_does_not_loosen_the_others_bound(self, monkeypatch, shift):
+        _perturb_eigh(monkeypatch, 1, shift)
         with pytest.raises(EigensolverError) as err:
             herm_eigenvalues(self._RADII)
-        assert err.value.magnitude == pytest.approx(1e-6)
+        assert err.value.magnitude == pytest.approx(shift)
+        # The stack raises the residual its bad matrix raises alone.
+        monkeypatch.undo()
+        _perturb_eigh(monkeypatch, 0, shift)
+        with pytest.raises(EigensolverError) as alone:
+            herm_eigenvalues(self._RADII[1])
+        assert err.value.magnitude == alone.value.magnitude
 
     def test_a_large_matrix_keeps_its_own_bound(self, monkeypatch):
         _perturb_eigh(monkeypatch, 0, 1e-6)
         big, small = herm_eigenvalues(self._RADII)
         assert big.residual == pytest.approx(1e-6)
         assert small.residual <= EIG_RESIDUAL_TOL
+
+    def test_lapack_s_own_residual_above_the_tolerance_passes_within_its_bound(self, rng):
+        # At spectral radius ~1e8, LAPACK's residual exceeds EIG_RESIDUAL_TOL,
+        # so the stack fails the stack-wide gate and passes the per-matrix bounds.
+        stack = np.stack([random_hermitian(rng, 8), 1e8 * random_hermitian(rng, 8)])
+        small, big = herm_eigenvalues(stack)
+        assert big.residual > EIG_RESIDUAL_TOL
+        assert small.residual == herm_eigenvalues(stack[0]).residual
+        assert big.residual == herm_eigenvalues(stack[1]).residual
+
+    def test_a_stack_within_the_tolerance_skips_the_per_matrix_bounds(self, rng, monkeypatch):
+        def refuse(residual, lam):
+            raise AssertionError("per-matrix bounds computed")
+
+        monkeypatch.setattr(linalg, "_check_residual", refuse)
+        spectra = herm_eigenvalues(np.stack([random_hermitian(rng, 8) for _ in range(3)]))
+        assert max(spec.residual for spec in spectra) <= EIG_RESIDUAL_TOL
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 2, 2), (0, 4, 4), (4,)])
     def test_rejects_what_is_not_a_stack_of_square_matrices(self, shape):
