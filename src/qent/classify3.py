@@ -104,12 +104,26 @@ class CorrelationTensor:
     Tz: np.ndarray
 
 
+def _correlation_tables():
+    """Read-only ``(8, 3, 3, 3)`` flat indices into ``rho`` and phases: term ``(a, b, c)``
+    of ``T[w, r, k]`` is ``rho[abc, xyz] P_w[x, a] P_k[y, b] P_r[z, c]``, one per column."""
+    a, b, c, w, r, k = np.ix_(*[range(2)] * 3, *[range(3)] * 3)
+    x, y, z = (np.abs(_PAULI).argmax(axis=1)[p, i] for p, i in ((w, a), (k, b), (r, c)))
+    index = ((4 * a + 2 * b + c) * 8 + 4 * x + 2 * y + z).reshape(8, 3, 3, 3)
+    phase = (_PAULI[w, x, a] * _PAULI[k, y, b] * _PAULI[r, z, c]).reshape(8, 3, 3, 3)
+    index.flags.writeable = phase.flags.writeable = False
+    return index, phase
+
+
+_CT_INDEX, _CT_PHASE = _correlation_tables()
+
+
 def correlation_tensors(rho: DensityMatrix) -> CorrelationTensor:
-    """Correlation tensors of a three-qubit state."""
+    """Correlation tensors of a three-qubit state, by one gather of the 216 nonzero terms
+    ``+-rho[i, j]``, ``+-i rho[i, j]`` (an einsum forms 1,728), summed in turn from ``+0j``
+    in ``(a, b, c)`` order: the einsum's order, so every bit, signed zeros included, is its."""
     linalg.THREE_QUBIT.require(rho.dims, "correlation_tensors")
-    # Tr(rho P_w (x) P_c (x) P_r) with rho indexed [a b c, a' b' c'].
-    t = np.einsum("abcxyz,wxa,kyb,rzc->wrk", rho.mat.reshape((2,) * 6),
-                  _PAULI, _PAULI, _PAULI)
+    t = np.add.reduce(rho.mat.reshape(-1)[_CT_INDEX] * _CT_PHASE, axis=0, initial=0j)
     tx, ty, tz = _checked_real(t)
     return CorrelationTensor(Tx=tx, Ty=ty, Tz=tz)
 
@@ -161,33 +175,32 @@ def _require_theta_zero(params):
         raise DimensionError("subclass witnesses are defined for theta = 0 only")
 
 
-def _witness_coefficient(params, which):
-    """Scalar multiple of the identity subtracted from O1 in witness ``which``."""
+def _root(x):
+    """``sqrt(x)``, reading a radicand rounded below 0 (or a NaN) as 0."""
+    return math.sqrt(x if x > 0.0 else 0.0)
+
+
+def _witness_coefficients(params):
+    """Multiple of I that each of ``H1..H8`` subtracts from O1, from one set of
+    powers of the lambdas (``l ** 4`` is one ``pow``; ``(l ** 2) ** 2`` rounds twice)."""
     l0, l1, l2, l3, l4 = params.lambdas
-    if which == "H1":
-        return 4.0 * l0 ** 2 * l1 ** 2
-    if which == "H2":
-        return 4.0 * l0 ** 2 * (l2 ** 2 + l4 ** 2)
-    if which == "H3":
-        return 4.0 * l0 ** 2 * (l3 ** 2 + l4 ** 2)
-    if which == "H4":
-        t1 = (l2 ** 4 - 2.0 * l2 ** 2 * l3 ** 2 + 2.0 * l2 ** 2 * l4 ** 2
-              + (l3 ** 2 + l4 ** 2) ** 2)
-        return 2.0 * l0 ** 2 * (1.0 - l0 ** 2 + math.sqrt(max(0.0, t1)))
-    if which in ("H5", "H8"):
-        li = l2
-    elif which == "H6":
-        li = l3
-    elif which == "H7":
-        t4 = (l1 ** 4 + l2 ** 4 + l3 ** 4 + l4 ** 4 + 8.0 * l1 * l2 * l3 * l4
-              - 2.0 * l2 ** 2 * l3 ** 2 + 2.0 * l2 ** 2 * l4 ** 2
-              + 2.0 * l1 ** 2 * l2 ** 2 + 2.0 * l1 ** 2 * l3 ** 2
-              - 2.0 * l1 ** 2 * l4 ** 2 + 2.0 * l3 ** 2 * l4 ** 2)
-        return 2.0 * l0 ** 2 * (l1 ** 2 + l2 ** 2 + l3 ** 2 + l4 ** 2 + math.sqrt(max(0.0, t4)))
-    else:
+    s0, s1, s2, s3, s4 = l0 ** 2, l1 ** 2, l2 ** 2, l3 ** 2, l4 ** 2
+    f1, f2, f3, f4 = l1 ** 4, l2 ** 4, l3 ** 4, l4 ** 4
+    t1 = f2 - 2.0 * s2 * s3 + 2.0 * s2 * s4 + (s3 + s4) ** 2
+    t4 = (f1 + f2 + f3 + f4 + 8.0 * l1 * l2 * l3 * l4 - 2.0 * s2 * s3 + 2.0 * s2 * s4
+          + 2.0 * s1 * s2 + 2.0 * s1 * s3 - 2.0 * s1 * s4 + 2.0 * s3 * s4)
+    c5 = 2.0 * s0 * (s1 + s2 + s4 + _root(f1 + 2.0 * s1 * (s2 - s4) + (s2 + s4) ** 2))
+    c6 = 2.0 * s0 * (s1 + s3 + s4 + _root(f1 + 2.0 * s1 * (s3 - s4) + (s3 + s4) ** 2))
+    return {"H1": 4.0 * s0 * s1, "H2": 4.0 * s0 * (s2 + s4), "H3": 4.0 * s0 * (s3 + s4),
+            "H4": 2.0 * s0 * (1.0 - s0 + _root(t1)), "H5": c5, "H6": c6,
+            "H7": 2.0 * s0 * (s1 + s2 + s3 + s4 + _root(t4)), "H8": c5}
+
+
+def _witness_coefficient(params, which):
+    _require_theta_zero(params)
+    if which not in _WITNESS_NAMES:
         raise DimensionError(f"unknown witness {which!r}")
-    ti = l1 ** 4 + 2.0 * l1 ** 2 * (li ** 2 - l4 ** 2) + (li ** 2 + l4 ** 2) ** 2
-    return 2.0 * l0 ** 2 * (l1 ** 2 + li ** 2 + l4 ** 2 + math.sqrt(max(0.0, ti)))
+    return _witness_coefficients(params)[which]
 
 
 def ghz_witness_operator(params: CanonicalThreeQubit, which):
@@ -197,11 +210,8 @@ def ghz_witness_operator(params: CanonicalThreeQubit, which):
     ``c_k`` is built from the state's own parameters, so these witnesses are
     tuned per state.
     """
-    _require_theta_zero(params)
     h = _O1 - _witness_coefficient(params, which) * np.eye(8)
-    if which == "H8":
-        h = h + _O4 / 2.0
-    return h
+    return h + _O4 / 2.0 if which == "H8" else h
 
 
 def ghz_witness_value(params: CanonicalThreeQubit, which):
@@ -210,12 +220,8 @@ def ghz_witness_value(params: CanonicalThreeQubit, which):
     Agrees with ``expectation(ghz_witness_operator(params, which), rho)``
     for the canonical state of the same parameters.
     """
-    _require_theta_zero(params)
-    l0, l1, l2, l3, l4 = params.lambdas
-    val = 4.0 * l0 * l4 - _witness_coefficient(params, which)
-    if which == "H8":
-        val += 2.0 * l0 * l1
-    return float(val)
+    val = 4.0 * params.lambda0 * params.lambda4 - _witness_coefficient(params, which)
+    return val + 2.0 * params.lambda0 * params.lambda1 if which == "H8" else val
 
 
 _IMPLICATIONS = {
@@ -267,8 +273,10 @@ def classify_ghz_subclass(params: CanonicalThreeQubit) -> SubclassReport:
     l0, l4 = params.lambda0, params.lambda4
     if 4.0 * l0 ** 2 * l4 ** 2 < ZERO_TOL ** 2:
         raise NotGHZClass("tangle is zero; subclass witnesses need lambda0, lambda4 > 0")
-    values = {w: ghz_witness_value(params, w) for w in _WITNESS_NAMES}
-    values["W_MS"] = 4.0 * l0 * l4 - 1.0
+    g = 4.0 * l0 * l4
+    values = {w: g - c for w, c in _witness_coefficients(params).items()}
+    values["H8"] += 2.0 * l0 * params.lambda1
+    values["W_MS"] = g - 1.0
     negative = tuple(w for w in _WITNESS_NAMES if _below(values[w], 0.0))
     return SubclassReport(
         values=values,
@@ -294,16 +302,16 @@ def subclass_fidelities(params: CanonicalThreeQubit, subclass):
     base = 2.0 * (1.0 + l0 * l4) / 3.0
     if subclass == "S1":
         return (base, base, base)
-    f_a = 2.0 * (1.0 + l4 * math.sqrt(max(0.0, l0 ** 2 + l1 ** 2))) / 3.0
+    f_a = 2.0 * (1.0 + l4 * _root(l0 ** 2 + l1 ** 2)) / 3.0
     if subclass == "S2":
         return (f_a, base, base)
-    f_b = 2.0 * (1.0 + l0 * math.sqrt(max(0.0, l2 ** 2 + l4 ** 2))) / 3.0
+    f_b = 2.0 * (1.0 + l0 * _root(l2 ** 2 + l4 ** 2)) / 3.0
     if subclass == "S3":
         return (f_a, f_b, base)
     y = (l0 ** 2 * l4 ** 2 + l1 ** 2 * l4 ** 2 + l2 ** 2 * l3 ** 2
          - 4.0 * l1 * l2 * l3 * l4)
-    f_a4 = 2.0 * (1.0 + math.sqrt(max(0.0, y))) / 3.0
-    f_c = 2.0 * (1.0 + l0 * math.sqrt(max(0.0, l3 ** 2 + l4 ** 2))) / 3.0
+    f_a4 = 2.0 * (1.0 + _root(y)) / 3.0
+    f_c = 2.0 * (1.0 + l0 * _root(l3 ** 2 + l4 ** 2)) / 3.0
     return (f_a4, f_b, f_c)
 
 
@@ -456,15 +464,15 @@ def ghz_w_mixture_analysis(q1, q2=None) -> MixtureReport:
     if two_term:
         r1 = 1.0 - 2.0 * q1 + 10.0 * q1 ** 2
         r2 = 32.0 - 64.0 * q1 + 41.0 * q1 ** 2
-        q_forms = ((4.0 - q1 - math.sqrt(max(0.0, r1))) / 30.0,
-                   (6.0 + 3.0 * q1 - math.sqrt(max(0.0, r2))) / 60.0)
+        q_forms = ((4.0 - q1 - _root(r1)) / 30.0,
+                   (6.0 + 3.0 * q1 - _root(r2)) / 60.0)
         predicted = min(q_forms)
     else:
         # (q1 + 2 q2 - 1)^2 + 9 q1^2, which rounds below 0 near (0, 1/2).
         rad = (1.0 - 2.0 * q1 + 10.0 * q1 ** 2 - 4.0 * q2 + 4.0 * q1 * q2
                + 4.0 * q2 ** 2)
         q_forms = None
-        predicted = (4.0 - q1 - math.sqrt(max(0.0, rad))) / 30.0
+        predicted = (4.0 - q1 - _root(rad)) / 30.0
     if q1 > _W_CLASS_MAX_Q1:
         regime = "GHZ-class"
     elif q1 >= 0.25:

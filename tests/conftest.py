@@ -1,6 +1,7 @@
 """Shared helpers: seeded random states, index-loop oracles, the reshape
 kernels the index tables replaced, the diagonal-matmul concurrence kernel
-the column scaling replaced, and a solve counter."""
+the column scaling replaced, the correlation-tensor einsum the gather
+replaced, and a solve counter."""
 
 import importlib
 import sys
@@ -199,6 +200,15 @@ def oracle_correlation_tensors(mat):
                 assert abs(val.imag) <= 1e-8
                 out[w, r, c] = val.real
     return out
+
+
+def einsum_correlation_tensors(mat):
+    """``T[w, r, k] = Tr(rho P_w (x) P_k (x) P_r)`` as a complex ``(3, 3, 3)``
+    array, by the einsum over the Pauli matrices that the gather of
+    ``qent.classify3.correlation_tensors`` replaced."""
+    from qent.states import _PAULI
+
+    return np.einsum("abcxyz,wxa,kyb,rzc->wrk", mat.reshape((2,) * 6), _PAULI, _PAULI, _PAULI)
 
 
 _JACOBI_OFF_TOL = 1e-12

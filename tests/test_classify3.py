@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_correlation_tensors, random_density, random_pure, random_unitary
+from conftest import (
+    einsum_correlation_tensors,
+    oracle_correlation_tensors,
+    random_density,
+    random_pure,
+    random_unitary,
+)
 from qent import classify3
 from qent.classify3 import (
     CanonicalThreeQubit,
@@ -129,6 +135,62 @@ class TestCanonicalForm:
         assert abs(t.Tz[2, 2]) <= 1e-12         # <zzz> = 0
 
 
+# lambda1..lambda3 nonzero per GHZ subclass S1..S4.
+_ZERO_PATTERNS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
+
+
+@st.composite
+def _canonical_params(draw):
+    """Canonical parameters of one of the four zero patterns, with or without
+    a phase."""
+    pattern = draw(st.sampled_from(_ZERO_PATTERNS))
+    weights = [draw(st.floats(0.01, 1.0))]
+    weights += [draw(st.floats(0.01, 1.0)) if nz else 0.0 for nz in pattern]
+    weights += [draw(st.floats(0.01, 1.0))]
+    norm = math.sqrt(sum(w * w for w in weights))
+    phase = draw(st.one_of(st.just(0.0), st.floats(0.0, math.pi)))
+    return CanonicalThreeQubit(*(w / norm for w in weights), theta=phase)
+
+
+def _mixed_state(seed, rank):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+    m = g @ g.conj().T
+    return validate_density(m / np.trace(m).real, [2, 2, 2])
+
+
+class TestCorrelationTensorBits:
+    """The gather has the einsum's bits, signed zeros included."""
+
+    @staticmethod
+    def _assert_einsum_bits(rho):
+        t = correlation_tensors(rho)
+        want = einsum_correlation_tensors(rho.mat).real
+        assert np.stack([t.Tx, t.Ty, t.Tz]).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+    def test_random_mixed_states(self, seed, rank):
+        self._assert_einsum_bits(_mixed_state(seed, rank))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_canonical_params())
+    def test_canonical_projectors_of_every_zero_pattern(self, params):
+        self._assert_einsum_bits(canonical_projector(params))
+
+    def test_exact_zeros_and_signed_zeros(self):
+        # GHZ has 60 zero entries, I/8 has 56; every zero entry is made -0 - 0j.
+        # Sums start from +0j, as the einsum's do, so a zero tensor entry is +0.
+        for mat in (np.outer(ghz_state(), ghz_state().conj()), np.eye(8, dtype=complex) / 8.0):
+            mat = mat.copy()
+            mat[mat == 0] = complex(-0.0, -0.0)
+            rho = DensityMatrix(mat=mat, dims=(2, 2, 2))
+            self._assert_einsum_bits(rho)
+            t = correlation_tensors(rho)
+            t = np.stack([t.Tx, t.Ty, t.Tz])
+            assert (t == 0).any() and not np.signbit(t[t == 0]).any()
+
+
 class TestLuInvariants:
     def test_tangle_matches_hyperdeterminant(self, rng):
         for _ in range(10):
@@ -221,6 +283,56 @@ class TestSubclassWitnesses:
         for which in classify3._WITNESS_NAMES:
             assert math.isfinite(ghz_witness_value(p, which))
             assert np.isfinite(ghz_witness_operator(p, which)).all()
+
+    # Values of the form that computed each coefficient alone, with its own powers.
+    _PINNED = {
+        (0.35, 0.1, 0.3, math.sqrt(1.0 - 0.35 ** 2 - 0.1 ** 2 - 0.3 ** 2 - 0.2 ** 2), 0.2): [
+            "0x1.19b3d07c84b5dp-2", "0x1.bafb7e90ff972p-3", "-0x1.9d97f62b6ae7cp-4",
+            "-0x1.b20f3e1909fd4p-4", "0x1.b3e01c4e05b24p-3", "-0x1.b0a4d62737120p-4",
+            "-0x1.d9f493fec0108p-4", "0x1.219e22a1e420dp-2"],
+        (0.4, 0.4, 0.2, 0.0, 0.8): [
+            "0x1.2d77318fc5049p+0", "0x1.b089a02752546p-1", "0x1.bda5119ce0760p-1",
+            "0x1.9652bd3c36114p-1", "0x1.ac988689827bfp-1", "0x1.bda5119ce0760p-1",
+            "0x1.ac988689827c0p-1", "0x1.2837c863798fep+0"],
+        (0.7270937711087943, 0.6566063115629335, 0.14177940546939863,
+         0.14177940546939863, 0.0): [
+            "-0x1.d2ca1091db55ep-1", "-0x1.5c39033415670p-5", "-0x1.5c39033415670p-5",
+            "-0x1.fe5130f85e02ap-2", "-0x1.e88da0c51cac5p-1", "-0x1.e88da0c51cac5p-1",
+            "-0x1.fd63247747a99p-1", "0x1.46ba22965d800p-11"],
+    }
+
+    @pytest.mark.parametrize("params", [
+        (0.6, 0.0, 0.0, 0.0, 0.8),
+        (0.6, 0.48, 0.0, 0.0, 0.64),
+        (0.4, 0.4, 0.2, 0.0, 0.8),
+        (0.35, 0.1, 0.3, math.sqrt(1.0 - 0.35 ** 2 - 0.1 ** 2 - 0.3 ** 2 - 0.2 ** 2), 0.2),
+        (0.7270937711087943, 0.6566063115629335, 0.14177940546939863,
+         0.14177940546939863, 0.0),
+        (0.08055826410711227, 0.0, 0.7048086144777349, 0.7048086144777349, 0.0),
+    ], ids=["S1", "S2", "S3", "S4", "H4 radicand", "H7 radicand"])
+    def test_report_value_and_operator_read_one_coefficient(self, params):
+        p = CanonicalThreeQubit(*params)
+        coefficients = classify3._witness_coefficients(p)
+        values = [ghz_witness_value(p, w) for w in classify3._WITNESS_NAMES]
+        for w, value in zip(classify3._WITNESS_NAMES, values):
+            c = coefficients[w]
+            want = 4.0 * p.lambda0 * p.lambda4 - c
+            want = want + 2.0 * p.lambda0 * p.lambda1 if w == "H8" else want
+            assert type(value) is float and value.hex() == want.hex()
+            h = classify3._O1 - c * np.eye(8)
+            if w == "H8":
+                h = h + classify3._O4 / 2.0
+            assert ghz_witness_operator(p, w).tobytes() == h.tobytes()
+        if p.lambda4 == 0.0:
+            with pytest.raises(NotGHZClass):
+                classify_ghz_subclass(p)
+        else:
+            report = classify_ghz_subclass(p).values
+            assert list(report) == [*classify3._WITNESS_NAMES, "W_MS"]
+            assert [report[w].hex() for w in classify3._WITNESS_NAMES] == [
+                v.hex() for v in values]
+        if params in self._PINNED:
+            assert [v.hex() for v in values] == self._PINNED[params]
 
     def test_theta_and_class_guards(self):
         tilted = CanonicalThreeQubit(0.6, 0.1, 0.0, 0.0,

@@ -352,17 +352,27 @@ def test_partial_transposes_are_solved_in_linalg(path):
     assert partial_transpose_solves(path.read_text(encoding="utf-8")) == []
 
 
+def _zero(node):
+    return isinstance(node, ast.Constant) and type(node.value) is float and node.value == 0.0
+
+
 def _clamped(node):
-    """Whether call ``node`` takes the single argument ``max(0.0, ...)``."""
+    """Whether call ``node`` takes the single argument ``max(0.0, ...)`` or
+    ``x if x > 0.0 else 0.0`` for one name ``x``."""
     arg = node.args[0] if len(node.args) == 1 and not node.keywords else None
+    if isinstance(arg, ast.IfExp):
+        test = arg.test
+        return (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.ops[0], ast.Gt) and _zero(test.comparators[0])
+                and isinstance(test.left, ast.Name) and isinstance(arg.body, ast.Name)
+                and test.left.id == arg.body.id and _zero(arg.orelse))
     return (isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "max"
-            and len(arg.args) == 2 and isinstance(arg.args[0], ast.Constant)
-            and type(arg.args[0].value) is float and arg.args[0].value == 0.0)
+            and len(arg.args) == 2 and _zero(arg.args[0]))
 
 
 def unclamped_roots(source):
     """Lines of ``source`` that call ``sqrt`` (by name or attribute) on
-    anything but ``max(0.0, ...)``."""
+    anything but ``max(0.0, ...)`` or ``x if x > 0.0 else 0.0``."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "sqrt"
@@ -375,6 +385,13 @@ def test_scan_finds_an_unclamped_root():
     assert unclamped_roots(source) == [1, 2, 3, 4, 4]
     assert unclamped_roots("e = math.sqrt(max(0.0, l0 ** 2 + l1 ** 2))\nf = math.sqrt\n"
                            "g = np.hypot(x, y)\nh = np.sqrt(max(0.0, y))\n") == []
+    conditional = ("a = math.sqrt(x if x > 0 else 0.0)\nb = math.sqrt(x if y > 0.0 else 0.0)\n"
+                   "c = math.sqrt(x if x > 0.0 else y)\nd = math.sqrt(x if x >= 0.0 else 0.0)\n"
+                   "e = math.sqrt(x if 0.0 < x else 0.0)\nf = math.sqrt(x if x > 0.0 else 0)\n"
+                   "g = math.sqrt(x.y if x.y > 0.0 else 0.0)\n"
+                   "h = math.sqrt(x if x > 0.0 > y else 0.0)\n")
+    assert unclamped_roots(conditional) == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert unclamped_roots("r = math.sqrt(x if x > 0.0 else 0.0)\n") == []
 
 
 def test_closed_form_roots_are_clamped():
