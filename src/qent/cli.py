@@ -209,9 +209,10 @@ def _verdict_entry(v):
 # Criterion and measure tables
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _pure_vector(rho: DensityMatrix):
     """Amplitude vector if ``rho`` is pure (its purity ``Tr(rho^2)`` within the
-    slack of 1), else None."""
+    slack of 1), else None: computed once per state, as :func:`_two_qubit_spa`."""
     if linalg._below(-abs(float(np.trace(rho.mat @ rho.mat).real) - 1.0), 0.0):
         return None
     return rho.spectrum.vectors[:, -1]

@@ -6,8 +6,9 @@ the computational basis is big-endian (for three qubits, basis index 0 is
 |000> and index 7 is |111>).  A partial transpose and a realignment are
 fixed permutations of a matrix's entries: :func:`partial_transpose` serves
 every cut of every state with one gather through the flat index table of its
-``(dims, party)`` (:func:`_pt_table`), and :func:`realign` through that of
-its ``d`` (:func:`_realign_table`).  These tables, the identity of
+``(dims, parties)`` (:func:`_pt_table`, which concatenates the cuts of
+several states or parties), and :func:`realign` through that of its ``d``
+(:func:`_realign_table`).  These tables, the identity of
 :func:`_eye` (the ``I`` of the SPA-PT maps, the SPA witnesses and the
 reduction check) and the :func:`exact_dims` shapes are the fixed operands of
 the package: each is built on first use and read-only.  The arrays are
@@ -326,8 +327,12 @@ def _finite_herm_dev(m, axis=None):
 def _checked_real(val):
     """Real part of a complex scalar or array of expectation values, once
     every imaginary part is within ``IMAG_TOL`` (a NaN one is not).  A
-    Python ``complex`` is checked without a numpy round trip."""
-    imag = abs(val.imag) if isinstance(val, complex) else float(np.abs(val.imag).max())
+    Python ``complex`` is checked without a numpy round trip, and an array
+    passes when the ``math.hypot`` of its parts (under an ulp off, and never
+    overflowing) is within ``IMAG_TOL / 2``, before its largest part is read."""
+    imag = (abs(val.imag) if isinstance(val, complex)
+            else 0.0 if math.hypot(*val.reshape(-1).imag.tolist()) <= IMAG_TOL / 2
+            else float(abs(val.imag).max()))
     if not imag <= IMAG_TOL:
         raise HermiticityViolation("expectation value has an imaginary part", imag)
     return val.real
@@ -356,7 +361,7 @@ def _party(k, n):
 def _checked_dims(dims, side):
     """``dims`` as a list of ints, once each is a whole number at least 1
     and their exact product is ``side``."""
-    dims = [_whole(d) for d in dims]
+    dims = [d if type(d) is int else _whole(d) for d in dims]
     if any(d < 1 for d in dims):
         raise DimensionError(f"dims {dims} must all be at least 1")
     if math.prod(dims) != side:
@@ -429,18 +434,23 @@ def _one_dims(states):
 
 
 def _fixed_operand(side):
-    """Decorate the builder of a read-only fixed operand with the one cache
-    rule of the package: the operand of a key whose matrices have side
-    ``side(*key)`` at most ``OPERAND_CACHE_SIDE`` is built once and kept
+    """Decorate the builder of a fixed operand with the one cache rule of
+    the package: the operand, made read-only, of a key whose matrices have
+    side ``side(*key)`` at most ``OPERAND_CACHE_SIDE`` is built once and kept
     (the ``OPERAND_CACHE_COUNT`` latest of them), and a larger one is built
     on every call by the same builder, so a large state leaves nothing
     behind.  The decorated function keeps the cache's ``cache_info``."""
     def decorate(build):
-        cached = lru_cache(maxsize=OPERAND_CACHE_COUNT)(build)
+        def read_only(*key):
+            out = build(*key)
+            out.flags.writeable = False
+            return out
+
+        cached = lru_cache(maxsize=OPERAND_CACHE_COUNT)(read_only)
 
         @wraps(build)
         def operand(*key):
-            return (cached if side(*key) <= OPERAND_CACHE_SIDE else build)(*key)
+            return (cached if side(*key) <= OPERAND_CACHE_SIDE else read_only)(*key)
 
         operand.cache_info = cached.cache_info
         return operand
@@ -450,32 +460,25 @@ def _fixed_operand(side):
 @_fixed_operand(lambda n: n)
 def _eye(n):
     """The read-only ``n x n`` identity (float), a :func:`_fixed_operand`."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+    return np.eye(n)
 
 
-@_fixed_operand(lambda dims, party: math.prod(dims))
-def _pt_table(dims, party):
-    """Flat index table of the partial transpose over ``party`` of a matrix
-    of subsystem dimensions ``dims`` (a tuple): flat entry ``i`` of the
-    transpose is flat entry ``table[i]`` of the matrix.  A read-only
-    :func:`_fixed_operand`, since every later map of those dims reads it."""
-    n = len(dims)
-    axes = list(range(2 * n))
-    axes[party], axes[party + n] = axes[party + n], axes[party]
-    table = np.arange(math.prod(dims) ** 2).reshape(dims + dims).transpose(axes).ravel()
-    table.flags.writeable = False
-    return table
+@_fixed_operand(lambda dims, parties: math.prod(dims) * len(parties))
+def _pt_table(dims, parties):
+    """Flat index table of the partial transposes over ``parties`` (checked
+    party indices) of an ``N x N`` matrix of subsystem dimensions ``dims``,
+    concatenated: flat entry ``i`` of transpose ``j`` is flat entry ``table[j
+    N^2 + i]`` of the matrix.  A read-only :func:`_fixed_operand`, sized as a
+    matrix of side ``N`` times the number of parties for the cache rule."""
+    index = np.arange(math.prod(dims) ** 2).reshape(dims + dims)
+    return np.concatenate([index.swapaxes(k, k + len(dims)).ravel() for k in parties])
 
 
 @_fixed_operand(lambda d: d * d)
 def _realign_table(d):
     """Flat index table of the realignment of a ``[d, d]`` matrix, as
     :func:`_pt_table`: entry ``((i, j), (k, l))`` moves to ``((i, k), (j, l))``."""
-    table = np.arange(d ** 4).reshape(d, d, d, d).swapaxes(1, 2).ravel()
-    table.flags.writeable = False
-    return table
+    return np.arange(d ** 4).reshape(d, d, d, d).swapaxes(1, 2).ravel()
 
 
 def _gather(mat, table):
@@ -487,7 +490,7 @@ def _gather(mat, table):
 def partial_transpose(rho, sys, dims=None):
     """Partial transpose over one party of a matrix of any number of parties,
     or of each matrix of a stack: one gather through the index table of
-    ``(dims, sys)`` (:func:`_pt_table`).
+    ``(dims, (sys,))`` (:func:`_pt_table`).
 
     Parameters
     ----------
@@ -514,7 +517,7 @@ def partial_transpose(rho, sys, dims=None):
     if isinstance(sys, tuple):
         return _pt_pairs(rho, sys)
     mat, d = _mat_dims(rho, dims, (2, 3))
-    return _gather(mat, _pt_table(d, _party(sys, len(d))))
+    return _gather(mat, _pt_table(d, (_party(sys, len(d)),)))
 
 
 def _pt_pairs(states, parties):
@@ -524,7 +527,7 @@ def _pt_pairs(states, parties):
     if not _is_states(states) or len(parties) != len(states):
         raise DimensionError("a tuple of parties needs a tuple of as many states")
     dims = _one_dims(states)
-    table = np.concatenate([_pt_table(dims, _party(k, len(dims))) for k in parties])
+    table = _pt_table(dims, tuple(_party(k, len(dims)) for k in parties))
     first = states[0].mat
     if states.count(states[0]) == len(states):
         src = first
@@ -682,23 +685,23 @@ def _checked_spectrum(m, lam, vec):
     ``lam`` and ``vec``) as :class:`Spectrum` objects once ``m v = lambda v``
     holds for each matrix (:func:`_check_residual`).  The residual is formed
     in place, and the spectra of a stack are built in one pass, sharing the
-    stack's sums of ``|lambda|`` (:class:`_AbsSums`).  A stack whose largest
-    residual is within ``EIG_RESIDUAL_TOL`` passes without the bound of each
-    matrix, which is exact: every bound is at least ``EIG_RESIDUAL_TOL``, and
-    a NaN residual fails the gate."""
+    stack's sums of ``|lambda|`` (:class:`_AbsSums`).  Residuals each within
+    ``EIG_RESIDUAL_TOL``, read as the floats the spectra take, pass without
+    the bound of each matrix, which is exact: every bound is at least
+    ``EIG_RESIDUAL_TOL``, and a NaN residual fails the gate."""
     r = m @ vec
     r -= vec * lam[..., np.newaxis, :]
     r = abs(r)
     residual = float(r.max()) if m.ndim == 2 else r.max(axis=(-2, -1))
-    if m.ndim == 2 or not residual.max() <= EIG_RESIDUAL_TOL:
+    residuals = (residual,) if m.ndim == 2 else residual.tolist()
+    if not all(map(EIG_RESIDUAL_TOL.__ge__, residuals)):
         _check_residual(residual, lam)
     # Read-only, because DensityMatrix.spectrum hands one Spectrum to every caller.
     lam.flags.writeable = False
     vec.flags.writeable = False
     if m.ndim == 2:
         return Spectrum(lam, residual, vec)
-    return tuple(map(Spectrum, lam, residual.tolist(), vec, repeat(_AbsSums(lam)),
-                     range(len(lam))))
+    return tuple(map(Spectrum, lam, residuals, vec, repeat(_AbsSums(lam)), range(len(lam))))
 
 
 def trace_norm(a):

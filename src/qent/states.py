@@ -17,6 +17,8 @@ validated as one stack, each with the bits of its scalar call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError
@@ -45,13 +47,17 @@ def ket(amplitudes, dims):
     its length, then finiteness, then the zero vector.  A NaN or infinite
     amplitude makes the norm NaN or infinite, so finiteness is scanned only
     when the norm is not finite and positive, the path an ordinary ket skips.
+    The norm is ``numpy.linalg.norm(v)``'s own formula, bit for bit, without
+    its wrapper: ``sqrt(re.re + im.im)`` of ``v`` in memory order.
     """
     v = np.asarray(amplitudes, dtype=complex)
     if v.ndim != 1:
         raise DimensionError(f"expected a vector of amplitudes, got shape {v.shape}")
     _checked_dims(dims, v.size)
+    x = v.ravel("K")
+    re, im = x.real, x.imag
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(re.dot(re) + im.dot(im))
     if not 0 < norm < np.inf:
         # A non-finite amplitude, or squares that overflowed or underflowed.
         _finite(v, "amplitude vector")
@@ -66,9 +72,10 @@ def projector(psi, dims):
     """``|psi><psi|`` of the normalized :func:`ket` of ``psi``, the one way a
     ket becomes a state: ``(M + M^H)/2`` of the outer product is exactly
     Hermitian, so it is wrapped unchecked, keeps the ket as ``rho.ket`` and
-    is solved on first use."""
+    is solved on first use.  The outer product is the broadcast product that
+    ``numpy.outer(v, v.conj())`` runs, bit for bit, without its wrapper."""
     v = ket(psi, dims)
-    m = np.outer(v, v.conj())
+    m = v[:, np.newaxis] * v.conj()
     return _derived((m + m.conj().T) / 2, dims, ket=v)
 
 
@@ -102,10 +109,13 @@ def _cut_schmidt_products(v):
     (``rho_00 rho_11 - |rho_01|^2`` leaves ~1e-16 there, ~1e-8 after the
     square root).  The factors of every minor are gathered from ``v`` at
     once through ``_MINOR_FACTORS``, the table of ket indices that
-    :func:`_minor_factors` makes of ``arange(8)``.
+    :func:`_minor_factors` makes of ``arange(8)``.  The row norms are
+    ``numpy.linalg.norm(x, axis=1)``'s own code path, bit for bit, without
+    its wrapper.
     """
     a, b, c, d = v[_MINOR_FACTORS]
-    return np.linalg.norm(a * b - c * d, axis=1)
+    x = a * b - c * d
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
 
 
 def _amplitudes(dim, entries):

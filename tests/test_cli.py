@@ -42,6 +42,7 @@ from qent.states import (
     projector,
     qutrit_qubit_alpha_state,
     two_qutrit_alpha_state,
+    w_state,
     werner_state,
 )
 
@@ -222,6 +223,29 @@ class TestCommands:
         assert code == EXIT_OK
         by_name = {e["name"]: e["value"] for e in rep["results"]}
         assert abs(by_name["tangle"] - 1.0) <= 1e-9
+
+    # The sha256 of each `qent measure FILE` report on a pure three-qubit
+    # file of write_state_file(projector(psi, [2, 2, 2]), label=LABEL).
+    _PURE_MEASURE_SHA256 = {
+        "ghz": "1ea67144280e346384640b740143aa56abc0d7a8d545373a9bf72213b15ccc31",
+        "w": "1097eba8e1770144441412ff50b423424eec609c2599c79fa98fa4ce6545f48e",
+        "random": "5d95fd68c4861fb978fd162f865d6ef3ee3473c15c22c7d1d8b71faa6ff02148",
+    }
+
+    @pytest.mark.parametrize("label", sorted(_PURE_MEASURE_SHA256))
+    def test_pure_measures_find_the_vector_once(self, capsysbinary, tmp_path, label):
+        # The selection's two fits and the tangle and three-pi runs all read
+        # the amplitude vector; it is computed once per state.
+        rng = np.random.default_rng(7)
+        psi = {"ghz": ghz_state(), "w": w_state(),
+               "random": rng.normal(size=8) + 1j * rng.normal(size=8)}[label]
+        path = tmp_path / f"{label}.json"
+        write_state_file(path, projector(psi, [2, 2, 2]), label=label)
+        cli._pure_vector.cache_clear()
+        assert main(["measure", str(path)]) == EXIT_OK
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == self._PURE_MEASURE_SHA256[label]
+        assert cli._pure_vector.cache_info()[:2] == (3, 1)  # hits, misses
 
     def test_classify3_canonical(self, capsys):
         args = ["classify3", "--canonical", "0.35", "0", "0.3", "0.864581", "0.2"]

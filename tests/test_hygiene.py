@@ -417,11 +417,17 @@ def test_shared_arrays_are_read_only():
     assert writable == []
     for dims in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4), (1, 4), (2, 1, 2, 2)]:
         for party in range(len(dims)):
-            table = linalg._pt_table(dims, party)
-            assert table is linalg._pt_table(dims, party)
+            table = linalg._pt_table(dims, (party,))
+            assert table is linalg._pt_table(dims, (party,))
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
+        parties = tuple(range(len(dims))) * 2
+        tables = linalg._pt_table(dims, parties)
+        assert tables is linalg._pt_table(dims, parties)
+        assert not tables.flags.writeable
+        alone = [linalg._pt_table(dims, (k,)) for k in parties]
+        assert np.array_equal(tables, np.concatenate(alone))
     for d in range(1, 5):
         assert not linalg._realign_table(d).flags.writeable
     # The largest side cached and the smallest built per call.

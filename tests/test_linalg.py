@@ -32,6 +32,7 @@ from qent.errors import (
 from qent import linalg
 from qent.linalg import (
     EIG_RESIDUAL_TOL,
+    IMAG_TOL,
     DensityMatrix,
     Spectrum,
     expectation,
@@ -427,9 +428,19 @@ class TestOperandCaches:
                            oracle_partial_transpose(small.astype(complex), 0, (3, 3)))
         assert linalg._pt_table.cache_info().hits == hits + 1
 
+    def test_a_long_stack_leaves_no_table_behind(self, rng):
+        # The table of k cuts of N x N matrices is sized as a matrix of side
+        # k N, so a stack of 17 two-qubit states (side 68) is built per call.
+        states = tuple(random_density(rng, (2, 2)) for _ in range(17))
+        before = linalg._pt_table.cache_info()
+        stacked = partial_transpose(states, (1,) * 17)
+        assert linalg._pt_table.cache_info() == before
+        assert all(_same_bytes(m, partial_transpose(rho, 1)) for m, rho in zip(stacked, states))
+
     def test_every_fixed_operand_follows_the_side_rule(self):
         side = linalg.OPERAND_CACHE_SIDE
-        cases = [(linalg._pt_table, ((2, side // 2), 1), ((2, side // 2 + 1), 1)),
+        cases = [(linalg._pt_table, ((2, side // 2), (1,)), ((2, side // 2 + 1), (1,))),
+                 (linalg._pt_table, ((2, side // 4), (0, 1)), ((2, side // 4 + 1), (0, 1))),
                  (linalg._realign_table, (8,), (9,)),
                  (linalg._eye, (side,), (side + 1,))]
         for builder, kept, built in cases:
@@ -557,9 +568,6 @@ class TestValidation:
             herm_eigenvalues(m)
 
 
-# An infinite entry may make numpy warn of an invalid subtraction while the
-# Hermiticity deviation is formed, before the finiteness scan raises.
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestNonFiniteBeforeHermiticity:
     _BAD = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, np.inf)]
 
@@ -601,6 +609,34 @@ class TestNonFiniteBeforeHermiticity:
             validate_density(m, [2, 3])
         with pytest.raises(HermiticityViolation):
             validate_density(m, [2, 2])
+
+
+class TestCheckedReal:
+    # An array passes on the norm of its imaginary parts when that is within
+    # IMAG_TOL / 2 and else reads the largest part: the rule stays the plain
+    # check's, the largest |imag| within IMAG_TOL, with NaN failing it.
+    @pytest.mark.parametrize("imag", [
+        [0.0] * 27,
+        [IMAG_TOL / 2] + [0.0] * 26,
+        [IMAG_TOL] * 27,
+        [-IMAG_TOL] + [0.0] * 26,
+        [math.nextafter(IMAG_TOL, 1.0)] + [0.0] * 26,
+        [0.0] * 26 + [np.nan],
+        [np.inf, np.nan] + [0.0] * 25,
+        [1e200] * 27,
+        [1e-300] * 27,
+    ], ids=["zero", "at-the-gate", "all-at-the-bound", "negative-at-the-bound",
+            "one-ulp-above", "nan", "inf-and-nan", "overflowing-squares", "tiny"])
+    def test_an_array_keeps_the_rule_of_its_largest_part(self, imag):
+        val = np.empty((3, 3, 3), dtype=complex)
+        val.real, val.imag = np.arange(27.0).reshape(3, 3, 3), np.reshape(imag, (3, 3, 3))
+        worst = float(np.abs(val.imag).max())
+        if worst <= IMAG_TOL:
+            assert linalg._checked_real(val).tobytes() == val.real.tobytes()
+        else:
+            with pytest.raises(HermiticityViolation) as info:
+                linalg._checked_real(val)
+            assert np.float64(info.value.magnitude).tobytes() == np.float64(worst).tobytes()
 
 
 class TestExpectation:

@@ -1,28 +1,59 @@
 """The pure three-qubit kernels against the constructions they replace.
 
-The cut minors of the SLOCC classifier and of ``three_pi``, the pair
-tensors of ``three_pi`` and the hyperdeterminant of ``tangle_pure`` are
-kept here in their plain form: three stacked ``2 x 4`` coefficient matrices
-with ``triu_indices`` minors, a stack of transposes, and the tangle on numpy
-scalars.  The library's kernels must give the same bytes on every ket.
+The norm and outer product of ``ket`` and ``projector``, the cut minors of
+the SLOCC classifier and of ``three_pi``, the pair tensors of ``three_pi``
+and the hyperdeterminant of ``tangle_pure`` are kept here in their plain
+form: ``numpy.linalg.norm`` and ``numpy.outer``, three stacked ``2 x 4``
+coefficient matrices with ``triu_indices`` minors, a stack of transposes,
+and the tangle on numpy scalars.  The library's kernels must give the same
+bytes on every ket.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qent.classify3 import CanonicalThreeQubit, canonical_state, slocc_classify
-from qent.linalg import herm_eigenvalues
+from qent.classify3 import (
+    CanonicalThreeQubit,
+    _canonical_amplitudes,
+    canonical_projector,
+    canonical_state,
+    slocc_classify,
+)
+from qent.linalg import PARAM_NORM_TOL, herm_eigenvalues
 from qent.measures import _PAIR_TENSORS, tangle_pure, three_pi
 from qent.states import (
     _MINOR_FACTORS,
     _cut_schmidt_products,
     ghz_state,
     ket,
+    projector,
     w_state,
     w_tilde_state,
 )
+
+
+def oracle_ket(psi):
+    """``v / numpy.linalg.norm(v)``, after scaling by the largest real or
+    imaginary part when the squares overflow or underflow."""
+    v = np.asarray(psi, dtype=complex)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+        norm = np.linalg.norm(v)
+    return v / norm
+
+
+def oracle_projector(psi):
+    """``(M + M^H)/2`` of ``M = numpy.outer(v, v.conj())`` of :func:`oracle_ket`."""
+    v = oracle_ket(psi)
+    m = np.outer(v, v.conj())
+    return (m + m.conj().T) / 2
 
 
 def oracle_cut_products(v):
@@ -135,3 +166,78 @@ def test_pure_three_qubit_path_is_pinned():
         digest.update(" ".join([verdict.outcome.name, *map(float.hex, values)]).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == _PURE_PATH_SHA256
+
+
+def hexes(a):
+    """``float.hex`` of every real and imaginary part of ``a``."""
+    a = np.asarray(a)
+    return [*map(float.hex, a.real.ravel().tolist()), *map(float.hex, a.imag.ravel().tolist())]
+
+
+_PART = st.floats(-1.0, 1.0)
+# 1e200 and 1e155 overflow the squares of the norm, 1e-200 underflows them.
+_SCALE = st.sampled_from([1.0, 1e200, 1e155, 1e-200, 1e-160])
+
+
+@st.composite
+def _amplitudes(draw):
+    """Raw amplitudes of 4, 8 or 9 entries, with their dims, at a scale that
+    may send ``ket`` down its slow path, as a contiguous, strided or
+    reversed-stride array."""
+    dims = draw(st.sampled_from([[2, 2], [2, 2, 2], [3, 3]]))
+    n = math.prod(dims)
+    parts = draw(st.lists(_PART, min_size=2 * n, max_size=2 * n))
+    v = draw(_SCALE) * (np.array(parts[:n]) + 1j * np.array(parts[n:]))
+    assume(v.any())
+    layout = draw(st.sampled_from(["contiguous", "strided", "reversed"]))
+    if layout == "strided":
+        v = np.repeat(v, 2)[::2]
+    elif layout == "reversed":
+        v = v[::-1].copy()[::-1]
+    return v, dims
+
+
+@settings(max_examples=300, deadline=None)
+@given(_amplitudes())
+def test_ket_and_projector_match_their_plain_forms(case):
+    psi, dims = case
+    assert hexes(ket(psi, dims)) == hexes(oracle_ket(psi))
+    rho = projector(psi, dims)
+    assert hexes(rho.mat) == hexes(oracle_projector(psi))
+    assert hexes(rho.ket) == hexes(oracle_ket(psi))
+
+
+@st.composite
+def _off_norm_params(draw):
+    """Canonical parameters whose squared norm is off 1 by up to
+    ``PARAM_NORM_TOL``, with or without a phase."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    assume(sum(weights) > 0.01)
+    off = draw(st.floats(-PARAM_NORM_TOL, PARAM_NORM_TOL)) * 0.999
+    scale = math.sqrt(1.0 + off) / math.sqrt(sum(w * w for w in weights))
+    theta = draw(st.one_of(st.just(0.0), st.floats(0.0, math.pi)))
+    return CanonicalThreeQubit(*(w * scale for w in weights), theta=theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_off_norm_params())
+def test_canonical_projector_matches_the_plain_forms(params):
+    rho = canonical_projector(params)
+    raw = _canonical_amplitudes(params)
+    assert hexes(rho.mat) == hexes(oracle_projector(raw))
+    assert hexes(rho.ket) == hexes(oracle_ket(raw))
+
+
+@pytest.mark.parametrize("psi, plain", [
+    ([1e200, 1e200, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0]),
+    (1e-200 * np.array([1, 1j, 0, 0, 0, 0, 0, 1]), [1, 1j, 0, 0, 0, 0, 0, 1]),
+], ids=["squares-overflow", "squares-underflow"])
+def test_extreme_amplitudes_give_the_normalized_kets_results(psi, plain):
+    # The pytest configuration turns a RuntimeWarning into an error, so a
+    # norm whose squares overflow outside ket's errstate guard fails here.
+    assert ket(psi, [2, 2, 2]).tobytes() == ket(plain, [2, 2, 2]).tobytes()
+    got, want = slocc_classify(psi), slocc_classify(plain)
+    assert got.outcome is want.outcome
+    assert list(map(float.hex, got.lambdas)) == list(map(float.hex, want.lambdas))
+    for measure in (tangle_pure, three_pi):
+        assert float.hex(measure(psi).value) == float.hex(measure(plain).value)
