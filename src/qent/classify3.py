@@ -90,7 +90,7 @@ def canonical_projector(params: CanonicalThreeQubit) -> DensityMatrix:
     return projector(_canonical_amplitudes(params), [2, 2, 2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationTensor:
     """Three-body correlation tensors of a three-qubit state.
 

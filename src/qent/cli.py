@@ -319,7 +319,7 @@ def cmd_measure(args):
     for name in args.measures:
         if name not in _MEASURES:
             raise UsageError(f"unknown measure {name!r}; choose from {', '.join(_MEASURES)}")
-    names = _select(_MEASURES, args.measures, rho)
+    names = _select(_MEASURES, list(dict.fromkeys(args.measures)), rho)
     return {
         "command": "measure",
         "input": label,

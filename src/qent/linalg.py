@@ -65,15 +65,13 @@ a tuple of states, whose validated matrices are not scanned again.
 :func:`fill_spectra`, the only writer of the partial-transpose cache, fills
 a tuple of states with one gather and one stacked solve per map (a single
 state fills itself this way too, its lone matrix gathered and solved 2-D).
-The spectra of one stacked solve share one sum of ``|lambda|`` per matrix,
-taken on the first read of a ``trace_norm``.  Each matrix of a stack gets
-the bits it gets on its own: stacked ``eigh`` and ``svd`` solve each matrix
-as a loop would, every other step is a gather, elementwise, or a reduction
-within one matrix, and a stack with one bad matrix raises what that matrix
-raises alone.  Two steps still
-see the leading axis: the returned container (one value for a matrix, a
-tuple or array of ``k`` for a stack), and the LAPACK call, which solves a
-lone matrix 2-D rather than as a stack of one.  The benchmark's tracer
+Each matrix of a stack gets the bits it gets on its own: stacked ``eigh``
+and ``svd`` solve each matrix as a loop would, every other step is a
+gather, elementwise, or a reduction within one matrix, and a stack with one
+bad matrix raises what that matrix raises alone.  Two steps still see the
+leading axis: the returned container (one value for a matrix, a tuple or
+array of ``k`` for a stack), and the LAPACK call, which solves a lone
+matrix 2-D rather than as a stack of one.  The benchmark's tracer
 (``bench/tracer.py``) sizes a solve by the first axis of its shape and would
 file a stack of one as a 1 x 1 solve; the stacks tests pin the 2-D solve
 until the tracer sizes by the last axis.  :class:`DensityMatrix` stays one
@@ -85,7 +83,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -214,7 +211,7 @@ class DensityMatrix:
         object.__setattr__(self, "dims", tuple(map(int, self.dims)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues of a Hermitian matrix, sorted ascending.
 
@@ -226,44 +223,17 @@ class Spectrum:
         max over returned pairs of ``|H v - lambda v|`` (infinity norm).
     vectors : numpy.ndarray
         Unit eigenvectors as columns, aligned with ``eigenvalues``.
-
-    The sums of ``|lambda|`` behind :attr:`trace_norm` are private: the
-    spectra of one stacked solve share one :class:`_AbsSums` of the stack
-    (``_sums``, read at row ``_row``), which :func:`_checked_spectrum` sets;
-    any other spectrum makes its own on first read.
     """
 
     eigenvalues: np.ndarray
     residual: float
     vectors: np.ndarray = field(repr=False, default=None)
-    _sums: _AbsSums = field(default=None, repr=False, compare=False)
-    _row: int = field(default=0, repr=False, compare=False)
 
-    @property
+    @cached_property
     def trace_norm(self):
-        """Trace norm of the solved matrix, the sum of ``|lambda|``, summed at
-        most once.  A spectrum of a stacked solve reads its row of one sum
-        over the whole stack, taken when the first of them is read: the same
-        float as its own sum."""
-        if self._sums is None:
-            object.__setattr__(self, "_sums", _AbsSums(self.eigenvalues[np.newaxis]))
-        return self._sums[self._row]
-
-
-class _AbsSums:
-    """The sums of ``|lambda|`` of each row of a stack's eigenvalues, as
-    floats: one reduction, taken on the first read (an eager one would sum,
-    and may overflow on, spectra nobody reads)."""
-
-    __slots__ = ("lam", "sums")
-
-    def __init__(self, lam):
-        self.lam, self.sums = lam, None
-
-    def __getitem__(self, row):
-        if self.sums is None:
-            self.sums = np.abs(self.lam).sum(axis=-1).tolist()
-        return self.sums[row]
+        """Trace norm of the solved matrix, the sum of ``|lambda|`` as a
+        float, summed on the first read."""
+        return float(abs(self.eigenvalues).sum())
 
 
 def tensor(a, b):
@@ -663,18 +633,9 @@ def herm_eigenvalues(h):
 def _check_residual(residual, lam):
     """Raise :class:`~qent.errors.EigensolverError` unless each residual (one
     per matrix) is within ``EIG_RESIDUAL_TOL * max(1, max |lambda|)`` of its
-    matrix's eigenvalues, the last axis of ``lam``: the one residual bound.
-    A lone matrix's residual is a float, checked without a numpy reduction:
-    its ``lam`` is ascending (or only its two ends), so ``max |lambda|`` is
-    read from the two ends as ``max(-lam[0], lam[-1])``, the same float as
-    the largest modulus."""
-    # Each check is written so that a NaN residual fails it.
-    if isinstance(residual, float):
-        bound = EIG_RESIDUAL_TOL * max(1.0, -lam[0], lam[-1])
-        if not residual <= bound:
-            raise EigensolverError("eigensolver residual above tolerance", float(residual))
-        return
-    bound = EIG_RESIDUAL_TOL * abs(lam).max(axis=-1, initial=1.0)
+    matrix's eigenvalues, the last axis of ``lam``: the one residual bound."""
+    bound = EIG_RESIDUAL_TOL * np.abs(lam).max(axis=-1, initial=1.0)
+    # Written so that a NaN residual fails the check.
     if not (residual <= bound).all():
         worst = np.where(residual <= bound, 0.0, residual).max()
         raise EigensolverError("eigensolver residual above tolerance", float(worst))
@@ -684,11 +645,10 @@ def _checked_spectrum(m, lam, vec):
     """Wrap eigenpairs of ``m`` (a matrix, or a stack of them with stacked
     ``lam`` and ``vec``) as :class:`Spectrum` objects once ``m v = lambda v``
     holds for each matrix (:func:`_check_residual`).  The residual is formed
-    in place, and the spectra of a stack are built in one pass, sharing the
-    stack's sums of ``|lambda|`` (:class:`_AbsSums`).  Residuals each within
-    ``EIG_RESIDUAL_TOL``, read as the floats the spectra take, pass without
-    the bound of each matrix, which is exact: every bound is at least
-    ``EIG_RESIDUAL_TOL``, and a NaN residual fails the gate."""
+    in place.  Residuals each within ``EIG_RESIDUAL_TOL``, read as the floats
+    the spectra take, pass without the bound of each matrix, which is exact:
+    every bound is at least ``EIG_RESIDUAL_TOL``, and a NaN residual fails
+    the gate."""
     r = m @ vec
     r -= vec * lam[..., np.newaxis, :]
     r = abs(r)
@@ -701,7 +661,7 @@ def _checked_spectrum(m, lam, vec):
     vec.flags.writeable = False
     if m.ndim == 2:
         return Spectrum(lam, residual, vec)
-    return tuple(map(Spectrum, lam, residuals, vec, repeat(_AbsSums(lam)), range(len(lam))))
+    return tuple(map(Spectrum, lam, residuals, vec))
 
 
 def trace_norm(a):

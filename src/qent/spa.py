@@ -59,7 +59,7 @@ class SpaState:
     threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaWitness:
     """SPA of a witness operator: a physical (PSD, unit-trace) observable.
 
@@ -275,8 +275,8 @@ def spa_witness(w, d1, d2, p=None):
     inv = 1.0 / dim
     ps = [inv / (inv + abs(lam)) for lam in lam_mins] if p is None else [p] * len(stack)
     for q in ps:
-        if not (0.0 <= q <= 1.0):
-            raise DimensionError(f"mixing p must lie in [0, 1], got {q}")
+        if not (0.0 < q <= 1.0):
+            raise DimensionError(f"mixing p must lie in (0, 1], got {q}")
     # W_tilde is an affine image of W with p >= 0, so its smallest eigenvalue
     # follows from W's.
     if any(q * lam + (1.0 - q) / dim < PSD_FLOOR for q, lam in zip(ps, lam_mins)):

@@ -64,6 +64,8 @@ def ket(amplitudes, dims):
         big = max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))
         if big == 0:
             raise DimensionError("zero vector")
+        # A complex v / big takes 1 / big, which overflows for the smallest subnormals.
+        v, big = (v * 2.0 ** 64, big * 2.0 ** 64) if 1.0 / float(big) == math.inf else (v, big)
         return ket(v / big, dims)
     return v / norm
 
@@ -237,6 +239,8 @@ def horodecki_bound_entangled(a):
 
     PPT for every ``a`` in [0, 1] yet entangled for ``0 < a < 1``.
     """
+    if not 0.0 <= a <= 1.0:
+        raise DimensionError(f"horodecki_bound_entangled needs a in [0, 1], got {a!r}")
     r = np.zeros((9, 9), dtype=complex)
     for i in range(9):
         r[i, i] = a
@@ -352,6 +356,8 @@ def kay_state(a):
 
     Separable for ``a >= 4`` and PPT-entangled for ``2 <= a < 2 sqrt(2)``.
     """
+    if not a >= 2.0:
+        raise DimensionError(f"kay_state needs a >= 2, got {a!r}")
     diag = np.array([4.0 + a, a, a, a, a, a, a, 4.0 + a])
     anti = np.array([2.0, 2.0, -2.0, 2.0, 2.0, -2.0, 2.0, 2.0])
     mat = np.diag(diag).astype(complex)
@@ -402,8 +408,11 @@ def ghz_w_wtilde_mixture(q1, q2):
 def two_slice_superposition(a, c, p):
     """Vector ``sqrt(p)(a|000> + b|111>) - sqrt(1-p)(c|110> + d|101>)``.
 
-    With ``b = sqrt(1-a^2)`` and ``d = sqrt(1-c^2)``.
+    With ``b = sqrt(1-a^2)`` and ``d = sqrt(1-c^2)``, for ``|a|, |c| <= 1`` and ``0 <= p <= 1``.
     """
+    for name, x, low in (("a", a, -1.0), ("c", c, -1.0), ("p", p, 0.0)):
+        if not low <= x <= 1.0:
+            raise DimensionError(f"two_slice_superposition needs {name} in [{low:g}, 1], got {x!r}")
     b = np.sqrt(1.0 - a * a)
     dd = np.sqrt(1.0 - c * c)
     return ket(_amplitudes(8, {0: np.sqrt(p) * a, 7: np.sqrt(p) * b,

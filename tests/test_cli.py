@@ -216,6 +216,14 @@ class TestCommands:
     def test_measure_unknown_name_is_usage_error(self, capsys, werner_file):
         assert main(["measure", werner_file, "nope"]) == EXIT_USAGE
 
+    def test_a_measure_named_twice_runs_once_in_the_order_first_named(self, capsys, werner_file):
+        argv = ["measure", werner_file, "coherence", "negativity", "coherence", "negativity"]
+        code, rep = self._run(capsys, argv)
+        assert code == EXIT_OK
+        assert [e["name"] for e in rep["results"]] == ["coherence", "negativity"]
+        _, once = self._run(capsys, ["measure", werner_file, "coherence", "negativity"])
+        assert rep == once
+
     def test_measure_pure_three_qubit(self, capsys, tmp_path):
         path = tmp_path / "ghz.json"
         write_state_file(path, projector(ghz_state(), [2, 2, 2]))

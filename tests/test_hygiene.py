@@ -7,9 +7,10 @@ builds a vector of a literal size by hand; no module tests an
 argument by membership in ``range(...)`` or in a literal set of ints; and
 no module but ``linalg`` takes the modulus of eigenvalues or solves a
 partial transpose; every square root in ``classify3`` takes ``max(0.0,
-...)``.  Every array the package shares, a module-level constant or a
-cached fixed operand (an index table or an identity), is read-only, and
-importing the package builds no fixed operand."""
+...)``; every dataclass with an array field compares by identity.
+Every array the package shares, a module-level constant or a cached fixed
+operand (an index table or an identity), is read-only, and importing the
+package builds no fixed operand."""
 
 import ast
 import os
@@ -306,6 +307,52 @@ def test_trace_norms_are_read_in_linalg(path):
     # linalg.Spectrum.trace_norm is the one sum of |lambda| over a solved
     # spectrum; a second one elsewhere could sum a different set of values.
     assert eigenvalue_moduli(path.read_text(encoding="utf-8")) == []
+
+
+def _is_dataclass(decorator):
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+
+
+def _eq_false(decorator):
+    return isinstance(decorator, ast.Call) and any(
+        k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in decorator.keywords)
+
+
+def array_records(source):
+    """Names of the dataclasses in ``source`` that annotate a field with
+    ``ndarray`` (by name or attribute) and are not declared ``eq=False``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d for d in node.decorator_list if _is_dataclass(d)]
+        arrays = any(isinstance(stmt, ast.AnnAssign)
+                     and any(getattr(sub, "id", getattr(sub, "attr", None)) == "ndarray"
+                             for sub in ast.walk(stmt.annotation))
+                     for stmt in node.body)
+        if decorators and arrays and not any(map(_eq_false, decorators)):
+            found.append(node.name)
+    return sorted(found)
+
+
+def test_scan_finds_an_array_record():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: np.ndarray\n"
+              "@dataclasses.dataclass\nclass B:\n    y: float\n    z: ndarray | None = None\n"
+              "@dataclass(eq=True)\nclass C:\n    w: numpy.ndarray\n")
+    assert array_records(source) == ["A", "B", "C"]
+    assert array_records("@dataclass(frozen=True, eq=False)\nclass D:\n    x: np.ndarray\n"
+                         "@dataclass\nclass E:\n    x: float\n"
+                         "class F:\n    x: np.ndarray\n") == []
+
+
+@pytest.mark.parametrize("path", LIBRARY_SOURCES, ids=lambda p: f"src/{p.name}")
+def test_records_that_hold_arrays_compare_by_identity(path):
+    # The generated __eq__ compares the fields as a tuple, and == of two
+    # arrays is not a truth value, so == and `in` would raise ValueError;
+    # the generated __hash__ hashes that tuple, so hash would raise TypeError.
+    assert array_records(path.read_text(encoding="utf-8")) == []
 
 
 def _calls(node, name):

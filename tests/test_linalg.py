@@ -20,6 +20,7 @@ from conftest import (
     random_hermitian,
     random_pure,
 )
+from qent.classify3 import CorrelationTensor
 from qent.errors import (
     DensityMatrixError,
     DimensionError,
@@ -45,6 +46,7 @@ from qent.linalg import (
     trace_norm,
     validate_density,
 )
+from qent.spa import SpaWitness
 
 
 def _oracle_inputs(rng, n):
@@ -492,11 +494,9 @@ class TestTraceNorms:
     def test_a_stacked_norm_is_each_matrix_s_own_sum(self, seed, k, n):
         rng = np.random.default_rng(seed)
         specs = herm_eigenvalues(np.stack([random_hermitian(rng, n) for _ in range(k)]))
-        # The first read, from any row, sums the whole stack once.
         for i in rng.permutation(k):
             own = float(np.sum(np.abs(specs[i].eigenvalues)))
             assert specs[i].trace_norm.hex() == own.hex()
-        assert all(spec._sums is specs[0]._sums for spec in specs)
         alone = herm_eigenvalues(specs[0].vectors @ np.diag(specs[0].eigenvalues)
                                  @ specs[0].vectors.conj().T)
         assert alone.trace_norm.hex() == float(np.sum(np.abs(alone.eigenvalues))).hex()
@@ -505,6 +505,22 @@ class TestTraceNorms:
         spec = Spectrum(np.array([-0.25, 0.5, 0.75]), 0.0)
         assert spec.trace_norm == 1.5
         assert spec.trace_norm == 1.5
+
+
+# Records that hold arrays, each built twice from equal values.
+ARRAY_RECORDS = {
+    "Spectrum": lambda: Spectrum(np.array([0.25, 0.75]), 0.0, np.eye(2)),
+    "CorrelationTensor": lambda: CorrelationTensor(*(np.eye(3),) * 3),
+    "SpaWitness": lambda: SpaWitness(w_tilde=np.eye(4) / 4, p=1.0, r_bound=0.0),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_a_record_that_holds_arrays_compares_and_hashes_by_identity(name):
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert a == a and a != b
+    assert a in [b, a] and a not in [b]
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestValidation:

@@ -44,7 +44,10 @@ def oracle_ket(psi):
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
     if not 0 < norm < np.inf:
-        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+        big = max(np.abs(v.real).max(), np.abs(v.imag).max())
+        if 1.0 / float(big) == math.inf:  # exactly, as 1 / big overflows
+            v, big = v * 2.0 ** 64, big * 2.0 ** 64
+        v = v / big
         norm = np.linalg.norm(v)
     return v / norm
 
@@ -231,7 +234,9 @@ def test_canonical_projector_matches_the_plain_forms(params):
 @pytest.mark.parametrize("psi, plain", [
     ([1e200, 1e200, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0]),
     (1e-200 * np.array([1, 1j, 0, 0, 0, 0, 0, 1]), [1, 1j, 0, 0, 0, 0, 0, 1]),
-], ids=["squares-overflow", "squares-underflow"])
+    # 1 / 5e-324 overflows, so a complex division by the largest part cannot scale.
+    (np.array([5e-324, 0, 0, 0, 0, 0, 0, 5e-324j]), [1, 0, 0, 0, 0, 0, 0, 1j]),
+], ids=["squares-overflow", "squares-underflow", "subnormal"])
 def test_extreme_amplitudes_give_the_normalized_kets_results(psi, plain):
     # The pytest configuration turns a RuntimeWarning into an error, so a
     # norm whose squares overflow outside ket's errstate guard fails here.

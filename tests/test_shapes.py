@@ -67,9 +67,12 @@ from qent.states import (
     bell_phi_plus,
     embed_pair_product,
     ghz_state,
+    horodecki_bound_entangled,
+    kay_state,
     ket,
     projector,
     qutrit_qubit_alpha_state,
+    two_slice_superposition,
 )
 
 
@@ -210,6 +213,17 @@ ARGUMENT_GUARDS = {
     "spa_witness d1 = 2.5": (lambda: spa_witness(_BELL_WITNESS, 2.5, 2), "not a whole number"),
     "spa_witness d2 = nan": (lambda: spa_witness(_BELL_WITNESS, 2, float("nan")),
                              "not a whole number"),
+    # concurrence_bounds divides by p, so the witness it reads must have p > 0.
+    "spa_witness p = 0": (lambda: spa_witness(_BELL_WITNESS, 2, 2, p=0.0),
+                          r"must lie in \(0, 1\]"),
+    "horodecki_bound_entangled a = 1.5": (lambda: horodecki_bound_entangled(1.5),
+                                          r"needs a in \[0, 1\]"),
+    "horodecki_bound_entangled a = -0.125": (lambda: horodecki_bound_entangled(-0.125),
+                                             r"needs a in \[0, 1\]"),
+    "kay_state a = -1": (lambda: kay_state(-1.0), "needs a >= 2"),
+    "kay_state a = nan": (lambda: kay_state(float("nan")), "needs a >= 2"),
+    "two_slice_superposition a = 1.2": (lambda: two_slice_superposition(1.2, 0.3, 0.5),
+                                        r"needs a in \[-1, 1\]"),
     "partial_trace empty keep": (lambda: partial_trace(_TWO_QUBIT, []), "nonempty"),
     "partial_trace keep out of range": (lambda: partial_trace(_TWO_QUBIT, [2]), "out of range"),
     "partial_trace keep 0.7": (lambda: partial_trace(_TWO_QUBIT, [0.7]), "not a whole number"),
