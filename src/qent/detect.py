@@ -90,7 +90,7 @@ def reduction_check(rho: DensityMatrix) -> Verdict:
     """
     linalg.BIPARTITE.require(rho.dims, "reduction_check")
     d0, d1 = rho.dims
-    rho_a = np.trace(rho.mat.reshape(d0, d1, d0, d1), axis1=1, axis2=3)
+    rho_a = rho.mat.reshape(d0, d1, d0, d1).trace(axis1=1, axis2=3)
     # rho_A (x) I by broadcasting: np.kron's bits at a quarter of its cost.
     rho_a_i = rho_a[:, None, :, None] * _eye(d1)[None, :, None, :]
     lam = float(herm_eigenvalues(rho_a_i.reshape(rho.mat.shape) - rho.mat).eigenvalues[0])

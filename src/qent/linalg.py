@@ -19,8 +19,8 @@ which are tiny, by the count alone.  Importing the package builds none.
 
 Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
 (``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
-the returned eigenpairs do not satisfy ``H v = lambda v`` to within
-``EIG_RESIDUAL_TOL`` relative to the spectral radius of their own matrix.
+its eigenpairs miss ``H v = lambda v`` by over ``EIG_RESIDUAL_TOL`` times their
+matrix's spectral radius (:func:`_check_residual`, gated by :func:`_residual_gate`).
 Each distinct matrix of a state is solved at most once: a
 :class:`DensityMatrix` caches
 
@@ -275,7 +275,7 @@ def _herm_dev(m, axis=None):
     """Largest entry of ``|m - m^H|`` over a matrix or a stack of them, or
     with ``axis=(-2, -1)`` of each matrix of a stack; an infinite entry
     makes it NaN (``inf - inf``) without a warning."""
-    return abs(m - m.swapaxes(-1, -2).conj()).max(axis=axis)
+    return np.maximum.reduce(abs(m - m.swapaxes(-1, -2).conj()), axis=axis)
 
 
 def _finite_herm_dev(m, axis=None):
@@ -631,9 +631,9 @@ def herm_eigenvalues(h):
 
 
 def _check_residual(residual, lam):
-    """Raise :class:`~qent.errors.EigensolverError` unless each residual (one
-    per matrix) is within ``EIG_RESIDUAL_TOL * max(1, max |lambda|)`` of its
-    matrix's eigenvalues, the last axis of ``lam``: the one residual bound."""
+    """The one residual bound, behind :func:`_residual_gate`: raise
+    :class:`~qent.errors.EigensolverError` unless each residual (one per matrix)
+    is within ``EIG_RESIDUAL_TOL * max(1, max |lambda|)`` over the last axis of ``lam``."""
     bound = EIG_RESIDUAL_TOL * np.abs(lam).max(axis=-1, initial=1.0)
     # Written so that a NaN residual fails the check.
     if not (residual <= bound).all():
@@ -641,27 +641,28 @@ def _check_residual(residual, lam):
         raise EigensolverError("eigensolver residual above tolerance", float(worst))
 
 
+def _residual_gate(residual, lam):
+    """Skip :func:`_check_residual` when each residual is within its floor ``EIG_RESIDUAL_TOL``."""
+    if not (residual <= EIG_RESIDUAL_TOL if isinstance(residual, float)  # NaN fails either test
+            else all(map(EIG_RESIDUAL_TOL.__ge__, residual))):
+        _check_residual(residual, lam)
+
+
 def _checked_spectrum(m, lam, vec):
     """Wrap eigenpairs of ``m`` (a matrix, or a stack of them with stacked
     ``lam`` and ``vec``) as :class:`Spectrum` objects once ``m v = lambda v``
-    holds for each matrix (:func:`_check_residual`).  The residual is formed
-    in place.  Residuals each within ``EIG_RESIDUAL_TOL``, read as the floats
-    the spectra take, pass without the bound of each matrix, which is exact:
-    every bound is at least ``EIG_RESIDUAL_TOL``, and a NaN residual fails
-    the gate."""
+    holds for each matrix (:func:`_residual_gate`), each residual a float."""
     r = m @ vec
     r -= vec * lam[..., np.newaxis, :]
     r = abs(r)
-    residual = float(r.max()) if m.ndim == 2 else r.max(axis=(-2, -1))
-    residuals = (residual,) if m.ndim == 2 else residual.tolist()
-    if not all(map(EIG_RESIDUAL_TOL.__ge__, residuals)):
-        _check_residual(residual, lam)
+    residual = np.maximum.reduce(r, axis=None if m.ndim == 2 else (-2, -1)).tolist()
+    _residual_gate(residual, lam)
     # Read-only, because DensityMatrix.spectrum hands one Spectrum to every caller.
-    lam.flags.writeable = False
-    vec.flags.writeable = False
+    lam.setflags(write=False)
+    vec.setflags(write=False)
     if m.ndim == 2:
         return Spectrum(lam, residual, vec)
-    return tuple(map(Spectrum, lam, residuals, vec))
+    return tuple(map(Spectrum, lam, residual, vec))
 
 
 def trace_norm(a):
@@ -791,7 +792,7 @@ def _unit_trace(mat, what):
     ``mat``, or of each matrix of a stack, is within ``TRACE_TOL`` of 1."""
     trace_dev = abs(mat.trace(axis1=-2, axis2=-1) - 1.0)
     # A NaN trace makes the largest deviation NaN, which fails the check.
-    worst = float(trace_dev.max())
+    worst = float(np.maximum.reduce(trace_dev, axis=None))
     if not worst <= TRACE_TOL:
         raise TraceViolation(f"{what} trace differs from 1", worst)
 
@@ -818,11 +819,17 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
     Raises
     ------
     DimensionError
-        If an entry of ``names`` is neither ``"pt_spectrum"`` nor
+        If ``states`` is one state, ``names`` one string or ``parties`` one
+        integer, an entry of ``names`` is neither ``"pt_spectrum"`` nor
         ``"realign_norm"`` (checked first, even for an empty tuple), the
         states' dims differ, a party is not one of theirs, or the
         realignment does not apply to them (it needs dims ``[d, d]``).
     """
+    # One type test per argument, as DensityMatrix.pt_spectrum_of calls this on every miss.
+    lone = ("states" if isinstance(states, DensityMatrix) else "names" if isinstance(names, str)
+            else "parties" if isinstance(parties, (int, np.integer)) else None)
+    if lone:
+        raise DimensionError(f"fill_spectra takes {lone} as a sequence, not one value")
     unknown = [name for name in names if name not in ("pt_spectrum", "realign_norm")]
     if unknown:
         raise DimensionError(f"fill_spectra cannot fill {', '.join(map(repr, unknown))}")
@@ -840,7 +847,7 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
                 rho._pt_spectra[k] = spec
     if "realign_norm" in names:
         norms = trace_norm(realign(states if len(states) > 1 else states[0]))
-        for rho, norm in zip(states, np.ravel(norms).tolist()):
+        for rho, norm in zip(states, norms.tolist() if len(states) > 1 else (norms,)):
             vars(rho).setdefault("realign_norm", norm)
 
 

@@ -8,13 +8,14 @@ three-pi measure, and the l1-norm of coherence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import PSD_FLOOR, DensityMatrix, _check_residual, _matrix, herm_eigenvalues
+from .linalg import PSD_FLOOR, DensityMatrix, _matrix, _residual_gate, herm_eigenvalues
 from .spa import _spa_coefficients
 from .states import _SIGMA_YY, _cut_schmidt_products, ket
 
@@ -98,7 +99,7 @@ def structured_negativity(rho: DensityMatrix) -> MeasureValue:
     ``rho_tilde v - (shift + scale lambda) v = scale (rho^{T_B} v - lambda
     v)``, so their residual against ``rho_tilde`` is ``scale`` times the
     checked ``rho.pt_spectrum.residual``.  That product is held to the bound
-    a solve of ``rho_tilde`` meets (:func:`qent.linalg._check_residual`).
+    a solve of ``rho_tilde`` meets, by its gate (:func:`qent.linalg._residual_gate`).
     """
     linalg.PROPER_SQUARE.require(rho.dims, "structured_negativity")
     d = rho.dims[0]
@@ -106,7 +107,7 @@ def structured_negativity(rho: DensityMatrix) -> MeasureValue:
     pt = rho.pt_spectrum
     # The two ends of the affine spectrum are all the bound and the value read.
     lo, hi = (shift + scale * pt.eigenvalues.item(i) for i in (0, -1))
-    _check_residual(scale * pt.residual, (lo, hi))
+    _residual_gate(scale * pt.residual, (lo, hi))
     k = d * (d ** 3 + 1)
     return MeasureValue(value=k * max(threshold - lo, 0.0),
                         measure="structured_negativity", d=d)
@@ -120,8 +121,8 @@ def concurrence_lb_chen(rho: DensityMatrix) -> MeasureValue:
     linalg.PROPER_SQUARE.require(rho.dims, "concurrence_lb_chen")
     d = rho.dims[0]
     best = max(rho.pt_spectrum.trace_norm, rho.realign_norm)
-    val = np.sqrt(2.0 / (d * (d - 1.0))) * (best - 1.0)
-    return MeasureValue(value=max(0.0, float(val)), measure="concurrence_lb", d=d)
+    val = math.sqrt(2.0 / (d * (d - 1.0))) * (best - 1.0)
+    return MeasureValue(value=max(0.0, val), measure="concurrence_lb", d=d)
 
 
 def tangle_pure(psi) -> MeasureValue:

@@ -467,7 +467,7 @@ class TestOperandCaches:
 class TestResidualBound:
     @pytest.mark.parametrize("lam", [[-3.0, 0.5, 2.0], [-0.5, 0.25], [-1.0, 4.0], [0.1, 0.2],
                                      [-2.0], [-1e300, 1e-300]])
-    def test_the_bound_read_from_the_two_ends_is_the_largest_modulus(self, lam):
+    def test_the_bound_is_the_tolerance_times_the_largest_modulus_or_one(self, lam):
         lam = np.array(lam)
         edge = EIG_RESIDUAL_TOL * abs(lam).max(initial=1.0)
         over = np.nextafter(edge, np.inf)

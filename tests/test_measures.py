@@ -12,7 +12,7 @@ from conftest import (
     random_pure,
     random_unitary,
 )
-from qent import measures
+from qent import linalg, measures
 from qent.detect import ppt_check, realignment_check, reduction_check
 from qent.errors import DimensionError, EigensolverError
 from qent.linalg import EIG_RESIDUAL_TOL, Spectrum, partial_trace, tensor, validate_density
@@ -246,6 +246,18 @@ class TestStructuredNegativityFromThePtSpectrum:
                 structured_negativity(rho)
         else:
             structured_negativity(rho)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_pt_residual_within_the_tolerance_skips_the_bound(self, rng, monkeypatch, d):
+        def refuse(residual, lam):
+            raise AssertionError("per-matrix bound computed")
+
+        rho = random_density(rng, (d, d))
+        assert rho.pt_spectrum.residual <= EIG_RESIDUAL_TOL
+        # Both names, so a bound reached through either module is refused.
+        monkeypatch.setattr(linalg, "_check_residual", refuse)
+        monkeypatch.setattr(measures, "_check_residual", refuse, raising=False)
+        assert structured_negativity(rho).value >= 0.0
 
 
 class TestThreeQubitMeasures:

@@ -41,6 +41,7 @@ from qent.linalg import (
     TWO_QUBIT,
     exact_dims,
     expectation,
+    fill_spectra,
     partial_trace,
     partial_transpose,
     partial_transpose_qubit,
@@ -224,6 +225,12 @@ ARGUMENT_GUARDS = {
     "kay_state a = nan": (lambda: kay_state(float("nan")), "needs a >= 2"),
     "two_slice_superposition a = 1.2": (lambda: two_slice_superposition(1.2, 0.3, 0.5),
                                         r"needs a in \[-1, 1\]"),
+    "fill_spectra states a lone state": (lambda: fill_spectra(_TWO_QUBIT),
+                                         "takes states as a sequence"),
+    "fill_spectra names a string": (lambda: fill_spectra((_TWO_QUBIT,), "pt_spectrum"),
+                                    "takes names as a sequence"),
+    "fill_spectra parties an int": (lambda: fill_spectra((_TWO_QUBIT,), ("pt_spectrum",), 1),
+                                    "takes parties as a sequence"),
     "partial_trace empty keep": (lambda: partial_trace(_TWO_QUBIT, []), "nonempty"),
     "partial_trace keep out of range": (lambda: partial_trace(_TWO_QUBIT, [2]), "out of range"),
     "partial_trace keep 0.7": (lambda: partial_trace(_TWO_QUBIT, [0.7]), "not a whole number"),

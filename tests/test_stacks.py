@@ -174,6 +174,11 @@ class TestStackEqualsLoop:
         fill_spectra((), ("pt_spectrum",), (0, 1, 2))
         assert eigh_shapes == [] and svd_shapes == []
 
+    def test_fill_spectra_takes_names_and_parties_as_any_sequence(self):
+        states = validate_density(_stack(3, 2, (2, 2)), [2, 2])
+        fill_spectra(states, ["pt_spectrum", "realign_norm"], range(2))
+        assert all(rho._pt_spectra and "realign_norm" in vars(rho) for rho in states)
+
 
 def _bits(spec):
     return spec.eigenvalues.tobytes(), spec.vectors.tobytes(), float(spec.residual).hex()
