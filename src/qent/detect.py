@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import DensityMatrix, _below, _eye, _floor_eps, expectation, herm_eigenvalues
+from .linalg import DensityMatrix, _below, _eye, _floor_eps, _solve, expectation
 from .spa import SpaState, SpaWitness
 from .states import projector
 
@@ -90,11 +90,12 @@ def reduction_check(rho: DensityMatrix) -> Verdict:
     """
     linalg.BIPARTITE.require(rho.dims, "reduction_check")
     d0, d1 = rho.dims
+    eps = _floor_eps(rho)  # first: a hand-built non-finite rho raises before inf * 0 below
     rho_a = rho.mat.reshape(d0, d1, d0, d1).trace(axis1=1, axis2=3)
     # rho_A (x) I by broadcasting: np.kron's bits at a quarter of its cost.
     rho_a_i = rho_a[:, None, :, None] * _eye(d1)[None, :, None, :]
-    lam = float(herm_eigenvalues(rho_a_i.reshape(rho.mat.shape) - rho.mat).eigenvalues[0])
-    entangled = _below(lam, 0.0, (d1 - 1) * _floor_eps(rho))
+    lam = float(_solve(rho_a_i.reshape(rho.mat.shape) - rho.mat).eigenvalues[0])
+    entangled = _below(lam, 0.0, (d1 - 1) * eps)
     outcome = Outcome.Entangled if entangled else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="reduction")
 

@@ -38,7 +38,7 @@ class NonFiniteEntry(DensityMatrixError):
 
 
 class EigensolverError(DensityMatrixError):
-    """Eigensolver residual exceeds tolerance; the magnitude is the residual."""
+    """Eigensolver residual exceeds tolerance (the magnitude), or LAPACK failed (NaN)."""
 
 
 class NotAWitness(ValueError):

@@ -17,10 +17,10 @@ of each kind, and only those of matrices of side at most
 ``OPERAND_CACHE_SIDE``; a larger one is built per call), and the shapes,
 which are tiny, by the count alone.  Importing the package builds none.
 
-Every eigenproblem goes through :func:`herm_eigenvalues`, which calls LAPACK
-(``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when
-its eigenpairs miss ``H v = lambda v`` by over ``EIG_RESIDUAL_TOL`` times their
-matrix's spectral radius (:func:`_check_residual`, gated by :func:`_residual_gate`).
+Every eigenproblem goes through :func:`_solve`, which calls LAPACK
+(``numpy.linalg.eigh``) and raises :class:`~qent.errors.EigensolverError` when it
+fails or its eigenpairs miss ``H v = lambda v`` by over ``EIG_RESIDUAL_TOL`` times
+their matrix's spectral radius (:func:`_check_residual`, gated by :func:`_residual_gate`).
 Each distinct matrix of a state is solved at most once: a
 :class:`DensityMatrix` caches
 
@@ -47,9 +47,14 @@ construction and exactly Hermitian:
 * the GHZ/W(/flipped-W) mixtures of :mod:`qent.states`, convex combinations
   of checked kets with checked weights.
 
-Every solve still checks its residual.  A projector also keeps its
-normalized ket as ``rho.ket`` (``None`` on every other state), so a pure
-three-qubit state is decided from its amplitudes without an eigensolve;
+A state, its partial transposes (permutations of its entries) and ``rho_A (x) I -
+rho`` (``rho_A`` sums the same terms in the same order for entries ``(i, j)`` and
+``(j, i)``) are exactly Hermitian too, so only a caller's matrix gets a finiteness
+and Hermiticity pass (in :func:`herm_eigenvalues` or :func:`validate_density`).
+Every solve checks its residual, which also catches a :class:`DensityMatrix`
+built by hand around a NaN, infinite or far from Hermitian matrix.  A projector
+also keeps its normalized ket as ``rho.ket`` (``None`` on every other state), so
+a pure three-qubit state is decided from its amplitudes without an eigensolve;
 only :func:`qent.states.projector` sets it.
 
 Which subsystem dimensions a function accepts is stated once, as one of the
@@ -144,7 +149,7 @@ class DensityMatrix:
 
     A caller's matrix becomes one through :func:`validate_density`, which
     enforces hermiticity, unit trace, and positive semidefiniteness; the
-    maps of this package wrap their outputs unchecked (see the module notes).
+    package wraps and solves what it derives unchecked (see the module notes).
     Instances compare and hash by identity (``==`` of two arrays is not a
     truth value), so a state can key a cache.
 
@@ -176,10 +181,10 @@ class DensityMatrix:
 
         :func:`validate_density` fills it from its own solve and the SPA-PT
         maps from the solve of the partial transpose; any other instance
-        solves on first access.  ``mat`` must not be changed in place
-        afterwards.
+        solves on first access, without an input pass.  ``mat`` must not be
+        changed in place afterwards.
         """
-        return herm_eigenvalues(self.mat)
+        return _solve(self.mat)
 
     @property
     def pt_spectrum(self):
@@ -396,11 +401,10 @@ def _is_states(rho):
 
 
 def _one_dims(states):
-    """The dims that every state of a nonempty tuple of states shares."""
-    dims = states[0].dims
-    if any(not isinstance(rho, DensityMatrix) or rho.dims != dims for rho in states):
-        raise DimensionError("a stack of states needs one dims for all of them")
-    return dims
+    """The dims that every state of a nonempty tuple shares, each tested to be a state first."""
+    if any(not isinstance(rho, DensityMatrix) or rho.dims != states[0].dims for rho in states):
+        raise DimensionError("a stack of states needs states of one dims")
+    return states[0].dims
 
 
 def _fixed_operand(side):
@@ -600,7 +604,7 @@ def realign(rho, dims=None):
 
 def herm_eigenvalues(h):
     """Real spectrum of a Hermitian matrix, or of each of a stack of them
-    (one LAPACK ``eigh`` call either way).
+    (one LAPACK ``eigh`` call either way): one input pass, then :func:`_solve`.
 
     Parameters
     ----------
@@ -620,14 +624,23 @@ def herm_eigenvalues(h):
         If any matrix has a NaN or infinite entry or is not Hermitian within
         tolerance.
     EigensolverError
-        If the residual of any matrix exceeds ``EIG_RESIDUAL_TOL * max(1,
-        max |lambda|)``, taken over that matrix's own eigenvalues.
+        If LAPACK fails or the residual of any matrix exceeds ``EIG_RESIDUAL_TOL
+        * max(1, max |lambda|)``, taken over that matrix's own eigenvalues.
     """
     m = _square(h, (2, 3))
     herm_dev, _ = _finite_herm_dev(m)
     if herm_dev > HERM_TOL:
         raise HermiticityViolation("eigensolver input is not Hermitian", herm_dev)
-    return _checked_spectrum(m, *np.linalg.eigh(m))
+    return _solve(m)
+
+
+def _solve(m):
+    """:func:`herm_eigenvalues` without its input pass (module notes); a LAPACK failure, or
+    numpy's warning on a hand-built non-finite entry raised as an error, is EigensolverError."""
+    try:
+        return _checked_spectrum(m, *np.linalg.eigh(m))
+    except (np.linalg.LinAlgError, RuntimeWarning) as err:
+        raise EigensolverError(f"eigensolver failed: {err}", math.nan) from None
 
 
 def _check_residual(residual, lam):
@@ -688,11 +701,11 @@ def trace_norm(a):
     m = _square(a, (2, 3))
     herm = _finite_herm_dev(m, (-2, -1))[1] <= HERM_TOL
     if m.ndim == 2:
-        return (herm_eigenvalues(m).trace_norm if herm
+        return (_solve(m).trace_norm if herm
                 else float(np.linalg.svd(m, compute_uv=False).sum()))
     norms = np.empty(len(m))
     if herm.any():
-        norms[herm] = [s.trace_norm for s in herm_eigenvalues(m[herm])]
+        norms[herm] = [s.trace_norm for s in _solve(m[herm])]
     if not herm.all():
         norms[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
     return norms
@@ -776,7 +789,7 @@ def validate_density(m, dims):
         mat = mat.copy()
         part = mat[inexact]
         mat[inexact] = (part + part.conj().swapaxes(-1, -2)) / 2
-    spec = herm_eigenvalues(mat)
+    spec = _solve(mat)
     # A lone matrix is solved 2-D (see the module notes) and is the
     # one-element tuple from here on.
     mats, specs = (mat, spec) if mat.ndim == 3 else ((mat,), (spec,))
@@ -806,11 +819,11 @@ def _pt_key(dims, party):
 def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
     """Fill the cached partial-transpose spectra over ``parties``
     (:meth:`DensityMatrix.pt_spectrum_of`) and ``realign_norm`` (or those
-    ``names`` list) of each of ``states``, a tuple of states with the same
-    dims, keeping those cached already.  Every (state, party) pair not
+    ``names`` list) of each of ``states``, a sequence of states with the
+    same dims, keeping those cached already.  Every (state, party) pair not
     cached yet is taken by one :func:`partial_transpose` call, one gather
     from the states' own matrices (party-major, each state once per party
-    it misses), and solved by one stacked :func:`herm_eigenvalues` call; a
+    it misses), and solved by one stacked :func:`_solve` call; a
     lone pair is gathered and solved as its 2-D matrix.  The norms take one
     :func:`realign` of the states and one :func:`trace_norm` call.  Each
     value has the bits the state gets solved on its own.  An empty tuple of
@@ -821,15 +834,16 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
     DimensionError
         If ``states`` is one state, ``names`` one string or ``parties`` one
         integer, an entry of ``names`` is neither ``"pt_spectrum"`` nor
-        ``"realign_norm"`` (checked first, even for an empty tuple), the
-        states' dims differ, a party is not one of theirs, or the
-        realignment does not apply to them (it needs dims ``[d, d]``).
+        ``"realign_norm"`` (checked first, even for an empty tuple), a state
+        is not one or the states' dims differ, a party is not one of theirs, or
+        the realignment does not apply to them (it needs dims ``[d, d]``).
     """
     # One type test per argument, as DensityMatrix.pt_spectrum_of calls this on every miss.
     lone = ("states" if isinstance(states, DensityMatrix) else "names" if isinstance(names, str)
             else "parties" if isinstance(parties, (int, np.integer)) else None)
     if lone:
         raise DimensionError(f"fill_spectra takes {lone} as a sequence, not one value")
+    states = tuple(states)  # realign takes only a tuple as a stack of states
     unknown = [name for name in names if name not in ("pt_spectrum", "realign_norm")]
     if unknown:
         raise DimensionError(f"fill_spectra cannot fill {', '.join(map(repr, unknown))}")
@@ -841,8 +855,8 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
         todo = [(rho, k) for k in keys for rho in states if k not in rho._pt_spectra]
         if todo:
             owners, cuts = zip(*todo)
-            specs = (herm_eigenvalues(partial_transpose(owners, cuts)) if len(todo) > 1
-                     else (herm_eigenvalues(partial_transpose(*todo[0])),))
+            specs = (_solve(partial_transpose(owners, cuts)) if len(todo) > 1
+                     else (_solve(partial_transpose(*todo[0])),))
             for rho, k, spec in zip(owners, cuts, specs):
                 rho._pt_spectra[k] = spec
     if "realign_norm" in names:

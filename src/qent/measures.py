@@ -43,6 +43,7 @@ def concurrence_2q(rho: DensityMatrix) -> MeasureValue:
     the descending eigenvalues of ``rho (sy (x) sy) rho* (sy (x) sy)``.
     """
     linalg.TWO_QUBIT.require(rho.dims, "concurrence_2q")
+    spec = rho.spectrum  # first: a hand-built non-finite rho raises before inf * 0 below
     flipped = _SIGMA_YY @ rho.mat.conj() @ _SIGMA_YY
     # rho @ flipped is similar to the Hermitian PSD matrix
     # sqrt(rho) flipped sqrt(rho), so its spectrum can be taken Hermitianly.
@@ -50,7 +51,6 @@ def concurrence_2q(rho: DensityMatrix) -> MeasureValue:
     # entry of that matmul is v_ij s_j plus exact zeros.  np.clip(x, 0.0,
     # None) is np.maximum(x, 0.0) (clip calls it when there is no upper
     # bound), and the tail rounds on Python floats as on numpy scalars.
-    spec = rho.spectrum
     root = (spec.vectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))) @ spec.vectors.conj().T
     lam = herm_eigenvalues(root @ flipped @ root).eigenvalues
     l1, l2, l3, l4 = np.sqrt(np.maximum(lam[::-1], 0.0)).tolist()

@@ -288,14 +288,16 @@ def eigh_shapes(monkeypatch):
 
 @pytest.fixture
 def solve_sizes(monkeypatch):
-    """List that records the side of every matrix ``herm_eigenvalues``
-    solves: one entry for a matrix, and one per matrix of a stacked call.
+    """List that records the side of every matrix ``linalg._solve`` solves,
+    the one checked solve behind ``herm_eigenvalues`` and every solve of a
+    matrix derived from a state: one entry for a matrix, and one per matrix
+    of a stacked call.
 
     The counter replaces the solver in every qent module that binds it, so
     calls between modules and through ``DensityMatrix.spectrum`` are seen.
     """
     sizes = []
-    solve = linalg.herm_eigenvalues
+    solve = linalg._solve
 
     def counting(h):
         shape = np.shape(h)
@@ -303,6 +305,6 @@ def solve_sizes(monkeypatch):
         return solve(h)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("qent") and getattr(module, "herm_eigenvalues", None) is solve:
-            monkeypatch.setattr(module, "herm_eigenvalues", counting)
+        if name.startswith("qent") and getattr(module, "_solve", None) is solve:
+            monkeypatch.setattr(module, "_solve", counting)
     return sizes

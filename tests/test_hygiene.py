@@ -1,7 +1,9 @@
 """Source hygiene: no module imports a name it never uses; no module
 but ``linalg`` writes a tolerance as a bare literal, builds a
 ``DensityMatrix`` itself, compares a ``.dims`` value, compares against
-``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver; only
+``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver, and
+in ``linalg`` only ``_solve`` calls one; only ``_solve`` and ``spa``'s
+derived spectra call ``linalg._checked_spectrum``; only
 ``states.projector`` hands a ket to ``linalg._derived``; no module
 builds a vector of a literal size by hand; no module tests an
 argument by membership in ``range(...)`` or in a literal set of ints; and
@@ -176,6 +178,52 @@ def test_eigensolves_go_through_linalg(path):
     # herm_eigenvalues checks the residual of every matrix it solves, a
     # stack too; a call of LAPACK elsewhere would go unchecked.
     assert eigensolver_calls(path.read_text(encoding="utf-8")) == []
+
+
+def calls_by_function(source, names):
+    """(enclosing function, name) of every call of one of ``names`` in
+    ``source``, by name or attribute; ``None`` outside any function."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in names:
+                    found.append((func, name))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=repr)
+
+
+def test_scan_finds_the_function_of_each_call():
+    source = ("def _solve(m):\n    return np.linalg.eigh(m)\n"
+              "def g(m):\n    def inner():\n        return eigvalsh(m)\n    return eigh(m)\n"
+              "x = eig(m)\n")
+    assert calls_by_function(source, EIGENSOLVERS) == [
+        ("_solve", "eigh"), ("g", "eigh"), ("inner", "eigvalsh"), (None, "eig")]
+
+
+def test_linalg_calls_lapack_once_inside_the_checked_solve():
+    # linalg._solve checks the residual of what it solves, and every solve
+    # of the package, herm_eigenvalues' included, goes through it.
+    source = (ROOT / "src" / "qent" / "linalg.py").read_text(encoding="utf-8")
+    assert calls_by_function(source, EIGENSOLVERS) == [("_solve", "eigh")]
+
+
+def test_residuals_are_checked_by_the_solve_and_the_derived_spectra():
+    # _checked_spectrum wraps eigenpairs only after it has checked them: in
+    # _solve, for LAPACK's, and in spa._spa_pt, for the affine image of a
+    # cached partial-transpose spectrum.  A new caller would be a solve that
+    # could skip the check, so each one is named here.
+    found = [(path.name, func) for path in LIBRARY_SOURCES
+             for func, _ in calls_by_function(path.read_text(encoding="utf-8"),
+                                              ("_checked_spectrum",))]
+    assert found == [("linalg.py", "_solve"), ("spa.py", "_spa_pt")]
 
 
 def ket_passing_calls(source):

@@ -13,7 +13,7 @@ from conftest import (
     random_unitary,
 )
 from qent import linalg, measures
-from qent.detect import ppt_check, realignment_check, reduction_check
+from qent.detect import criterion2, criterion3, ppt_check, realignment_check, reduction_check
 from qent.errors import DimensionError, EigensolverError
 from qent.linalg import EIG_RESIDUAL_TOL, Spectrum, partial_trace, tensor, validate_density
 from qent.measures import (
@@ -27,7 +27,7 @@ from qent.measures import (
     tangle_pure,
     three_pi,
 )
-from qent.spa import spa_pt_dd
+from qent.spa import spa_pt_dd, spa_pt_two_qubit
 from qent.states import (
     bell_phi_plus,
     projector,
@@ -343,6 +343,29 @@ class TestNaNAndSolveCounts:
                       negativity, structured_negativity, concurrence_lb_chen):
             check(rho)
         assert sorted(solve_sizes) == [d * d, d * d]
+
+    @pytest.mark.parametrize("d, passes", [(2, 3), (3, 2), (4, 2)])
+    def test_bipartite_battery_makes_one_hermiticity_pass_per_caller_matrix(
+            self, rng, monkeypatch, d, passes):
+        # The benchmark's bipartite op: the validation's pass, the realigned
+        # matrix's in trace_norm and, on two qubits, the input check of
+        # concurrence_2q's solve of sqrt(rho) flipped sqrt(rho), which is
+        # Hermitian only to rounding.  The state, its partial transpose and
+        # rho_A (x) I - rho are solved unchecked, being exactly Hermitian.
+        mat = random_density(rng, (d, d)).mat
+        seen = []
+        herm_dev = linalg._herm_dev
+        monkeypatch.setattr(linalg, "_herm_dev", lambda *a: seen.append(a[0].shape) or herm_dev(*a))
+        rho = validate_density(mat, [d, d])
+        for check in (ppt_check, realignment_check, reduction_check,
+                      negativity, structured_negativity, concurrence_lb_chen):
+            check(rho)
+        if d == 2:
+            conc = concurrence_2q(rho).value
+            rho_tilde = spa_pt_two_qubit(rho)
+            criterion2(rho, rho_tilde, conc)
+            criterion3(rho, rho_tilde, conc)
+        assert len(seen) == passes
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_pt_measures_share_one_solve(self, rng, solve_sizes, d):

@@ -231,6 +231,8 @@ ARGUMENT_GUARDS = {
                                     "takes names as a sequence"),
     "fill_spectra parties an int": (lambda: fill_spectra((_TWO_QUBIT,), ("pt_spectrum",), 1),
                                     "takes parties as a sequence"),
+    "fill_spectra states a bare matrix": (lambda: fill_spectra((np.eye(4) / 4,)),
+                                          "needs states of one dims"),
     "partial_trace empty keep": (lambda: partial_trace(_TWO_QUBIT, []), "nonempty"),
     "partial_trace keep out of range": (lambda: partial_trace(_TWO_QUBIT, [2]), "out of range"),
     "partial_trace keep 0.7": (lambda: partial_trace(_TWO_QUBIT, [0.7]), "not a whole number"),

@@ -100,7 +100,7 @@ def test_a_mixed_classification_wraps_no_spa_pt_output(rng, monkeypatch):
     rho = _random_of_rank(rng, 8)
     wrapped, solved = [], []
     _record(monkeypatch, "_derived", wrapped)
-    _record(monkeypatch, "herm_eigenvalues", solved)
+    _record(monkeypatch, "_solve", solved)
     slocc_classify(rho)
     assert wrapped == []
     (stack,) = solved
@@ -111,7 +111,7 @@ def test_a_mixed_classification_wraps_no_spa_pt_output(rng, monkeypatch):
 def test_a_three_qubit_cut_solves_its_partial_transpose(rng, monkeypatch, qubit):
     rho = _random_of_rank(rng, 8)
     solved = []
-    _record(monkeypatch, "herm_eigenvalues", solved)
+    _record(monkeypatch, "_solve", solved)
     out = spa_pt_three_qubit(rho, qubit).rho_tilde
     (mat,) = solved
     assert np.array_equal(mat, _pt(rho.mat, "ABC".index(qubit)))

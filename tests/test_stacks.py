@@ -178,6 +178,10 @@ class TestStackEqualsLoop:
         states = validate_density(_stack(3, 2, (2, 2)), [2, 2])
         fill_spectra(states, ["pt_spectrum", "realign_norm"], range(2))
         assert all(rho._pt_spectra and "realign_norm" in vars(rho) for rho in states)
+        # A list of states too, though realign takes only a tuple as a stack of states.
+        listed = list(validate_density(_stack(3, 2, (2, 2)), [2, 2]))
+        fill_spectra(listed, ("realign_norm",))
+        assert [rho.realign_norm for rho in listed] == [rho.realign_norm for rho in states]
 
 
 def _bits(spec):

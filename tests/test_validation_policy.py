@@ -1,7 +1,10 @@
 """One validation policy: a caller's matrix is checked once, by
 ``validate_density``; what a completely positive, trace preserving map builds
-from a validated state, and the projector of a checked ket, are trusted.
-These tests hold the checks that no longer run on the library's outputs."""
+from a validated state, and the projector of a checked ket, are trusted, and
+the matrices solved from a state get no second Hermiticity pass.  These tests
+hold the checks that no longer run on the library's outputs, and what still
+catches a ``DensityMatrix`` built by hand around a bad matrix: the residual
+check of the solves that read it."""
 
 import itertools
 import json
@@ -23,7 +26,7 @@ from qent.detect import (
     reduction_check,
     witness_from_pure,
 )
-from qent.errors import DimensionError
+from qent.errors import DensityMatrixError, DimensionError
 from qent.linalg import (
     HERM_TOL,
     PSD_FLOOR,
@@ -32,7 +35,7 @@ from qent.linalg import (
     partial_trace,
     validate_density,
 )
-from qent.measures import concurrence_lb_chen, negativity, structured_negativity
+from qent.measures import concurrence_2q, concurrence_lb_chen, negativity, structured_negativity
 from qent.spa import spa_pt_d1d2, spa_pt_dd, spa_pt_three_qubit, spa_pt_two_qubit, spa_witness
 from qent.states import ghz_w_mixture, ghz_w_wtilde_mixture, horodecki_bound_entangled, projector
 
@@ -263,3 +266,41 @@ class TestPartiesOfDimensionOne:
     def test_square_measures(self, measure):
         with pytest.raises(DimensionError):
             measure(validate_density(np.eye(1), [1, 1]))
+
+
+def _hand_built(kind, d):
+    """A ``[d, d]`` state wrapped around a matrix that was never validated."""
+    n = d * d
+    if kind == "nan":
+        mat = np.full((n, n), np.nan)
+    elif kind == "inf":
+        mat = np.full((n, n), np.inf)
+    elif kind == "inf above the diagonal":
+        # In the triangle LAPACK does not read, beside exact zeros.
+        mat = np.eye(n) / n
+        mat[0, n - 1] = np.inf
+    else:
+        mat = np.triu(np.ones((n, n))) / n  # unit trace, far from Hermitian
+    return DensityMatrix(mat=mat, dims=(d, d))
+
+
+_HAND_BUILT_READS = {
+    "ppt_check": ppt_check,
+    "realignment_check": realignment_check,
+    "reduction_check": reduction_check,
+    "negativity": negativity,
+    "structured_negativity": structured_negativity,
+    "concurrence_lb_chen": concurrence_lb_chen,
+    "concurrence_2q": concurrence_2q,
+    "spectrum": lambda rho: rho.spectrum,
+}
+
+
+@pytest.mark.parametrize("d, read", [(d, read) for d in (2, 3) for read in _HAND_BUILT_READS
+                                     if d == 2 or read != "concurrence_2q"])
+@pytest.mark.parametrize("kind", ["nan", "inf", "inf above the diagonal", "non-Hermitian"])
+def test_a_hand_built_bad_state_raises_a_density_matrix_error(kind, d, read):
+    # No verdict or value, and no numpy error or floating-point warning
+    # (warnings are errors here): the solve that reads the matrix refuses it.
+    with pytest.raises(DensityMatrixError):
+        _HAND_BUILT_READS[read](_hand_built(kind, d))
