@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import DensityMatrix, _below, _eye, _floor_eps, _solve, expectation
+from .linalg import DensityMatrix, _below, _floor_eps, expectation
 from .spa import SpaState, SpaWitness
 from .states import projector
 
@@ -83,19 +83,18 @@ def realignment_check(rho: DensityMatrix) -> Verdict:
 
 
 def reduction_check(rho: DensityMatrix) -> Verdict:
-    """Reduction criterion: a negative eigenvalue of ``rho_A (x) I - rho``
-    proves entanglement.  The evidence is ``lambda_min(R(rho))``.  Floor
-    budget (:func:`~qent.linalg._floor_eps`): ``R(X) = X_A (x) I - X`` has
-    ``R(I) = (d_B - 1) I``, so ``(d_B - 1) eps``.
+    """Reduction criterion, one side: a negative eigenvalue of ``rho_A (x) I
+    - rho`` proves entanglement.  The evidence is ``lambda_min(R(rho))``, from
+    ``rho.reduction_spectrum``.  Floor budget (:func:`~qent.linalg._floor_eps`):
+    ``R(X) = X_A (x) I - X`` has ``R(I) = (d_B - 1) I``, so ``(d_B - 1) eps``.
+
+    Only ``rho_A (x) I - rho`` is tested, not ``I (x) rho_B - rho`` as well,
+    so the verdict can depend on the order of the parties: on the swapped
+    state it tests the other side.  Each side alone is sound.
     """
     linalg.BIPARTITE.require(rho.dims, "reduction_check")
-    d0, d1 = rho.dims
-    eps = _floor_eps(rho)  # first: a hand-built non-finite rho raises before inf * 0 below
-    rho_a = rho.mat.reshape(d0, d1, d0, d1).trace(axis1=1, axis2=3)
-    # rho_A (x) I by broadcasting: np.kron's bits at a quarter of its cost.
-    rho_a_i = rho_a[:, None, :, None] * _eye(d1)[None, :, None, :]
-    lam = float(_solve(rho_a_i.reshape(rho.mat.shape) - rho.mat).eigenvalues[0])
-    entangled = _below(lam, 0.0, (d1 - 1) * eps)
+    lam = float(rho.reduction_spectrum.eigenvalues[0])
+    entangled = _below(lam, 0.0, (rho.dims[1] - 1) * _floor_eps(rho))
     outcome = Outcome.Entangled if entangled else Outcome.Inconclusive
     return Verdict(outcome=outcome, evidence=lam, criterion="reduction")
 

@@ -29,7 +29,9 @@ Each distinct matrix of a state is solved at most once: a
   ``k`` (``rho.pt_spectrum`` on a bipartite state, whose parties share it),
   which every check, measure, SPA-PT map and classifier built on it reads;
 * ``rho.realign_norm``, the trace norm of the realigned matrix, which the
-  realignment check and the Chen bound both read.
+  realignment check and the Chen bound both read;
+* ``rho.reduction_spectrum``, the spectrum of ``rho_A (x) I - rho`` on a
+  bipartite state, which the reduction check reads.
 
 Only :func:`_derived` builds a :class:`DensityMatrix`, unchecked.  A
 caller's matrix reaches it through :func:`validate_density`, which checks it
@@ -67,20 +69,21 @@ same rules by the same code, a matrix being the one-element case:
 :func:`herm_eigenvalues`, :func:`validate_density`, :func:`partial_transpose`,
 :func:`realign` and :func:`trace_norm` take both, and the two maps also take
 a tuple of states, whose validated matrices are not scanned again.
-:func:`fill_spectra`, the only writer of the partial-transpose cache, fills
-a tuple of states with one gather and one stacked solve per map (a single
-state fills itself this way too, its lone matrix gathered and solved 2-D).
+:func:`fill_spectra` fills the partial-transpose cache of a tuple of states
+with one gather and one stacked solve per map (a single state fills itself
+this way too, its lone matrix gathered and solved 2-D).
 Each matrix of a stack gets the bits it gets on its own: stacked ``eigh``
 and ``svd`` solve each matrix as a loop would, every other step is a
 gather, elementwise, or a reduction within one matrix, and a stack with one
-bad matrix raises what that matrix raises alone.  Two steps still see the
+bad matrix raises what that matrix raises alone.  Three steps still see the
 leading axis: the returned container (one value for a matrix, a tuple or
-array of ``k`` for a stack), and the LAPACK call, which solves a lone
-matrix 2-D rather than as a stack of one.  The benchmark's tracer
-(``bench/tracer.py``) sizes a solve by the first axis of its shape and would
-file a stack of one as a 1 x 1 solve; the stacks tests pin the 2-D solve
-until the tracer sizes by the last axis.  :class:`DensityMatrix` stays one
-state; a stack of states is a tuple.
+array of ``k`` for a stack); the LAPACK call, which solves a lone matrix 2-D
+rather than as a stack of one (``bench/tracer.py`` sizes a solve by the
+first axis of its shape, so a stack of one would read as a 1 x 1 solve);
+and :func:`validate_density` of a lone bipartite matrix, which solves
+``[rho, rho^{T_B}, rho_A (x) I - rho]`` as one ``(3, n, n)`` stack and seeds
+all three entries (a stack, which pays the call overhead once, keeps its path).
+:class:`DensityMatrix` stays one state; a stack of states is a tuple.
 """
 
 from __future__ import annotations
@@ -148,7 +151,8 @@ class DensityMatrix:
     """A validated density matrix with its subsystem dimension list.
 
     A caller's matrix becomes one through :func:`validate_density`, which
-    enforces hermiticity, unit trace, and positive semidefiniteness; the
+    enforces hermiticity, unit trace, and positive semidefiniteness (and seeds
+    a bipartite state's ``pt_spectrum`` and ``reduction_spectrum`` too); the
     package wraps and solves what it derives unchecked (see the module notes).
     Instances compare and hash by identity (``==`` of two arrays is not a
     truth value), so a state can key a cache.
@@ -210,6 +214,14 @@ class DensityMatrix:
         at most once per instance (by :func:`fill_spectra`)."""
         fill_spectra((self,), ("realign_norm",))
         return self.realign_norm
+
+    @cached_property
+    def reduction_spectrum(self):
+        """:class:`Spectrum` of ``rho_A (x) I - rho`` on a bipartite state, seeded
+        by :func:`validate_density`; any other instance solves it on first use."""
+        BIPARTITE.require(self.dims, "the reduction spectrum")
+        self.spectrum  # first: a hand-built non-finite mat raises before inf * 0 below
+        return _solve(_reduction_operator(self.mat, self.dims))
 
     def __post_init__(self):
         object.__setattr__(self, "mat", np.asarray(self.mat, dtype=complex))
@@ -457,8 +469,8 @@ def _realign_table(d):
 
 def _gather(mat, table):
     """``mat``, or each matrix of a stack, with flat entry ``i`` taken from
-    its flat entry ``table[i]``: one fancy-index gather."""
-    return mat.reshape(mat.shape[:-2] + (-1,))[..., table].reshape(mat.shape)
+    its flat entry ``table[i]``: one ``take``."""
+    return mat.reshape(mat.shape[:-2] + (-1,)).take(table, -1).reshape(mat.shape)
 
 
 def partial_transpose(rho, sys, dims=None):
@@ -600,6 +612,14 @@ def realign(rho, dims=None):
     mat, d = _mat_dims(rho, dims, (2, 3))
     SQUARE.require(d, "realign")
     return _gather(mat, _realign_table(d[0]))
+
+
+def _reduction_operator(mat, dims):
+    """``rho_A (x) I - rho`` of a bipartite matrix: ``rho_A`` by one trace of its
+    ``(d_A, d_B, d_A, d_B)`` view, ``(x) I`` by broadcasting (``np.kron``'s bits, 1/4 the cost)."""
+    d0, d1 = dims
+    rho_a = mat.reshape(d0, d1, d0, d1).trace(axis1=1, axis2=3)
+    return (rho_a[:, None, :, None] * _eye(d1)[None, :, None, :]).reshape(mat.shape) - mat
 
 
 def herm_eigenvalues(h):
@@ -749,7 +769,8 @@ def validate_density(m, dims):
     A stack ``(k, n, n)`` gets one finiteness and Hermiticity pass, a trace
     and a ``lambda_min`` check of each matrix, and one LAPACK call; each of
     its states has the bits, spectrum included, that its matrix gets on its
-    own.
+    own.  A lone bipartite matrix is solved in one LAPACK call with the two
+    matrices the PPT and reduction checks read, ``rho^{T_B}`` and ``rho_A (x) I - rho``.
 
     Parameters
     ----------
@@ -763,8 +784,9 @@ def validate_density(m, dims):
     -------
     DensityMatrix or tuple of DensityMatrix
         One state for a matrix, one per matrix for a stack, seeded with its
-        spectrum.  Each wraps its matrix when the input is exactly
-        Hermitian, else ``(m + m^H)/2``.
+        spectrum (a lone bipartite state also with ``pt_spectrum`` and
+        ``reduction_spectrum``).  Each wraps its matrix when the input is
+        exactly Hermitian, else ``(m + m^H)/2``.
 
     Raises
     ------
@@ -774,6 +796,11 @@ def validate_density(m, dims):
         With the offending magnitude attached.  A stack raises the first of
         these checks that any of its matrices fails, so a stack with one bad
         matrix raises what that matrix raises alone, magnitude included.
+    EigensolverError
+        If the LAPACK call fails or misses its residual bound.  The call of a
+        lone bipartite matrix also solves ``rho^{T_B}`` and ``rho_A (x) I - rho``,
+        whose residuals are checked before the PSD check: a miss on either raises
+        this ahead of any NegativityViolation, even if their spectra go unread.
     """
     mat = _square(m, (2, 3))
     herm_dev, devs = _finite_herm_dev(mat, (-2, -1))
@@ -789,14 +816,18 @@ def validate_density(m, dims):
         mat = mat.copy()
         part = mat[inexact]
         mat[inexact] = (part + part.conj().swapaxes(-1, -2)) / 2
-    spec = _solve(mat)
-    # A lone matrix is solved 2-D (see the module notes) and is the
-    # one-element tuple from here on.
+    # A lone bipartite state seeds the spectra the PPT and reduction checks read.
+    fused = mat.ndim == 2 and len(dims) == 2
+    spec, *seeds = (_solve(np.array((mat, _gather(mat, _pt_table(tuple(dims), (1,))),
+                                     _reduction_operator(mat, dims)))) if fused else (_solve(mat),))
+    # A lone matrix is the one-element stack from here on.
     mats, specs = (mat, spec) if mat.ndim == 3 else ((mat,), (spec,))
     lam_min = min(float(s.eigenvalues[0]) for s in specs)
     if lam_min < PSD_FLOOR:
         raise NegativityViolation("density matrix has a negative eigenvalue", -lam_min)
     states = tuple(_derived(one, dims, s) for one, s in zip(mats, specs))
+    if fused:
+        states[0]._pt_spectra[_pt_key(dims, 1)], vars(states[0])["reduction_spectrum"] = seeds
     return states if mat.ndim == 3 else states[0]
 
 

@@ -172,9 +172,10 @@ class TestCommands:
             or len(by_name) == 3
 
     @pytest.mark.parametrize("flags, solves", [
-        # validation, rho^{T_B} and the spin-flip matrix
-        (["--criterion2", "--criterion3"], 3),
-        # ... and the realigned matrix, rho_A (x) I - rho and the witness
+        # the validation's one call (the state, rho^{T_B} and rho_A (x) I -
+        # rho) and the spin-flip matrix
+        (["--criterion2", "--criterion3"], 4),
+        # ... and the realigned matrix and the witness
         (["--ppt", "--realign", "--reduce", "--criterion1", "--criterion2", "--criterion3"], 6),
     ])
     def test_spa_criteria_share_one_spa_state_and_concurrence(

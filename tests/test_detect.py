@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_product_density
-from qent import detect
+from qent import linalg
 from qent.errors import DimensionError, NonFiniteEntry
 from qent.detect import (
     Outcome,
@@ -20,7 +20,14 @@ from qent.detect import (
     reduction_check,
     witness_from_pure,
 )
-from qent.linalg import herm_eigenvalues, partial_trace, partial_transpose
+from qent.linalg import (
+    EIG_RESIDUAL_TOL,
+    DensityMatrix,
+    herm_eigenvalues,
+    partial_trace,
+    partial_transpose,
+    validate_density,
+)
 from qent.measures import concurrence_2q
 from qent.spa import spa_pt_two_qubit, spa_witness
 from qent.states import (
@@ -40,18 +47,50 @@ def _x_witness(f):
 
 
 def test_reduction_uses_the_partial_trace_bits(rng, monkeypatch):
-    # rho_A (x) I - rho, built from partial_trace, is the matrix solved.
+    # rho_A (x) I - rho, built from partial_trace, is the matrix solved, by
+    # the validation's call and by the solve of a state built by hand alike.
     seen = []
-    solve = detect._solve
-    monkeypatch.setattr(detect, "_solve", lambda h: seen.append(h) or solve(h))
+    build = linalg._reduction_operator
+    monkeypatch.setattr(linalg, "_reduction_operator",
+                        lambda mat, dims: seen.append(build(mat, dims)) or seen[-1])
     for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4)):
-        rho = random_density(rng, dims)
-        rho_a = partial_trace(rho, [0]).mat
-        want = np.kron(rho_a, np.eye(dims[1])) - rho.mat
-        seen.clear()
-        reduction_check(rho)
-        (got,) = seen
-        assert got.tobytes() == want.tobytes()
+        mat = random_density(rng, dims).mat
+        rho_a = partial_trace(DensityMatrix(mat=mat, dims=dims), [0]).mat
+        want = np.kron(rho_a, np.eye(dims[1])) - mat
+        lam = float(linalg._solve(want).eigenvalues[0])
+        for rho in (lambda: validate_density(mat, list(dims)),
+                    lambda: DensityMatrix(mat=mat, dims=dims)):
+            seen.clear()
+            evidence = reduction_check(rho()).evidence
+            (got,) = seen
+            assert got.tobytes() == want.tobytes()
+            assert evidence.hex() == lam.hex()
+
+
+def _swapped(rho):
+    """``rho`` with its parties swapped, validated with dims ``[d_B, d_A]``."""
+    da, db = rho.dims
+    mat = rho.mat.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(rho.dim, rho.dim)
+    return validate_density(mat, [db, da])
+
+
+class TestReductionOneSide:
+    # reduction_check tests rho_A (x) I - rho only; on the swapped state it
+    # tests I (x) rho_B - rho, the side it leaves out.
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)])
+    def test_the_swapped_state_tests_the_other_side(self, rng, dims):
+        for _ in range(3):
+            rho = random_density(rng, dims)
+            rho_b = partial_trace(rho, [1]).mat
+            lam = np.linalg.eigvalsh(np.kron(np.eye(dims[0]), rho_b) - rho.mat)
+            got = reduction_check(_swapped(rho)).evidence
+            assert abs(got - lam[0]) <= EIG_RESIDUAL_TOL * max(1.0, abs(lam).max())
+
+    def test_a_verdict_that_depends_on_party_order(self):
+        rho = random_density(np.random.default_rng(2), (2, 3))
+        one, other = reduction_check(rho), reduction_check(_swapped(rho))
+        assert one.outcome is Outcome.Inconclusive and one.evidence > 0.05
+        assert other.outcome is Outcome.Entangled and other.evidence < -0.05
 
 
 class TestStandardCriteria:
@@ -63,7 +102,8 @@ class TestStandardCriteria:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_ppt_over_either_factor_shares_one_solve(self, rng, solve_sizes, dims):
-        rho = random_density(rng, dims)
+        # Built by hand, so its partial transpose is solved on first use.
+        rho = DensityMatrix(mat=random_density(rng, dims).mat, dims=dims)
         direct = herm_eigenvalues(partial_transpose(rho, 0)).eigenvalues[0]
         solve_sizes.clear()
         v0, v1 = ppt_check(rho, 0), ppt_check(rho, 1)

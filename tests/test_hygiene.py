@@ -2,7 +2,8 @@
 but ``linalg`` writes a tolerance as a bare literal, builds a
 ``DensityMatrix`` itself, compares a ``.dims`` value, compares against
 ``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver, and
-in ``linalg`` only ``_solve`` calls one; only ``_solve`` and ``spa``'s
+in ``linalg`` only ``_solve`` calls one; ``detect`` solves nothing itself
+(every spectrum it reads is a state's cache entry); only ``_solve`` and ``spa``'s
 derived spectra call ``linalg._checked_spectrum``; only
 ``states.projector`` hands a ket to ``linalg._derived``; no module
 builds a vector of a literal size by hand; no module tests an
@@ -213,6 +214,13 @@ def test_linalg_calls_lapack_once_inside_the_checked_solve():
     # of the package, herm_eigenvalues' included, goes through it.
     source = (ROOT / "src" / "qent" / "linalg.py").read_text(encoding="utf-8")
     assert calls_by_function(source, EIGENSOLVERS) == [("_solve", "eigh")]
+
+
+def test_detect_reads_its_spectra_from_the_state_caches():
+    # Every spectrum a bipartite decision reads is a cache entry of its
+    # state, which linalg fills; detect solves nothing itself.
+    source = (ROOT / "src" / "qent" / "detect.py").read_text(encoding="utf-8")
+    assert calls_by_function(source, ("_solve", "herm_eigenvalues")) == []
 
 
 def test_residuals_are_checked_by_the_solve_and_the_derived_spectra():

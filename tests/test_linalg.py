@@ -709,9 +709,10 @@ class TestSpectrumReuse:
         mat = random_density(rng, (2, 3)).mat
         solve_sizes.clear()
         rho = validate_density(mat, [2, 3])
-        assert solve_sizes == [6]
+        # One call: the state, its partial transpose and rho_A (x) I - rho.
+        assert solve_sizes == [6, 6, 6]
         spec = rho.spectrum
-        assert solve_sizes == [6]
+        assert solve_sizes == [6, 6, 6]
         assert abs(spec.eigenvalues[0] - np.linalg.eigvalsh(rho.mat)[0]) <= 1e-12
 
     def test_direct_instance_solves_once(self, solve_sizes):

@@ -15,7 +15,14 @@ from conftest import (
 from qent import linalg, measures
 from qent.detect import criterion2, criterion3, ppt_check, realignment_check, reduction_check
 from qent.errors import DimensionError, EigensolverError
-from qent.linalg import EIG_RESIDUAL_TOL, Spectrum, partial_trace, tensor, validate_density
+from qent.linalg import (
+    EIG_RESIDUAL_TOL,
+    DensityMatrix,
+    Spectrum,
+    partial_trace,
+    tensor,
+    validate_density,
+)
 from qent.measures import (
     MeasureValue,
     concurrence_2q,
@@ -322,7 +329,8 @@ class TestNaNAndSolveCounts:
             three_pi(np.zeros(8))
 
     def test_structured_negativity_solves_once(self, rng, solve_sizes):
-        rho = random_density(rng, (3, 3))
+        # Built by hand, so its partial transpose is solved on first use.
+        rho = DensityMatrix(mat=random_density(rng, (3, 3)).mat, dims=(3, 3))
         solve_sizes.clear()
         structured_negativity(rho)
         assert solve_sizes == [9]
@@ -335,14 +343,15 @@ class TestNaNAndSolveCounts:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_bipartite_battery_solves_each_matrix_once(self, rng, solve_sizes, d):
-        # rho^{T_B} and rho_A (x) I - rho; the state itself was solved
-        # by its validation and the realigned matrix goes through an SVD.
-        rho = random_density(rng, (d, d))
+        # The state, rho^{T_B} and rho_A (x) I - rho, all by the validation's
+        # one call; the realigned matrix goes through an SVD.
+        mat = random_density(rng, (d, d)).mat
         solve_sizes.clear()
+        rho = validate_density(mat, [d, d])
         for check in (ppt_check, realignment_check, reduction_check,
                       negativity, structured_negativity, concurrence_lb_chen):
             check(rho)
-        assert sorted(solve_sizes) == [d * d, d * d]
+        assert solve_sizes == [d * d] * 3
 
     @pytest.mark.parametrize("d, passes", [(2, 3), (3, 2), (4, 2)])
     def test_bipartite_battery_makes_one_hermiticity_pass_per_caller_matrix(
@@ -369,7 +378,8 @@ class TestNaNAndSolveCounts:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_pt_measures_share_one_solve(self, rng, solve_sizes, d):
-        rho = random_density(rng, (d, d))
+        # Built by hand, so its partial transpose is solved on first use.
+        rho = DensityMatrix(mat=random_density(rng, (d, d)).mat, dims=(d, d))
         solve_sizes.clear()
         negativity(rho)
         structured_negativity(rho)

@@ -11,6 +11,7 @@ from qent import linalg, spa
 from qent.errors import DimensionError, EigensolverError, NotAWitness, TraceViolation
 from qent.linalg import (
     PSD_FLOOR,
+    DensityMatrix,
     Spectrum,
     herm_eigenvalues,
     partial_transpose,
@@ -114,7 +115,8 @@ class TestDerivedSpectrum:
         assert np.max(np.abs(out.spectrum.eigenvalues - direct)) <= 1e-12
 
     def test_spa_outputs_reuse_the_pt_solve(self, rng, solve_sizes):
-        rho = random_density(rng, (2, 2))
+        # Built by hand, so its partial transpose is solved on first use.
+        rho = DensityMatrix(mat=random_density(rng, (2, 2)).mat, dims=(2, 2))
         solve_sizes.clear()
         spa_pt_dd(rho, 2)
         spa_pt_two_qubit(rho)

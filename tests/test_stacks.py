@@ -4,7 +4,9 @@ matrix, and ``fill_spectra`` fills the cached spectra of a tuple of states
 with one gather and one stacked solve per map, over any parties.  Every
 state of a stack must carry the bits of the same matrix validated and solved
 on its own, and a stack with one bad matrix must fail as that matrix fails
-alone."""
+alone.  The validation of a lone bipartite matrix solves it with its
+partial transpose and its reduction operator as one stack of three, and
+each of the three spectra must carry the bits of its solve on its own."""
 
 import numpy as np
 import pytest
@@ -13,9 +15,10 @@ from hypothesis import strategies as st
 
 from qent import linalg
 from qent.classify3 import slocc_classify
-from qent.detect import witness_from_pure
+from qent.detect import ppt_check, realignment_check, reduction_check, witness_from_pure
 from qent.errors import (
     DimensionError,
+    EigensolverError,
     HermiticityViolation,
     NegativityViolation,
     NonFiniteEntry,
@@ -31,7 +34,7 @@ from qent.linalg import (
     trace_norm,
     validate_density,
 )
-from qent.measures import concurrence_lb_chen, negativity, structured_negativity
+from qent.measures import concurrence_2q, concurrence_lb_chen, negativity, structured_negativity
 from qent.reproduce import TABLES
 from qent.spa import spa_pt_qutrit_qubit, spa_witness
 from qent.states import (
@@ -127,11 +130,13 @@ class TestStackEqualsLoop:
         one = validate_density(m[0], [3, 3])
         assert isinstance(one, DensityMatrix)
         assert _same_spectrum(first.spectrum, one.spectrum)
+        # Built by hand, so the fill solves its partial transpose.
+        lazy = DensityMatrix(mat=one.mat, dims=one.dims)
         eigh_shapes.clear()
-        one.pt_spectrum
-        one.realign_norm
+        lazy.pt_spectrum
+        lazy.realign_norm
         # A single state is solved as a matrix, not as a stack of one.
-        assert all(len(shape) == 2 for shape in eigh_shapes)
+        assert eigh_shapes and all(len(shape) == 2 for shape in eigh_shapes)
 
     def test_fill_spectra_keeps_what_is_cached(self):
         states = validate_density(_stack(3, 3, (2, 2)), [2, 2])
@@ -162,11 +167,12 @@ class TestStackEqualsLoop:
 
     @pytest.mark.parametrize("lone", [False, True], ids=["no states", "one state"])
     def test_fill_spectra_refuses_a_name_it_cannot_fill(self, eigh_shapes, lone):
-        rho = validate_density(np.eye(4) / 4, [2, 2])
+        # Built by hand, so no cache entry is seeded by a validation.
+        rho = DensityMatrix(mat=np.eye(4) / 4, dims=(2, 2))
         states = (rho,) if lone else ()
         with pytest.raises(DimensionError, match="'pt_spectra'"):
             fill_spectra(states, ("pt_spectrum", "pt_spectra"))
-        assert eigh_shapes == [(4, 4)]  # the validation's solve, nothing filled
+        assert eigh_shapes == []  # nothing filled
         assert not rho._pt_spectra and "realign_norm" not in vars(rho)
 
     def test_fill_spectra_of_no_states_fills_nothing(self, eigh_shapes, svd_shapes):
@@ -186,6 +192,69 @@ class TestStackEqualsLoop:
 
 def _bits(spec):
     return spec.eigenvalues.tobytes(), spec.vectors.tobytes(), float(spec.residual).hex()
+
+
+class TestFusedValidation:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_each_spectrum_has_the_bits_of_its_lazy_solve(self, dims, seed):
+        m = _random_state_matrix(np.random.default_rng(seed), dims, False)
+        rho = validate_density(m, list(dims))
+        assert rho._pt_spectra and "reduction_spectrum" in vars(rho)
+        lazy = DensityMatrix(mat=rho.mat, dims=dims)
+        for name in ("spectrum", "pt_spectrum", "reduction_spectrum"):
+            assert _bits(getattr(rho, name)) == _bits(getattr(lazy, name))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
+    def test_a_bipartite_battery_makes_one_call_for_its_three_spectra(
+            self, eigh_shapes, svd_shapes, dims):
+        # The realigned matrix of a random state is not Hermitian, so its
+        # trace norm takes the SVD; on two qubits concurrence_2q solves once.
+        n = dims[0] * dims[1]
+        rho = validate_density(_random_state_matrix(np.random.default_rng(n), dims, False),
+                               list(dims))
+        for check in (ppt_check, realignment_check, reduction_check,
+                      negativity, structured_negativity, concurrence_lb_chen):
+            check(rho)
+        if dims == (2, 2):
+            concurrence_2q(rho)
+        assert eigh_shapes == [(3, n, n)] + [(n, n)] * (dims == (2, 2))
+        assert svd_shapes == [(n, n)]
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_a_missed_residual_of_a_seeded_spectrum_raises_before_the_psd_check(
+            self, monkeypatch, index):
+        # The gate checks the residuals of the one call together, so a miss on
+        # rho^{T_B} (index 1) or on rho_A (x) I - rho (index 2) raises
+        # EigensolverError for a state and ahead of a non-PSD matrix's
+        # NegativityViolation; with every residual in bound that one is raised.
+        psd = _random_state_matrix(np.random.default_rng(3), (3, 3), False)
+        not_psd = np.diag([0.6, 0.6, -0.2, 0, 0, 0, 0, 0, 0]).astype(complex)
+        gate = linalg._residual_gate
+
+        def missed(residual, lam):
+            if isinstance(residual, list) and len(residual) == 3:
+                residual = residual[:index] + [float("nan")] + residual[index + 1:]
+            gate(residual, lam)
+
+        monkeypatch.setattr(linalg, "_residual_gate", missed)
+        for m in (psd, not_psd):
+            with pytest.raises(EigensolverError):
+                validate_density(m, [3, 3])
+        monkeypatch.undo()
+        validate_density(psd, [3, 3])
+        with pytest.raises(NegativityViolation):
+            validate_density(not_psd, [3, 3])
+
+    def test_a_validated_stack_makes_one_call_per_map(self, eigh_shapes, svd_shapes):
+        rng = np.random.default_rng(5)
+        stack = np.stack([_random_state_matrix(rng, (3, 3), False) for _ in range(4)])
+        states = validate_density(stack, [3, 3])
+        assert eigh_shapes == [(4, 9, 9)]
+        assert not any(rho._pt_spectra or "reduction_spectrum" in vars(rho) for rho in states)
+        fill_spectra(states)
+        assert eigh_shapes == [(4, 9, 9)] * 2 and svd_shapes == [(4, 9, 9)]
 
 
 def _three_qubit_stack(seed, k):
