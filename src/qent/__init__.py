@@ -20,7 +20,6 @@ from .classify3 import (
     SloccVerdict,
     SubclassReport,
     canonical_projector,
-    canonical_state,
     classify_ghz_subclass,
     correlation_tensors,
     ghz_w_mixture_analysis,

@@ -80,11 +80,6 @@ def _canonical_amplitudes(params):
     return _amplitudes(8, {0: l0, 4: l1 * np.exp(1j * params.theta), 5: l2, 6: l3, 7: l4})
 
 
-def canonical_state(params: CanonicalThreeQubit):
-    """Amplitude vector of the canonical state (basis |000>..|111>)."""
-    return ket(_canonical_amplitudes(params), [2, 2, 2])
-
-
 def canonical_projector(params: CanonicalThreeQubit) -> DensityMatrix:
     """Density matrix of the canonical state, carrying its ket."""
     return projector(_canonical_amplitudes(params), [2, 2, 2])

@@ -49,9 +49,11 @@ construction and exactly Hermitian:
 * the GHZ/W(/flipped-W) mixtures of :mod:`qent.states`, convex combinations
   of checked kets with checked weights.
 
-A state, its partial transposes (permutations of its entries) and ``rho_A (x) I -
+A state, its partial transposes (permutations of its entries), ``rho_A (x) I -
 rho`` (``rho_A`` sums the same terms in the same order for entries ``(i, j)`` and
-``(j, i)``) are exactly Hermitian too, so only a caller's matrix gets a finiteness
+``(j, i)``) and :func:`qent.measures.three_pi`'s pair partial transposes are
+exactly Hermitian too, and :func:`qent.measures.concurrence_2q`'s product is to
+rounding, which its residual bounds.  So only a caller's matrix gets a finiteness
 and Hermiticity pass (in :func:`herm_eigenvalues` or :func:`validate_density`).
 Every solve checks its residual, which also catches a :class:`DensityMatrix`
 built by hand around a NaN, infinite or far from Hermitian matrix.  A projector
@@ -70,19 +72,19 @@ same rules by the same code, a matrix being the one-element case:
 :func:`realign` and :func:`trace_norm` take both, and the two maps also take
 a tuple of states, whose validated matrices are not scanned again.
 :func:`fill_spectra` fills the partial-transpose cache of a tuple of states
-with one gather and one stacked solve per map (a single state fills itself
-this way too, its lone matrix gathered and solved 2-D).
+with one gather and one stacked solve per map (a single state fills its
+partial transposes this way too, its lone matrix gathered and solved 2-D).
 Each matrix of a stack gets the bits it gets on its own: stacked ``eigh``
 and ``svd`` solve each matrix as a loop would, every other step is a
 gather, elementwise, or a reduction within one matrix, and a stack with one
 bad matrix raises what that matrix raises alone.  Three steps still see the
 leading axis: the returned container (one value for a matrix, a tuple or
 array of ``k`` for a stack); the LAPACK call, which solves a lone matrix 2-D
-rather than as a stack of one (``bench/tracer.py`` sizes a solve by the
-first axis of its shape, so a stack of one would read as a 1 x 1 solve);
-and :func:`validate_density` of a lone bipartite matrix, which solves
-``[rho, rho^{T_B}, rho_A (x) I - rho]`` as one ``(3, n, n)`` stack and seeds
-all three entries (a stack, which pays the call overhead once, keeps its path).
+rather than as a stack of one (which gains nothing, having the same bits and
+time, and the tests pin the 2-D shapes); and :func:`validate_density` of a
+lone bipartite matrix, which solves ``[rho, rho^{T_B}, rho_A (x) I - rho]`` as
+one ``(3, n, n)`` stack and seeds all three entries (a stack, which pays the
+call overhead once, keeps its path).
 :class:`DensityMatrix` stays one state; a stack of states is a tuple.
 """
 
@@ -211,9 +213,8 @@ class DensityMatrix:
     @cached_property
     def realign_norm(self):
         """Trace norm of the realigned matrix of a ``[d, d]`` state, computed
-        at most once per instance (by :func:`fill_spectra`)."""
-        fill_spectra((self,), ("realign_norm",))
-        return self.realign_norm
+        at most once per instance (:func:`fill_spectra` fills it for a stack)."""
+        return trace_norm(realign(self))
 
     @cached_property
     def reduction_spectrum(self):
@@ -623,8 +624,8 @@ def _reduction_operator(mat, dims):
 
 
 def herm_eigenvalues(h):
-    """Real spectrum of a Hermitian matrix, or of each of a stack of them
-    (one LAPACK ``eigh`` call either way): one input pass, then :func:`_solve`.
+    """Real spectrum of a caller's Hermitian matrix, or of each of a stack of
+    them (one LAPACK ``eigh`` call either way): one input pass, then :func:`_solve`.
 
     Parameters
     ----------
@@ -856,7 +857,8 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
     from the states' own matrices (party-major, each state once per party
     it misses), and solved by one stacked :func:`_solve` call; a
     lone pair is gathered and solved as its 2-D matrix.  The norms take one
-    :func:`realign` of the states and one :func:`trace_norm` call.  Each
+    :func:`realign` of the states and one :func:`trace_norm` call, as a stack
+    even for one state (whose own ``realign_norm`` computes it 2-D).  Each
     value has the bits the state gets solved on its own.  An empty tuple of
     states fills nothing.
 
@@ -891,8 +893,7 @@ def fill_spectra(states, names=("pt_spectrum", "realign_norm"), parties=(1,)):
             for rho, k, spec in zip(owners, cuts, specs):
                 rho._pt_spectra[k] = spec
     if "realign_norm" in names:
-        norms = trace_norm(realign(states if len(states) > 1 else states[0]))
-        for rho, norm in zip(states, norms.tolist() if len(states) > 1 else (norms,)):
+        for rho, norm in zip(states, trace_norm(realign(states)).tolist()):
             vars(rho).setdefault("realign_norm", norm)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .linalg import PSD_FLOOR, DensityMatrix, _matrix, _residual_gate, herm_eigenvalues
+from .linalg import PSD_FLOOR, DensityMatrix, _matrix, _residual_gate, _solve
 from .spa import _spa_coefficients
 from .states import _SIGMA_YY, _cut_schmidt_products, ket
 
@@ -47,12 +47,13 @@ def concurrence_2q(rho: DensityMatrix) -> MeasureValue:
     flipped = _SIGMA_YY @ rho.mat.conj() @ _SIGMA_YY
     # rho @ flipped is similar to the Hermitian PSD matrix
     # sqrt(rho) flipped sqrt(rho), so its spectrum can be taken Hermitianly.
+    # Built here, the product skips the input pass (qent.linalg's notes).
     # Scaling column j by s_j has the bits of the product with diag(s): each
     # entry of that matmul is v_ij s_j plus exact zeros.  np.clip(x, 0.0,
     # None) is np.maximum(x, 0.0) (clip calls it when there is no upper
     # bound), and the tail rounds on Python floats as on numpy scalars.
     root = (spec.vectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))) @ spec.vectors.conj().T
-    lam = herm_eigenvalues(root @ flipped @ root).eigenvalues
+    lam = _solve(root @ flipped @ root).eigenvalues
     l1, l2, l3, l4 = np.sqrt(np.maximum(lam[::-1], 0.0)).tolist()
     return MeasureValue(value=max(0.0, l1 - l2 - l3 - l4), measure="concurrence", d=2)
 
@@ -169,9 +170,10 @@ def three_pi(psi) -> MeasureValue:
     # Pairs AB, AC and BC, each with the traced qubit last; entry
     # [a, b, x, y] of a partial transpose over the second qubit of the pair
     # is rho_pair[a y, x b] = sum_c t[a, y, c] t*[x, b, c] for its tensor t.
+    # Entry [x, y, a, b] conjugates entry [a, b, x, y] term by term: exactly Hermitian.
     pair_tensors = v[_PAIR_TENSORS]
     pts = np.einsum("payc,pxbc->pabxy", pair_tensors, pair_tensors.conj())
-    pt_spectra = herm_eigenvalues(pts.reshape(3, 4, 4))
+    pt_spectra = _solve(pts.reshape(3, 4, 4))
     n_ab, n_ac, n_bc = ((spec.trace_norm - 1.0) / 2.0 for spec in pt_spectra)
     # N_{k(rest)}^2 = 4 (s0 s1)^2 for k = A, B, C.
     sq_a, sq_b, sq_c = (4.0 * _cut_schmidt_products(v) ** 2).tolist()

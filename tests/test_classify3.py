@@ -21,7 +21,6 @@ from qent.classify3 import (
     CanonicalThreeQubit,
     SloccOutcome,
     canonical_projector,
-    canonical_state,
     classify_ghz_subclass,
     correlation_tensors,
     ghz_w_mixture_analysis,
@@ -63,10 +62,8 @@ def _random_params(rng):
 
 class TestCanonicalForm:
     def test_state_is_normalized_projector(self, rng):
-        p = _random_params(rng)
-        v = canonical_state(p)
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-        rho = canonical_projector(p)
+        rho = canonical_projector(_random_params(rng))
+        assert abs(np.linalg.norm(rho.ket) - 1.0) <= 1e-12
         assert abs(np.trace(rho.mat) - 1.0) <= 1e-12
 
     def test_rejects_bad_parameters(self):
@@ -196,7 +193,7 @@ class TestLuInvariants:
         for _ in range(10):
             p = _random_params(rng)
             assert abs(lu_invariants(p).tau
-                       - tangle_pure(canonical_state(p)).value) <= 1e-12
+                       - tangle_pure(canonical_projector(p).ket).value) <= 1e-12
 
     def test_pairwise_concurrences_match_marginals(self, rng):
         for _ in range(5):

@@ -4,7 +4,8 @@ but ``linalg`` writes a tolerance as a bare literal, builds a
 ``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver, and
 in ``linalg`` only ``_solve`` calls one; ``detect`` solves nothing itself
 (every spectrum it reads is a state's cache entry); only ``_solve`` and ``spa``'s
-derived spectra call ``linalg._checked_spectrum``; only
+derived spectra call ``linalg._checked_spectrum``; only ``spa.spa_witness``
+calls ``herm_eigenvalues``; only
 ``states.projector`` hands a ket to ``linalg._derived``; no module
 builds a vector of a literal size by hand; no module tests an
 argument by membership in ``range(...)`` or in a literal set of ints; and
@@ -234,6 +235,32 @@ def test_residuals_are_checked_by_the_solve_and_the_derived_spectra():
     assert found == [("linalg.py", "_solve"), ("spa.py", "_spa_pt")]
 
 
+def callers(sources, name):
+    """Sorted (file, enclosing function) of the calls of ``name`` in
+    ``sources``, a mapping of file names to source text; a function that
+    calls it more than once is listed once."""
+    return sorted({(file, func) for file, source in sources.items()
+                   for func, _ in calls_by_function(source, (name,))}, key=repr)
+
+
+def test_scan_finds_each_caller_of_a_function_once():
+    sources = {"a.py": ("def f(m):\n    return herm_eigenvalues(m) if m.ndim == 3 "
+                        "else (herm_eigenvalues(m[0]),)\n"
+                        "def g(m):\n    return linalg.herm_eigenvalues(m), _solve(m)\n"),
+               "b.py": "h = herm_eigenvalues\ndef k(m):\n    return _solve(herm(m))\n"}
+    assert callers(sources, "herm_eigenvalues") == [("a.py", "f"), ("a.py", "g")]
+    assert callers(sources, "_solve") == [("a.py", "g"), ("b.py", "k")]
+    assert callers({"c.py": "x = herm_eigenvalues(m)\n"}, "herm_eigenvalues") == [("c.py", None)]
+
+
+def test_only_a_callers_matrix_takes_the_input_pass():
+    # herm_eigenvalues checks a matrix where it enters the library, and a
+    # matrix the library built goes to linalg._solve without that pass; the
+    # one caller is spa_witness, whose witness comes from its caller.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in LIBRARY_SOURCES}
+    assert callers(sources, "herm_eigenvalues") == [("spa.py", "spa_witness")]
+
+
 def ket_passing_calls(source):
     """(enclosing function, line) of every ``_derived`` call in ``source``
     that passes a ket or may pass one: by keyword, as a fourth positional
@@ -419,9 +446,9 @@ def _calls(node, name):
 
 
 def partial_transpose_solves(source):
-    """Lines of ``source`` that call ``herm_eigenvalues`` on an argument that
-    calls ``partial_transpose``, or that reads a name some assignment of
-    ``source`` binds to an expression calling it."""
+    """Lines of ``source`` that call ``herm_eigenvalues`` or ``_solve`` on an
+    argument that calls ``partial_transpose``, or that reads a name some
+    assignment of ``source`` binds to an expression calling it."""
     tree = ast.parse(source)
     bound = {target.id for node in ast.walk(tree)
              if isinstance(node, ast.Assign) and _calls(node.value, "partial_transpose")
@@ -429,7 +456,7 @@ def partial_transpose_solves(source):
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "id", getattr(node.func, "attr", None))
-                  == "herm_eigenvalues"
+                  in ("herm_eigenvalues", "_solve")
                   and any(_calls(arg, "partial_transpose")
                           or any(isinstance(sub, ast.Name) and sub.id in bound
                                  for sub in ast.walk(arg))
@@ -440,8 +467,9 @@ def test_scan_finds_a_solve_of_a_partial_transpose():
     source = ("a = herm_eigenvalues(partial_transpose(rho, 1))\n"
               "b = linalg.herm_eigenvalues(np.stack([linalg.partial_transpose(rho, k)\n"
               "    for k in range(3)]))\n"
-              "t = partial_transpose(rho, party)\nc = herm_eigenvalues(t)\n")
-    assert partial_transpose_solves(source) == [1, 2, 5]
+              "t = partial_transpose(rho, party)\nc = herm_eigenvalues(t)\n"
+              "e = linalg._solve(t), _solve(partial_transpose(rho, 0))\n")
+    assert partial_transpose_solves(source) == [1, 2, 5, 6, 6]
     assert partial_transpose_solves("d = herm_eigenvalues(w)\ne = partial_transpose(rho, 0)\n"
                                     "f = herm_eigenvalues(np.einsum('ijk->kji', m))\n"
                                     "g = rho.pt_spectrum_of(k)\n") == []
@@ -449,9 +477,10 @@ def test_scan_finds_a_solve_of_a_partial_transpose():
 
 @pytest.mark.parametrize("path", POLICY_SOURCES, ids=lambda p: f"src/{p.name}")
 def test_partial_transposes_are_solved_in_linalg(path):
-    # linalg.fill_spectra is the one solve of a partial transpose, and the
-    # only writer of each state's cache of them; a solve elsewhere would
-    # solve a cut the cache may hold already.
+    # linalg solves every partial transpose: fill_spectra, and the fused
+    # solve of validate_density, which seeds a bipartite state's rho^{T_B}.
+    # They are the only writers of each state's cache of them, so a solve
+    # elsewhere would solve a cut the cache may hold already.
     assert partial_transpose_solves(path.read_text(encoding="utf-8")) == []
 
 

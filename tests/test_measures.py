@@ -13,6 +13,7 @@ from conftest import (
     random_unitary,
 )
 from qent import linalg, measures
+from qent.classify3 import CanonicalThreeQubit, canonical_projector
 from qent.detect import criterion2, criterion3, ppt_check, realignment_check, reduction_check
 from qent.errors import DimensionError, EigensolverError
 from qent.linalg import (
@@ -44,6 +45,7 @@ from qent.states import (
     two_qutrit_a_state,
     two_qutrit_alpha_state,
     w_state,
+    w_tilde_state,
     werner_state,
     x_state,
 )
@@ -120,14 +122,14 @@ class TestConcurrenceKernel:
     def test_the_column_scaling_has_the_bits_of_the_diagonal_matmul(self, seed, rank, kind):
         rho = _two_qubit_state(seed, rank, kind)
         solved = []
-        solve = measures.herm_eigenvalues
+        solve = measures._solve
 
         def recording(h):
             solved.append(h)
             return solve(h)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(measures, "herm_eigenvalues", recording)
+            patch.setattr(measures, "_solve", recording)
             got = concurrence_2q(rho).value
         ref_solved, ref = oracle_concurrence_2q(rho)
         assert len(solved) == 1 and solved[0].tobytes() == ref_solved.tobytes()
@@ -267,6 +269,10 @@ class TestStructuredNegativityFromThePtSpectrum:
         assert structured_negativity(rho).value >= 0.0
 
 
+_NAMED_KETS = {"ghz": ghz_state(), "tilted-ghz": ghz_state(0.6, 0.8), "w": w_state(),
+               "w-tilde": w_tilde_state()}
+
+
 class TestThreeQubitMeasures:
     def test_tangle_ghz_and_w(self):
         assert abs(tangle_pure(ghz_state()).value - 1.0) <= 1e-12
@@ -298,6 +304,32 @@ class TestThreeQubitMeasures:
     def test_three_pi_of_a_product_state_is_zero(self, rng):
         v = np.kron(np.kron(random_pure(rng, 2), random_pure(rng, 2)), random_pure(rng, 2))
         assert three_pi(v).value <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           kind=st.sampled_from(["complex", "real", "sparse", "canonical", *_NAMED_KETS]))
+    def test_three_pi_solves_exactly_hermitian_pair_transposes(self, seed, kind):
+        # three_pi hands its pair partial transposes to linalg._solve without
+        # an input pass, which relies on each equalling its conjugate
+        # transpose exactly (as values: 0.0 and -0.0 are equal).
+        rng = np.random.default_rng(seed)
+        if kind in _NAMED_KETS:
+            v = _NAMED_KETS[kind]
+        elif kind == "canonical":
+            v = canonical_projector(CanonicalThreeQubit(*np.sqrt(rng.dirichlet(np.ones(5))),
+                                                        theta=rng.uniform(0.0, np.pi))).ket
+        else:
+            v = rng.normal(size=8) + (kind != "real") * 1j * rng.normal(size=8)
+            if kind == "sparse":
+                v[rng.permutation(8)[:rng.integers(1, 8)]] = 0.0
+        solved = []
+        solve = measures._solve
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_solve", lambda m: solved.append(m) or solve(m))
+            three_pi(v)
+        (pts,) = solved
+        assert pts.shape == (3, 4, 4)
+        assert np.array_equal(pts, pts.conj().swapaxes(-1, -2))
 
     def test_tangle_of_tilted_ghz(self):
         for a in (0.3, 0.5, 1 / np.sqrt(2)):
@@ -353,14 +385,14 @@ class TestNaNAndSolveCounts:
             check(rho)
         assert solve_sizes == [d * d] * 3
 
-    @pytest.mark.parametrize("d, passes", [(2, 3), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("d, passes", [(2, 2), (3, 2), (4, 2)])
     def test_bipartite_battery_makes_one_hermiticity_pass_per_caller_matrix(
             self, rng, monkeypatch, d, passes):
-        # The benchmark's bipartite op: the validation's pass, the realigned
-        # matrix's in trace_norm and, on two qubits, the input check of
-        # concurrence_2q's solve of sqrt(rho) flipped sqrt(rho), which is
-        # Hermitian only to rounding.  The state, its partial transpose and
-        # rho_A (x) I - rho are solved unchecked, being exactly Hermitian.
+        # The benchmark's bipartite op: the validation's pass and the realigned
+        # matrix's in trace_norm.  The state, its partial transpose and
+        # rho_A (x) I - rho are solved unchecked, being exactly Hermitian, and
+        # so is concurrence_2q's sqrt(rho) flipped sqrt(rho), whose rounding
+        # asymmetry its residual bounds.
         mat = random_density(rng, (d, d)).mat
         seen = []
         herm_dev = linalg._herm_dev

@@ -21,7 +21,6 @@ from qent.classify3 import (
     CanonicalThreeQubit,
     _canonical_amplitudes,
     canonical_projector,
-    canonical_state,
     slocc_classify,
 )
 from qent.linalg import PARAM_NORM_TOL, herm_eigenvalues
@@ -114,8 +113,8 @@ def amplitude_vectors(seed, n):
         v[rng.permutation(8)[:rng.integers(1, 8)]] = 0.0
         out.append(v if v.any() else np.eye(8)[rng.integers(8)])
     for _ in range(n):
-        out.append(canonical_state(CanonicalThreeQubit(*np.sqrt(rng.dirichlet(np.ones(5))),
-                                                       theta=rng.uniform(0.0, np.pi))))
+        out.append(canonical_projector(CanonicalThreeQubit(*np.sqrt(rng.dirichlet(np.ones(5))),
+                                                           theta=rng.uniform(0.0, np.pi))).ket)
     return out + [ghz_state(), w_state(), w_tilde_state()]
 
 
