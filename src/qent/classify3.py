@@ -386,12 +386,10 @@ def slocc_classify(rho) -> SloccVerdict:
         lam_pt = [-s for s in _cut_schmidt_products(v).tolist()]
     lams = tuple(THREE_QUBIT_SHIFT + THREE_QUBIT_SCALE * lam for lam in lam_pt)
     below = [_below(lam, THREE_QUBIT_THRESHOLD) for lam in lams]
-    if all(below):
-        return SloccVerdict(outcome=SloccOutcome.Genuine, lambdas=lams)
-    if not any(below):
-        return SloccVerdict(outcome=SloccOutcome.FullySeparableConsistent, lambdas=lams)
-    outcome = (SloccOutcome.BiseparableA_BC, SloccOutcome.BiseparableB_AC,
-               SloccOutcome.BiseparableC_AB)[below.index(False)]
+    outcome = (SloccOutcome.Genuine if all(below)
+               else SloccOutcome.FullySeparableConsistent if not any(below)
+               else (SloccOutcome.BiseparableA_BC, SloccOutcome.BiseparableB_AC,
+                     SloccOutcome.BiseparableC_AB)[below.index(False)])
     return SloccVerdict(outcome=outcome, lambdas=lams)
 
 

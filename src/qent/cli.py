@@ -205,6 +205,12 @@ def _verdict_entry(v):
     return _entry(v.criterion, float(v.evidence), v.outcome.value)
 
 
+def _report(command, label, results, **extra):
+    """The report of a state command: its ``results`` on the state ``label``."""
+    return {"command": command, "input": label, "results": results,
+            "version": __version__, **extra}
+
+
 # ---------------------------------------------------------------------------
 # Criterion and measure tables
 # ---------------------------------------------------------------------------
@@ -305,13 +311,8 @@ def cmd_detect(args):
     label, rho = parse_state_file(args.state)
     _require(linalg.BIPARTITE, rho, "detect")
     names = _select(_CRITERIA, [name for name in _CRITERIA if getattr(args, name)], rho)
-    return {
-        "command": "detect",
-        "input": label,
-        "results": [_CRITERIA[name].run(rho) for name in names],
-        "tolerances": {"slack": SLACK},
-        "version": __version__,
-    }, EXIT_OK
+    return _report("detect", label, [_CRITERIA[name].run(rho) for name in names],
+                   tolerances={"slack": SLACK}), EXIT_OK
 
 
 def cmd_measure(args):
@@ -320,12 +321,8 @@ def cmd_measure(args):
         if name not in _MEASURES:
             raise UsageError(f"unknown measure {name!r}; choose from {', '.join(_MEASURES)}")
     names = _select(_MEASURES, list(dict.fromkeys(args.measures)), rho)
-    return {
-        "command": "measure",
-        "input": label,
-        "results": [_entry(name, float(_MEASURES[name].run(rho).value)) for name in names],
-        "version": __version__,
-    }, EXIT_OK
+    return _report("measure", label, [_entry(name, float(_MEASURES[name].run(rho).value))
+                                      for name in names]), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +364,7 @@ def cmd_classify3(args):
     for qubit, lam in zip("ABC", verdict.lambdas):
         results.append(_entry(f"lambda_min:{qubit}", float(lam)))
     results.append(_entry("slocc", None, verdict.outcome.value))
-    return {
-        "command": "classify3",
-        "input": label,
-        "results": results,
-        "tolerances": {"slack": SLACK},
-        "version": __version__,
-    }, EXIT_OK
+    return _report("classify3", label, results, tolerances={"slack": SLACK}), EXIT_OK
 
 
 # ---------------------------------------------------------------------------

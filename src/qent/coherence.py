@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detect import Outcome, Verdict
+from .detect import _CONDITION, Outcome, Verdict, _decide
 from .errors import DimensionError
-from .linalg import TRACE_TOL, DensityMatrix, _below
+from .linalg import TRACE_TOL, DensityMatrix
 from .measures import l1_coherence
 
 _CUTS = ("A-BC", "B-AC", "C-AB")
@@ -86,8 +86,7 @@ def biseparable_pure_bound(e: Ensemble, rho: DensityMatrix) -> Verdict:
     lhs = _coh(rho)
     rhs = sum(p * (_term_x(fs) ** 2 / 4.0 + _term_x(fs))
               for p, fs in zip(e.weights, e.parts))
-    out = Outcome.ConditionViolated if _below(-lhs, -rhs) else Outcome.ConditionSatisfied
-    return Verdict(outcome=out, evidence=float(rhs - lhs), criterion="bisep_pure_bound")
+    return _decide("bisep_pure_bound", rhs - lhs, -lhs, -rhs, outcomes=_CONDITION)
 
 
 def mixed_biseparable_bound(e: Ensemble, rho: DensityMatrix) -> Verdict:
@@ -101,8 +100,7 @@ def mixed_biseparable_bound(e: Ensemble, rho: DensityMatrix) -> Verdict:
     lhs = 1.0 + _coh(rho)
     rhs = 0.25 * sum(p * (_term_x(fs) + 2.0) ** 2
                      for p, fs in zip(e.weights, e.parts))
-    out = Outcome.ConditionViolated if _below(-lhs, -rhs) else Outcome.ConditionSatisfied
-    return Verdict(outcome=out, evidence=float(rhs - lhs), criterion="mixed_bisep_bound")
+    return _decide("mixed_bisep_bound", rhs - lhs, -lhs, -rhs, outcomes=_CONDITION)
 
 
 def separable_bound(e: Ensemble, rho: DensityMatrix) -> Verdict:
@@ -122,8 +120,7 @@ def separable_bound(e: Ensemble, rho: DensityMatrix) -> Verdict:
         for f in fs:
             prod *= 1.0 + _coh(f)
         rhs += p * (prod - 1.0)
-    out = Outcome.ConditionViolated if _below(-lhs, -rhs) else Outcome.ConditionSatisfied
-    return Verdict(outcome=out, evidence=float(rhs - lhs), criterion="separable_bound")
+    return _decide("separable_bound", rhs - lhs, -lhs, -rhs, outcomes=_CONDITION)
 
 
 def classify_by_coherence(rho: DensityMatrix, ensembles) -> Verdict:

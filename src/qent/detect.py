@@ -3,7 +3,8 @@
 Standard criteria (PPT, realignment, reduction) plus the SPA-based decision
 procedures: witness construction from pure states, the physical Criterion-1
 on SPA witnesses, eigenvalue bounds L/U for the SPA-PT state, and the
-concurrence-linked Criteria 2-3.
+concurrence-linked Criteria 2-3.  Every criterion, and every bound of
+:mod:`qent.coherence`, returns its :class:`Verdict` through :func:`_decide`.
 
 All "iff" claims from the source material are implemented one-directionally:
 an ``Entangled`` outcome is sound, anything else is ``Inconclusive`` (or a
@@ -51,6 +52,17 @@ class Verdict:
     criterion: str
 
 
+_CONDITION = (Outcome.ConditionViolated, Outcome.ConditionSatisfied)
+
+
+def _decide(criterion, evidence, statistic, threshold, budget=0.0,
+            outcomes=(Outcome.Entangled, Outcome.Inconclusive)):
+    """The :class:`Verdict` of ``criterion``: ``outcomes[0]`` when
+    ``_below(statistic, threshold, budget)``, else ``outcomes[1]``."""
+    return Verdict(outcome=outcomes[not _below(statistic, threshold, budget)],
+                   evidence=float(evidence), criterion=criterion)
+
+
 def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
     """PPT (Peres) criterion: a negative partial-transpose eigenvalue proves
     entanglement.
@@ -63,8 +75,7 @@ def ppt_check(rho: DensityMatrix, sys=1) -> Verdict:
     """
     linalg.BIPARTITE.require(rho.dims, "ppt_check")
     lam = float(rho.pt_spectrum_of(sys).eigenvalues[0])
-    outcome = Outcome.Entangled if _below(lam, 0.0) else Outcome.Inconclusive
-    return Verdict(outcome=outcome, evidence=lam, criterion="ppt")
+    return _decide("ppt", lam, lam, 0.0)
 
 
 def realignment_check(rho: DensityMatrix) -> Verdict:
@@ -77,9 +88,7 @@ def realignment_check(rho: DensityMatrix) -> Verdict:
     linalg.SQUARE.require(rho.dims, "realignment_check")
     lam = rho.realign_norm
     d = rho.dims[0]
-    entangled = _below(-lam, -1.0, (d * d + d) * _floor_eps(rho))
-    outcome = Outcome.Entangled if entangled else Outcome.Inconclusive
-    return Verdict(outcome=outcome, evidence=lam, criterion="realignment")
+    return _decide("realignment", lam, -lam, -1.0, (d * d + d) * _floor_eps(rho))
 
 
 def reduction_check(rho: DensityMatrix) -> Verdict:
@@ -94,9 +103,7 @@ def reduction_check(rho: DensityMatrix) -> Verdict:
     """
     linalg.BIPARTITE.require(rho.dims, "reduction_check")
     lam = float(rho.reduction_spectrum.eigenvalues[0])
-    entangled = _below(lam, 0.0, (rho.dims[1] - 1) * _floor_eps(rho))
-    outcome = Outcome.Entangled if entangled else Outcome.Inconclusive
-    return Verdict(outcome=outcome, evidence=lam, criterion="reduction")
+    return _decide("reduction", lam, lam, 0.0, (rho.dims[1] - 1) * _floor_eps(rho))
 
 
 def witness_from_pure(psi, sys, dims):
@@ -132,8 +139,7 @@ def criterion1(rho: DensityMatrix, w_tilde: SpaWitness) -> Verdict:
     slack for ``p <= 1``: 0.
     """
     val = expectation(w_tilde.w_tilde, rho)
-    outcome = Outcome.Entangled if _below(val, w_tilde.r_bound) else Outcome.Inconclusive
-    return Verdict(outcome=outcome, evidence=val, criterion="criterion1")
+    return _decide("criterion1", val, val, w_tilde.r_bound)
 
 
 def bounds_LU(rho: DensityMatrix, rho_tilde: SpaState, w):
@@ -189,8 +195,7 @@ def criterion2(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
     rt = rho_tilde.rho_tilde
     lam = float(rt.spectrum.eigenvalues[0])
     margin = lam - (expectation(rt, rho) - c)
-    outcome = Outcome.ConditionViolated if _below(margin, 0.0) else Outcome.ConditionSatisfied
-    return Verdict(outcome=outcome, evidence=float(margin), criterion="criterion2")
+    return _decide("criterion2", margin, margin, 0.0, outcomes=_CONDITION)
 
 
 def criterion3(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
@@ -198,5 +203,4 @@ def criterion3(rho: DensityMatrix, rho_tilde: SpaState, c) -> Verdict:
     ``U_ent = 1/2 + Tr(rho_tilde rho) - C < 1/2`` detects entanglement."""
     _check_estimate(c)
     u_ent = 0.5 + expectation(rho_tilde.rho_tilde, rho) - c
-    outcome = Outcome.Entangled if _below(u_ent, 0.5) else Outcome.Inconclusive
-    return Verdict(outcome=outcome, evidence=float(u_ent), criterion="criterion3")
+    return _decide("criterion3", u_ent, u_ent, 0.5)

@@ -414,8 +414,10 @@ def _is_states(rho):
 
 
 def _one_dims(states):
-    """The dims that every state of a nonempty tuple shares, each tested to be a state first."""
-    if any(not isinstance(rho, DensityMatrix) or rho.dims != states[0].dims for rho in states):
+    """The dims that every state of a tuple shares, each tested to be a state
+    first; an empty tuple has none, and is refused as a mixed one is."""
+    if not states or any(not isinstance(rho, DensityMatrix) or rho.dims != states[0].dims
+                         for rho in states):
         raise DimensionError("a stack of states needs states of one dims")
     return states[0].dims
 

@@ -157,9 +157,7 @@ def spa_pt_qutrit_qubit(rho):
     and a stack fails the trace check as its worst output fails it alone.
     """
     states = rho if isinstance(rho, tuple) else (rho,)
-    shape = linalg.exact_dims(3, 2)
-    for one in states:
-        shape.require(one.dims, "spa_pt_qutrit_qubit")
+    linalg.exact_dims(3, 2).require(linalg._one_dims(states), "spa_pt_qutrit_qubit")
     r = np.stack([one.mat for one in states])
 
     def t(i, j):

@@ -445,7 +445,7 @@ def embed_pair_product(single, single_pos, pair, n=3):
     """
     n = _whole(n, "register size")
     rest = 2 ** (n - 1)
-    if np.shape(single) != (2, 2) or pair.shape != (rest, rest):
+    if np.shape(single) != (2, 2) or np.shape(pair) != (rest, rest):
         raise DimensionError("a factor has the wrong size for this register")
     single_pos = _party(single_pos, n)
     full = tensor(single, pair).reshape([2] * (2 * n))

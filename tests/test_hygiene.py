@@ -5,7 +5,9 @@ but ``linalg`` writes a tolerance as a bare literal, builds a
 in ``linalg`` only ``_solve`` calls one; ``detect`` solves nothing itself
 (every spectrum it reads is a state's cache entry); only ``_solve`` and ``spa``'s
 derived spectra call ``linalg._checked_spectrum``; only ``spa.spa_witness``
-calls ``herm_eigenvalues``; only
+calls ``herm_eigenvalues``; only ``detect._decide`` and
+``coherence.classify_by_coherence`` build a ``Verdict``, and in ``detect``
+and ``coherence`` only ``_decide`` calls ``_below``; only
 ``states.projector`` hands a ket to ``linalg._derived``; no module
 builds a vector of a literal size by hand; no module tests an
 argument by membership in ``range(...)`` or in a literal set of ints; and
@@ -259,6 +261,22 @@ def test_only_a_callers_matrix_takes_the_input_pass():
     # one caller is spa_witness, whose witness comes from its caller.
     sources = {path.name: path.read_text(encoding="utf-8") for path in LIBRARY_SOURCES}
     assert callers(sources, "herm_eigenvalues") == [("spa.py", "spa_witness")]
+
+
+def test_only_decide_builds_a_criterions_verdict():
+    # Each criterion and coherence bound returns the Verdict of detect._decide;
+    # classify_by_coherence only relabels verdicts that _decide made.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in LIBRARY_SOURCES}
+    assert callers(sources, "Verdict") == [("coherence.py", "classify_by_coherence"),
+                                           ("detect.py", "_decide")]
+
+
+def test_only_decide_compares_a_statistic_in_detect_and_coherence():
+    # A criterion or bound hands its statistic, threshold and budget to
+    # detect._decide, the one place in these modules that calls _below.
+    sources = {name: (ROOT / "src" / "qent" / name).read_text(encoding="utf-8")
+               for name in ("coherence.py", "detect.py")}
+    assert callers(sources, "_below") == [("detect.py", "_decide")]
 
 
 def ket_passing_calls(source):

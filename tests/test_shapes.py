@@ -149,6 +149,7 @@ def test_shape_error_names_the_function_and_the_dims():
 
 
 _TWO_QUBIT = STATES["[2, 2]"]
+_QUTRIT_QUBIT = STATES["[3, 2]"]
 _MAXIMALLY_MIXED = validate_density(np.eye(4) / 4, [2, 2])
 _GHZ_CLASS = CanonicalThreeQubit(0.6, 0.0, 0.0, 0.0, 0.8)
 _BELL_WITNESS = witness_from_pure(bell_phi_plus(), 1, [2, 2])
@@ -233,6 +234,12 @@ ARGUMENT_GUARDS = {
                                     "takes parties as a sequence"),
     "fill_spectra states a bare matrix": (lambda: fill_spectra((np.eye(4) / 4,)),
                                           "needs states of one dims"),
+    "spa_pt_qutrit_qubit no states": (lambda: spa_pt_qutrit_qubit(()),
+                                      "needs states of one dims"),
+    "spa_pt_qutrit_qubit a bare matrix in the stack": (lambda: spa_pt_qutrit_qubit(
+        (_QUTRIT_QUBIT, _QUTRIT_QUBIT.mat)), "needs states of one dims"),
+    "spa_pt_qutrit_qubit a list of states": (lambda: spa_pt_qutrit_qubit(
+        [_QUTRIT_QUBIT, _QUTRIT_QUBIT]), "needs states of one dims"),
     "partial_trace empty keep": (lambda: partial_trace(_TWO_QUBIT, []), "nonempty"),
     "partial_trace keep out of range": (lambda: partial_trace(_TWO_QUBIT, [2]), "out of range"),
     "partial_trace keep 0.7": (lambda: partial_trace(_TWO_QUBIT, [0.7]), "not a whole number"),

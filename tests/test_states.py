@@ -154,6 +154,15 @@ class TestFamilies:
         with pytest.raises(DimensionError):
             embed_pair_product(np.eye(2) / 2, pos, np.eye(4) / 4, n=3)
 
+    def test_embed_pair_product_takes_nested_lists(self):
+        # Both factors are read through np.shape, so a nested-list pair works
+        # as a nested-list single does.
+        psi = ket([1, 1j, 0, 1], [2, 2])
+        single, pair = np.diag([0.25, 0.75]), np.outer(psi, psi.conj())
+        want = embed_pair_product(single, 1, pair).tobytes()
+        assert embed_pair_product(single, 1, pair.tolist()).tobytes() == want
+        assert embed_pair_product(single.tolist(), 1, pair.tolist()).tobytes() == want
+
     def test_three_term_mixture_weights(self):
         with pytest.raises(DimensionError):
             ghz_w_wtilde_mixture(0.7, 0.5)
