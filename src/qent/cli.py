@@ -151,7 +151,7 @@ def parse_state_file(path):
         json.dumps(label, allow_nan=False)
     except ValueError:
         raise ParseError(f"{path}: field 'label' has NaN or infinite numbers") from None
-    return label, validate_density(mat, [int(d) for d in dims])
+    return label, validate_density(mat, dims)
 
 
 def state_document(rho: DensityMatrix, label=None):

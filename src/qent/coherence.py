@@ -84,8 +84,7 @@ def biseparable_pure_bound(e: Ensemble, rho: DensityMatrix) -> Verdict:
     if len(cuts) != 1 or "product" in cuts:
         raise DimensionError("biseparable_pure_bound needs one common cut label")
     lhs = _coh(rho)
-    rhs = sum(p * (_term_x(fs) ** 2 / 4.0 + _term_x(fs))
-              for p, fs in zip(e.weights, e.parts))
+    rhs = sum(p * (x ** 2 / 4.0 + x) for p, x in zip(e.weights, map(_term_x, e.parts)))
     return _decide("bisep_pure_bound", rhs - lhs, -lhs, -rhs, outcomes=_CONDITION)
 
 

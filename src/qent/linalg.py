@@ -550,7 +550,7 @@ def partial_transpose_qubit(rho, qubit):
     """
     mat, d = _mat_dims(rho, [2, 2, 2] if not isinstance(rho, DensityMatrix) else None)
     THREE_QUBIT.require(d, "partial_transpose_qubit")
-    return partial_transpose(mat, _qubit_party(qubit), d)
+    return _gather(mat, _pt_table(d, (_qubit_party(qubit),)))
 
 
 def partial_trace(rho, keep, dims=None):
@@ -830,7 +830,7 @@ def validate_density(m, dims):
         raise NegativityViolation("density matrix has a negative eigenvalue", -lam_min)
     states = tuple(_derived(one, dims, s) for one, s in zip(mats, specs))
     if fused:
-        states[0]._pt_spectra[_pt_key(dims, 1)], vars(states[0])["reduction_spectrum"] = seeds
+        states[0]._pt_spectra[1], vars(states[0])["reduction_spectrum"] = seeds
     return states if mat.ndim == 3 else states[0]
 
 

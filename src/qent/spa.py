@@ -189,11 +189,10 @@ def spa_pt_qutrit_qubit(rho):
         out[:, i - 1, j - 1] = br + 0.25 * ((2.0 / 3.0) * t(i, j) + (1.0 / 3.0) * t(i + 1, j + 1))
         out[:, i, j] = br + 0.25 * ((1.0 / 3.0) * t(i, j) + (2.0 / 3.0) * t(i + 1, j + 1))
 
-    out[:, _QUBITS_DIFFER] = partial_transpose(r, 1, [3, 2])[:, _QUBITS_DIFFER] / 12.0
-
-    for i in range(6):
-        for j in range(i + 1, 6):
-            out[:, j, i] = np.conj(out[:, i, j])
+    pt = linalg._gather(r, linalg._pt_table((3, 2), (1,)))  # validated: no scan
+    out[:, _QUBITS_DIFFER] = pt[:, _QUBITS_DIFFER] / 12.0
+    rows, cols = np.triu_indices(6, 1)
+    out[:, cols, rows] = np.conj(out[:, rows, cols])
     _unit_trace(out, "qutrit-qubit SPA-PT output")
     # Published 2x3 floor; exposed for reference (see _spa_coefficients).
     outs = tuple(SpaState(rho_tilde=_derived(mat, [3, 2]), mixing=0.75, threshold=3.0 / 13.0)
@@ -236,7 +235,8 @@ def spa_witness(w, d1, d2, p=None):
     d1, d2 : int
         Subsystem dimensions.
     p : float, optional
-        Explicit mixing override in (0, 1], the same for every witness.
+        Explicit mixing override in (0, 1], the same for every witness and
+        checked once; the computed default lies in (0, 1) by construction.
 
     Returns
     -------
@@ -256,30 +256,28 @@ def spa_witness(w, d1, d2, p=None):
     dim = d1 * d2
     if not 2 <= w.ndim <= 3 or w.shape[-2:] != (dim, dim):
         raise DimensionError(f"witness shape {w.shape} does not match {d1}x{d2}")
+    if p is not None and not 0.0 < p <= 1.0:
+        raise DimensionError(f"mixing p must lie in (0, 1], got {p}")
     stack = w if w.ndim == 3 else w[np.newaxis]
-    traces = [complex(np.trace(one)) for one in stack]
-    off = [i for i, tr in enumerate(traces) if abs(tr - 1.0) > TRACE_TOL]
-    if any(abs(traces[i]) < ZERO_TOL for i in off):
+    traces = stack.trace(axis1=-2, axis2=-1)
+    off = abs(traces - 1.0) > TRACE_TOL
+    if (abs(traces[off]) < ZERO_TOL).any():
         raise NotAWitness("witness has zero trace and cannot be normalized")
-    if off:
+    if off.any():
         stack = stack.copy()
-        for i in off:
-            stack[i] = stack[i] / traces[i]
+        stack[off] /= traces[off, np.newaxis, np.newaxis]
     # A lone witness is solved 2-D (see the linalg module notes).
     specs = herm_eigenvalues(stack) if w.ndim == 3 else (herm_eigenvalues(stack[0]),)
-    lam_mins = [float(spec.eigenvalues[0]) for spec in specs]
-    if max(lam_mins) >= -ZERO_TOL:
+    lam_mins = np.array([spec.eigenvalues[0] for spec in specs])
+    if lam_mins.max() >= -ZERO_TOL:
         raise NotAWitness("operator is positive semidefinite, not a witness")
     inv = 1.0 / dim
-    ps = [inv / (inv + abs(lam)) for lam in lam_mins] if p is None else [p] * len(stack)
-    for q in ps:
-        if not (0.0 < q <= 1.0):
-            raise DimensionError(f"mixing p must lie in (0, 1], got {q}")
+    ps = inv / (inv + abs(lam_mins)) if p is None else np.full(len(stack), p)
     # W_tilde is an affine image of W with p >= 0, so its smallest eigenvalue
     # follows from W's.
-    if any(q * lam + (1.0 - q) / dim < PSD_FLOOR for q, lam in zip(ps, lam_mins)):
+    if (ps * lam_mins + (1.0 - ps) / dim < PSD_FLOOR).any():
         raise NotAWitness("chosen p leaves the approximated witness non-positive")
     eye = _eye(dim)
     out = tuple(SpaWitness(w_tilde=q * one + ((1.0 - q) / dim) * eye, p=float(q),
-                           r_bound=(1.0 - q) / dim) for q, one in zip(ps, stack))
+                           r_bound=(1.0 - q) / dim) for q, one in zip(ps.tolist(), stack))
     return out if w.ndim == 3 else out[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
+from qent import coherence
 from qent.coherence import (
     Ensemble,
     biseparable_pure_bound,
@@ -101,6 +102,23 @@ class TestBiseparableBounds:
         assert abs(l1_coherence(rho).value - 2.0) <= 1e-12
         assert v.outcome is Outcome.ConditionSatisfied
         assert abs(v.evidence - 1.0) <= 1e-12  # bound X^2/4 + X = 3 vs C = 2
+
+    def test_the_pure_bound_takes_each_coherence_once(self, monkeypatch):
+        # Two terms of two factors each: four factor coherences and C(rho).
+        calls = []
+        measure = coherence.l1_coherence
+
+        def counting(state):
+            calls.append(state)
+            return measure(state)
+
+        monkeypatch.setattr(coherence, "l1_coherence", counting)
+        e = self._mixture_ensemble(0.5)
+        e = Ensemble(weights=e.weights, parts=e.parts, labels=("A-BC", "A-BC"))
+        rho = coherence_bisep_mixture(0.5)
+        biseparable_pure_bound(e, rho)
+        assert len(calls) == 5
+        assert calls[0] is rho and calls[1:] == [f for fs in e.parts for f in fs]
 
     def test_diagonal_separable_example(self):
         rho = diagonal_four_qubit()

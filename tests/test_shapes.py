@@ -218,6 +218,10 @@ ARGUMENT_GUARDS = {
     # concurrence_bounds divides by p, so the witness it reads must have p > 0.
     "spa_witness p = 0": (lambda: spa_witness(_BELL_WITNESS, 2, 2, p=0.0),
                           r"must lie in \(0, 1\]"),
+    "spa_witness p = nan": (lambda: spa_witness(_BELL_WITNESS, 2, 2, p=float("nan")),
+                            r"must lie in \(0, 1\]"),
+    "spa_witness p = 1.5": (lambda: spa_witness(_BELL_WITNESS, 2, 2, p=1.5),
+                            r"must lie in \(0, 1\]"),
     "horodecki_bound_entangled a = 1.5": (lambda: horodecki_bound_entangled(1.5),
                                           r"needs a in \[0, 1\]"),
     "horodecki_bound_entangled a = -0.125": (lambda: horodecki_bound_entangled(-0.125),

@@ -335,6 +335,14 @@ class TestThreeQubitCuts:
         assert scans == []
         assert states[0].realign_norm > 1.0 and lone.pt_spectrum is lone.pt_spectrum
 
+    def test_a_named_qubit_cut_does_not_scan_a_validated_state_again(self, finite_scans):
+        (rho,) = validate_density(_three_qubit_stack(14, 1), [2, 2, 2])
+        for qubit, party in zip("ABC", range(3)):
+            finite_scans.clear()
+            cut = linalg.partial_transpose_qubit(rho, qubit)
+            assert finite_scans == []
+            assert np.array_equal(cut, partial_transpose(rho.mat, party, [2, 2, 2]))
+
     def test_a_lone_missing_cut_is_solved_as_a_matrix(self, eigh_shapes):
         states = validate_density(_three_qubit_stack(8, 2), [2, 2, 2])
         fill_spectra(states, ("pt_spectrum",), (0, 2))
@@ -537,6 +545,14 @@ class TestFamilies:
             assert np.array_equal(out.rho_tilde.mat, one.rho_tilde.mat)
             assert (out.mixing, out.threshold) == (one.mixing, one.threshold)
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["state", "tuple"])
+    def test_the_qutrit_qubit_map_does_not_scan_validated_states_again(self, finite_scans,
+                                                                        stacked):
+        states = qutrit_qubit_alpha_state(np.array([0.1, 0.3, 0.7]))
+        finite_scans.clear()
+        spa_pt_qutrit_qubit(states if stacked else states[0])
+        assert finite_scans == []
+
     def test_the_qutrit_qubit_map_checks_the_trace_of_each_output(self):
         good = qutrit_qubit_alpha_state(0.3)
         m = np.eye(6, dtype=complex) / 6
@@ -547,6 +563,20 @@ class TestFamilies:
         with pytest.raises(TraceViolation) as stacked:
             spa_pt_qutrit_qubit((good, bad, good))
         assert stacked.value.magnitude == alone.value.magnitude
+
+
+@pytest.fixture
+def finite_scans(monkeypatch):
+    """List that records the shape of every array ``linalg._finite`` scans."""
+    scans = []
+    finite = linalg._finite
+
+    def counting(a, what):
+        scans.append(np.shape(a))
+        return finite(a, what)
+
+    monkeypatch.setattr(linalg, "_finite", counting)
+    return scans
 
 
 @pytest.fixture

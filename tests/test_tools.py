@@ -2,7 +2,7 @@
 of two source trees, runs this tree against itself, one pass of each
 workload with no warm-up, so the paired-evidence tool keeps working as
 ``src/`` and the decks change.  ``tools/loc.py`` counts one synthetic module
-exactly and this tree's modules as ``wc -l`` does."""
+exactly and this tree's modules as ``wc -l`` does, and compares two trees."""
 
 import subprocess
 import sys
@@ -66,3 +66,24 @@ def test_loc_counts_this_tree_as_wc_does():
         assert lines == path.read_bytes().count(b"\n")
         assert 0 < code < lines
     assert rows["total"] == tuple(map(sum, zip(*(rows[path.name] for path in paths))))
+
+
+def test_loc_compares_two_trees(tmp_path):
+    for tree, modules in (("parent", {"m.py": "x = 1\n\ny = 2\n", "gone.py": "# gone\n"}),
+                          ("change", {"m.py": "x = 1\n", "new.py": '"""doc"""\nz = 3\n'})):
+        package = tmp_path / tree / "src" / "qent"
+        package.mkdir(parents=True)
+        for name, text in modules.items():
+            (package / name).write_text(text, encoding="utf-8")
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "loc.py"),
+                          str(tmp_path / "parent"), str(tmp_path / "change")],
+                         capture_output=True, text=True, timeout=60, check=False)
+    assert out.returncode == 0, out.stdout + out.stderr
+    header, *rows = (line.split() for line in out.stdout.splitlines())
+    assert header == ["module", "parent_lines", "parent_code", "change_lines", "change_code",
+                      "diff_lines", "diff_code"]
+    # A module that one tree lacks counts 0 there.
+    assert rows == [["gone.py", "1", "0", "0", "0", "-1", "+0"],
+                    ["m.py", "3", "2", "1", "1", "-2", "-1"],
+                    ["new.py", "0", "0", "2", "1", "+2", "+1"],
+                    ["total", "4", "2", "3", "2", "-1", "+0"]]

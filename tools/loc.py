@@ -3,11 +3,13 @@
 
 Usage (from the repository root)::
 
-    python3 tools/loc.py [TREE]
+    python3 tools/loc.py [TREE [CHANGE]]
 
 ``TREE`` defaults to this repository.  For each ``src/qent/*.py`` module the
 script prints its line count, which equals ``wc -l``, and its code-line
-count, then a total row.  A code line is a line that holds a token outside
+count, then a total row.  Given a second tree ``CHANGE``, each row holds
+both trees' counts, then ``CHANGE`` minus ``TREE``; a module that one tree
+lacks counts 0 there.  A code line is a line that holds a token outside
 comments and docstrings: blank lines, comment lines and the lines of a
 module, class or function docstring do not count, and every line that
 another multi-line string literal spans does.  Uses only the standard
@@ -49,20 +51,37 @@ def count(source):
     return source.count("\n"), len(code)
 
 
+def _counts(tree, parser):
+    """``{module name: (lines, code_lines)}`` of the ``src/qent`` of ``tree``."""
+    paths = sorted((Path(tree) / "src" / "qent").glob("*.py"))
+    if not paths:
+        parser.error(f"no src/qent/*.py under {tree}")
+    return {path.name: count(path.read_text(encoding="utf-8")) for path in paths}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("tree", nargs="?", default=str(ROOT),
-                        help="checkout whose src/qent is counted (default: this one)")
+    parser.add_argument("tree", nargs="?", default=str(ROOT), metavar="TREE",
+                        help="checkout whose src/qent is counted (default: this one); "
+                             "the parent when CHANGE is given")
+    parser.add_argument("change", nargs="?", metavar="CHANGE",
+                        help="a second checkout, compared with TREE")
     args = parser.parse_args(argv)
-    paths = sorted((Path(args.tree) / "src" / "qent").glob("*.py"))
-    if not paths:
-        parser.error(f"no src/qent/*.py under {args.tree}")
-    rows = [(path.name, *count(path.read_text(encoding="utf-8"))) for path in paths]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    width = max(len(name) for name, _, _ in rows)
-    print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}")
-    for name, lines, code in rows:
-        print(f"{name:<{width}}  {lines:>6}  {code:>6}")
+    trees = [_counts(tree, parser) for tree in (args.tree, args.change) if tree]
+    header = ["module", "lines", "code"]
+    rows = [[name, *(n for counts in trees for n in counts.get(name, (0, 0)))]
+            for name in sorted(set().union(*trees))]
+    rows.append(["total", *map(sum, zip(*(row[1:] for row in rows)))])
+    if args.change:
+        header = ["module", "parent_lines", "parent_code", "change_lines", "change_code",
+                  "diff_lines", "diff_code"]
+        for row in rows:
+            row += [f"{row[3] - row[1]:+d}", f"{row[4] - row[2]:+d}"]
+    table = [header, *rows]
+    widths = [max(len(row[0]) for row in table)] + [max(6, len(title)) for title in header[1:]]
+    for row in table:
+        print("  ".join(f"{cell:<{w}}" if i == 0 else f"{cell:>{w}}"
+                        for i, (cell, w) in enumerate(zip(row, widths))))
     return 0
 
 
