@@ -359,8 +359,10 @@ def slocc_classify(rho) -> SloccVerdict:
     ``lambda_min = 1/10 + (1/5) lambda_min(rho^{T_k})``, so no SPA-PT output
     is built.  A mixed state reads the spectra of its three partial transposes
     from its cache (``rho.pt_spectrum_of``), which one stacked solve fills with
-    those not cached yet.  A pure state (an amplitude vector, or a projector
-    carrying ``rho.ket``) needs no solve.  Cut ``k | rest`` of a ket has
+    those not cached yet; :func:`~qent.linalg.validate_density` of a lone
+    three-qubit matrix has seeded all three, so a validated state is
+    classified with no further solve.  A pure state (an amplitude vector,
+    or a projector carrying ``rho.ket``) needs no solve.  Cut ``k | rest`` of a ket has
     Schmidt coefficients ``s0, s1``, so ``|psi> = s0|a0>|b0> + s1|a1>|b1>``
     and ``(|psi><psi|)^{T_k}`` acts as ``s0^2`` and ``s1^2`` on
     ``|a0*>|b0>`` and ``|a1*>|b1>``, as ``+-s0 s1`` on

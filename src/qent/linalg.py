@@ -82,9 +82,12 @@ leading axis: the returned container (one value for a matrix, a tuple or
 array of ``k`` for a stack); the LAPACK call, which solves a lone matrix 2-D
 rather than as a stack of one (which gains nothing, having the same bits and
 time, and the tests pin the 2-D shapes); and :func:`validate_density` of a
-lone bipartite matrix, which solves ``[rho, rho^{T_B}, rho_A (x) I - rho]`` as
-one ``(3, n, n)`` stack and seeds all three entries (a stack, which pays the
-call overhead once, keeps its path).
+lone matrix whose dims pick companions (:func:`_companions`): a bipartite
+one solves ``[rho, rho^{T_B}, rho_A (x) I - rho]`` as one ``(3, n, n)``
+stack, a three-qubit one ``[rho, rho^{T_A}, rho^{T_B}, rho^{T_C}]`` as one
+``(4, 8, 8)`` stack, and each seeds every entry it solved (a stack, which
+pays the call overhead once, and a lone matrix of other dims keep the one
+solve of ``rho``).
 :class:`DensityMatrix` stays one state; a stack of states is a tuple.
 """
 
@@ -154,7 +157,8 @@ class DensityMatrix:
 
     A caller's matrix becomes one through :func:`validate_density`, which
     enforces hermiticity, unit trace, and positive semidefiniteness (and seeds
-    a bipartite state's ``pt_spectrum`` and ``reduction_spectrum`` too); the
+    a lone bipartite state's ``pt_spectrum`` and ``reduction_spectrum``, and a
+    lone three-qubit state's three ``pt_spectrum_of(k)``, too); the
     package wraps and solves what it derives unchecked (see the module notes).
     Instances compare and hash by identity (``==`` of two arrays is not a
     truth value), so a state can key a cache.
@@ -666,6 +670,16 @@ def _solve(m):
         raise EigensolverError(f"eigensolver failed: {err}", math.nan) from None
 
 
+def _singular_values(m):
+    """Singular values of a matrix, or of each of a stack, by LAPACK
+    (``numpy.linalg.svd``, looked up on each call); a failure is
+    EigensolverError, as in :func:`_solve`."""
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as err:
+        raise EigensolverError(f"singular value decomposition failed: {err}", math.nan) from None
+
+
 def _check_residual(residual, lam):
     """The one residual bound, behind :func:`_residual_gate`: raise
     :class:`~qent.errors.EigensolverError` unless each residual (one per matrix)
@@ -725,12 +739,12 @@ def trace_norm(a):
     herm = _finite_herm_dev(m, (-2, -1))[1] <= HERM_TOL
     if m.ndim == 2:
         return (_solve(m).trace_norm if herm
-                else float(np.linalg.svd(m, compute_uv=False).sum()))
+                else float(_singular_values(m).sum()))
     norms = np.empty(len(m))
     if herm.any():
         norms[herm] = [s.trace_norm for s in _solve(m[herm])]
     if not herm.all():
-        norms[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
+        norms[~herm] = _singular_values(m[~herm]).sum(axis=-1)
     return norms
 
 
@@ -773,7 +787,9 @@ def validate_density(m, dims):
     and a ``lambda_min`` check of each matrix, and one LAPACK call; each of
     its states has the bits, spectrum included, that its matrix gets on its
     own.  A lone bipartite matrix is solved in one LAPACK call with the two
-    matrices the PPT and reduction checks read, ``rho^{T_B}`` and ``rho_A (x) I - rho``.
+    matrices the PPT and reduction checks read, ``rho^{T_B}`` and ``rho_A (x) I - rho``,
+    and a lone three-qubit matrix with the three cuts the SLOCC classifier
+    reads, ``rho^{T_A}``, ``rho^{T_B}`` and ``rho^{T_C}``.
 
     Parameters
     ----------
@@ -788,8 +804,9 @@ def validate_density(m, dims):
     DensityMatrix or tuple of DensityMatrix
         One state for a matrix, one per matrix for a stack, seeded with its
         spectrum (a lone bipartite state also with ``pt_spectrum`` and
-        ``reduction_spectrum``).  Each wraps its matrix when the input is
-        exactly Hermitian, else ``(m + m^H)/2``.
+        ``reduction_spectrum``, a lone three-qubit state with
+        ``pt_spectrum_of(k)`` for k = 0, 1, 2).  Each wraps its matrix when
+        the input is exactly Hermitian, else ``(m + m^H)/2``.
 
     Raises
     ------
@@ -802,8 +819,9 @@ def validate_density(m, dims):
     EigensolverError
         If the LAPACK call fails or misses its residual bound.  The call of a
         lone bipartite matrix also solves ``rho^{T_B}`` and ``rho_A (x) I - rho``,
-        whose residuals are checked before the PSD check: a miss on either raises
-        this ahead of any NegativityViolation, even if their spectra go unread.
+        and that of a lone three-qubit matrix its three cuts, whose residuals are
+        checked before the PSD check: a miss on any of them raises this ahead
+        of any NegativityViolation, even if their spectra go unread.
     """
     mat = _square(m, (2, 3))
     herm_dev, devs = _finite_herm_dev(mat, (-2, -1))
@@ -819,19 +837,33 @@ def validate_density(m, dims):
         mat = mat.copy()
         part = mat[inexact]
         mat[inexact] = (part + part.conj().swapaxes(-1, -2)) / 2
-    # A lone bipartite state seeds the spectra the PPT and reduction checks read.
-    fused = mat.ndim == 2 and len(dims) == 2
-    spec, *seeds = (_solve(np.array((mat, _gather(mat, _pt_table(tuple(dims), (1,))),
-                                     _reduction_operator(mat, dims)))) if fused else (_solve(mat),))
+    slots, companions = _companions(mat, tuple(dims)) if mat.ndim == 2 else ((), ())
+    spec, *seeds = _solve(np.array((mat, *companions))) if slots else (_solve(mat),)
     # A lone matrix is the one-element stack from here on.
     mats, specs = (mat, spec) if mat.ndim == 3 else ((mat,), (spec,))
     lam_min = min(float(s.eigenvalues[0]) for s in specs)
     if lam_min < PSD_FLOOR:
         raise NegativityViolation("density matrix has a negative eigenvalue", -lam_min)
     states = tuple(_derived(one, dims, s) for one, s in zip(mats, specs))
-    if fused:
-        states[0]._pt_spectra[1], vars(states[0])["reduction_spectrum"] = seeds
-    return states if mat.ndim == 3 else states[0]
+    rho = states[0]
+    for slot, seed in zip(slots, seeds):
+        (rho._pt_spectra if type(slot) is int else vars(rho))[slot] = seed
+    return states if mat.ndim == 3 else rho
+
+
+def _companions(mat, dims):
+    """``(slots, matrices)``: what the validation of a lone matrix solves
+    beside it in one call, and the cache slot (a partial-transpose key, or
+    the name of a cached property) each spectrum seeds.  A bipartite state
+    gets ``rho^{T_B}`` and ``rho_A (x) I - rho``, which the PPT and reduction
+    checks read; a three-qubit state its three cuts, gathered by one take,
+    which the SLOCC classifier reads; any other state nothing."""
+    if len(dims) == 2:
+        return ((1, "reduction_spectrum"),
+                (_gather(mat, _pt_table(dims, (1,))), _reduction_operator(mat, dims)))
+    if THREE_QUBIT.fits(dims):
+        return (0, 1, 2), mat.reshape(-1).take(_pt_table(dims, (0, 1, 2))).reshape(3, 8, 8)
+    return (), ()
 
 
 def _unit_trace(mat, what):

@@ -69,7 +69,7 @@ def concurrence_pure(psi, d1, d2) -> MeasureValue:
     """
     d1, d2 = linalg._whole(d1), linalg._whole(d2)
     v = ket(psi, [d1, d2])
-    p = np.linalg.svd(v.reshape(d1, d2), compute_uv=False) ** 2
+    p = linalg._singular_values(v.reshape(d1, d2)) ** 2
     cross = float(np.triu(np.outer(p, p), 1).sum())
     return MeasureValue(value=float(np.sqrt(4.0 * cross)),
                         measure="concurrence_pure", d=min(d1, d2))

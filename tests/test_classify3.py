@@ -540,7 +540,8 @@ class TestMixtureAnalysis:
 
 
 def test_slocc_classify_solves_three_times(rng, solve_sizes):
-    rho = random_density(rng, (2, 2, 2))
+    # Built by hand, so its cuts are solved on first use, not by a validation.
+    rho = DensityMatrix(mat=random_density(rng, (2, 2, 2)).mat, dims=(2, 2, 2))
     solve_sizes.clear()
     slocc_classify(rho)
     assert solve_sizes == [8, 8, 8]
@@ -548,7 +549,8 @@ def test_slocc_classify_solves_three_times(rng, solve_sizes):
 
 @pytest.mark.parametrize("pure", [False, True])
 def test_slocc_classify_makes_one_lapack_call(rng, eigh_shapes, pure):
-    rho = random_pure(rng, 8) if pure else random_density(rng, (2, 2, 2))
+    rho = (random_pure(rng, 8) if pure
+           else DensityMatrix(mat=random_density(rng, (2, 2, 2)).mat, dims=(2, 2, 2)))
     eigh_shapes.clear()
     slocc_classify(rho)
     # A ket is decided from its Schmidt coefficients, with no solve.

@@ -2,7 +2,8 @@
 but ``linalg`` writes a tolerance as a bare literal, builds a
 ``DensityMatrix`` itself, compares a ``.dims`` value, compares against
 ``SLACK`` or ``EIG_RESIDUAL_TOL`` or calls a LAPACK eigensolver, and
-in ``linalg`` only ``_solve`` calls one; ``detect`` solves nothing itself
+in ``linalg`` only ``_solve`` calls one; only ``linalg._singular_values``
+calls ``svd``; ``detect`` solves nothing itself
 (every spectrum it reads is a state's cache entry); only ``_solve`` and ``spa``'s
 derived spectra call ``linalg._checked_spectrum``; only ``spa.spa_witness``
 calls ``herm_eigenvalues``; only ``detect._decide`` and
@@ -217,6 +218,14 @@ def test_linalg_calls_lapack_once_inside_the_checked_solve():
     # of the package, herm_eigenvalues' included, goes through it.
     source = (ROOT / "src" / "qent" / "linalg.py").read_text(encoding="utf-8")
     assert calls_by_function(source, EIGENSOLVERS) == [("_solve", "eigh")]
+
+
+def test_the_package_calls_svd_once_inside_the_checked_site():
+    # linalg._singular_values turns LAPACK's failure into EigensolverError;
+    # an svd call anywhere else would let a raw LinAlgError through.
+    found = [(path.name, func) for path in LIBRARY_SOURCES
+             for func, _ in calls_by_function(path.read_text(encoding="utf-8"), ("svd",))]
+    assert found == [("linalg.py", "_singular_values")]
 
 
 def test_detect_reads_its_spectra_from_the_state_caches():

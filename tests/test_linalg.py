@@ -46,6 +46,7 @@ from qent.linalg import (
     trace_norm,
     validate_density,
 )
+from qent.measures import concurrence_pure
 from qent.spa import SpaWitness
 
 
@@ -105,6 +106,22 @@ class TestEigensolver:
         assert math.isnan(err.value.magnitude)
         with pytest.raises(EigensolverError):
             validate_density(np.stack([mat, mat]) if stacked else mat, [2, 2])
+
+    @pytest.mark.parametrize("case", ["matrix", "stack", "concurrence_pure"])
+    def test_an_svd_failure_raises_an_eigensolver_error(self, monkeypatch, case):
+        # Every SVD of the package goes through linalg._singular_values,
+        # which reads np.linalg.svd on each call, so this patch reaches it.
+        def failing(m, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        skew = np.triu(np.ones((4, 4)))  # not Hermitian: trace_norm takes its SVD
+        run = {"matrix": lambda: trace_norm(skew),
+               "stack": lambda: trace_norm(np.stack([np.eye(4), skew])),
+               "concurrence_pure": lambda: concurrence_pure(np.ones(4) / 2, 2, 2)}[case]
+        with pytest.raises(EigensolverError, match="did not converge") as err:
+            run()
+        assert math.isnan(err.value.magnitude)
 
     def test_matches_2x2_closed_form(self, rng):
         for _ in range(50):

@@ -107,7 +107,8 @@ class TestDerivedSpectrum:
 
     @pytest.mark.parametrize("qubit", "ABC")
     def test_three_qubit_cut_solves_once(self, rng, solve_sizes, qubit):
-        rho = random_density(rng, (2, 2, 2))
+        # Built by hand, so its cut is solved on first use.
+        rho = DensityMatrix(mat=random_density(rng, (2, 2, 2)).mat, dims=(2, 2, 2))
         solve_sizes.clear()
         out = spa_pt_three_qubit(rho, qubit).rho_tilde
         assert solve_sizes == [8]

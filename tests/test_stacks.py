@@ -5,8 +5,9 @@ with one gather and one stacked solve per map, over any parties.  Every
 state of a stack must carry the bits of the same matrix validated and solved
 on its own, and a stack with one bad matrix must fail as that matrix fails
 alone.  The validation of a lone bipartite matrix solves it with its
-partial transpose and its reduction operator as one stack of three, and
-each of the three spectra must carry the bits of its solve on its own."""
+partial transpose and its reduction operator as one stack of three, that of
+a lone three-qubit matrix with its three cuts as one stack of four, and each
+spectrum must carry the bits of its solve on its own."""
 
 import numpy as np
 import pytest
@@ -255,6 +256,61 @@ class TestFusedValidation:
         assert not any(rho._pt_spectra or "reduction_spectrum" in vars(rho) for rho in states)
         fill_spectra(states)
         assert eigh_shapes == [(4, 9, 9)] * 2 and svd_shapes == [(4, 9, 9)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_each_three_qubit_spectrum_has_the_bits_of_its_lazy_solve(self, seed):
+        # The seed draws the rank too, from 1 to 8.
+        m = _random_state_matrix(np.random.default_rng(seed), (2, 2, 2), False)
+        rho = validate_density(m, [2, 2, 2])
+        assert sorted(rho._pt_spectra) == [0, 1, 2]
+        lazy = DensityMatrix(mat=rho.mat, dims=(2, 2, 2))
+        pairs = [(rho.spectrum, lazy.spectrum)]
+        pairs += [(rho.pt_spectrum_of(k), lazy.pt_spectrum_of(k)) for k in range(3)]
+        for seeded, solved in pairs:
+            assert _bits(seeded) == _bits(solved)
+
+    def test_a_three_qubit_classification_makes_one_call(self, eigh_shapes):
+        m = _random_state_matrix(np.random.default_rng(7), (2, 2, 2), False)
+        slocc_classify(validate_density(m, [2, 2, 2]))
+        assert eigh_shapes == [(4, 8, 8)]
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_a_missed_residual_of_a_seeded_cut_raises_before_the_psd_check(
+            self, monkeypatch, index):
+        # As for a bipartite state: a miss on rho^{T_A}, rho^{T_B} or
+        # rho^{T_C} (stack index 1, 2 or 3) raises EigensolverError ahead of
+        # a non-PSD matrix's NegativityViolation.
+        psd = _random_state_matrix(np.random.default_rng(4), (2, 2, 2), False)
+        not_psd = np.diag([0.6, 0.6, -0.2, 0, 0, 0, 0, 0]).astype(complex)
+        gate = linalg._residual_gate
+
+        def missed(residual, lam):
+            if isinstance(residual, list) and len(residual) == 4:
+                residual = residual[:index] + [float("nan")] + residual[index + 1:]
+            gate(residual, lam)
+
+        monkeypatch.setattr(linalg, "_residual_gate", missed)
+        for m in (psd, not_psd):
+            with pytest.raises(EigensolverError):
+                validate_density(m, [2, 2, 2])
+        monkeypatch.undo()
+        validate_density(psd, [2, 2, 2])
+        with pytest.raises(NegativityViolation):
+            validate_density(not_psd, [2, 2, 2])
+
+    @pytest.mark.parametrize("dims, k", [((2, 2, 2), 1), ((2, 2, 2), 3), ((2, 2, 3), None)],
+                             ids=["stack of 1", "stack of 3", "lone 2x2x3"])
+    def test_only_a_lone_three_qubit_matrix_seeds_its_cuts(self, eigh_shapes, dims, k):
+        # A stack pays the call overhead once and keeps its one solve of
+        # rho, as does a lone matrix of any dims but [a, b] and [2, 2, 2].
+        rng = np.random.default_rng(len(dims) + (k or 0))
+        m = np.stack([_random_state_matrix(rng, dims, False) for _ in range(k or 1)])
+        states = validate_density(m if k else m[0], list(dims))
+        assert eigh_shapes == [m.shape if k else m.shape[1:]]
+        assert all(rho._pt_spectra == {} for rho in (states if k else (states,)))
+        lone = validate_density(_random_state_matrix(rng, (2, 2, 2), False), [2, 2, 2])
+        assert eigh_shapes[1:] == [(4, 8, 8)] and sorted(lone._pt_spectra) == [0, 1, 2]
 
 
 def _three_qubit_stack(seed, k):

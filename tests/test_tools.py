@@ -1,8 +1,9 @@
 """Tests of the development tools.  ``tools/ab_decks.py``, the in-process A/B
 of two source trees, runs this tree against itself, one pass of each
 workload with no warm-up, so the paired-evidence tool keeps working as
-``src/`` and the decks change.  ``tools/loc.py`` counts one synthetic module
-exactly and this tree's modules as ``wc -l`` does, and compares two trees."""
+``src/`` and the decks change, and prints its rate and latency rows.
+``tools/loc.py`` counts one synthetic module exactly and this tree's
+modules as ``wc -l`` does, and compares two trees."""
 
 import subprocess
 import sys
@@ -24,6 +25,11 @@ def test_ab_decks_runs_the_tree_against_itself(workload):
     assert lines[0].startswith(f"{workload} seed 901: 1 passes of ")
     # A fault is printed as "op <position> (<kind>): <errors>".
     assert not [line for line in lines if line.startswith("op ")]
+    # The latency rows: parent and change in ms, then the gain.
+    for row in ("p50 ms", "p90 ms"):
+        (line,) = [line for line in lines if line.startswith(row)]
+        parent, change, gain = line[len(row):].split()
+        assert float(parent) > 0 and float(change) > 0 and gain.endswith("%")
 
 
 def _loc(tree):

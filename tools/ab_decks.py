@@ -17,7 +17,11 @@ drift falls on both alike.
 
 The script prints ``ops_per_s`` of each side as ``bench/run.py`` computes
 it (the deck's op count over the sum of the per-op medians over the
-passes), overall and per op kind, with the change's gain.  Every timed run
+passes), overall and per op kind, with the change's gain; then
+``op_p50_ms`` and ``op_p90_ms`` of each side as ``bench/run.py`` computes
+them (deciles 4 and 8 of those per-op medians), as the rows ``p50 ms`` and
+``p90 ms``, with the gain as the change's speed-up (parent over change,
+less 1), so a positive gain is a faster change on every row.  Every timed run
 of an op is checked as ``bench/run.py``'s ledger checks it: an op or check
 that raises, an error its check reports, or a fingerprint that differs from
 that side's first run of the op is a fault, and so are first runs whose
@@ -125,6 +129,13 @@ def ops_per_s(times):
     return len(typical) / sum(typical)
 
 
+def latencies_ms(times):
+    """``bench/run.py``'s ``op_p50_ms`` and ``op_p90_ms``: deciles 4 and 8
+    of the per-op medians, in milliseconds."""
+    deciles = statistics.quantiles([statistics.median(t) for t in times], n=10)
+    return deciles[4] * 1e3, deciles[8] * 1e3
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the baseline tree")
@@ -156,6 +167,9 @@ def main(argv=None):
     for kind, keys in rows:
         a, b = (ops_per_s([side[k] for k in keys]) for side in times)
         print(f"{kind:<24}{a:>12.1f}{b:>12.1f}{100 * (b / a - 1):>+8.2f}%")
+    print(f"{'latency':<24}{'parent ms':>12}{'change ms':>12}{'gain':>9}")
+    for name, a, b in zip(("p50 ms", "p90 ms"), *map(latencies_ms, times)):
+        print(f"{name:<24}{a:>12.4f}{b:>12.4f}{100 * (a / b - 1):>+8.2f}%")
     for key, (kind, errors) in sorted(faults.items()):
         print(f"op {key} ({kind}): " + "; ".join(errors))
     return 1 if faults else 0
